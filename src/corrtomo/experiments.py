@@ -327,11 +327,14 @@ def _mle_experiment(model, cfg: dict) -> dict:
     trial = trial_sequences(str(params.get("preset", "d7")), seed=cfg["seed"])
     data = collect_trial_data(model, trial, shots=cfg["shots"], seed=cfg["seed"])
     records = records_from_tomography(data)
-    opt = OptimizerConfig(
-        sigma_floor=float(params.get("sigma_floor", 1e-3)),
-        n_starts=int(params.get("n_starts", 16)),
-    )
-    result = fit(records, int(params["l_size"]), optimizer_config=opt, seed=cfg["seed"])
+    try:
+        opt = OptimizerConfig(
+            sigma_floor=float(params.get("sigma_floor", 1e-3)),
+            n_starts=int(params.get("n_starts", 16)),
+        )
+        result = fit(records, int(params["l_size"]), optimizer_config=opt, seed=cfg["seed"])
+    except ValueError as exc:  # l_size, n_starts or sigma_floor out of range
+        raise ConfigError(f"params: {exc}") from exc
     residuals = [predict(result.error_model, r.circuit) - r.mean for r in records[:200]]
     circuits = _eval_circuits(model, params, cfg["seed"] + 1)
     rows = _prediction_rows(model, result.error_model, circuits)

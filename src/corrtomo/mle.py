@@ -10,28 +10,30 @@ Fitting minimises the Gaussian negative log-likelihood
     sum_m (Cbar_m(x) - C_m)^2 / sigma_m^2
 
 over the weights and rates, with exact-mean records assigned a configurable
-variance floor.  The optimizer is a deterministic multi-start Nelder-Mead
-simplex over an unconstrained parametrization (weights through softmax,
-rates through a logistic map), and the winning start is chosen by
-(objective, start index), so results are reproducible and independent of
-evaluation order; a deterministic least-squares pass then sharpens the
-winner along the nearly degenerate weight/rate trough.  Fits are
-canonicalized by ascending first-gate rate to remove the label permutation
-symmetry.
+variance floor.  The objective is a weighted sum of squares, so the
+optimizer is a deterministic multi-start Levenberg-Marquardt on the residual
+vector, with the analytic Jacobian, over an unconstrained parametrization
+(weights through softmax, rates through a logistic map).  The winning start
+is chosen by (objective, start index), so results are reproducible and
+independent of evaluation order.  Fits are canonicalized by ascending
+first-gate rate to remove the label permutation symmetry.
 
 Because depolarizing noise commutes with the ideal gates, a circuit's
-predicted mean only depends on its ideal output and its per-gate counts;
-``fit`` exploits this closed form to evaluate the likelihood for all records
-at once (it is checked against the generic block evaluation in the tests).
+predicted mean only depends on its ideal output and its per-gate counts.
+The ideal H and S permute the signed Bloch axes, so both come from one
+integer fold over all records; ``fit`` and ``negative_log_likelihood`` then
+evaluate the likelihood for all records at once in closed form (it is
+checked against the generic block evaluation in the tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares
 from scipy.special import expit
 
 from .device import Circuit, MeasurementRecord
@@ -116,6 +118,21 @@ def model_predict(param_model: ParamModel, circuit: Circuit | Sequence[str]) -> 
     return float(total)
 
 
+#: The six signed Bloch axes; state ``s`` of the integer fold is ``_AXES[s]``.
+_AXES = np.vstack([np.eye(3), -np.eye(3)])
+
+
+def _signed_axis_table(gate_labels: tuple[str, ...]) -> np.ndarray:
+    """``table[j, s]``: the state after gate ``gate_labels[j]`` acts on state ``s``.
+
+    Exact, because H and S permute the signed axes.  The last row is the
+    identity, used to pad short circuits.
+    """
+    ideal = ideal_qubit_ptms()
+    images = [_AXES @ ideal[g][1:, 1:].T @ _AXES.T for g in gate_labels] + [_AXES @ _AXES.T]
+    return np.argmax(images, axis=2).astype(np.int8)
+
+
 def _record_features(
     records: Sequence[MeasurementRecord],
     gate_labels: tuple[str, ...],
@@ -124,29 +141,35 @@ def _record_features(
     """Per-record ideal outcome, gate counts, means and variances.
 
     The ideal outcome is 2 C_ideal - 1, the Bloch z component of the
-    noiseless circuit output, computed by folding the ideal transfer
-    matrices once per record.
+    noiseless circuit output.  Circuits are encoded as a padded int8
+    gate-index matrix and folded all at once, one gate position at a time,
+    through the signed-axis action of the ideal gates, so the outcome is
+    exactly -1, 0 or 1; the gate counts come from the same matrix.
     """
-    ideal = ideal_qubit_ptms()
-    n = len(records)
-    z_ideal = np.empty(n)
-    counts = np.zeros((n, len(gate_labels)))
-    means = np.empty(n)
-    variances = np.empty(n)
     index = {g: j for j, g in enumerate(gate_labels)}
-    rotations = [np.ascontiguousarray(ideal[g][1:, 1:]) for g in gate_labels]
-    for i, rec in enumerate(records):
-        v = np.array([0.0, 0.0, 1.0])
-        for label in rec.circuit:
-            if label not in index:
-                raise KeyError(f"record uses gate {label!r} outside the fitted gate set {gate_labels}")
-            j = index[label]
-            counts[i, j] += 1.0
-            v = rotations[j] @ v
-        z_ideal[i] = v[2]
-        means[i] = rec.mean
-        variances[i] = max(rec.variance, sigma_floor**2)
-    return z_ideal, counts, means, variances
+    n = len(records)
+    lengths = np.fromiter((len(rec.circuit) for rec in records), dtype=np.intp, count=n)
+    try:
+        flat = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(rec.circuit for rec in records)),
+            dtype=np.int8,
+            count=int(lengths.sum()),
+        )
+    except KeyError as exc:
+        raise KeyError(
+            f"record uses gate {exc.args[0]!r} outside the fitted gate set {gate_labels}"
+        ) from None
+    gates = np.full((n, lengths.max(initial=0)), len(gate_labels), dtype=np.int8)
+    gates[np.arange(gates.shape[1]) < lengths[:, None]] = flat  # row-major fill
+    table = _signed_axis_table(gate_labels)
+    state = np.full(n, 2, dtype=np.int8)  # +z
+    for column in gates.T:
+        state = table[column, state]
+    z_ideal = _AXES[state, 2]
+    counts = np.stack([np.count_nonzero(gates == j, axis=1) for j in range(len(gate_labels))], axis=1)
+    means = np.fromiter((rec.mean for rec in records), dtype=float, count=n)
+    variances = np.fromiter((rec.variance for rec in records), dtype=float, count=n)
+    return z_ideal, counts.astype(float), means, np.maximum(variances, sigma_floor**2)
 
 
 class _SufficientStatistics:
@@ -155,7 +178,8 @@ class _SufficientStatistics:
     Records sharing (gate counts, ideal outcome) predict the same mean, so
     the objective collapses exactly to ``sum_g A_g Cbar_g^2 - 2 B_g Cbar_g
     + D_g`` with three scalars per group, independent of the group sizes or
-    the per-record variances.
+    the per-record variances.  The objective is ``spread`` plus the squared
+    norm of ``residuals``; ``jacobian`` is the derivative of ``residuals``.
     """
 
     def __init__(
@@ -172,6 +196,7 @@ class _SufficientStatistics:
         self.counts = uniq[:, :-1]
         self.z_ideal = uniq[:, -1]
         self.a = np.bincount(inverse, weights=inv_var, minlength=n_groups)
+        self.sqrt_a = np.sqrt(self.a)
         b = np.bincount(inverse, weights=means * inv_var, minlength=n_groups)
         self.mu = b / self.a
         # within-group scatter, accumulated around the group means so the
@@ -183,6 +208,32 @@ class _SufficientStatistics:
         pred = _fast_predictions(p, rates, self.z_ideal, self.counts)
         return float(self.a @ (pred - self.mu) ** 2 + self.spread)
 
+    def residuals(self, x: np.ndarray, m: int) -> np.ndarray:
+        """``sqrt(A_g) (Cbar_g - mu_g)`` at unconstrained parameters ``x``."""
+        p, rates = _unpack(x, m, self.counts.shape[1])
+        return self.sqrt_a * (_fast_predictions(p, rates, self.z_ideal, self.counts) - self.mu)
+
+    def jacobian(self, x: np.ndarray, m: int) -> np.ndarray:
+        """Closed-form derivative of ``residuals`` through softmax and logistic.
+
+        With D_l the damping at environment value l and z the ideal outcome,
+        d Cbar / d u_k = z p_{k+1} (D_{k+1} - D.p) / 2 and
+        d Cbar / d v_{G,l} = -z p_l D_l n_G eps_{G,l} / 2
+        (zero where the rate is clamped).
+        """
+        p, rates = _unpack(x, m, self.counts.shape[1])
+        scaled = (0.5 * self.sqrt_a * self.z_ideal)[:, None] * _damping(rates, self.counts)
+        d_weights = p[1:] * (scaled[:, 1:] - (scaled @ p)[:, None])
+        slope = np.where(rates < 1.0 - RATE_CLAMP, rates, 0.0) * p
+        d_rates = -self.counts[:, :, None] * (scaled[:, None, :] * slope)
+        return np.concatenate([d_weights, d_rates.reshape(len(self.mu), -1)], axis=1)
+
+
+def _damping(rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """prod_G (1 - eps_G(lam))^n_G for every record (row) and value (column)."""
+    log1m = np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP))  # (n_gates, m)
+    return np.exp(counts @ log1m)
+
 
 def _fast_predictions(
     p: np.ndarray,
@@ -191,9 +242,7 @@ def _fast_predictions(
     counts: np.ndarray,
 ) -> np.ndarray:
     """Vectorized means: 0.5 (1 + z_ideal * sum_lam p_lam prod_G (1-eps)^n_G)."""
-    log1m = np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP))  # (n_gates, m)
-    damping = np.exp(counts @ log1m)  # (n_records, m)
-    return 0.5 * (1.0 + z_ideal * (damping @ p))
+    return 0.5 * (1.0 + z_ideal * (_damping(rates, counts) @ p))
 
 
 def negative_log_likelihood(
@@ -219,9 +268,6 @@ def negative_log_likelihood(
 @dataclass(frozen=True)
 class OptimizerConfig:
     n_starts: int = 16
-    max_evaluations: int = 6000
-    xatol: float = 1e-9
-    fatol: float = 1e-9
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
     rate_scale: float = 0.01  # typical rate magnitude used to seed starts
 
@@ -255,18 +301,14 @@ def _softmax(u: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _sigmoid(v: np.ndarray) -> np.ndarray:
-    return expit(v)
-
-
 def _logit(p: float) -> float:
     p = min(max(p, 1e-12), 1.0 - 1e-12)
     return float(np.log(p / (1.0 - p)))
 
 
 def _unpack(x: np.ndarray, m: int, n_gates: int) -> tuple[np.ndarray, np.ndarray]:
-    p = _softmax(x[: m - 1]) if m > 1 else np.array([1.0])
-    rates = _sigmoid(x[m - 1 :]).reshape(n_gates, m)
+    p = _softmax(x[: m - 1])
+    rates = expit(x[m - 1 :]).reshape(n_gates, m)
     return p, rates
 
 
@@ -279,13 +321,14 @@ def fit(
 ) -> FitResult:
     """Fit weights and per-gate rates to measured circuit means.
 
-    Deterministic multi-start simplex minimisation of the weighted squared
-    residuals.  The first start uses equal weights and a common small rate;
-    the remaining starts are drawn from the seeded generator.  Starts run
-    independently; the winner is the lowest objective with ties broken by
-    start index, then finished by a deterministic least-squares polish.  The
-    fitted model is canonicalized by ascending first-gate rate and exported
-    both as a ParamModel and as the equivalent reduced-space ErrorModel.
+    Deterministic multi-start Levenberg-Marquardt on the weighted residuals,
+    with the analytic Jacobian of the closed-form predictions.  The first
+    start uses equal weights and a common small rate; the remaining starts
+    are drawn from the seeded generator.  Starts run independently; the
+    winner is the lowest objective with ties broken by start index, and
+    ``converged`` is the winning start's own termination status.  The fitted
+    model is canonicalized by ascending first-gate rate and exported both as
+    a ParamModel and as the equivalent reduced-space ErrorModel.
 
     Records should cover circuits long enough for the slow environment
     directions to matter (lengths of order tens for weak noise); otherwise
@@ -294,18 +337,18 @@ def fit(
     cfg = optimizer_config or OptimizerConfig()
     if l_size < 1:
         raise ValueError(f"l_size must be >= 1, got {l_size}")
+    if cfg.n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {cfg.n_starts}")
+    if cfg.sigma_floor <= 0.0:
+        raise ValueError(f"sigma_floor must be positive, got {cfg.sigma_floor}")
     if not records:
         raise ValueError("need at least one record")
     if gate_labels is None:
-        gate_labels = tuple(sorted({g for rec in records for g in rec.circuit})) or ("H", "S")
+        gate_labels = tuple(sorted(set(chain.from_iterable(rec.circuit for rec in records)))) or ("H", "S")
     gate_labels = tuple(gate_labels)
     stats = _SufficientStatistics(records, gate_labels, cfg.sigma_floor)
     m = l_size
     n_gates = len(gate_labels)
-
-    def objective(x: np.ndarray) -> float:
-        p, rates = _unpack(x, m, n_gates)
-        return stats.objective(p, rates)
 
     gen = np.random.default_rng(seed)
     base_rate_logit = _logit(cfg.rate_scale)
@@ -315,39 +358,17 @@ def fit(
         v = gen.normal(base_rate_logit, 2.0, size=n_gates * m)
         starts.append(np.concatenate([w, v]))
 
-    def simplex(x0: np.ndarray, xatol: float, fatol: float):
-        return minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_evaluations,
-                "maxfev": cfg.max_evaluations,
-                "xatol": xatol,
-                "fatol": fatol,
-            },
+    results = [
+        least_squares(
+            stats.residuals, x0, jac=stats.jacobian, args=(m,), method="lm",
+            xtol=1e-15, ftol=1e-15, gtol=1e-15,
         )
+        for x0 in starts
+    ]
+    objectives = [stats.objective(*_unpack(r.x, m, n_gates)) for r in results]
+    winner = min(range(len(results)), key=lambda i: (objectives[i], i))
 
-    results = [simplex(x0, cfg.xatol, cfg.fatol) for x0 in starts]
-    order = sorted(range(len(results)), key=lambda i: (results[i].fun, i))
-    best = results[order[0]]
-    # The simplex finds the right basin but crawls along the nearly degenerate
-    # weight/rate trough; a Levenberg-Marquardt pass on the (exactly
-    # least-squares) objective finishes the job deterministically.
-    sqrt_a = np.sqrt(stats.a)
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        p, rates = _unpack(x, m, n_gates)
-        pred = _fast_predictions(p, rates, stats.z_ideal, stats.counts)
-        return sqrt_a * (pred - stats.mu)
-
-    polish = least_squares(residuals, best.x, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    best_x, best_fun = best.x, float(best.fun)
-    if np.isfinite(polish.cost) and objective(polish.x) <= best_fun:
-        best_x, best_fun = polish.x, float(objective(polish.x))
-    converged = bool(any(r.success for r in results) or polish.status > 0)
-
-    p, rates = _unpack(best_x, m, n_gates)
+    p, rates = _unpack(results[winner].x, m, n_gates)
     # canonical order: ascending rate of the first gate label
     order_lam = np.argsort(rates[0, :], kind="stable")
     p = p[order_lam]
@@ -361,12 +382,12 @@ def fit(
     return FitResult(
         param_model=param_model,
         error_model=error_model,
-        nll=best_fun,
+        nll=objectives[winner],
         diagnostics={
-            "converged": converged,
-            "start_objectives": np.array([r.fun for r in results]),
-            "winner": int(order[0]),
-            "n_evaluations": int(sum(r.nfev for r in results) + polish.nfev),
+            "converged": bool(results[winner].success),
+            "start_objectives": np.array(objectives),
+            "winner": winner,
+            "n_evaluations": int(sum(r.nfev + r.njev for r in results)),
             "n_records": len(records),
             "sigma_floor": cfg.sigma_floor,
             "seed": seed,

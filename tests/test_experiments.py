@@ -41,6 +41,18 @@ class TestConfigValidation:
     def test_missing_output_dir(self):
         assert run(dict(SURVIVAL_CFG)) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("bad", [{"sigma_floor": 0}, {"l_size": 0}, {"n_starts": 0}])
+    def test_mle_parameters_out_of_range(self, tmp_path, bad):
+        params = {"l_size": 1, "preset": "d4", "n_starts": 1, "eval_n_gates": [0], "eval_circuits_per_point": 1}
+        cfg = {
+            "experiment": "mle",
+            "model": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 2},
+            "params": {**params, **bad},
+        }
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_params_unknown_key(self, tmp_path):
         cfg = dict(SURVIVAL_CFG, params=dict(SURVIVAL_CFG["params"], extra=1))
         assert run(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import corrtomo as ct
+import corrtomo.mle as mle
 from corrtomo.device import Circuit, MeasurementRecord
 from corrtomo.mle import (
     OptimizerConfig,
@@ -13,6 +14,7 @@ from corrtomo.mle import (
     negative_log_likelihood,
     records_from_tomography,
 )
+from corrtomo.ptm import ideal_qubit_ptms
 from corrtomo.tomography import predict
 
 
@@ -117,6 +119,68 @@ class TestNegativeLogLikelihood:
             negative_log_likelihood(two_point_model(), [])
 
 
+def noisy_records(pm, circuits, seed, scale=1e-3):
+    gen = np.random.default_rng(seed)
+    records = []
+    for c, shots in zip(circuits, gen.choice([0, 1000], size=len(circuits))):
+        mean = model_predict(pm, c) + gen.normal(0.0, scale)
+        if shots:  # a sampled record whose variance lies above the floor
+            records.append(MeasurementRecord(Circuit(c), mean, 4e-6, int(shots)))
+        else:
+            records.append(MeasurementRecord(Circuit(c), mean, 0.0, None))
+    return records
+
+
+def per_record_features(records, gate_labels, sigma_floor):
+    """Reference fold: the ideal 3x3 Bloch rotations applied gate by gate."""
+    ideal = ideal_qubit_ptms()
+    z_ideal, counts = [], np.zeros((len(records), len(gate_labels)))
+    for i, rec in enumerate(records):
+        v = np.array([0.0, 0.0, 1.0])
+        for label in rec.circuit:
+            counts[i, gate_labels.index(label)] += 1.0
+            v = ideal[label][1:, 1:] @ v
+        z_ideal.append(v[2])
+    means = np.array([r.mean for r in records])
+    variances = np.array([max(r.variance, sigma_floor**2) for r in records])
+    return np.array(z_ideal), counts, means, variances
+
+
+class TestKernels:
+    def test_record_features_match_per_record_fold(self):
+        circuits = [(), ("H",), ("S",)] + random_circuits(300, 30, seed=12)
+        records = noisy_records(two_point_model(), circuits, seed=13)
+        got = mle._record_features(records, ("H", "S"), 1e-3)
+        want = per_record_features(records, ["H", "S"], 1e-3)
+        assert set(got[0]) <= {-1.0, 0.0, 1.0}
+        for a, b in zip(got, want):
+            assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+    def test_record_features_reject_unknown_gate(self):
+        records = [MeasurementRecord(Circuit(("H", "T")), 0.5, 0.0, None)]
+        with pytest.raises(KeyError, match="'T'"):
+            mle._record_features(records, ("H", "S"), 1e-3)
+
+    @pytest.mark.parametrize("l_size", [1, 2, 3])
+    def test_jacobian_matches_central_differences(self, l_size):
+        records = noisy_records(two_point_model(), random_circuits(200, 25, seed=14), seed=15)
+        stats = mle._SufficientStatistics(records, ("H", "S"), 1e-3)
+        gen = np.random.default_rng(16 + l_size)
+        step = 1e-6
+        for _ in range(3):
+            x = np.concatenate([gen.normal(0.0, 1.0, l_size - 1), gen.normal(-4.6, 1.0, 2 * l_size)])
+            jac = stats.jacobian(x, l_size)
+            numeric = np.stack(
+                [
+                    (stats.residuals(x + step * e, l_size) - stats.residuals(x - step * e, l_size)) / (2 * step)
+                    for e in np.eye(x.size)
+                ],
+                axis=1,
+            )
+            assert jac.shape == numeric.shape == (len(stats.mu), 3 * l_size - 1)
+            assert np.max(np.abs(jac - numeric)) <= 1e-6 * np.max(np.abs(jac))
+
+
 class TestFit:
     def test_roundtrip_recovers_two_point_parameters(self):
         pm = two_point_model()
@@ -158,6 +222,47 @@ class TestFit:
     def test_requires_records(self):
         with pytest.raises(ValueError):
             ct.fit([], 2)
+
+    @pytest.mark.parametrize(
+        "l_size,config",
+        [
+            (0, OptimizerConfig()),
+            (2, OptimizerConfig(n_starts=0)),
+            (2, OptimizerConfig(sigma_floor=0.0)),
+            (2, OptimizerConfig(sigma_floor=-1e-3)),
+        ],
+    )
+    def test_invalid_settings_rejected(self, l_size, config):
+        records = exact_records(two_point_model(), random_circuits(20, 10, seed=17))
+        with pytest.raises(ValueError):
+            ct.fit(records, l_size, optimizer_config=config)
+
+    def test_converged_is_the_winning_start_status(self, monkeypatch):
+        real = mle.least_squares
+        calls = []
+
+        def only_a_losing_start_succeeds(fun, x0, *args, **kwargs):
+            result = real(fun, x0, *args, **kwargs)
+            calls.append(x0)
+            if len(calls) == 2:  # left at its random start: claims success, loses
+                result.x, result.status, result.success = np.array(x0), 1, True
+            else:
+                result.status, result.success = 0, False
+            return result
+
+        monkeypatch.setattr(mle, "least_squares", only_a_losing_start_succeeds)
+        records = exact_records(two_point_model(), random_circuits(100, 15, seed=18))
+        result = ct.fit(records, 2, seed=0, optimizer_config=OptimizerConfig(n_starts=3))
+        assert len(calls) == 3
+        assert result.diagnostics["winner"] != 1
+        assert result.converged is False
+
+    def test_three_point_fit_of_five_point_device(self, suite_records):
+        # model mismatch on the d7 seed-0 records; 7.2e-8 is what the
+        # simplex multi-start with a least-squares polish reached
+        result = ct.fit(suite_records, 3, seed=0)
+        assert result.nll <= 7.2e-8
+        assert len(result.diagnostics["start_objectives"]) == 16
 
 
 class TestRecordsFromTomography:

@@ -13,18 +13,24 @@ transitions use the assembled block matrices.
 
 The survival experiment draws uniformly random gate sequences and keeps only
 those whose ideal action returns ``|0>`` up to a global phase, so the ideal
-survival probability is one and any decay is attributable to noise.
+survival probability is one and any decay is attributable to noise.  The
+ideal action is computed in integers: H and S permute the six signed Bloch
+axes, so a lookup table per gate folds a whole batch of draws at once, one
+gate position at a time, and the check is exact.  The batched draws read the
+random stream exactly as one draw per sequence would, so the accepted
+circuits and the generator's final state do not depend on the batch size.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ptm import GATE_UNITARIES
+from .ptm import GATE_UNITARIES, ideal_qubit_ptms
 
 __all__ = [
     "Circuit",
@@ -166,10 +172,45 @@ def ideal_output_state(gates: Sequence[str]) -> np.ndarray:
     return psi
 
 
-def returns_to_zero(gates: Sequence[str], tol: float = 1e-9) -> bool:
+#: The six signed Bloch axes; state ``s`` of the integer fold is ``_AXES[s]``.
+_AXES = np.vstack([np.eye(3), -np.eye(3)])
+
+#: Fold state of ``|0>``, the +z axis.
+_PLUS_Z = 2
+
+#: Most gate indices drawn in one rejection-sampling batch (8 MiB of int64).
+_MAX_BATCH_GATES = 1 << 20
+
+
+@lru_cache(maxsize=8)
+def _signed_axis_table(gate_labels: tuple[str, ...]) -> np.ndarray:
+    """``table[j, s]``: the state after gate ``gate_labels[j]`` acts on state ``s``.
+
+    Exact, because H and S permute the signed axes.  The last row is the
+    identity, used to pad short circuits.  Cached and read-only: building it
+    costs more than sampling a few short sequences.
+    """
+    ideal = ideal_qubit_ptms()
+    images = [_AXES @ ideal[g][1:, 1:].T @ _AXES.T for g in gate_labels] + [_AXES @ _AXES.T]
+    table = np.argmax(images, axis=2).astype(np.int8)
+    table.flags.writeable = False
+    return table
+
+
+def _fold_signed_axes(table: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """Final signed-axis state of every row of a gate-index matrix, started at +z."""
+    state = np.full(gates.shape[0], _PLUS_Z, dtype=np.int8)
+    for column in gates.T:
+        state = table[column, state]
+    return state
+
+
+def returns_to_zero(gates: Sequence[str]) -> bool:
     """True when the ideal action maps |0> back to |0> up to a global phase."""
-    psi = ideal_output_state(gates)
-    return abs(psi[0]) >= 1.0 - tol
+    labels = tuple(GATE_UNITARIES)
+    index = {g: j for j, g in enumerate(labels)}
+    row = np.array([[index[g] for g in gates]], dtype=np.intp)
+    return bool(_fold_signed_axes(_signed_axis_table(labels), row)[0] == _PLUS_Z)
 
 
 def random_identity_sequences(
@@ -183,8 +224,14 @@ def random_identity_sequences(
 
     Rejection sampling with a deterministic generator: gates are drawn
     uniformly and a sequence is kept iff the noiseless circuit returns |0>
-    up to phase.  Raises RejectionSamplingError with acceptance statistics if
-    the cap of ``count * max_tries_per_circuit`` draws is exhausted.
+    up to phase.  Sequences are drawn a batch at a time as one
+    ``(k, n_gates)`` index matrix and accepted through the integer
+    signed-axis fold.  The result and the generator's final state are those
+    of drawing one ``gen.integers(size=n_gates)`` per sequence: the batch
+    holding the last acceptance needed is drawn again from its saved state,
+    only up to that row.  Raises RejectionSamplingError with acceptance
+    statistics if the cap of ``count * max_tries_per_circuit`` draws is
+    exhausted.
     """
     if n_gates < 0:
         raise ValueError(f"n_gates must be nonnegative, got {n_gates}")
@@ -192,6 +239,7 @@ def random_identity_sequences(
     labels = tuple(gate_labels)
     if n_gates == 0:
         return [Circuit(()) for _ in range(count)]
+    table = _signed_axis_table(labels)
     accepted: list[Circuit] = []
     tried = 0
     cap = count * max_tries_per_circuit
@@ -203,11 +251,18 @@ def random_identity_sequences(
                 accepted=len(accepted),
                 tried=tried,
             )
-        draw = gen.integers(0, len(labels), size=n_gates)
-        tried += 1
-        gates = tuple(labels[i] for i in draw)
-        if returns_to_zero(gates):
-            accepted.append(Circuit(gates))
+        needed = count - len(accepted)
+        batch = min(max(8 * needed, 64), max(_MAX_BATCH_GATES // n_gates, 1), cap - tried)
+        saved = gen.bit_generator.state
+        draws = gen.integers(0, len(labels), size=(batch, n_gates))
+        hits = np.flatnonzero(_fold_signed_axes(table, draws) == _PLUS_Z)[:needed]
+        if hits.size == needed:
+            # rewind so the generator stops right after the last sequence kept
+            batch = int(hits[-1]) + 1
+            gen.bit_generator.state = saved
+            draws = gen.integers(0, len(labels), size=(batch, n_gates))
+        tried += batch
+        accepted.extend(Circuit(tuple(labels[i] for i in draws[row])) for row in hits)
     return accepted
 
 

@@ -157,6 +157,9 @@ def _load_config(config: str | Path | Mapping) -> dict:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg['experiment']!r}")
     cfg.setdefault("seed", 0)
     cfg.setdefault("shots", None)
+    shots = cfg["shots"]
+    if shots is not None and (isinstance(shots, bool) or not isinstance(shots, int) or shots < 1):
+        raise ConfigError(f"shots must be null or an integer >= 1, got {shots!r}")
     cfg.setdefault("threads", None)
     cfg.setdefault("params", {})
     if not isinstance(cfg["params"], Mapping):
@@ -171,9 +174,17 @@ def _load_config(config: str | Path | Mapping) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _lengths(params: Mapping, key: str, default: Sequence[int]) -> list[int]:
+    """Circuit lengths under ``params[key]``, each checked to be nonnegative."""
+    lengths = [int(n) for n in params.get(key, default)]
+    if any(n < 0 for n in lengths):
+        raise ConfigError(f"params: {key} must hold lengths >= 0, got {lengths}")
+    return lengths
+
+
 def _eval_circuits(model, params: Mapping, seed: int) -> list[Circuit]:
     """Identity-equivalent evaluation circuits shared by lim/mle predictions."""
-    grid = params.get("eval_n_gates", list(range(0, 101, 10)))
+    grid = _lengths(params, "eval_n_gates", list(range(0, 101, 10)))
     per_point = int(params.get("eval_circuits_per_point", 10))
     circuits: list[Circuit] = []
     root = np.random.SeedSequence(seed).spawn(len(grid))
@@ -203,10 +214,16 @@ def _survival_experiment(model, cfg: dict) -> dict:
     params = dict(cfg["params"])
     _require_keys(params, {"n_gates", "circuits_per_point", "eval_n_gates", "eval_circuits_per_point"},
                   {"n_gates"}, "params")
+    n_gates = _lengths(params, "n_gates", [])
+    if not n_gates:
+        raise ConfigError("params: n_gates must not be empty")
+    per_point = int(params.get("circuits_per_point", 200))
+    if per_point < 1:
+        raise ConfigError(f"params: circuits_per_point must be >= 1, got {per_point}")
     rows = survival_curve(
         model,
-        [int(n) for n in params["n_gates"]],
-        circuits_per_point=int(params.get("circuits_per_point", 200)),
+        n_gates,
+        circuits_per_point=per_point,
         shots=cfg["shots"],
         seed=cfg["seed"],
         threads=cfg["threads"],
@@ -284,7 +301,10 @@ def _lim_experiment(model, cfg: dict) -> dict:
     trial = trial_sequences(str(params.get("preset", "d7")), seed=cfg["seed"])
     data = collect_trial_data(model, trial, shots=cfg["shots"], seed=cfg["seed"])
     d = int(params["d"])
-    trunc = svd_truncate(data.gram, data.gate_mats, d)
+    try:
+        trunc = svd_truncate(data.gram, data.gate_mats, d)
+    except ValueError as exc:  # d outside 1 .. trial dimension
+        raise ConfigError(f"params: d: {exc}") from exc
     out: dict = {
         "spectrum.csv": lambda p: save_rows_csv(
             p,
@@ -419,7 +439,12 @@ def run(
         target = out_dir if out_dir is not None else cfg.get("output_dir")
         if target is None:
             raise ConfigError("no output directory: set output_dir in the config or pass out_dir")
-        model = build_model(cfg["model"])
+        try:
+            model = build_model(cfg["model"])
+        except ConfigError:
+            raise
+        except (ValueError, TypeError, KeyError) as exc:  # out-of-range, mistyped or missing values
+            raise ConfigError(f"model: {exc!r}") from exc
         body = _BODIES[cfg["experiment"]]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.special import expit
 
-from .device import Circuit, MeasurementRecord
+from .device import _AXES, Circuit, MeasurementRecord, _fold_signed_axes, _signed_axis_table
 from .ptm import ideal_qubit_ptms, reduced_frame
 from .tomography import ErrorModel
 
@@ -118,21 +118,6 @@ def model_predict(param_model: ParamModel, circuit: Circuit | Sequence[str]) -> 
     return float(total)
 
 
-#: The six signed Bloch axes; state ``s`` of the integer fold is ``_AXES[s]``.
-_AXES = np.vstack([np.eye(3), -np.eye(3)])
-
-
-def _signed_axis_table(gate_labels: tuple[str, ...]) -> np.ndarray:
-    """``table[j, s]``: the state after gate ``gate_labels[j]`` acts on state ``s``.
-
-    Exact, because H and S permute the signed axes.  The last row is the
-    identity, used to pad short circuits.
-    """
-    ideal = ideal_qubit_ptms()
-    images = [_AXES @ ideal[g][1:, 1:].T @ _AXES.T for g in gate_labels] + [_AXES @ _AXES.T]
-    return np.argmax(images, axis=2).astype(np.int8)
-
-
 def _record_features(
     records: Sequence[MeasurementRecord],
     gate_labels: tuple[str, ...],
@@ -161,11 +146,7 @@ def _record_features(
         ) from None
     gates = np.full((n, lengths.max(initial=0)), len(gate_labels), dtype=np.int8)
     gates[np.arange(gates.shape[1]) < lengths[:, None]] = flat  # row-major fill
-    table = _signed_axis_table(gate_labels)
-    state = np.full(n, 2, dtype=np.int8)  # +z
-    for column in gates.T:
-        state = table[column, state]
-    z_ideal = _AXES[state, 2]
+    z_ideal = _AXES[_fold_signed_axes(_signed_axis_table(gate_labels), gates), 2]
     counts = np.stack([np.count_nonzero(gates == j, axis=1) for j in range(len(gate_labels))], axis=1)
     means = np.fromiter((rec.mean for rec in records), dtype=float, count=n)
     variances = np.fromiter((rec.variance for rec in records), dtype=float, count=n)

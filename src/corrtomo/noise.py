@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_legendre
 
 from .ptm import TransferMatrix, ideal_qubit_ptms, qubit_basis
 
@@ -365,7 +366,7 @@ def dense_low_freq_model(
     which makes this the independent reference against closed-form results
     and against coarse moment-matched models.
     """
-    t, gw = np.polynomial.legendre.leggauss(n_points)
+    t, gw = roots_legendre(n_points)
     half_width = cutoff * sigma
     lambdas = t * half_width
     density = np.exp(-(lambdas**2) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * np.pi * sigma * sigma)

@@ -1,16 +1,40 @@
 """Circuit execution, random identity sequences, survival curves."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import corrtomo as ct
 from corrtomo.device import (
+    _AXES,
     Circuit,
     MeasurementRecord,
     RejectionSamplingError,
+    _fold_signed_axes,
+    _signed_axis_table,
     ideal_output_state,
     returns_to_zero,
 )
+
+
+def sequential_identity_sequences(n_gates, count, gen, gate_labels=("H", "S"), max_tries_per_circuit=1000):
+    """Reference sampler: one draw per sequence, kept by the state-vector fold.
+
+    Returns the accepted gate tuples and the number of draws; stops early,
+    like the cap of the sampler under test, after count * max_tries draws.
+    """
+    accepted, tried = [], 0
+    while len(accepted) < count and tried < count * max_tries_per_circuit:
+        gates = tuple(gate_labels[i] for i in gen.integers(0, len(gate_labels), size=n_gates))
+        tried += 1
+        if abs(ideal_output_state(gates)[0]) >= 1.0 - 1e-9:
+            accepted.append(gates)
+    return accepted, tried
+
+
+#: gate labels whose length-1 acceptance is 1/16, so that batches run short
+RARE_S = ("H",) * 15 + ("S",)
 
 
 class TestRunCircuit:
@@ -90,6 +114,85 @@ class TestIdentitySequences:
             ct.random_identity_sequences(1, 5, seed=0, gate_labels=("H",), max_tries_per_circuit=20)
         assert err.value.tried == 100
         assert err.value.accepted == 0
+
+    def test_pinned_sequences(self):
+        # recorded from the one-draw-per-sequence sampler
+        got = [c.gates for c in ct.random_identity_sequences(10, 5, seed=0)]
+        assert ["".join(g) for g in got] == [
+            "SSSHHHHHHS", "SSSSSSSSSS", "HSSHHSSHSS", "HSHHSSHHSH", "HSSHHSSHSS"
+        ]
+        got = [c.gates for c in ct.random_identity_sequences(25, 2, seed=2)]
+        assert ["".join(g) for g in got] == ["SSHHSSSHHHSHHSSSHSSSHHSSS", "SSSHHSHSHHSSSSHSSHHHSHHHS"]
+
+    @pytest.mark.parametrize("n_gates", [0, 1, 2, 3, 5, 10, 37, 100])
+    @pytest.mark.parametrize("count", [1, 5, 200])
+    def test_matches_sequential_reference(self, n_gates, count):
+        gen, ref_gen = np.random.default_rng(n_gates + count), np.random.default_rng(n_gates + count)
+        got = ct.random_identity_sequences(n_gates, count, seed=gen)
+        want, _ = sequential_identity_sequences(n_gates, count, ref_gen)
+        assert [c.gates for c in got] == want
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_short_batches_match_sequential_reference(self):
+        # acceptance 1/16: the first batch runs short and a second one is drawn
+        gen, ref_gen = np.random.default_rng(3), np.random.default_rng(3)
+        got = ct.random_identity_sequences(1, 40, seed=gen, gate_labels=RARE_S)
+        want, tried = sequential_identity_sequences(1, 40, ref_gen, gate_labels=RARE_S)
+        assert tried > 8 * 40
+        assert [c.gates for c in got] == want
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_memory_capped_batches_match_sequential_reference(self, monkeypatch):
+        # batches of at most 3 rows: many short batches, same circuits and stream
+        monkeypatch.setattr("corrtomo.device._MAX_BATCH_GATES", 30)
+        gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
+        got = ct.random_identity_sequences(10, 25, seed=gen)
+        want, _ = sequential_identity_sequences(10, 25, ref_gen)
+        assert [c.gates for c in got] == want
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_shared_generator_stream(self):
+        # a caller interleaving its own draws with the sampler's sees one stream
+        gen, ref_gen = np.random.default_rng(77), np.random.default_rng(77)
+        for _ in range(30):
+            n = int(gen.integers(1, 40))
+            assert n == int(ref_gen.integers(1, 40))
+            got = ct.random_identity_sequences(n, 3, seed=gen)
+            want, _ = sequential_identity_sequences(n, 3, ref_gen)
+            assert [c.gates for c in got] == want
+            assert gen.binomial(300, 0.7) == ref_gen.binomial(300, 0.7)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n_gates, count, labels, max_tries",
+        [(1, 5, ("H",), 20), (1, 10, RARE_S, 12), (6, 30, ("H", "S"), 2)],
+        ids=["starved", "partly-filled-two-batches", "partly-filled-one-batch"],
+    )
+    def test_cap_counts_match_sequential_reference(self, n_gates, count, labels, max_tries):
+        with pytest.raises(RejectionSamplingError) as err:
+            ct.random_identity_sequences(
+                n_gates, count, seed=5, gate_labels=labels, max_tries_per_circuit=max_tries
+            )
+        want, tried = sequential_identity_sequences(
+            n_gates, count, np.random.default_rng(5), gate_labels=labels, max_tries_per_circuit=max_tries
+        )
+        assert len(want) < count
+        assert (err.value.accepted, err.value.tried) == (len(want), tried)
+
+    def test_signed_axis_table_against_state_vectors(self):
+        # every H/S sequence of length <= 8: the fold lands on the Bloch vector of the
+        # state-vector simulation, and returns_to_zero agrees with it
+        labels = ("H", "S")
+        table = _signed_axis_table(labels)
+        for n in range(9):
+            seqs = list(itertools.product(range(2), repeat=n))
+            states = _fold_signed_axes(table, np.array(seqs, dtype=np.intp).reshape(len(seqs), n))
+            for seq, state in zip(seqs, states):
+                gates = tuple(labels[i] for i in seq)
+                a, b = ideal_output_state(gates)
+                bloch = [2 * (np.conj(a) * b).real, 2 * (np.conj(a) * b).imag, abs(a) ** 2 - abs(b) ** 2]
+                np.testing.assert_allclose(_AXES[state], bloch, atol=1e-12)
+                assert returns_to_zero(gates) == (abs(a) >= 1.0 - 1e-9)
 
 
 class TestSurvivalCurve:

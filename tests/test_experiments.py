@@ -53,6 +53,35 @@ class TestConfigValidation:
         assert run(cfg, out_dir=out) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"shots": 0},
+            {"params": dict(SURVIVAL_CFG["params"], n_gates=[-1, 10])},
+            {"params": dict(SURVIVAL_CFG["params"], n_gates=[])},
+            {"params": dict(SURVIVAL_CFG["params"], eval_n_gates=[0, -3])},
+            {"params": dict(SURVIVAL_CFG["params"], circuits_per_point=0)},
+            {"model": dict(SURVIVAL_CFG["model"], eta=2)},
+            {"model": dict(SURVIVAL_CFG["model"], m="five")},
+            {"model": {"kind": "context", "labels": ["H", "S"], "rates": {"H": {"H": 0.01}, "S": {"S": 0.0}}}},
+            {
+                "experiment": "lim",
+                "params": {"preset": "d4", "d": 200, "eval_n_gates": [0], "eval_circuits_per_point": 1},
+            },
+        ],
+        ids=[
+            "shots-zero", "negative-n_gates", "empty-n_gates", "negative-eval_n_gates", "no-circuits",
+            "eta-above-one", "m-not-int", "missing-context-rate", "lim-d-too-large",
+        ],
+    )
+    def test_out_of_range_values_exit_2_without_traceback(self, tmp_path, capsys, bad):
+        out = tmp_path / "out"
+        assert run({**SURVIVAL_CFG, **bad}, out_dir=out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_params_unknown_key(self, tmp_path):
         cfg = dict(SURVIVAL_CFG, params=dict(SURVIVAL_CFG["params"], extra=1))
         assert run(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG

@@ -13,14 +13,12 @@ with a decaying drift correlation is shown at the end.
 import numpy as np
 
 import corrtomo as ct
-from corrtomo.ptm import ideal_qubit_ptms
 
 # Rates: a gate is clean after itself and noisy after the other gate.
 RATES = {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}}
 
-ideal = ideal_qubit_ptms()
 per_pair = {
-    (chi, lam): ct.depolarizing_channel(RATES[chi][lam]).entries @ ideal[chi]
+    (chi, lam): ct.depolarized_gates(chi, [RATES[chi][lam]])[0]
     for chi in ("H", "S")
     for lam in ("H", "S")
 }

@@ -2,10 +2,9 @@
 
 The package has three layers:
 
-* ``ptm`` and ``noise`` build the objects: real transfer-matrix algebra for
-  states, observables and operations, and noise models in which gate errors
-  are driven by a slowly drifting classical variable or by the previous
-  operation (context dependence).
+* ``ptm`` and ``noise`` build the objects: the ideal gate transfer matrices,
+  and noise models in which gate errors are driven by a slowly drifting
+  classical variable or by the previous operation (context dependence).
 * ``device`` runs gate sequences on such a model, exactly or with shot noise,
   including the survival-probability experiment for random identity-equivalent
   circuits.
@@ -16,30 +15,13 @@ The package has three layers:
 ``experiments`` ties everything into reproducible, file-based batch runs.
 """
 
-from .ptm import (
-    BasisElement,
-    OperatorBasis,
-    StateVec,
-    DualVec,
-    TransferMatrix,
-    SevenBasis,
-    qubit_basis,
-    seven_basis,
-    vectorize_state,
-    dualize_observable,
-    transfer_of_unitary,
-    transfer_of_channel,
-    expectation,
-    seven_dim_ptm,
-    ideal_seven_ptms,
-    ideal_qubit_ptms,
-    GATE_UNITARIES,
-)
+from .ptm import GATE_UNITARIES, ideal_qubit_ptms, ideal_seven_ptms
 from .noise import (
     LowFreqModel,
     ContextModel,
     MomentSequenceError,
     depolarizing_channel,
+    depolarized_gates,
     gate_error_rate,
     gaussian_x_moments,
     discretize_from_moments,
@@ -48,7 +30,6 @@ from .noise import (
     constant_depolarizing_model,
     transition_decay,
     second_order_model,
-    context_gate,
 )
 from .device import (
     Circuit,

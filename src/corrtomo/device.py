@@ -235,6 +235,8 @@ def random_identity_sequences(
     """
     if n_gates < 0:
         raise ValueError(f"n_gates must be nonnegative, got {n_gates}")
+    if max_tries_per_circuit < 1:
+        raise ValueError(f"max_tries_per_circuit must be >= 1, got {max_tries_per_circuit}")
     gen = np.random.default_rng(seed)
     labels = tuple(gate_labels)
     if n_gates == 0:

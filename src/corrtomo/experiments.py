@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .bounds import empirical_bound_check, gram_gauge_defect
+from .bounds import NORM_KINDS, empirical_bound_check, gram_gauge_defect
 from .device import (
     Circuit,
     RejectionSamplingError,
@@ -60,7 +60,7 @@ from .noise import (
     build_low_freq_model,
     constant_depolarizing_model,
     dense_low_freq_model,
-    depolarizing_channel,
+    depolarized_gates,
     second_order_model,
     transition_decay,
 )
@@ -127,12 +127,10 @@ def build_model(spec: Mapping):
     if kind == "context":
         _require_keys(spec, {"kind", "labels", "rates", "initial"}, {"labels", "rates"}, "model")
         labels = tuple(spec["labels"])
-        ideal = ideal_qubit_ptms()
         per_pair = {}
         for chi in labels:
-            for lam in labels:
-                eps = float(spec["rates"][chi][lam])
-                per_pair[(chi, lam)] = depolarizing_channel(eps).entries @ ideal[chi]
+            gates = depolarized_gates(chi, [float(spec["rates"][chi][lam]) for lam in labels])
+            per_pair.update(((chi, lam), gate) for lam, gate in zip(labels, gates))
         initial = np.asarray(spec["initial"], dtype=float) if "initial" in spec else None
         return ContextModel(gate_labels=labels, per_pair=per_pair, initial=initial)
     raise ConfigError(f"unknown model kind {kind!r}")
@@ -156,11 +154,13 @@ def _load_config(config: str | Path | Mapping) -> dict:
     if cfg["experiment"] not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg['experiment']!r}")
     cfg.setdefault("seed", 0)
-    cfg.setdefault("shots", None)
-    shots = cfg["shots"]
-    if shots is not None and (isinstance(shots, bool) or not isinstance(shots, int) or shots < 1):
-        raise ConfigError(f"shots must be null or an integer >= 1, got {shots!r}")
-    cfg.setdefault("threads", None)
+    seed = cfg["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    for key in ("shots", "threads"):
+        val = cfg.setdefault(key, None)
+        if val is not None and (isinstance(val, bool) or not isinstance(val, int) or val < 1):
+            raise ConfigError(f"{key} must be null or an integer >= 1, got {val!r}")
     cfg.setdefault("params", {})
     if not isinstance(cfg["params"], Mapping):
         raise ConfigError("params must be an object")
@@ -174,9 +174,24 @@ def _load_config(config: str | Path | Mapping) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _param(params: Mapping, key: str, convert, default=None):
+    """``convert(params[key])``, or of ``default`` when the key is absent.
+
+    A value that ``convert`` rejects is a ConfigError naming the key.
+    """
+    try:
+        return convert(params.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params: {key}: {exc}") from exc
+
+
+def _int_list(values) -> list[int]:
+    return [int(v) for v in values]
+
+
 def _lengths(params: Mapping, key: str, default: Sequence[int]) -> list[int]:
     """Circuit lengths under ``params[key]``, each checked to be nonnegative."""
-    lengths = [int(n) for n in params.get(key, default)]
+    lengths = _param(params, key, _int_list, default)
     if any(n < 0 for n in lengths):
         raise ConfigError(f"params: {key} must hold lengths >= 0, got {lengths}")
     return lengths
@@ -185,7 +200,7 @@ def _lengths(params: Mapping, key: str, default: Sequence[int]) -> list[int]:
 def _eval_circuits(model, params: Mapping, seed: int) -> list[Circuit]:
     """Identity-equivalent evaluation circuits shared by lim/mle predictions."""
     grid = _lengths(params, "eval_n_gates", list(range(0, 101, 10)))
-    per_point = int(params.get("eval_circuits_per_point", 10))
+    per_point = _param(params, "eval_circuits_per_point", int, 10)
     circuits: list[Circuit] = []
     root = np.random.SeedSequence(seed).spawn(len(grid))
     for n, seq in zip(grid, root):
@@ -217,7 +232,7 @@ def _survival_experiment(model, cfg: dict) -> dict:
     n_gates = _lengths(params, "n_gates", [])
     if not n_gates:
         raise ConfigError("params: n_gates must not be empty")
-    per_point = int(params.get("circuits_per_point", 200))
+    per_point = _param(params, "circuits_per_point", int, 200)
     if per_point < 1:
         raise ConfigError(f"params: circuits_per_point must be >= 1, got {per_point}")
     rows = survival_curve(
@@ -248,14 +263,14 @@ def _exact_lot_experiment(model, cfg: dict) -> dict:
         {"d"},
         "params",
     )
-    d = int(params["d"])
-    pool_max_len = int(params.get("pool_max_len", 3))
+    d = _param(params, "d", int)
+    pool_max_len = _param(params, "pool_max_len", int, 3)
     pool = trial_sequences("custom", sequences=_sequences_up_to(pool_max_len)).sequences
     fiducials = select_fiducials(model, pool, d)
     data = collect_data(model, fiducials, shots=cfg["shots"], seed=cfg["seed"])
     gen = np.random.default_rng(cfg["seed"])
-    n_seq = int(params.get("n_check_sequences", 100))
-    max_len = int(params.get("check_max_len", 20))
+    n_seq = _param(params, "n_check_sequences", int, 100)
+    max_len = _param(params, "check_max_len", int, 20)
     labels = tuple(model.gate_labels)
     sequences = [
         tuple(labels[i] for i in gen.integers(0, len(labels), size=int(gen.integers(1, max_len + 1))))
@@ -290,6 +305,14 @@ def _sequences_up_to(max_len: int) -> list[tuple[str, ...]]:
     return seqs
 
 
+def _trial(params: Mapping, seed: int):
+    """The trial sequences of ``params["preset"]`` (default d7)."""
+    try:
+        return trial_sequences(str(params.get("preset", "d7")), seed=seed)
+    except ValueError as exc:  # unknown preset, or custom without sequences
+        raise ConfigError(f"params: preset: {exc}") from exc
+
+
 def _lim_experiment(model, cfg: dict) -> dict:
     params = dict(cfg["params"])
     _require_keys(
@@ -298,9 +321,9 @@ def _lim_experiment(model, cfg: dict) -> dict:
         {"d"},
         "params",
     )
-    trial = trial_sequences(str(params.get("preset", "d7")), seed=cfg["seed"])
+    trial = _trial(params, cfg["seed"])
     data = collect_trial_data(model, trial, shots=cfg["shots"], seed=cfg["seed"])
-    d = int(params["d"])
+    d = _param(params, "d", int)
     try:
         trunc = svd_truncate(data.gram, data.gate_mats, d)
     except ValueError as exc:  # d outside 1 .. trial dimension
@@ -344,15 +367,16 @@ def _mle_experiment(model, cfg: dict) -> dict:
         {"l_size"},
         "params",
     )
-    trial = trial_sequences(str(params.get("preset", "d7")), seed=cfg["seed"])
+    trial = _trial(params, cfg["seed"])
     data = collect_trial_data(model, trial, shots=cfg["shots"], seed=cfg["seed"])
     records = records_from_tomography(data)
+    opt = OptimizerConfig(
+        sigma_floor=_param(params, "sigma_floor", float, 1e-3),
+        n_starts=_param(params, "n_starts", int, 16),
+    )
+    l_size = _param(params, "l_size", int)
     try:
-        opt = OptimizerConfig(
-            sigma_floor=float(params.get("sigma_floor", 1e-3)),
-            n_starts=int(params.get("n_starts", 16)),
-        )
-        result = fit(records, int(params["l_size"]), optimizer_config=opt, seed=cfg["seed"])
+        result = fit(records, l_size, optimizer_config=opt, seed=cfg["seed"])
     except ValueError as exc:  # l_size, n_starts or sigma_floor out of range
         raise ConfigError(f"params: {exc}") from exc
     residuals = [predict(result.error_model, r.circuit) - r.mean for r in records[:200]]
@@ -381,11 +405,13 @@ def _bounds_experiment(model, cfg: dict) -> dict:
         set(),
         "params",
     )
-    dims = [int(v) for v in params.get("subspace_dims", [3 * model.m + 1, 7, 3])]
-    pool = _sequences_up_to(int(params.get("pool_max_len", 3)))
-    n_seq = int(params.get("n_sequences", 1000))
-    max_len = int(params.get("max_len", 20))
-    norm_kind = str(params.get("norm_kind", "trace"))
+    dims = _param(params, "subspace_dims", _int_list, [3 * model.m + 1, 7, 3])
+    pool = _sequences_up_to(_param(params, "pool_max_len", int, 3))
+    n_seq = _param(params, "n_sequences", int, 1000)
+    max_len = _param(params, "max_len", int, 20)
+    norm_kind = params.get("norm_kind", "trace")
+    if norm_kind not in NORM_KINDS:
+        raise ConfigError(f"params: norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
     reports = {}
     for d in dims:
         fids = select_fiducials(model, pool, d)
@@ -395,7 +421,7 @@ def _bounds_experiment(model, cfg: dict) -> dict:
         reports[str(d)] = {**rep.to_json(), "gram_gauge_defect": gram_gauge_defect(model, fids)}
         if not rep.passed:
             raise ProtocolFailure(f"bound violated for subspace dimension {d}")
-    gammas = [float(g) for g in params.get("gamma_grid", [0.0, 0.1, 0.5, 1.0, 2.0])]
+    gammas = _param(params, "gamma_grid", lambda v: [float(g) for g in v], [0.0, 0.1, 0.5, 1.0, 2.0])
     semigroup = max(
         float(np.max(np.abs(transition_decay(a) @ transition_decay(b) - transition_decay(a + b))))
         for a in gammas

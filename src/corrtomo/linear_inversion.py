@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import least_squares
 
-from .noise import DEFAULT_GATE_LABELS
+from .noise import DEFAULT_GATE_LABELS, depolarized_gates
 from .ptm import ideal_qubit_ptms, ideal_seven_ptms, reduced_frame
 from .tomography import ErrorModel, FiducialSet, TomographyData, collect_data
 
@@ -288,15 +289,10 @@ def _reference_trial_duals(trial: TrialSpec, d: int, gate_labels: Sequence[str])
         q0 = np.array([0.5, 0.0, 0.0, 0.5])
     elif d == 7:
         frame = reduced_frame(np.array([0.5, 0.5]))
-        ideal = ideal_qubit_ptms()
-        ptms = {}
-        for label in gate_labels:
-            block = np.zeros((8, 8))
-            for lam, eps in enumerate(REFERENCE_RATES):
-                block[4 * lam : 4 * lam + 4, 4 * lam : 4 * lam + 4] = (
-                    np.diag([1.0, 1.0 - eps, 1.0 - eps, 1.0 - eps]) @ ideal[label]
-                )
-            ptms[label] = frame.T @ block @ frame
+        ptms = {
+            label: frame.T @ block_diag(*depolarized_gates(label, REFERENCE_RATES)) @ frame
+            for label in gate_labels
+        }
         q_block = np.array([0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.5])
         q0 = q_block @ frame
     else:

@@ -33,10 +33,12 @@ from itertools import chain
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import least_squares
 from scipy.special import expit
 
 from .device import _AXES, Circuit, MeasurementRecord, _fold_signed_axes, _signed_axis_table
+from .noise import depolarized_gates
 from .ptm import ideal_qubit_ptms, reduced_frame
 from .tomography import ErrorModel
 
@@ -417,16 +419,11 @@ def induced_error_model(param_model: ParamModel) -> ErrorModel:
     """
     m = param_model.m
     frame = reduced_frame(param_model.p)
-    ideal = ideal_qubit_ptms()
     gates = {}
     for label in param_model.gate_labels:
-        block = np.zeros((4 * m, 4 * m))
-        for lam in range(m):
-            eps = param_model.eps[label][lam]
-            block[4 * lam : 4 * lam + 4, 4 * lam : 4 * lam + 4] = (
-                np.diag([1.0, 1.0 - eps, 1.0 - eps, 1.0 - eps]) @ ideal[label]
-            )
-        gates[label] = frame.T @ block @ frame
+        # ParamModel admits rates up to 1e-12 outside [0, 1]; clip that round-off
+        rates = np.clip(param_model.eps[label], 0.0, 1.0)
+        gates[label] = frame.T @ block_diag(*depolarized_gates(label, rates)) @ frame
     rho = np.zeros(4 * m)
     rho[0::4] = param_model.p
     rho[3::4] = param_model.p

@@ -33,13 +33,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_legendre
 
-from .ptm import TransferMatrix, ideal_qubit_ptms, qubit_basis
+from .ptm import ideal_qubit_ptms
 
 __all__ = [
     "MomentSequenceError",
     "LowFreqModel",
     "ContextModel",
     "depolarizing_channel",
+    "depolarized_gates",
     "gate_error_rate",
     "gaussian_x_moments",
     "discretize_from_moments",
@@ -48,7 +49,6 @@ __all__ = [
     "constant_depolarizing_model",
     "transition_decay",
     "second_order_model",
-    "context_gate",
 ]
 
 WEIGHT_TOL = 1e-12
@@ -69,7 +69,7 @@ class MomentSequenceError(ValueError):
         self.failing_minor = failing_minor
 
 
-def depolarizing_channel(epsilon: float) -> TransferMatrix:
+def depolarizing_channel(epsilon: float) -> np.ndarray:
     """Transfer matrix of the qubit depolarizing channel with rate ``epsilon``.
 
     The channel keeps the state with probability ``1 - epsilon`` and replaces
@@ -78,7 +78,13 @@ def depolarizing_channel(epsilon: float) -> TransferMatrix:
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"depolarizing rate must be in [0, 1], got {epsilon}")
-    return TransferMatrix(np.diag([1.0, 1.0 - epsilon, 1.0 - epsilon, 1.0 - epsilon]), qubit_basis())
+    return np.diag([1.0, 1.0 - epsilon, 1.0 - epsilon, 1.0 - epsilon])
+
+
+def depolarized_gates(label: str, rates: Sequence[float]) -> np.ndarray:
+    """Stack (k, 4, 4) of the ideal gate followed by depolarizing noise at each rate."""
+    ideal = ideal_qubit_ptms()[label]
+    return np.stack([depolarizing_channel(eps) @ ideal for eps in rates])
 
 
 def gate_error_rate(gate_label: str, lam: float, eta: float) -> float:
@@ -177,12 +183,7 @@ def transition_decay(gamma: float) -> np.ndarray:
 
 def _noisy_gate_ptms(label: str, lambdas: np.ndarray, eta: float) -> np.ndarray:
     """Stack of per-point system transfer matrices E(eps(lam)) [gate]."""
-    ideal = ideal_qubit_ptms()[label]
-    out = np.empty((lambdas.size, 4, 4))
-    for i, lam in enumerate(lambdas):
-        eps = gate_error_rate(label, lam, eta)
-        out[i] = np.diag([1.0, 1.0 - eps, 1.0 - eps, 1.0 - eps]) @ ideal
-    return out
+    return depolarized_gates(label, [gate_error_rate(label, lam, eta) for lam in lambdas])
 
 
 class _BlockModel:
@@ -390,9 +391,7 @@ def constant_depolarizing_model(
     gate_labels: Sequence[str] = DEFAULT_GATE_LABELS,
 ) -> LowFreqModel:
     """One-point model: every gate carries the same depolarizing rate."""
-    ideal = ideal_qubit_ptms()
-    dep = depolarizing_channel(epsilon).entries
-    sys_ptms = {label: (dep @ ideal[label])[None, :, :] for label in gate_labels}
+    sys_ptms = {label: depolarized_gates(label, [epsilon]) for label in gate_labels}
     return LowFreqModel(
         sigma=0.0,
         eta=float(epsilon),
@@ -438,34 +437,6 @@ def second_order_model(
     )
 
 
-def context_gate(
-    chi: str,
-    per_pair: Mapping[tuple[str, str], np.ndarray | TransferMatrix],
-    gate_labels: Sequence[str],
-) -> np.ndarray:
-    """Block operation of gate ``chi`` under last-operation-dependent noise.
-
-    The environment register holds the label of the previous gate; applying
-    ``chi`` acts on the system with the map chosen by that label and then
-    overwrites the register with ``chi``.  ``per_pair[(chi, lam)]`` must be
-    defined for every lam in ``gate_labels``.
-    """
-    labels = tuple(gate_labels)
-    if chi not in labels:
-        raise KeyError(f"unknown gate label {chi!r}")
-    m = len(labels)
-    row = labels.index(chi)
-    block = np.zeros((4 * m, 4 * m))
-    for col, lam in enumerate(labels):
-        try:
-            sys = per_pair[(chi, lam)]
-        except KeyError:
-            raise KeyError(f"missing system map for gate {chi!r} after {lam!r}") from None
-        sys = sys.entries if isinstance(sys, TransferMatrix) else np.asarray(sys, dtype=float)
-        block[4 * row : 4 * row + 4, 4 * col : 4 * col + 4] = sys
-    return block
-
-
 @dataclass(frozen=True)
 class ContextModel(_BlockModel):
     """Device whose gate error depends on the preceding gate.
@@ -486,10 +457,7 @@ class ContextModel(_BlockModel):
         if init is None:
             init = np.full(len(labels), 1.0 / len(labels))
         object.__setattr__(self, "initial", np.asarray(init, dtype=float))
-        per_pair = {
-            key: (val.entries if isinstance(val, TransferMatrix) else np.asarray(val, dtype=float))
-            for key, val in self.per_pair.items()
-        }
+        per_pair = {key: np.asarray(val, dtype=float) for key, val in self.per_pair.items()}
         object.__setattr__(self, "per_pair", per_pair)
         sys_ptms = {}
         transitions = {}
@@ -511,14 +479,6 @@ class ContextModel(_BlockModel):
     @property
     def weights(self) -> np.ndarray:
         return self.initial
-
-    def gate_block(self, label: str) -> np.ndarray:
-        cache = self._block_cache
-        if label not in cache:
-            block = context_gate(label, self.per_pair, self.gate_labels)
-            block.setflags(write=False)
-            cache[label] = block
-        return cache[label]
 
     def to_json(self) -> dict:
         return {

@@ -1,301 +1,65 @@
-"""Transfer-matrix algebra on vectorized Hermitian operators.
+"""Ideal gate transfer matrices and the reduced block frame.
 
-States are real column vectors with entries ``Tr(sigma rho)``, observables are
-real row vectors with entries ``Tr(Q sigma) / d_H``, and operations are real
-square matrices with entries ``Tr[sigma O(tau)] / d_H``, all relative to an
-orthogonal Hermitian basis satisfying ``Tr(sigma tau) = d_H delta``.  The mean
-of an observable after a gate sequence is then a plain matrix product folded
-right to left.
-
-Two bases are provided: the single-qubit Pauli basis (I, X, Y, Z) and a
-seven-element composite basis for a qubit coupled to a two-value classical
-environment, in which the two identity-like directions collapse to the single
-reachable combination ``I (x) rho_E`` and the discarded eighth component is
-checked to stay zero.
+A transfer matrix acts on real Pauli coefficient vectors: a state has
+entries ``Tr(sigma rho)`` over (I, X, Y, Z), an observable ``Tr(Q sigma) / 2``
+and an operation ``Tr[sigma O(tau)] / 2``, so the mean of an observable after
+a gate sequence is a matrix product folded right to left.
 
 Conventions fixed here once and relied on everywhere else:
 
-* basis ordering is (I, X, Y, Z) per qubit factor, environment index slowest;
-* the phase gate S maps X -> -Y and Y -> X (i.e. ``diag(1, -i)``);
-* exported vectors and matrices are real; imaginary residue beyond 1e-12
-  is an error, not silently discarded.
-
-All container types are immutable after construction and safe to share.
+* Pauli ordering (I, X, Y, Z) per environment point, environment index
+  slowest, in the (4m)-dimensional block coefficient space;
+* the phase gate S maps X -> -Y and Y -> X (i.e. ``diag(1, -i)``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import block_diag
 
-__all__ = [
-    "BasisElement",
-    "OperatorBasis",
-    "StateVec",
-    "DualVec",
-    "TransferMatrix",
-    "SevenBasis",
-    "GATE_UNITARIES",
-    "qubit_basis",
-    "seven_basis",
-    "vectorize_state",
-    "dualize_observable",
-    "transfer_of_unitary",
-    "transfer_of_channel",
-    "expectation",
-    "reduced_frame",
-    "reduced_frame_complement",
-    "block_labels",
-    "seven_dim_ptm",
-    "ideal_seven_ptms",
-    "ideal_qubit_ptms",
-]
+__all__ = ["GATE_UNITARIES", "ideal_qubit_ptms", "ideal_seven_ptms", "reduced_frame"]
 
-HERMITICITY_TOL = 1e-12
-ORTHOGONALITY_TOL = 1e-12
-IMAG_TOL = 1e-12
-UNITARITY_TOL = 1e-10
+#: The elementary gate set used throughout: Hadamard and phase (X -> -Y, Y -> X).
+GATE_UNITARIES: Mapping[str, np.ndarray] = {
+    "H": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),
+    "S": np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex),
+}
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-#: Phase gate in the convention X -> -Y, Y -> X.
-PHASE = np.array([[1.0, 0.0], [0.0, -1.0j]], dtype=complex)
-
-#: The elementary gate set used throughout: Hadamard and phase.
-GATE_UNITARIES: Mapping[str, np.ndarray] = {"H": HADAMARD, "S": PHASE}
-
-PAULI_LABELS = ("I", "X", "Y", "Z")
-PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+_PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
+def ideal_qubit_ptms() -> dict[str, np.ndarray]:
+    """4x4 transfer matrices of the ideal H and S gates: ``Tr[s U t U^dag] / 2``."""
+    return {
+        label: np.array([[np.trace(s @ (u @ t @ u.conj().T)) / 2.0 for t in _PAULIS] for s in _PAULIS]).real.copy()
+        for label, u in GATE_UNITARIES.items()
+    }
 
 
-def _require_real(a: np.ndarray, what: str) -> np.ndarray:
-    """Strip an imaginary part that must be numerical noise."""
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        resid = np.max(np.abs(a.imag)) if a.size else 0.0
-        if resid > IMAG_TOL:
-            raise ValueError(f"{what} has imaginary residue {resid:.3e} > {IMAG_TOL:.0e}")
-        a = a.real
-    return a.astype(float)
+def ideal_seven_ptms(p1: float = 0.5, p2: float | None = None) -> dict[str, np.ndarray]:
+    """7x7 transfer matrices of the ideal H and S gates on the reduced frame.
 
-
-def _require_hermitian(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {mat.shape}")
-    dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-    if dev > max(HERMITICITY_TOL, HERMITICITY_TOL * np.max(np.abs(mat))):
-        raise ValueError(f"{what} is not Hermitian (deviation {dev:.3e})")
-    return mat
-
-
-@dataclass(frozen=True)
-class BasisElement:
-    """One Hermitian basis operator with a printable label."""
-
-    label: str
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _frozen(_require_hermitian(self.matrix, f"basis element {self.label!r}")))
-
-
-@dataclass(frozen=True)
-class OperatorBasis:
-    """Orthogonal Hermitian basis with ``Tr(sigma tau) = norm * delta``.
-
-    ``norm`` plays the role of the Hilbert-space dimension in the dual and
-    transfer-matrix normalizations.  Orthogonality is verified on
-    construction to ORTHOGONALITY_TOL.
+    The gate acts identically at both environment points, so the result is
+    independent of the environment weights (p1, p2); p2 defaults to 1 - p1.
     """
-
-    elements: tuple[BasisElement, ...]
-    norm: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
-        mats = [e.matrix for e in self.elements]
-        for i, a in enumerate(mats):
-            for j, b in enumerate(mats):
-                val = np.trace(a @ b)
-                want = self.norm if i == j else 0.0
-                if abs(val - want) > ORTHOGONALITY_TOL * max(1.0, self.norm):
-                    raise ValueError(
-                        f"basis not orthogonal: Tr({self.elements[i].label} {self.elements[j].label})"
-                        f" = {val:.6e}, expected {want}"
-                    )
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.elements)
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.elements[0].matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class StateVec:
-    """State as a real column vector of basis overlaps ``Tr(sigma rho)``."""
-
-    coeffs: np.ndarray
-    basis: OperatorBasis
-
-    def __post_init__(self) -> None:
-        c = _require_real(np.asarray(self.coeffs), "state vector")
-        if c.shape != (len(self.basis),):
-            raise ValueError(f"state vector length {c.shape} does not match basis size {len(self.basis)}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("state vector has non-finite entries")
-        object.__setattr__(self, "coeffs", _frozen(c))
-
-
-@dataclass(frozen=True)
-class DualVec:
-    """Observable as a real row vector with entries ``Tr(Q sigma) / norm``."""
-
-    coeffs: np.ndarray
-    basis: OperatorBasis
-
-    def __post_init__(self) -> None:
-        c = _require_real(np.asarray(self.coeffs), "dual vector")
-        if c.shape != (len(self.basis),):
-            raise ValueError(f"dual vector length {c.shape} does not match basis size {len(self.basis)}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("dual vector has non-finite entries")
-        object.__setattr__(self, "coeffs", _frozen(c))
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Operation as a real matrix, entry ``(sigma, tau) = Tr[sigma O(tau)] / norm``."""
-
-    entries: np.ndarray
-    basis: OperatorBasis
-
-    def __post_init__(self) -> None:
-        e = _require_real(np.asarray(self.entries), "transfer matrix")
-        n = len(self.basis)
-        if e.shape != (n, n):
-            raise ValueError(f"transfer matrix shape {e.shape} does not match basis size {n}")
-        object.__setattr__(self, "entries", _frozen(e))
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        if other.basis is not self.basis and other.basis != self.basis:
-            raise ValueError("cannot compose transfer matrices over different bases")
-        return TransferMatrix(self.entries @ other.entries, self.basis)
-
-
-@lru_cache(maxsize=1)
-def qubit_basis() -> OperatorBasis:
-    """The single-qubit Pauli basis (I, X, Y, Z), ``Tr(sigma tau) = 2 delta``."""
-    elems = tuple(BasisElement(l, m) for l, m in zip(PAULI_LABELS, PAULIS))
-    return OperatorBasis(elems, norm=2.0)
-
-
-def vectorize_state(density_matrix: np.ndarray, basis: OperatorBasis) -> StateVec:
-    """Expand a Hermitian operator in the basis: entry_sigma = Tr(sigma rho)."""
-    rho = _require_hermitian(density_matrix, "density matrix")
-    if rho.shape[0] != basis.matrix_dim:
-        raise ValueError(f"density matrix dim {rho.shape[0]} does not match basis dim {basis.matrix_dim}")
-    coeffs = np.array([np.trace(e.matrix @ rho) for e in basis.elements])
-    return StateVec(_require_real(coeffs, "state vector"), basis)
-
-
-def dualize_observable(observable_matrix: np.ndarray, basis: OperatorBasis) -> DualVec:
-    """Expand a Hermitian observable: entry_sigma = Tr(Q sigma) / norm."""
-    q = _require_hermitian(observable_matrix, "observable")
-    if q.shape[0] != basis.matrix_dim:
-        raise ValueError(f"observable dim {q.shape[0]} does not match basis dim {basis.matrix_dim}")
-    coeffs = np.array([np.trace(q @ e.matrix) for e in basis.elements]) / basis.norm
-    return DualVec(_require_real(coeffs, "dual vector"), basis)
-
-
-def transfer_of_unitary(unitary: np.ndarray, basis: OperatorBasis) -> TransferMatrix:
-    """Transfer matrix of the conjugation channel rho -> U rho U^dag.
-
-    The input must be unitary to UNITARITY_TOL; the result is then an
-    orthogonal real matrix.
-    """
-    u = np.asarray(unitary, dtype=complex)
-    if u.shape != (basis.matrix_dim, basis.matrix_dim):
-        raise ValueError(f"unitary shape {u.shape} does not match basis dim {basis.matrix_dim}")
-    dev = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if dev > UNITARITY_TOL:
-        raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
-    return transfer_of_channel(lambda rho: u @ rho @ u.conj().T, basis)
-
-
-def transfer_of_channel(channel: Callable[[np.ndarray], np.ndarray], basis: OperatorBasis) -> TransferMatrix:
-    """Transfer matrix of an arbitrary linear map given as matrix -> matrix."""
-    n = len(basis)
-    out = np.zeros((n, n), dtype=complex)
-    for j, tau in enumerate(basis.elements):
-        image = channel(np.asarray(tau.matrix, dtype=complex))
-        for i, sigma in enumerate(basis.elements):
-            out[i, j] = np.trace(sigma.matrix @ image) / basis.norm
-    return TransferMatrix(_require_real(out, "transfer matrix"), basis)
-
-
-def expectation(
-    dual: DualVec,
-    transfer_sequence: Sequence[TransferMatrix | np.ndarray],
-    state: StateVec,
-) -> float:
-    """Mean of the observable after the operation sequence, applied right to left.
-
-    ``transfer_sequence[0]`` acts first.  Raw square arrays of matching
-    dimension are accepted alongside TransferMatrix values.
-    """
-    v = np.asarray(state.coeffs, dtype=float)
-    for op in transfer_sequence:
-        mat = op.entries if isinstance(op, TransferMatrix) else np.asarray(op, dtype=float)
-        if mat.shape != (v.size, v.size):
-            raise ValueError(f"operation shape {mat.shape} does not match vector length {v.size}")
-        v = mat @ v
-    q = np.asarray(dual.coeffs, dtype=float)
-    if q.size != v.size:
-        raise ValueError(f"dual length {q.size} does not match state length {v.size}")
-    return float(q @ v)
-
-
-# ---------------------------------------------------------------------------
-# Composite basis for a qubit plus a finite classical environment.
-#
-# The block coefficient space orders components as (env index slowest):
-#   (I@0, X@0, Y@0, Z@0, I@1, X@1, Y@1, Z@1, ...).
-# For a stationary environment distribution w only one combination of the
-# identity slots is ever populated, so the space reduces to 3m + 1 dimensions.
-# ---------------------------------------------------------------------------
-
-
-def block_labels(m: int) -> tuple[str, ...]:
-    """Component labels of the full (4m)-dimensional block coefficient space."""
-    return tuple(f"{p}@{k}" for k in range(m) for p in PAULI_LABELS)
+    frame = reduced_frame(np.array([p1, 1.0 - p1 if p2 is None else p2], dtype=float))
+    return {label: frame.T @ block_diag(g, g) @ frame for label, g in ideal_qubit_ptms().items()}
 
 
 def reduced_frame(weights: np.ndarray) -> np.ndarray:
     """Orthonormal frame (4m x (3m+1)) of the reachable block subspace.
 
-    Column 0 is the normalized identity profile of ``weights``; the remaining
-    columns are the X, Y, Z slots of each environment point in order.
+    For a stationary environment distribution only one combination of the
+    identity slots is ever populated.  Column 0 is the normalized identity
+    profile of ``weights``; the remaining columns are the X, Y, Z slots of
+    each environment point in order.
     """
     w = np.asarray(weights, dtype=float)
     m = w.size
@@ -307,121 +71,3 @@ def reduced_frame(weights: np.ndarray) -> np.ndarray:
             frame[4 * k + p, col] = 1.0
             col += 1
     return frame
-
-
-def reduced_frame_complement(weights: np.ndarray) -> np.ndarray:
-    """Orthonormal frame (4m x (m-1)) of the discarded identity directions."""
-    w = np.asarray(weights, dtype=float)
-    m = w.size
-    perp = null_space((w / np.linalg.norm(w))[None, :])  # (m, m-1)
-    frame = np.zeros((4 * m, m - 1))
-    frame[0::4, :] = perp
-    return frame
-
-
-@dataclass(frozen=True)
-class SevenBasis:
-    """Ordered seven-element basis for a qubit with a two-value environment.
-
-    The first element is ``I (x) rho_E / sqrt(a)`` with ``a = Tr(rho_E^2)``;
-    the rest are X, Y, Z attached to each environment point.  Elements are
-    orthonormal under ``Tr(sigma tau) = 2 delta``.
-    """
-
-    environment_state: tuple[float, float]
-    normalizer: float
-    elements: tuple[BasisElement, ...]
-
-    def __post_init__(self) -> None:
-        p1, p2 = self.environment_state
-        if not (p1 >= -1e-15 and p2 >= -1e-15 and abs(p1 + p2 - 1.0) <= 1e-12):
-            raise ValueError(f"environment probabilities ({p1}, {p2}) must be nonnegative and sum to 1")
-        if abs(self.normalizer - (p1 * p1 + p2 * p2)) > 1e-12:
-            raise ValueError("normalizer must equal the environment purity p1^2 + p2^2")
-        if len(self.elements) != 7:
-            raise ValueError("seven-element basis required")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array(self.environment_state, dtype=float)
-
-    @property
-    def operator_basis(self) -> OperatorBasis:
-        return OperatorBasis(self.elements, norm=2.0)
-
-    @property
-    def frame(self) -> np.ndarray:
-        """Coefficient frame (8 x 7) mapping the reduced basis into block coordinates."""
-        return reduced_frame(self.weights)
-
-    @property
-    def complement(self) -> np.ndarray:
-        return reduced_frame_complement(self.weights)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.elements)
-
-
-def seven_basis(p1: float, p2: float | None = None) -> SevenBasis:
-    """Build the seven-dimensional composite basis for environment weights (p1, p2)."""
-    if p2 is None:
-        p2 = 1.0 - p1
-    a = p1 * p1 + p2 * p2
-    proj = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    rho_e = p1 * proj[0] + p2 * proj[1]
-    elems = [BasisElement("I:env", np.kron(rho_e, PAULI_I) / np.sqrt(a))]
-    for k, pk in enumerate(proj):
-        for lbl, pauli in zip(PAULI_LABELS[1:], PAULIS[1:]):
-            elems.append(BasisElement(f"{lbl}:{k + 1}", np.kron(pk, pauli)))
-    return SevenBasis((float(p1), float(p2)), float(a), tuple(elems))
-
-
-def seven_dim_ptm(
-    block_operation: np.ndarray,
-    basis: SevenBasis,
-    leak_tol: float = 1e-10,
-) -> TransferMatrix:
-    """Project an 8x8 block operation onto the seven-dimensional basis.
-
-    ``block_operation`` is the transfer matrix on the full block coefficient
-    space (components ordered I, X, Y, Z per environment point, environment
-    slowest).  The component along the discarded eighth direction is computed
-    for every basis column and must stay below ``leak_tol``; a violation
-    means the environment distribution is not stationary under the operation.
-    """
-    m8 = np.asarray(block_operation, dtype=float)
-    if m8.shape != (8, 8):
-        raise ValueError(f"expected an 8x8 block operation, got {m8.shape}")
-    frame = basis.frame
-    leak = basis.complement.T @ m8 @ frame
-    worst = np.max(np.abs(leak))
-    if worst > leak_tol:
-        raise ValueError(
-            f"environment distribution is not stationary under the operation: "
-            f"discarded component reaches {worst:.3e} > {leak_tol:.0e}"
-        )
-    return TransferMatrix(frame.T @ m8 @ frame, basis.operator_basis)
-
-
-def _block_diag_unitary(label: str) -> np.ndarray:
-    """Block operation of an ideal gate acting identically at both environment points."""
-    g = transfer_of_unitary(GATE_UNITARIES[label], qubit_basis()).entries
-    out = np.zeros((8, 8))
-    out[:4, :4] = g
-    out[4:, 4:] = g
-    return out
-
-
-def ideal_qubit_ptms() -> dict[str, np.ndarray]:
-    """4x4 transfer matrices of the ideal H and S gates."""
-    return {label: transfer_of_unitary(u, qubit_basis()).entries for label, u in GATE_UNITARIES.items()}
-
-
-def ideal_seven_ptms(p1: float = 0.5, p2: float | None = None) -> dict[str, np.ndarray]:
-    """7x7 transfer matrices of the ideal H and S gates.
-
-    The result is independent of the (stationary) environment weights.
-    """
-    basis = seven_basis(p1, p2)
-    return {label: seven_dim_ptm(_block_diag_unitary(label), basis).entries for label in GATE_UNITARIES}

@@ -348,7 +348,3 @@ def predict(error_model: ErrorModel, circuit: Circuit | Sequence[str]) -> float:
         v = error_model.gates[label] @ v
     return float(error_model.dual @ v)
 
-
-def simulate_mean(model, circuit: Circuit | Sequence[str]) -> float:
-    """Exact device outcome; thin alias used when cross-checking predictions."""
-    return exact_mean(model, circuit)

@@ -8,6 +8,19 @@ from corrtomo.linear_inversion import collect_trial_data, svd_truncate, trial_se
 from corrtomo.mle import records_from_tomography
 
 
+PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def pauli_transfer(channel) -> np.ndarray:
+    """Independent oracle: entry (s, t) = Tr[s channel(t)] / 2 over the Paulis (I, X, Y, Z)."""
+    return np.array([[np.trace(s @ channel(t)).real / 2.0 for t in PAULIS] for s in PAULIS])
+
+
 def sequences_up_to(max_len: int, labels=("H", "S")) -> list[tuple[str, ...]]:
     """All gate sequences with length 0 .. max_len, shortest first."""
     seqs = [()]

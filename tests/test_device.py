@@ -115,6 +115,14 @@ class TestIdentitySequences:
         assert err.value.tried == 100
         assert err.value.accepted == 0
 
+    @pytest.mark.parametrize("max_tries", [0, -1])
+    def test_rejects_nonpositive_try_cap(self, max_tries):
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="max_tries_per_circuit"):
+            ct.random_identity_sequences(3, 2, seed=gen, max_tries_per_circuit=max_tries)
+        assert gen.bit_generator.state == state  # rejected before drawing
+
     def test_pinned_sequences(self):
         # recorded from the one-draw-per-sequence sampler
         got = [c.gates for c in ct.random_identity_sequences(10, 5, seed=0)]

@@ -82,6 +82,27 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key,bad",
+        [
+            ("circuits_per_point", {"params": dict(SURVIVAL_CFG["params"], circuits_per_point="many")}),
+            ("preset", {"experiment": "lim", "params": {"preset": "d9", "d": 4}}),
+            ("seed", {"seed": "x"}),
+            ("threads", {"threads": "two"}),
+            ("d", {"experiment": "exact-lot", "params": {"d": "seven"}}),
+            ("norm_kind", {"experiment": "bounds", "params": {"norm_kind": "l1", "subspace_dims": [3]}}),
+        ],
+    )
+    def test_mistyped_values_exit_2_naming_the_key(self, tmp_path, capfd, key, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SURVIVAL_CFG, **bad}))
+        out = tmp_path / "out"
+        assert _main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err
+        assert not out.exists()
+
     def test_params_unknown_key(self, tmp_path):
         cfg = dict(SURVIVAL_CFG, params=dict(SURVIVAL_CFG["params"], extra=1))
         assert run(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG

@@ -5,27 +5,34 @@ import json
 import numpy as np
 
 import corrtomo as ct
+from conftest import pauli_transfer
 from corrtomo.io import load_matrix_csv, matrix_to_json, save_json, save_matrix_csv, save_matrix_json
-from corrtomo.ptm import qubit_basis, transfer_of_unitary
 from corrtomo.tomography import ErrorModel
+
+PAULI_LABELS = ("I", "X", "Y", "Z")
+
+
+def conjugation_ptm(label):
+    u = ct.GATE_UNITARIES[label]
+    return pauli_transfer(lambda mat: u @ mat @ u.conj().T)
 
 
 def test_matrix_csv_roundtrip(tmp_path):
-    tm = transfer_of_unitary(ct.GATE_UNITARIES["H"], qubit_basis())
-    path = save_matrix_csv(tmp_path / "h.csv", tm.entries, tm.basis.labels)
+    tm = conjugation_ptm("H")
+    path = save_matrix_csv(tmp_path / "h.csv", tm, PAULI_LABELS)
     mat, labels = load_matrix_csv(path)
     assert labels == ["I", "X", "Y", "Z"]
-    assert np.array_equal(mat, tm.entries)
+    assert np.array_equal(mat, tm)
 
 
 def test_matrix_json_payload(tmp_path):
-    tm = transfer_of_unitary(ct.GATE_UNITARIES["S"], qubit_basis())
-    blob = matrix_to_json(tm.entries, tm.basis.labels)
+    tm = conjugation_ptm("S")
+    blob = matrix_to_json(tm, PAULI_LABELS)
     assert blob["labels"] == ["I", "X", "Y", "Z"]
     assert blob["shape"] == [4, 4]
-    path = save_matrix_json(tmp_path / "s.json", tm.entries, tm.basis.labels)
+    path = save_matrix_json(tmp_path / "s.json", tm, PAULI_LABELS)
     loaded = json.loads(path.read_text())
-    assert np.allclose(loaded["rows"], tm.entries)
+    assert np.allclose(loaded["rows"], tm)
 
 
 def test_save_json_handles_numpy_types(tmp_path):

@@ -211,6 +211,13 @@ class TestFit:
         for c in random_circuits(20, 18, seed=9):
             assert predict(em, c) == pytest.approx(model_predict(pm, c), abs=1e-12)
 
+    def test_induced_model_accepts_rates_at_the_tolerance(self):
+        # ParamModel admits rates up to 1e-12 outside [0, 1]
+        pm = ParamModel(labels=(1, 2), p=np.array([0.5, 0.5]), eps={"H": [-1e-12, 1.0 + 1e-12], "S": [0.01, 0.2]})
+        em = induced_error_model(pm)
+        for c in random_circuits(20, 8, seed=11):
+            assert predict(em, c) == pytest.approx(model_predict(pm, c), abs=1e-11)
+
     def test_fit_deterministic(self):
         pm = two_point_model()
         records = exact_records(pm, random_circuits(100, 15, seed=10))

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import corrtomo as ct
+from conftest import PAULIS, pauli_transfer
 from corrtomo.noise import (
     MomentSequenceError,
     build_low_freq_model,
     constant_depolarizing_model,
-    context_gate,
+    depolarized_gates,
     depolarizing_channel,
     discretize_from_moments,
     gate_error_rate,
@@ -19,17 +20,18 @@ from corrtomo.noise import (
     second_order_model,
     transition_decay,
 )
-from corrtomo.ptm import PAULI_X, PAULI_Y, PAULI_Z, ideal_qubit_ptms, qubit_basis, transfer_of_channel
+from corrtomo.ptm import GATE_UNITARIES, ideal_qubit_ptms
 
 
-def kraus_depolarizing_oracle(eps):
-    """Independent channel construction: average of the four Pauli conjugations."""
+def kraus_depolarizing_oracle(eps, u=np.eye(2)):
+    """Independent channel construction: conjugation by ``u``, then the average
+    of the four Pauli conjugations."""
 
     def channel(mat):
-        paulis = (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)
-        return (1 - eps) * mat + eps / 4.0 * sum(p @ mat @ p.conj().T for p in paulis)
+        mat = u @ mat @ u.conj().T
+        return (1 - eps) * mat + eps / 4.0 * sum(p @ mat @ p.conj().T for p in PAULIS)
 
-    return transfer_of_channel(channel, qubit_basis()).entries
+    return pauli_transfer(channel)
 
 
 def gaussian_moment_oracle(sigma, k):
@@ -47,15 +49,23 @@ def gaussian_moment_oracle(sigma, k):
 
 class TestDepolarizing:
     def test_zero_rate_is_identity(self):
-        assert np.allclose(depolarizing_channel(0.0).entries, np.eye(4), atol=1e-15)
+        assert np.allclose(depolarizing_channel(0.0), np.eye(4), atol=1e-15)
 
     def test_full_rate_against_kraus_oracle(self):
-        assert np.allclose(depolarizing_channel(1.0).entries, kraus_depolarizing_oracle(1.0), atol=1e-14)
-        assert np.allclose(depolarizing_channel(1.0).entries, np.diag([1.0, 0, 0, 0]), atol=1e-14)
+        assert np.allclose(depolarizing_channel(1.0), kraus_depolarizing_oracle(1.0), atol=1e-14)
+        assert np.allclose(depolarizing_channel(1.0), np.diag([1.0, 0, 0, 0]), atol=1e-14)
 
     def test_half_rate_linearity(self):
-        assert np.allclose(depolarizing_channel(0.5).entries, kraus_depolarizing_oracle(0.5), atol=1e-14)
-        assert np.allclose(depolarizing_channel(0.5).entries, np.diag([1.0, 0.5, 0.5, 0.5]), atol=1e-15)
+        assert np.allclose(depolarizing_channel(0.5), kraus_depolarizing_oracle(0.5), atol=1e-14)
+        assert np.allclose(depolarizing_channel(0.5), np.diag([1.0, 0.5, 0.5, 0.5]), atol=1e-15)
+
+    def test_depolarized_gates_against_kraus_oracle(self):
+        rates = [0.0, 0.013, 0.5, 1.0]
+        for label, u in GATE_UNITARIES.items():
+            stack = depolarized_gates(label, rates)
+            assert stack.shape == (len(rates), 4, 4)
+            for eps, mat in zip(rates, stack):
+                assert np.allclose(mat, kraus_depolarizing_oracle(eps, u), atol=1e-14)
 
     @pytest.mark.parametrize("eps", [-0.1, 1.1])
     def test_rejects_out_of_range(self, eps):
@@ -155,7 +165,7 @@ class TestLowFreqModel:
     def test_one_point_collapse(self):
         model = build_low_freq_model(1.0, 0.4, 1)
         eps = 0.4 * (1.0 - gaussian_x_moments(1.0, 1))
-        want = depolarizing_channel(eps).entries @ ideal_qubit_ptms()["H"]
+        want = depolarizing_channel(eps) @ ideal_qubit_ptms()["H"]
         assert np.allclose(model.sys_ptms["H"][0], want, atol=1e-12)
 
     def test_zero_strength_gates_are_unitary(self):
@@ -253,14 +263,11 @@ class TestSecondOrder:
 
 
 class TestContext:
-    def rates_model(self, rates):
-        ideal = ideal_qubit_ptms()
+    def rates_model(self, rates, initial=None):
         per_pair = {
-            (chi, lam): depolarizing_channel(rates[chi][lam]).entries @ ideal[chi]
-            for chi in ("H", "S")
-            for lam in ("H", "S")
+            (chi, lam): depolarized_gates(chi, [rates[chi][lam]])[0] for chi in ("H", "S") for lam in ("H", "S")
         }
-        return ct.ContextModel(gate_labels=("H", "S"), per_pair=per_pair)
+        return ct.ContextModel(gate_labels=("H", "S"), per_pair=per_pair, initial=initial)
 
     def test_uniform_rates_equal_context_free(self):
         eps = 0.05
@@ -276,13 +283,7 @@ class TestContext:
         # the first gate's rate is also pinned.  The survival of an
         # identity-equivalent circuit is the product of the traversed rates.
         rates = {"H": {"H": 0.01, "S": 0.02}, "S": {"H": 0.03, "S": 0.04}}
-        ideal = ideal_qubit_ptms()
-        per_pair = {
-            (chi, lam): depolarizing_channel(rates[chi][lam]).entries @ ideal[chi]
-            for chi in ("H", "S")
-            for lam in ("H", "S")
-        }
-        ctx = ct.ContextModel(gate_labels=("H", "S"), per_pair=per_pair, initial=np.array([1.0, 0.0]))
+        ctx = self.rates_model(rates, initial=np.array([1.0, 0.0]))
         # circuit (H, S): first H after "H" -> 0.01, then S after H -> 0.03
         got_hs = ct.run_circuit(ctx, ("S", "S")).mean
         want_ss = 0.5 * (1.0 + (1 - rates["S"]["H"]) * (1 - rates["S"]["S"]))
@@ -302,7 +303,7 @@ class TestContext:
 
     def test_unknown_label_rejected(self):
         ctx = self.rates_model({"H": {"H": 0.0, "S": 0.0}, "S": {"H": 0.0, "S": 0.0}})
-        with pytest.raises(KeyError):
-            context_gate("T", ctx.per_pair, ctx.gate_labels)
-        with pytest.raises(KeyError):
-            context_gate("H", {}, ("H", "S"))
+        with pytest.raises(KeyError, match="unknown gate label"):
+            ctx.gate_block("T")
+        with pytest.raises(KeyError, match="missing system map"):
+            ct.ContextModel(gate_labels=("H", "S"), per_pair={})

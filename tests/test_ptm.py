@@ -1,29 +1,15 @@
-"""Transfer-matrix algebra against direct dense-matrix computations."""
+"""Ideal gate tables and the reduced frame against direct dense-matrix computations."""
 
 import numpy as np
 import pytest
 
-from corrtomo.ptm import (
-    GATE_UNITARIES,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    OperatorBasis,
-    BasisElement,
-    dualize_observable,
-    expectation,
-    ideal_qubit_ptms,
-    ideal_seven_ptms,
-    qubit_basis,
-    seven_basis,
-    seven_dim_ptm,
-    transfer_of_channel,
-    transfer_of_unitary,
-    vectorize_state,
-)
+import corrtomo as ct
+from conftest import PAULIS, pauli_transfer
+from corrtomo.ptm import GATE_UNITARIES, ideal_qubit_ptms, ideal_seven_ptms, reduced_frame
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+PROJ0 = np.outer(KET0, KET0.conj())
 
 # Upper blocks of the ideal seven-dimensional matrices, row order (I, X, Y, Z):
 # Hadamard swaps X and Z and flips Y; the phase gate sends X to -Y and Y to X.
@@ -31,167 +17,141 @@ H_PTM = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0]], dtyp
 S_PTM = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]], dtype=float)
 
 
-def dense_mean(q, unitaries, rho):
-    """Independent oracle: propagate the density matrix directly."""
+def pauli_vector(rho):
+    """Independent oracle: the state's Pauli coefficients Tr(sigma rho)."""
+    return np.array([np.trace(p @ rho).real for p in PAULIS])
+
+
+def conjugation(u):
+    return lambda mat: u @ mat @ u.conj().T
+
+
+def depolarized(label, eps):
+    """Kraus form of the noisy gate: conjugation, then the average of the Pauli conjugations."""
+    u = GATE_UNITARIES[label]
+
+    def channel(mat):
+        out = u @ mat @ u.conj().T
+        return (1.0 - eps) * out + eps / 4.0 * sum(p @ out @ p.conj().T for p in PAULIS)
+
+    return channel
+
+
+def dense_mean(q, channels, rho):
+    """Independent oracle: propagate the density matrix directly, first channel first."""
     out = rho.copy()
-    for u in unitaries:
-        out = u @ out @ u.conj().T
+    for channel in channels:
+        out = channel(out)
     return float(np.real(np.trace(q @ out)))
+
+
+def random_word(gen, max_len):
+    return tuple(np.where(gen.integers(0, 2, size=int(gen.integers(0, max_len + 1))) == 0, "H", "S"))
 
 
 class TestVectorize:
     def test_ground_state(self):
-        vec = vectorize_state(np.outer(KET0, KET0.conj()), qubit_basis())
-        assert np.allclose(vec.coeffs, [1, 0, 0, 1], atol=1e-15)
+        rho = ct.constant_depolarizing_model(0.0).rho_vec()
+        assert np.allclose(rho, pauli_vector(PROJ0), atol=1e-15)
+        assert np.array_equal(rho, [1, 0, 0, 1])
 
     def test_maximally_mixed(self):
-        vec = vectorize_state(np.eye(2) / 2, qubit_basis())
-        assert np.allclose(vec.coeffs, [1, 0, 0, 0], atol=1e-15)
+        # a fully depolarizing gate leaves I / 2 whatever the ideal rotation
+        rho = ct.constant_depolarizing_model(0.0).rho_vec()
+        for label in GATE_UNITARIES:
+            out = ct.depolarized_gates(label, [1.0])[0] @ rho
+            assert np.allclose(out, pauli_vector(np.eye(2) / 2), atol=1e-15)
 
     def test_plus_state_against_trace_oracle(self):
-        rho = np.outer(KET_PLUS, KET_PLUS.conj())
-        expected = [np.trace(p @ rho).real for p in (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)]
-        vec = vectorize_state(rho, qubit_basis())
-        assert np.allclose(vec.coeffs, expected, atol=1e-15)
-        assert np.allclose(vec.coeffs, [1, 1, 0, 0], atol=1e-15)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            vectorize_state(np.array([[0.0, 1.0], [0.0, 0.0]]), qubit_basis())
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dim"):
-            vectorize_state(np.eye(4), qubit_basis())
+        rho = ct.constant_depolarizing_model(0.0).rho_vec()
+        got = ideal_qubit_ptms()["H"] @ rho
+        assert np.allclose(got, pauli_vector(np.outer(KET_PLUS, KET_PLUS.conj())), atol=1e-15)
+        assert np.allclose(got, [1, 1, 0, 0], atol=1e-15)
 
 
 class TestDualize:
-    def test_pauli_z(self):
-        dual = dualize_observable(PAULI_Z, qubit_basis())
-        assert np.allclose(dual.coeffs, [0, 0, 0, 1], atol=1e-15)
-
-    def test_identity(self):
-        dual = dualize_observable(np.eye(2), qubit_basis())
-        assert np.allclose(dual.coeffs, [1, 0, 0, 0], atol=1e-15)
-
     def test_projector_via_pauli_expansion(self):
         # |0><0| = (I + Z) / 2, so the dual picks up half of each component
-        proj = np.outer(KET0, KET0.conj())
-        dual = dualize_observable(proj, qubit_basis())
-        assert np.allclose(dual.coeffs, [0.5, 0, 0, 0.5], atol=1e-15)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            dualize_observable(np.array([[0.0, 1.0j], [1.0j, 0.0]]), qubit_basis())
+        dual = ct.constant_depolarizing_model(0.0).dual_vec()
+        assert np.allclose(dual, pauli_vector(PROJ0) / 2.0, atol=1e-15)
+        assert np.array_equal(dual, [0.5, 0, 0, 0.5])
 
 
 class TestTransferOfUnitary:
-    def test_identity(self):
-        tm = transfer_of_unitary(np.eye(2), qubit_basis())
-        assert np.allclose(tm.entries, np.eye(4), atol=1e-15)
-
     def test_hadamard_block(self):
-        tm = transfer_of_unitary(GATE_UNITARIES["H"], qubit_basis())
-        assert np.allclose(tm.entries, H_PTM, atol=1e-12)
+        got = ideal_qubit_ptms()["H"]
+        assert np.allclose(got, pauli_transfer(conjugation(GATE_UNITARIES["H"])), atol=1e-15)
+        assert np.allclose(got, H_PTM, atol=1e-12)
 
     def test_phase_block(self):
-        tm = transfer_of_unitary(GATE_UNITARIES["S"], qubit_basis())
-        assert np.allclose(tm.entries, S_PTM, atol=1e-12)
+        got = ideal_qubit_ptms()["S"]
+        assert np.allclose(got, pauli_transfer(conjugation(GATE_UNITARIES["S"])), atol=1e-15)
+        assert np.allclose(got, S_PTM, atol=1e-12)
 
     def test_orthogonality_for_unitaries(self):
-        tm = transfer_of_unitary(GATE_UNITARIES["H"], qubit_basis()).entries
-        assert np.allclose(tm @ tm.T, np.eye(4), atol=1e-12)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="unitary"):
-            transfer_of_unitary(np.array([[1.0, 0.1], [0.0, 1.0]]), qubit_basis())
+        for tm in ideal_qubit_ptms().values():
+            assert np.allclose(tm @ tm.T, np.eye(4), atol=1e-12)
 
     def test_composition_homomorphism(self, rng):
-        for _ in range(10):
-            a = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-            b = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-            lhs = transfer_of_unitary(a @ b, qubit_basis()).entries
-            rhs = transfer_of_unitary(a, qubit_basis()).entries @ transfer_of_unitary(b, qubit_basis()).entries
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
+        # the tables multiply like the unitaries they represent
+        ideal = ideal_qubit_ptms()
+        for _ in range(20):
+            word = random_word(rng, 8)
+            lhs = np.eye(4)
+            u = np.eye(2, dtype=complex)
+            for label in word:
+                lhs = ideal[label] @ lhs
+                u = GATE_UNITARIES[label] @ u
+            assert np.max(np.abs(lhs - pauli_transfer(conjugation(u)))) < 1e-12
 
 
 class TestExpectation:
-    def test_z_on_ground_state(self):
-        q = dualize_observable(PAULI_Z, qubit_basis())
-        rho = vectorize_state(np.outer(KET0, KET0.conj()), qubit_basis())
-        assert expectation(q, [], rho) == pytest.approx(1.0, abs=1e-15)
+    def test_z_on_ground_state(self, device_m5):
+        assert ct.run_circuit(device_m5, ()).mean == pytest.approx(1.0, abs=1e-15)
 
-    def test_hadamard_kills_z(self):
-        q = dualize_observable(PAULI_Z, qubit_basis())
-        rho = vectorize_state(np.outer(KET0, KET0.conj()), qubit_basis())
-        h = transfer_of_unitary(GATE_UNITARIES["H"], qubit_basis())
-        assert expectation(q, [h], rho) == pytest.approx(0.0, abs=1e-15)
+    def test_hadamard_kills_z(self, noiseless):
+        want = dense_mean(PROJ0, [conjugation(GATE_UNITARIES["H"])], PROJ0)
+        assert ct.run_circuit(noiseless, ("H",)).mean == pytest.approx(want, abs=1e-15)
+        assert want == pytest.approx(0.5, abs=1e-15)
 
-    def test_hssh_sequence_against_dense_oracle(self):
-        proj = np.outer(KET0, KET0.conj())
-        q = dualize_observable(proj, qubit_basis())
-        rho = vectorize_state(proj, qubit_basis())
+    def test_hssh_sequence_against_dense_oracle(self, noiseless):
         seq_labels = ["H", "S", "S", "H"]
-        seq = [transfer_of_unitary(GATE_UNITARIES[l], qubit_basis()) for l in seq_labels]
-        got = expectation(q, seq, rho)
-        want = dense_mean(proj, [GATE_UNITARIES[l] for l in seq_labels], proj)
+        got = ct.run_circuit(noiseless, seq_labels).mean
+        want = dense_mean(PROJ0, [conjugation(GATE_UNITARIES[l]) for l in seq_labels], PROJ0)
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_simulation_on_random_channels(self, rng):
-        basis = qubit_basis()
+        # exact means of depolarized H/S sequences against a dense Kraus
+        # simulation: a frozen drift model, averaged over its support points,
+        # and a context model, whose rate is set by the previous gate
+        drift = ct.build_low_freq_model(1.3, 0.4, 3)
+        rates = {(chi, lam): rng.uniform(0.0, 0.3) for chi in "HS" for lam in "HS"}
+        initial = np.array([0.3, 0.7])
+        context = ct.ContextModel(
+            gate_labels=("H", "S"),
+            per_pair={key: ct.depolarized_gates(key[0], [eps])[0] for key, eps in rates.items()},
+            initial=initial,
+        )
         for _ in range(20):
-            us = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(4)]
-            eps = rng.uniform(0.0, 1.0, size=4)
-
-            def channel(e, u):
-                return lambda mat: (1.0 - e) * (u @ mat @ u.conj().T) + e / 4.0 * sum(
-                    p @ (u @ mat @ u.conj().T) @ p.conj().T
-                    for p in (np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z)
-                )
-
-            chans = [channel(e, u) for e, u in zip(eps, us)]
-            tms = [transfer_of_channel(c, basis) for c in chans]
-            rho_mat = np.outer(KET_PLUS, KET_PLUS.conj())
-            q_mat = np.outer(KET0, KET0.conj())
-            got = expectation(dualize_observable(q_mat, basis), tms, vectorize_state(rho_mat, basis))
-            dense = rho_mat
-            for c in chans:
-                dense = c(dense)
-            want = float(np.real(np.trace(q_mat @ dense)))
-            assert got == pytest.approx(want, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        q = dualize_observable(PAULI_Z, qubit_basis())
-        rho = vectorize_state(np.outer(KET0, KET0.conj()), qubit_basis())
-        with pytest.raises(ValueError, match="shape"):
-            expectation(q, [np.eye(7)], rho)
-
-
-class TestBasisValidation:
-    def test_orthogonality_enforced(self):
-        bad = [BasisElement("A", np.eye(2)), BasisElement("B", np.eye(2))]
-        with pytest.raises(ValueError, match="orthogonal"):
-            OperatorBasis(tuple(bad), norm=2.0)
-
-    def test_qubit_basis_orthogonality(self):
-        basis = qubit_basis()
-        for i, a in enumerate(basis.elements):
-            for j, b in enumerate(basis.elements):
-                want = basis.norm if i == j else 0.0
-                assert abs(np.trace(a.matrix @ b.matrix) - want) <= 1e-12
+            word = random_word(rng, 12)
+            want_drift = sum(
+                w * dense_mean(PROJ0, [depolarized(g, ct.gate_error_rate(g, lam, 0.4)) for g in word], PROJ0)
+                for lam, w in zip(drift.support, drift.weights)
+            )
+            assert ct.run_circuit(drift, word).mean == pytest.approx(want_drift, abs=1e-12)
+            want_context = 0.0
+            for first, w0 in zip("HS", initial):
+                channels = [depolarized(g, rates[(g, last)]) for g, last in zip(word, (first,) + word)]
+                want_context += w0 * dense_mean(PROJ0, channels, PROJ0)
+            assert ct.run_circuit(context, word).mean == pytest.approx(want_context, abs=1e-12)
 
 
 class TestSevenDim:
-    def block_diag(self, mat4):
-        out = np.zeros((8, 8))
-        out[:4, :4] = mat4
-        out[4:, 4:] = mat4
-        return out
-
     def test_identity_channel(self):
-        basis = seven_basis(0.5)
-        tm = seven_dim_ptm(np.eye(8), basis)
-        assert np.allclose(tm.entries, np.eye(7), atol=1e-14)
+        for weights in ((0.5, 0.5), (0.7, 0.3)):
+            frame = reduced_frame(np.array(weights))
+            assert np.allclose(frame.T @ np.eye(8) @ frame, np.eye(7), atol=1e-15)
 
     def test_ideal_gates_match_reference_matrices(self):
         h_expected = np.array(
@@ -225,28 +185,22 @@ class TestSevenDim:
             assert np.array_equal(np.rint(ptms["H"]), h_expected)
             assert np.array_equal(np.rint(ptms["S"]), s_expected)
 
-    def test_linearity_in_the_channel(self, rng):
-        basis = seven_basis(0.6)
-        a = self.block_diag(ideal_qubit_ptms()["H"])
-        b = self.block_diag(np.diag([1.0, 0.3, 0.3, 0.3]))
-        lam = 0.37
-        mixed = seven_dim_ptm(lam * a + (1 - lam) * b, basis).entries
-        parts = lam * seven_dim_ptm(a, basis).entries + (1 - lam) * seven_dim_ptm(b, basis).entries
-        assert np.allclose(mixed, parts, atol=1e-13)
-
-    def test_nonstationary_environment_rejected(self):
-        # asymmetric weights are not stationary under an environment flip
-        basis = seven_basis(0.8)
-        flip = np.zeros((8, 8))
-        flip[4:, :4] = np.eye(4)
-        flip[:4, 4:] = np.eye(4)
-        with pytest.raises(ValueError, match="stationary"):
-            seven_dim_ptm(flip, basis)
-
     def test_seven_basis_invariants(self):
-        basis = seven_basis(0.25)
-        p1, p2 = basis.environment_state
-        assert p1 + p2 == pytest.approx(1.0, abs=1e-15)
-        assert basis.normalizer == pytest.approx(p1**2 + p2**2, abs=1e-15)
-        ob = basis.operator_basis  # construction re-checks Tr(sigma tau) = 2 delta
-        assert len(ob) == 7
+        # read as block operators sum_{k,p} frame[4k+p, c] |k><k| (x) P_p, the
+        # frame's columns are the seven-element basis: I (x) rho_E / sqrt(a)
+        # with a = Tr(rho_E^2), then X, Y, Z at each environment point, and
+        # Tr(sigma tau) = 2 delta
+        p1, p2 = 0.25, 0.75
+        frame = reduced_frame(np.array([p1, p2]))
+        env = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        ops = [
+            sum(frame[4 * k + p, c] * np.kron(env[k], PAULIS[p]) for k in range(2) for p in range(4))
+            for c in range(7)
+        ]
+        rho_e = np.diag([p1, p2])
+        assert np.allclose(ops[0], np.kron(rho_e, PAULIS[0]) / np.sqrt(p1**2 + p2**2), atol=1e-15)
+        for k in range(2):
+            for p in range(1, 4):
+                assert np.allclose(ops[1 + 3 * k + p - 1], np.kron(env[k], PAULIS[p]), atol=1e-15)
+        gram = np.array([[np.trace(a @ b) for b in ops] for a in ops])
+        assert np.allclose(gram, 2.0 * np.eye(7), atol=1e-14)

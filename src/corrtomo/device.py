@@ -7,9 +7,12 @@ end.  State preparation and measurement are error free.
 
 Exact mode returns the weighted average over the environment; sampled mode
 draws a binomial with a seeded generator.  Models whose environment variable
-is frozen within a circuit are evolved one environment point at a time (a
-vectorized path that scales to dense quadrature grids); models with genuine
-transitions use the assembled block matrices.
+is frozen within a circuit carry per-point depolarizing rates, and
+depolarizing noise commutes with H and S, so a circuit's mean is the closed
+form ``(1 + z sum_lam w_lam prod_G (1 - eps_G(lam))^n_G) / 2``, with ``z``
+the Bloch z value of the ideal output and ``n_G`` the gate counts; the
+likelihood fit of :mod:`corrtomo.mle` evaluates the same form.  Models with
+genuine transitions use the assembled block matrices.
 
 The survival experiment draws uniformly random gate sequences and keeps only
 those whose ideal action returns ``|0>`` up to a global phase, so the ideal
@@ -23,7 +26,6 @@ circuits and the generator's final state do not depend on the batch size.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -46,6 +48,7 @@ __all__ = [
 ]
 
 MEAN_SLACK = 1e-9
+RATE_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,17 +104,17 @@ def _as_circuit(circuit: Circuit | Sequence[str]) -> Circuit:
 def exact_mean(model, circuit: Circuit | Sequence[str]) -> float:
     """Exact readout probability of a circuit on the model."""
     circuit = _as_circuit(circuit)
-    m = model.m
     if model.identity_transitions:
-        # frozen environment: evolve all points at once, (m, 4) state stack
-        v = np.zeros((m, 4))
-        v[:, 0] = model.weights
-        v[:, 3] = model.weights
+        labels = model.gate_labels
+        table = dict(zip(labels, _signed_axis_table(labels).tolist()))
+        state = _PLUS_Z
         for label in circuit:
-            if label not in model.sys_ptms:
+            if label not in table:
                 raise KeyError(f"unknown gate label {label!r}")
-            v = np.einsum("mij,mj->mi", model.sys_ptms[label], v)
-        mean = 0.5 * float(np.sum(v[:, 0] + v[:, 3]))
+            state = table[label][state]
+        counts = np.array([circuit.gates.count(g) for g in labels], dtype=float)
+        rates = np.stack([model.rates[g] for g in labels])
+        mean = float(_fast_predictions(model.weights, rates, _AXES[state, 2], counts))
     else:
         v = model.rho_vec()
         for label in circuit:
@@ -120,6 +123,22 @@ def exact_mean(model, circuit: Circuit | Sequence[str]) -> float:
     if not -MEAN_SLACK <= mean <= 1.0 + MEAN_SLACK:
         raise ValueError(f"model produced mean {mean!r} outside [0, 1]; the model is inconsistent")
     return mean
+
+
+def _damping(rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """prod_G (1 - eps_G(lam))^n_G for every record (row) and value (column)."""
+    log1m = np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP))  # (n_gates, m)
+    return np.exp(counts @ log1m)
+
+
+def _fast_predictions(
+    p: np.ndarray,
+    rates: np.ndarray,
+    z_ideal: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Vectorized means: 0.5 (1 + z_ideal * sum_lam p_lam prod_G (1-eps)^n_G)."""
+    return 0.5 * (1.0 + z_ideal * (_damping(rates, counts) @ p))
 
 
 def run_circuit(
@@ -274,15 +293,13 @@ def survival_curve(
     circuits_per_point: int = 200,
     shots: int | None = None,
     seed: int | None = 0,
-    threads: int | None = None,
 ) -> list[dict]:
     """Mean |0> probability of random identity-equivalent circuits per length.
 
     Returns one row per entry of ``n_gates_list`` with keys ``n_gates``,
     ``mean``, ``stderr``, ``circuits``, ``shots``, ``seed``.  Circuits are
-    drawn from per-length seeds spawned off ``seed``; with ``threads`` the
-    per-circuit runs are evaluated concurrently but always reduced in index
-    order, so the output is independent of the degree of parallelism.
+    drawn from per-length seeds spawned off ``seed``; each circuit's shots
+    use their own generator spawned off the same per-length seed.
     """
     if len(n_gates_list) == 0:
         raise ValueError("n_gates_list must be nonempty")
@@ -297,16 +314,7 @@ def survival_curve(
             int(n_gates), circuits_per_point, seed=np.random.default_rng(draw_seed)
         )
         shot_rngs = [np.random.default_rng(s) for s in shot_seed.spawn(len(circuits))]
-
-        def one(idx: int) -> float:
-            return run_circuit(model, circuits[idx], shots=shots, rng=shot_rngs[idx]).mean
-
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                means = list(pool.map(one, range(len(circuits))))
-        else:
-            means = [one(i) for i in range(len(circuits))]
-        arr = np.asarray(means)
+        arr = np.array([run_circuit(model, c, shots=shots, rng=g).mean for c, g in zip(circuits, shot_rngs)])
         rows.append(
             {
                 "n_gates": int(n_gates),

@@ -17,7 +17,6 @@ Config schema (unknown keys are rejected)::
               | {"kind": "context", "labels": [...], "rates": {chi: {lam: eps}}, "initial": [...]},
       "seed": 0,            # optional, default 0
       "shots": null,        # optional, null = exact means
-      "threads": null,      # optional worker threads for circuit batches
       "output_dir": "out",  # optional, else pass out_dir/--out
       "params": { ... experiment-specific ... }
     }
@@ -27,7 +26,7 @@ Exit codes: 0 success, 2 config validation error, 3 numerical failure
 
 Invoke from the shell as::
 
-    python -m corrtomo.experiments run --config cfg.json --out outdir [--seed N] [--threads N]
+    python -m corrtomo.experiments run --config cfg.json --out outdir [--seed N]
     python -m corrtomo.experiments compare model_a.json model_b.json circuits.json [--out table.csv]
 """
 
@@ -52,7 +51,7 @@ from .device import (
     survival_curve,
 )
 from .io import save_json, save_matrix_csv, save_rows_csv
-from .linear_inversion import gauge_fit_to_ideal, lim_reconstruct, svd_truncate, trial_sequences
+from .linear_inversion import _all_sequences, gauge_fit_to_ideal, lim_reconstruct, svd_truncate, trial_sequences
 from .mle import OptimizerConfig, fit, records_from_tomography
 from .noise import (
     ContextModel,
@@ -147,7 +146,7 @@ def _load_config(config: str | Path | Mapping) -> dict:
     cfg = dict(config)
     _require_keys(
         cfg,
-        {"experiment", "model", "seed", "shots", "threads", "output_dir", "params"},
+        {"experiment", "model", "seed", "shots", "output_dir", "params"},
         {"experiment", "model"},
         "config",
     )
@@ -157,10 +156,9 @@ def _load_config(config: str | Path | Mapping) -> dict:
     seed = cfg["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    for key in ("shots", "threads"):
-        val = cfg.setdefault(key, None)
-        if val is not None and (isinstance(val, bool) or not isinstance(val, int) or val < 1):
-            raise ConfigError(f"{key} must be null or an integer >= 1, got {val!r}")
+    shots = cfg.setdefault("shots", None)
+    if shots is not None and (isinstance(shots, bool) or not isinstance(shots, int) or shots < 1):
+        raise ConfigError(f"shots must be null or an integer >= 1, got {shots!r}")
     cfg.setdefault("params", {})
     if not isinstance(cfg["params"], Mapping):
         raise ConfigError("params must be an object")
@@ -241,7 +239,6 @@ def _survival_experiment(model, cfg: dict) -> dict:
         circuits_per_point=per_point,
         shots=cfg["shots"],
         seed=cfg["seed"],
-        threads=cfg["threads"],
     )
     circuits = _eval_circuits(model, params, cfg["seed"] + 1)
     records = [
@@ -265,7 +262,8 @@ def _exact_lot_experiment(model, cfg: dict) -> dict:
     )
     d = _param(params, "d", int)
     pool_max_len = _param(params, "pool_max_len", int, 3)
-    pool = trial_sequences("custom", sequences=_sequences_up_to(pool_max_len)).sequences
+    pool = [s for n in range(pool_max_len + 1) for s in _all_sequences(n, ("H", "S"))]
+    pool = trial_sequences("custom", sequences=pool).sequences
     fiducials = select_fiducials(model, pool, d)
     data = collect_data(model, fiducials, shots=cfg["shots"], seed=cfg["seed"])
     gen = np.random.default_rng(cfg["seed"])
@@ -294,15 +292,6 @@ def _exact_lot_experiment(model, cfg: dict) -> dict:
     for label, mat in data.gate_mats.items():
         out[f"gate_{label}.csv"] = (lambda m: (lambda p: save_matrix_csv(p, m)))(mat)
     return out
-
-
-def _sequences_up_to(max_len: int) -> list[tuple[str, ...]]:
-    seqs: list[tuple[str, ...]] = [()]
-    frontier: list[tuple[str, ...]] = [()]
-    for _ in range(max_len):
-        frontier = [s + (g,) for s in frontier for g in ("H", "S")]
-        seqs.extend(frontier)
-    return seqs
 
 
 def _trial(params: Mapping, seed: int):
@@ -406,7 +395,8 @@ def _bounds_experiment(model, cfg: dict) -> dict:
         "params",
     )
     dims = _param(params, "subspace_dims", _int_list, [3 * model.m + 1, 7, 3])
-    pool = _sequences_up_to(_param(params, "pool_max_len", int, 3))
+    pool_max_len = _param(params, "pool_max_len", int, 3)
+    pool = [s for n in range(pool_max_len + 1) for s in _all_sequences(n, ("H", "S"))]
     n_seq = _param(params, "n_sequences", int, 1000)
     max_len = _param(params, "max_len", int, 20)
     norm_kind = params.get("norm_kind", "trace")
@@ -447,36 +437,29 @@ def run(
     config: str | Path | Mapping,
     out_dir: str | Path | None = None,
     seed: int | None = None,
-    threads: int | None = None,
 ) -> int:
     """Execute one configured experiment; returns the process exit code.
 
-    ``out_dir``, ``seed`` and ``threads`` override the config values.  On
-    success the output directory contains ``manifest.json`` (resolved config,
-    package version, seeds, file list) and the experiment's result files; on
-    a validation error nothing is written.
+    ``out_dir`` and ``seed`` override the config values; the seed override
+    is checked like the config's own.  On success the output directory
+    contains ``manifest.json`` (resolved config, package version, seeds, file
+    list) and the experiment's result files; on a validation error or a
+    numerical failure nothing is written.
     """
     try:
         cfg = _load_config(config)
         if seed is not None:
-            cfg["seed"] = int(seed)
-        if threads is not None:
-            cfg["threads"] = int(threads)
+            cfg = _load_config({**cfg, "seed": seed})
         target = out_dir if out_dir is not None else cfg.get("output_dir")
         if target is None:
             raise ConfigError("no output directory: set output_dir in the config or pass out_dir")
         try:
             model = build_model(cfg["model"])
-        except ConfigError:
+        except (ConfigError, MomentSequenceError):
             raise
         except (ValueError, TypeError, KeyError) as exc:  # out-of-range, mistyped or missing values
             raise ConfigError(f"model: {exc!r}") from exc
-        body = _BODIES[cfg["experiment"]]
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        writers = body(model, cfg)
+        writers = _BODIES[cfg["experiment"]](model, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -559,7 +542,6 @@ def _main(argv: Sequence[str] | None = None) -> int:
     run_p.add_argument("--config", required=True, help="path to the JSON config")
     run_p.add_argument("--out", default=None, help="output directory (overrides config)")
     run_p.add_argument("--seed", type=int, default=None, help="seed override")
-    run_p.add_argument("--threads", type=int, default=None, help="worker threads for circuit batches")
     cmp_p = sub.add_parser("compare", help="compare two reconstructed models on stored circuits")
     cmp_p.add_argument("model_a")
     cmp_p.add_argument("model_b")
@@ -567,7 +549,7 @@ def _main(argv: Sequence[str] | None = None) -> int:
     cmp_p.add_argument("--out", default=None, help="write the comparison table as CSV")
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.config, out_dir=args.out, seed=args.seed, threads=args.threads)
+        return run(args.config, out_dir=args.out, seed=args.seed)
     rows = compare(args.model_a, args.model_b, args.circuits, out_csv=args.out)
     worst_a = max((r["abs_error_a"] for r in rows), default=0.0)
     worst_b = max((r["abs_error_b"] for r in rows), default=0.0)

@@ -22,8 +22,9 @@ Because depolarizing noise commutes with the ideal gates, a circuit's
 predicted mean only depends on its ideal output and its per-gate counts.
 The ideal H and S permute the signed Bloch axes, so both come from one
 integer fold over all records; ``fit`` and ``negative_log_likelihood`` then
-evaluate the likelihood for all records at once in closed form (it is
-checked against the generic block evaluation in the tests).
+evaluate the likelihood for all records at once in the closed form that
+:func:`corrtomo.device.exact_mean` uses for frozen models (it is checked
+against the generic block evaluation in the tests).
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from scipy.linalg import block_diag
 from scipy.optimize import least_squares
 from scipy.special import expit
 
-from .device import _AXES, Circuit, MeasurementRecord, _fold_signed_axes, _signed_axis_table
+from .device import (
+    _AXES, RATE_CLAMP, Circuit, MeasurementRecord, _damping, _fast_predictions, _fold_signed_axes, _signed_axis_table,
+)
 from .noise import depolarized_gates
 from .ptm import ideal_qubit_ptms, reduced_frame
 from .tomography import ErrorModel
@@ -54,7 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_SIGMA_FLOOR = 1e-3
-RATE_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -210,22 +212,6 @@ class _SufficientStatistics:
         slope = np.where(rates < 1.0 - RATE_CLAMP, rates, 0.0) * p
         d_rates = -self.counts[:, :, None] * (scaled[:, None, :] * slope)
         return np.concatenate([d_weights, d_rates.reshape(len(self.mu), -1)], axis=1)
-
-
-def _damping(rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """prod_G (1 - eps_G(lam))^n_G for every record (row) and value (column)."""
-    log1m = np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP))  # (n_gates, m)
-    return np.exp(counts @ log1m)
-
-
-def _fast_predictions(
-    p: np.ndarray,
-    rates: np.ndarray,
-    z_ideal: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """Vectorized means: 0.5 (1 + z_ideal * sum_lam p_lam prod_G (1-eps)^n_G)."""
-    return 0.5 * (1.0 + z_ideal * (_damping(rates, counts) @ p))
 
 
 def negative_log_likelihood(

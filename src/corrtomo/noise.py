@@ -181,9 +181,9 @@ def transition_decay(gamma: float) -> np.ndarray:
     return np.array([[stay, flip], [flip, stay]])
 
 
-def _noisy_gate_ptms(label: str, lambdas: np.ndarray, eta: float) -> np.ndarray:
-    """Stack of per-point system transfer matrices E(eps(lam)) [gate]."""
-    return depolarized_gates(label, [gate_error_rate(label, lam, eta) for lam in lambdas])
+def _drift_rates(lambdas: np.ndarray, eta: float, gate_labels: Sequence[str]) -> dict[str, np.ndarray]:
+    """Per-point depolarizing rates eps(lam) of every gate."""
+    return {label: np.array([gate_error_rate(label, lam, eta) for lam in lambdas]) for label in gate_labels}
 
 
 class _BlockModel:
@@ -192,7 +192,9 @@ class _BlockModel:
     Subclasses provide ``weights`` (initial environment distribution),
     ``gate_labels``, ``sys_ptms`` (label -> (m, 4, 4) stack of per-point
     system transfer matrices) and ``transitions`` (label -> (m, m) column
-    stochastic matrix, or None for identity).
+    stochastic matrix, or None for identity).  Models whose transitions are
+    all None also provide ``rates`` (label -> (m,) depolarizing rates), from
+    which :func:`corrtomo.device.exact_mean` takes means in closed form.
     """
 
     @property
@@ -271,9 +273,11 @@ class LowFreqModel(_BlockModel):
     """Device with gate errors driven by a slowly drifting classical variable.
 
     ``support`` holds the variable values, ``weights`` their stationary
-    probabilities.  ``sys_ptms[label][i]`` is the system transfer matrix of
-    the gate at support point i; ``transitions[label]`` redistributes the
-    environment with each application (None = frozen variable).
+    probabilities.  ``rates[label][i]`` is the depolarizing rate of the gate
+    at support point i; the per-point system transfer matrices
+    ``sys_ptms[label]`` (depolarizing noise after the ideal gate) are built
+    from them.  ``transitions[label]`` redistributes the environment with
+    each application (None = frozen variable).
     """
 
     sigma: float
@@ -281,32 +285,22 @@ class LowFreqModel(_BlockModel):
     support: np.ndarray
     weights: np.ndarray
     gate_labels: tuple[str, ...]
-    sys_ptms: Mapping[str, np.ndarray]
+    rates: Mapping[str, np.ndarray]
     transitions: Mapping[str, np.ndarray | None]
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", np.asarray(self.support, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        object.__setattr__(self, "rates", {g: np.asarray(v, dtype=float) for g, v in self.rates.items()})
+        object.__setattr__(self, "sys_ptms", {g: depolarized_gates(g, v) for g, v in self.rates.items()})
         object.__setattr__(self, "_block_cache", {})
         if self.support.shape != self.weights.shape:
             raise ValueError("support and weights must have the same length")
         self._validate_blocks()
 
     def to_json(self) -> dict:
-        """Serializable description (gates as per-point depolarizing rates).
-
-        Rates are read off by undoing the ideal rotation, which is faithful
-        for the depolarizing gate family this module constructs.
-        """
-        ideal = ideal_qubit_ptms()
-        rates = {
-            label: [
-                1.0 - float((self.sys_ptms[label][i] @ ideal[label].T)[1, 1]) if label in ideal else float("nan")
-                for i in range(self.m)
-            ]
-            for label in self.gate_labels
-        }
+        """Serializable description (gates as per-point depolarizing rates)."""
         return {
             "kind": "low_freq",
             "sigma": self.sigma,
@@ -317,7 +311,7 @@ class LowFreqModel(_BlockModel):
             "transition": {
                 label: (None if t is None else np.asarray(t).tolist()) for label, t in self.transitions.items()
             },
-            "gates": rates,
+            "gates": {label: self.rates[label].tolist() for label in self.gate_labels},
         }
 
 
@@ -339,14 +333,13 @@ def build_low_freq_model(
     x_nodes, weights = discretize_from_moments(moments, m)
     x_nodes = np.clip(x_nodes, 1e-300, 1.0)
     lambdas = np.sqrt(-np.log(x_nodes))
-    sys_ptms = {label: _noisy_gate_ptms(label, lambdas, eta) for label in gate_labels}
     return LowFreqModel(
         sigma=float(sigma),
         eta=float(eta),
         support=lambdas,
         weights=weights,
         gate_labels=tuple(gate_labels),
-        sys_ptms=sys_ptms,
+        rates=_drift_rates(lambdas, eta, gate_labels),
         transitions={label: None for label in gate_labels},
         meta={"construction": "moment_matched", "m": m},
     )
@@ -367,20 +360,21 @@ def dense_low_freq_model(
     which makes this the independent reference against closed-form results
     and against coarse moment-matched models.
     """
+    if sigma <= 0.0 or cutoff <= 0.0:
+        raise ValueError(f"sigma and cutoff must be positive, got sigma={sigma}, cutoff={cutoff}")
     t, gw = roots_legendre(n_points)
     half_width = cutoff * sigma
     lambdas = t * half_width
     density = np.exp(-(lambdas**2) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * np.pi * sigma * sigma)
     weights = gw * half_width * density
     weights = weights / weights.sum()
-    sys_ptms = {label: _noisy_gate_ptms(label, lambdas, eta) for label in gate_labels}
     return LowFreqModel(
         sigma=float(sigma),
         eta=float(eta),
         support=lambdas,
         weights=weights,
         gate_labels=tuple(gate_labels),
-        sys_ptms=sys_ptms,
+        rates=_drift_rates(lambdas, eta, gate_labels),
         transitions={label: None for label in gate_labels},
         meta={"construction": "dense_grid", "n_points": n_points, "cutoff": cutoff},
     )
@@ -391,14 +385,13 @@ def constant_depolarizing_model(
     gate_labels: Sequence[str] = DEFAULT_GATE_LABELS,
 ) -> LowFreqModel:
     """One-point model: every gate carries the same depolarizing rate."""
-    sys_ptms = {label: depolarized_gates(label, [epsilon]) for label in gate_labels}
     return LowFreqModel(
         sigma=0.0,
         eta=float(epsilon),
         support=np.array([0.0]),
         weights=np.array([1.0]),
         gate_labels=tuple(gate_labels),
-        sys_ptms=sys_ptms,
+        rates={label: [epsilon] for label in gate_labels},
         transitions={label: None for label in gate_labels},
         meta={"construction": "constant", "epsilon": epsilon},
     )
@@ -420,7 +413,6 @@ def second_order_model(
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     lambdas = np.array([-sigma, sigma])
-    sys_ptms = {label: _noisy_gate_ptms(label, lambdas, eta) for label in gate_labels}
     transitions: dict[str, np.ndarray | None] = {}
     for label in gate_labels:
         gamma = 0.0 if gate_gammas is None else float(gate_gammas.get(label, 0.0))
@@ -431,7 +423,7 @@ def second_order_model(
         support=lambdas,
         weights=np.array([0.5, 0.5]),
         gate_labels=tuple(gate_labels),
-        sys_ptms=sys_ptms,
+        rates=_drift_rates(lambdas, eta, gate_labels),
         transitions=transitions,
         meta={"construction": "second_order", "gate_gammas": dict(gate_gammas or {})},
     )

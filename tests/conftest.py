@@ -21,6 +21,16 @@ def pauli_transfer(channel) -> np.ndarray:
     return np.array([[np.trace(s @ channel(t)).real / 2.0 for t in PAULIS] for s in PAULIS])
 
 
+def frozen_fold_mean(model, gates) -> float:
+    """Independent oracle for frozen models: fold the (m, 4) state stack through each gate's (m, 4, 4) stack."""
+    v = np.zeros((model.m, 4))
+    v[:, 0] = model.weights
+    v[:, 3] = model.weights
+    for label in gates:
+        v = np.einsum("mij,mj->mi", model.sys_ptms[label], v)
+    return 0.5 * float(np.sum(v[:, 0] + v[:, 3]))
+
+
 def sequences_up_to(max_len: int, labels=("H", "S")) -> list[tuple[str, ...]]:
     """All gate sequences with length 0 .. max_len, shortest first."""
     seqs = [()]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import corrtomo as ct
+from conftest import frozen_fold_mean
 from corrtomo.device import (
     _AXES,
     Circuit,
@@ -78,6 +79,40 @@ class TestRunCircuit:
             MeasurementRecord(Circuit(()), 1.0, 0.1, None)
         with pytest.raises(ValueError):
             MeasurementRecord(Circuit(()), 1.0, 0.0, 100)
+
+
+FROZEN_MODELS = {
+    "low_freq-m5": lambda: ct.build_low_freq_model(1.0, 0.02, 5),
+    # 1,320 of each gate's 2,001 rates are exactly 1.0, so the rate clamp is exercised
+    "dense-eta1": lambda: ct.dense_low_freq_model(1.0, 1.0),
+    "constant": lambda: ct.constant_depolarizing_model(0.03),
+    "second_order": lambda: ct.second_order_model(0.5, 0.1),
+    # the builders give H and S the same rates; this model tells the gate counts apart
+    "per_gate_rates": lambda: ct.LowFreqModel(
+        sigma=1.0, eta=1.0, support=[-1.0, 0.0, 1.0], weights=[0.25, 0.5, 0.25], gate_labels=("H", "S"),
+        rates={"H": [0.01, 0.0, 0.05], "S": [0.002, 0.03, 0.2]}, transitions={"H": None, "S": None},
+    ),
+}
+
+
+class TestFrozenClosedForm:
+    """Closed-form means of frozen models against the einsum fold of the per-point gate stacks."""
+
+    @pytest.mark.parametrize("kind", sorted(FROZEN_MODELS))
+    def test_matches_einsum_fold(self, kind):
+        model = FROZEN_MODELS[kind]()
+        assert model.identity_transitions
+        gen = np.random.default_rng(11)
+        circuits = [()]
+        circuits += [c.gates for n in (1, 2, 7, 40, 100) for c in ct.random_identity_sequences(n, 3, seed=gen)]
+        circuits += [tuple(gen.choice(["H", "S"], size=n)) for n in (1, 2, 3, 10, 33, 100) for _ in range(3)]
+        assert any(not returns_to_zero(c) for c in circuits)
+        for gates in circuits:
+            assert ct.run_circuit(model, gates).mean == pytest.approx(frozen_fold_mean(model, gates), abs=1e-13)
+
+    def test_dense_eta1_clamps_saturated_rates(self):
+        dense = ct.dense_low_freq_model(1.0, 1.0)
+        assert sum(int(np.sum(rates == 1.0)) for rates in dense.rates.values()) == 2 * 1320
 
 
 class TestIdentitySequences:
@@ -256,13 +291,6 @@ class TestSurvivalCurve:
             if abs(rec.mean - exact) <= 5.0 * np.sqrt(rec.variance):
                 hits += 1
         assert hits / total >= 0.99
-
-    def test_reduction_order_independent_of_threads(self, device_m5):
-        serial = ct.survival_curve(device_m5, [5, 12], circuits_per_point=8, seed=4, threads=None)
-        threaded = ct.survival_curve(device_m5, [5, 12], circuits_per_point=8, seed=4, threads=4)
-        for a, b in zip(serial, threaded):
-            assert a["mean"] == b["mean"]
-            assert a["stderr"] == b["stderr"]
 
     def test_empty_grid_rejected(self, device_m5):
         with pytest.raises(ValueError):

@@ -63,6 +63,8 @@ class TestConfigValidation:
             {"params": dict(SURVIVAL_CFG["params"], circuits_per_point=0)},
             {"model": dict(SURVIVAL_CFG["model"], eta=2)},
             {"model": dict(SURVIVAL_CFG["model"], m="five")},
+            {"model": {"kind": "dense", "sigma": 0, "eta": 1}},
+            {"model": {"kind": "dense", "sigma": 1, "eta": 1, "cutoff": 0}},
             {"model": {"kind": "context", "labels": ["H", "S"], "rates": {"H": {"H": 0.01}, "S": {"S": 0.0}}}},
             {
                 "experiment": "lim",
@@ -71,7 +73,8 @@ class TestConfigValidation:
         ],
         ids=[
             "shots-zero", "negative-n_gates", "empty-n_gates", "negative-eval_n_gates", "no-circuits",
-            "eta-above-one", "m-not-int", "missing-context-rate", "lim-d-too-large",
+            "eta-above-one", "m-not-int", "dense-sigma-zero", "dense-cutoff-zero", "missing-context-rate",
+            "lim-d-too-large",
         ],
     )
     def test_out_of_range_values_exit_2_without_traceback(self, tmp_path, capsys, bad):
@@ -101,6 +104,24 @@ class TestConfigValidation:
         err = capfd.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert key in err
+        assert not out.exists()
+
+    def test_invalid_moment_sequence_is_a_numerical_failure(self, tmp_path, capsys):
+        # 40 moment-matched points exceed what double precision resolves
+        cfg = dict(SURVIVAL_CFG, model={"kind": "low_freq", "sigma": 1, "eta": 0.02, "m": 40})
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert "moment sequence" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.5])
+    def test_seed_override_is_checked_like_the_config_seed(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        assert run(SURVIVAL_CFG, out_dir=out, seed=seed) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed") and err.count("\n") == 1
         assert not out.exists()
 
     def test_params_unknown_key(self, tmp_path):
@@ -259,6 +280,16 @@ class TestCommandLine:
         assert code == EXIT_OK
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 3
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capfd):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SURVIVAL_CFG))
+        out = tmp_path / "out"
+        assert _main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"]) == EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "seed" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_compare_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 import corrtomo as ct
 from conftest import PAULIS, pauli_transfer
 from corrtomo.noise import (
+    LowFreqModel,
     MomentSequenceError,
     build_low_freq_model,
     constant_depolarizing_model,
@@ -197,7 +198,17 @@ class TestLowFreqModel:
         blob = model.to_json()
         assert blob["m"] == 2 and blob["sigma"] == 1.0 and blob["eta"] == 0.02
         eps_h = [gate_error_rate("H", lam, 0.02) for lam in model.support]
-        assert np.allclose(blob["gates"]["H"], eps_h, atol=1e-12)
+        assert blob["gates"]["H"] == eps_h
+
+    def test_json_gates_are_the_rates_built_with(self):
+        rates = {"H": [0.0, 0.25, 1.0], "S": [0.5, 1e-9, 0.125]}
+        model = LowFreqModel(
+            sigma=1.0, eta=1.0, support=[-1.0, 0.0, 1.0], weights=[0.25, 0.5, 0.25], gate_labels=("H", "S"),
+            rates=rates, transitions={"H": None, "S": None},
+        )
+        assert model.to_json()["gates"] == rates
+        for label, eps in rates.items():
+            np.testing.assert_array_equal(model.sys_ptms[label], depolarized_gates(label, eps))
 
     def test_seventh_versus_ninth_moment_support(self):
         # dropping the discretization from five to four points (ninth- to

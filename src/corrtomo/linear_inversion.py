@@ -315,13 +315,21 @@ def gauge_fit_to_ideal(
 ) -> GaugeFitResult:
     """Choose the output gauge minimising the distance to the ideal gates.
 
-    Minimises ``sum_G || M_out_hat^-1 O~(G) M_in_hat^-1 - ideal(G) ||_F^2``
-    over the d^2 entries of ``M_out_hat``, with ``M_in_hat = M_out_hat^-1 g``.
+    Minimises ``sum_G || M^-1 A_G M - ideal(G) ||_F^2`` over the d^2 entries of
+    ``M = M_out_hat``, where ``A_G = O~(G) g^-1`` and ``M_in_hat = M^-1 g``.
     The starting point maps the truncated data frame onto the ideal frame
     (built from ``trial``), so noiseless data sits at a zero-objective fixed
-    point; pass ``m_hat_out0`` to start elsewhere.  Deterministic; when the
-    optimizer hits its evaluation budget, the best point so far is returned
-    with ``converged=False``.
+    point; pass ``m_hat_out0`` to start elsewhere.
+
+    The fit is Levenberg-Marquardt with constant variable scaling (scaling by
+    the Jacobian columns stalls on some trial sets) and the closed-form Jacobian
+    ``kron(M^-1 A_G, I) - kron(M^-1, R_G^T)``, ``R_G = M^-1 A_G M``, per gate.
+    ``M -> cM`` leaves the objective unchanged, so the result is rescaled to the
+    Frobenius norm of the start; the state and dual then do not depend on where
+    along that direction the optimizer stopped.  ``n_evaluations`` counts
+    residual plus Jacobian evaluations, ``max_nfev`` the residual ones alone.
+    Deterministic; at the budget, the best point so far is returned with
+    ``converged=False``.
     """
     d = truncation.d
     if ideal_ptms is None:
@@ -336,22 +344,25 @@ def gauge_fit_to_ideal(
         ref_rows = _reference_trial_duals(trial, d, labels)
         m_hat_out0 = (truncation.u @ ref_rows)[:d, :]
     g_inv = np.diag(1.0 / np.diag(truncation.g_trunc))
-
-    def reconstructed(m_hat_out: np.ndarray) -> dict[str, np.ndarray]:
-        m_out_inv = np.linalg.inv(m_hat_out)
-        return {
-            label: m_out_inv @ truncation.gate_mats_trunc[label] @ g_inv @ m_hat_out for label in labels
-        }
+    a_mats = {label: truncation.gate_mats_trunc[label] @ g_inv for label in labels}
 
     def residual(x: np.ndarray) -> np.ndarray:
-        m_hat_out = x.reshape(d, d)
-        if not np.isfinite(np.linalg.cond(m_hat_out)) or np.linalg.cond(m_hat_out) > 1e12:
+        m = x.reshape(d, d)
+        if not np.linalg.cond(m) <= 1e12:  # also catches inf and nan
             return np.full(len(labels) * d * d, 1e6)
-        recon = reconstructed(m_hat_out)
-        return np.concatenate([(recon[label] - ideal_ptms[label]).ravel() for label in labels])
+        return np.concatenate([(np.linalg.solve(m, a @ m) - ideal_ptms[label]).ravel() for label, a in a_mats.items()])
 
-    result = least_squares(residual, m_hat_out0.ravel(), method="trf", max_nfev=max_nfev, xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        m = x.reshape(d, d)
+        m_inv = np.linalg.inv(m)
+        return np.vstack([np.kron(m_inv @ a, np.eye(d)) - np.kron(m_inv, (m_inv @ a @ m).T) for a in a_mats.values()])
+
+    result = least_squares(
+        residual, m_hat_out0.ravel(), jac=jacobian, method="lm", x_scale=1.0,
+        max_nfev=max_nfev, xtol=1e-14, ftol=1e-14, gtol=1e-14,
+    )
     m_hat_out = result.x.reshape(d, d)
+    m_hat_out *= np.linalg.norm(m_hat_out0) / np.linalg.norm(m_hat_out)
     m_hat_in = np.linalg.solve(m_hat_out, truncation.g_trunc)
     model = lim_reconstruct(truncation, m_hat_in=m_hat_in)
     converged = bool(result.status > 0 and result.nfev < max_nfev)
@@ -365,6 +376,6 @@ def gauge_fit_to_ideal(
         m_hat_out=m_hat_out,
         objective=float(2.0 * result.cost),
         error_model=model,
-        n_evaluations=int(result.nfev),
+        n_evaluations=int(result.nfev + result.njev),
         converged=converged,
     )

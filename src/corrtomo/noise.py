@@ -329,6 +329,8 @@ def build_low_freq_model(
     depolarizing with rate ``eta * (1 - x_i)`` at support point i; the
     variable is frozen within a circuit (identity transitions).
     """
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     moments = [gaussian_x_moments(sigma, k) for k in range(1, 2 * m)]
     x_nodes, weights = discretize_from_moments(moments, m)
     x_nodes = np.clip(x_nodes, 1e-300, 1.0)
@@ -412,6 +414,9 @@ def second_order_model(
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    unknown = sorted(set(gate_gammas or {}) - set(gate_labels))
+    if unknown:
+        raise ValueError(f"gate_gammas names labels outside the gate set {list(gate_labels)}: {unknown}")
     lambdas = np.array([-sigma, sigma])
     transitions: dict[str, np.ndarray | None] = {}
     for label in gate_labels:

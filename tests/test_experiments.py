@@ -63,6 +63,8 @@ class TestConfigValidation:
             {"params": dict(SURVIVAL_CFG["params"], circuits_per_point=0)},
             {"model": dict(SURVIVAL_CFG["model"], eta=2)},
             {"model": dict(SURVIVAL_CFG["model"], m="five")},
+            {"model": dict(SURVIVAL_CFG["model"], sigma=-1)},
+            {"model": dict(SURVIVAL_CFG["model"], sigma=0)},
             {"model": {"kind": "dense", "sigma": 0, "eta": 1}},
             {"model": {"kind": "dense", "sigma": 1, "eta": 1, "cutoff": 0}},
             {"model": {"kind": "context", "labels": ["H", "S"], "rates": {"H": {"H": 0.01}, "S": {"S": 0.0}}}},
@@ -73,7 +75,8 @@ class TestConfigValidation:
         ],
         ids=[
             "shots-zero", "negative-n_gates", "empty-n_gates", "negative-eval_n_gates", "no-circuits",
-            "eta-above-one", "m-not-int", "dense-sigma-zero", "dense-cutoff-zero", "missing-context-rate",
+            "eta-above-one", "m-not-int", "sigma-negative", "sigma-zero",
+            "dense-sigma-zero", "dense-cutoff-zero", "missing-context-rate",
             "lim-d-too-large",
         ],
     )
@@ -104,6 +107,17 @@ class TestConfigValidation:
         err = capfd.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert key in err
+        assert not out.exists()
+
+    def test_unknown_gate_gamma_label_exits_2_naming_it(self, tmp_path, capfd):
+        model = {"kind": "second_order", "sigma": 1, "eta": 0.1, "gate_gammas": {"H": 0.3, "T": 1}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SURVIVAL_CFG, "model": model}))
+        out = tmp_path / "out"
+        assert _main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "['T']" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_invalid_moment_sequence_is_a_numerical_failure(self, tmp_path, capsys):

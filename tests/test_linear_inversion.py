@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import corrtomo as ct
+import corrtomo.linear_inversion as li
 from corrtomo.linear_inversion import (
     TrialSpec,
     collect_trial_data,
@@ -160,7 +161,70 @@ class TestLimReconstruct:
             lim_reconstruct(trunc)
 
 
+@pytest.fixture(scope="module")
+def d7_at_seed(device_m5):
+    """Truncation and trial set of the m = 5 device for a d7 trial seed, built once per seed."""
+    cache = {}
+
+    def build(seed):
+        if seed not in cache:
+            trial = trial_sequences("d7", seed=seed)
+            data = collect_trial_data(device_m5, trial)
+            cache[seed] = (svd_truncate(data.gram, data.gate_mats, 7), trial)
+        return cache[seed]
+
+    return build
+
+
+@pytest.fixture
+def least_squares_calls(monkeypatch):
+    """(residual, start, keyword arguments, result) of every least_squares call in linear_inversion."""
+    calls = []
+    real = li.least_squares
+
+    def spy(fun, x0, **kwargs):
+        result = real(fun, x0, **kwargs)
+        calls.append((fun, np.array(x0), kwargs, result))
+        return result
+
+    monkeypatch.setattr(li, "least_squares", spy)
+    return calls
+
+
 class TestGaugeFit:
+    def test_jacobian_matches_central_differences(self, d7_at_seed, least_squares_calls):
+        trunc, trial = d7_at_seed(0)
+        gauge_fit_to_ideal(trunc, trial=trial)
+        residual, x0, kwargs, _ = least_squares_calls[0]
+        jac = kwargs["jac"](x0)
+        h = 1e-6
+        steps = h * np.eye(x0.size)
+        fd = np.column_stack([(residual(x0 + e) - residual(x0 - e)) / (2 * h) for e in steps])
+        assert np.max(np.abs(jac - fd)) <= 1e-8
+        # the objective is invariant under M -> cM, so vec(M) spans a null direction
+        assert np.max(np.abs(jac @ x0)) <= 1e-12 * np.max(np.abs(jac))
+
+    def test_cli_default_trial_set_converges(self, d7_at_seed, least_squares_calls):
+        trunc, trial = d7_at_seed(0)
+        fit = gauge_fit_to_ideal(trunc, trial=trial)
+        assert fit.converged
+        assert fit.n_evaluations <= 200
+        result = least_squares_calls[0][3]
+        assert fit.n_evaluations == result.nfev + result.njev
+
+    @pytest.mark.parametrize("seed", [20, 23])
+    def test_converges_within_400_evaluations(self, d7_at_seed, seed):
+        # these trial sets stall at 400 evaluations when LM scales by the Jacobian columns
+        trunc, trial = d7_at_seed(seed)
+        fit = gauge_fit_to_ideal(trunc, trial=trial, max_nfev=400)
+        assert fit.converged
+
+    def test_result_keeps_the_norm_of_the_start(self, d7_at_seed, least_squares_calls):
+        trunc, trial = d7_at_seed(1)
+        fit = gauge_fit_to_ideal(trunc, trial=trial)
+        x0 = least_squares_calls[0][1]
+        assert np.linalg.norm(fit.m_hat_out) == pytest.approx(np.linalg.norm(x0), rel=1e-12)
+
     def test_noiseless_is_a_zero_objective_fixed_point(self, noiseless):
         trial = trial_sequences("d4")
         data = collect_trial_data(noiseless, trial)

@@ -25,6 +25,10 @@ integer fold over all records; ``fit`` and ``negative_log_likelihood`` then
 evaluate the likelihood for all records at once in the closed form that
 :func:`corrtomo.device.exact_mean` uses for frozen models (it is checked
 against the generic block evaluation in the tests).
+
+Records travel as a columnar :class:`RecordSet` (a padded gate-index matrix,
+means, variances, shots) that :func:`records_from_tomography` builds from
+the tomography matrices; a plain list of records is converted once on entry.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ __all__ = [
     "fit",
     "induced_error_model",
     "records_from_tomography",
+    "RecordSet",
 ]
 
 DEFAULT_SIGMA_FLOOR = 1e-3
@@ -122,39 +127,86 @@ def model_predict(param_model: ParamModel, circuit: Circuit | Sequence[str]) -> 
     return float(total)
 
 
+def _gate_matrix(sequences: Sequence[Sequence[str]], labels: tuple[str, ...]) -> np.ndarray:
+    """Padded int8 matrix of gate indices into ``labels``; the pad is ``len(labels)``."""
+    index = {g: j for j, g in enumerate(labels)}
+    lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
+    flat = np.fromiter(map(index.__getitem__, chain.from_iterable(sequences)), dtype=np.int8, count=lengths.sum())
+    gates = np.full((len(sequences), lengths.max(initial=0)), len(labels), dtype=np.int8)
+    gates[np.arange(gates.shape[1]) < lengths[:, None]] = flat  # row-major fill
+    return gates
+
+
+@dataclass(frozen=True, eq=False)
+class RecordSet(Sequence[MeasurementRecord]):
+    """Measurement records held as columns; a record is built when indexed.
+
+    ``gates[r]`` holds record ``r``'s gates as indices into ``labels``, padded
+    anywhere in the row with ``len(labels)``, the identity row of the
+    signed-axis table.  ``shots[r] == 0`` marks an exact record.  A slice is
+    another RecordSet.
+    """
+
+    labels: tuple[str, ...]
+    gates: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    shots: np.ndarray
+
+    def __post_init__(self) -> None:
+        exact = self.shots == 0
+        if np.any(self.variances[exact] != 0.0) or np.any(self.variances[~exact] <= 0.0):
+            raise ValueError("exact records must have zero variance and sampled records a positive one")
+
+    @classmethod
+    def from_records(cls, records: Sequence[MeasurementRecord]) -> RecordSet:
+        """Columnar copy of a list of records, over the sorted labels they use."""
+        labels = tuple(sorted(set(chain.from_iterable(rec.circuit for rec in records))))
+        means = np.array([rec.mean for rec in records], dtype=float)
+        variances = np.array([rec.variance for rec in records], dtype=float)
+        shots = np.array([rec.shots or 0 for rec in records], dtype=np.int64)
+        return cls(labels, _gate_matrix([rec.circuit for rec in records], labels), means, variances, shots)
+
+    def __len__(self) -> int:
+        return len(self.means)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            columns = (self.gates, self.means, self.variances, self.shots)
+            return RecordSet(self.labels, *(column[index] for column in columns))
+        gates = tuple(self.labels[j] for j in self.gates[index].tolist() if j < len(self.labels))
+        shots = int(self.shots[index]) or None
+        return MeasurementRecord(Circuit(gates), float(self.means[index]), float(self.variances[index]), shots)
+
+    def used_labels(self) -> tuple[str, ...]:
+        """Sorted labels that occur in at least one record."""
+        return tuple(sorted(self.labels[j] for j in np.unique(self.gates).tolist() if j < len(self.labels)))
+
+
 def _record_features(
-    records: Sequence[MeasurementRecord],
+    records: RecordSet,
     gate_labels: tuple[str, ...],
     sigma_floor: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-record ideal outcome, gate counts, means and variances.
 
     The ideal outcome is 2 C_ideal - 1, the Bloch z component of the
-    noiseless circuit output.  Circuits are encoded as a padded int8
-    gate-index matrix and folded all at once, one gate position at a time,
-    through the signed-axis action of the ideal gates, so the outcome is
-    exactly -1, 0 or 1; the gate counts come from the same matrix.
+    noiseless circuit output.  The gate-index matrix, re-indexed onto
+    ``gate_labels`` when the records use other labels, is folded all at
+    once, one gate position at a time, through the signed-axis action of the
+    ideal gates, so the outcome is exactly -1, 0 or 1; the integer gate
+    counts come from the same matrix.
     """
-    index = {g: j for j, g in enumerate(gate_labels)}
-    n = len(records)
-    lengths = np.fromiter((len(rec.circuit) for rec in records), dtype=np.intp, count=n)
-    try:
-        flat = np.fromiter(
-            map(index.__getitem__, chain.from_iterable(rec.circuit for rec in records)),
-            dtype=np.int8,
-            count=int(lengths.sum()),
-        )
-    except KeyError as exc:
-        raise KeyError(
-            f"record uses gate {exc.args[0]!r} outside the fitted gate set {gate_labels}"
-        ) from None
-    gates = np.full((n, lengths.max(initial=0)), len(gate_labels), dtype=np.int8)
-    gates[np.arange(gates.shape[1]) < lengths[:, None]] = flat  # row-major fill
+    gates = records.gates
+    if records.labels != gate_labels:
+        outside = sorted(set(records.used_labels()) - set(gate_labels))
+        if outside:
+            raise KeyError(f"record uses gate {outside[0]!r} outside the fitted gate set {gate_labels}")
+        lookup = [gate_labels.index(g) if g in gate_labels else len(gate_labels) for g in records.labels]
+        gates = np.array([*lookup, len(gate_labels)], dtype=np.int8)[gates]
     z_ideal = _AXES[_fold_signed_axes(_signed_axis_table(gate_labels), gates), 2]
     counts = np.stack([np.count_nonzero(gates == j, axis=1) for j in range(len(gate_labels))], axis=1)
-    means = np.fromiter((rec.mean for rec in records), dtype=float, count=n)
-    variances = np.fromiter((rec.variance for rec in records), dtype=float, count=n)
-    return z_ideal, counts.astype(float), means, np.maximum(variances, sigma_floor**2)
+    return z_ideal, counts, records.means, np.maximum(records.variances, sigma_floor**2)
 
 
 class _SufficientStatistics:
@@ -169,17 +221,19 @@ class _SufficientStatistics:
 
     def __init__(
         self,
-        records: Sequence[MeasurementRecord],
+        records: RecordSet,
         gate_labels: tuple[str, ...],
         sigma_floor: float,
     ) -> None:
         z_ideal, counts, means, variances = _record_features(records, gate_labels, sigma_floor)
-        keys = np.concatenate([counts, z_ideal[:, None]], axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        # one integer key per record, ordered like its (counts, outcome) row
+        digits = (*counts.T, z_ideal.astype(np.intp) + 1)
+        keys = np.ravel_multi_index(digits, (*(counts.max(axis=0) + 1), 3))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         inv_var = 1.0 / variances
-        n_groups = uniq.shape[0]
-        self.counts = uniq[:, :-1]
-        self.z_ideal = uniq[:, -1]
+        n_groups = first.size
+        self.counts = counts[first].astype(float)
+        self.z_ideal = z_ideal[first]
         self.a = np.bincount(inverse, weights=inv_var, minlength=n_groups)
         self.sqrt_a = np.sqrt(self.a)
         b = np.bincount(inverse, weights=means * inv_var, minlength=n_groups)
@@ -228,6 +282,8 @@ def negative_log_likelihood(
         raise ValueError("need at least one record")
     if sigma_floor <= 0.0:
         raise ValueError("sigma_floor must be positive (records may carry zero variance)")
+    if not isinstance(records, RecordSet):
+        records = RecordSet.from_records(records)
     gate_labels = param_model.gate_labels
     stats = _SufficientStatistics(records, gate_labels, sigma_floor)
     rates = np.stack([param_model.eps[g] for g in gate_labels])
@@ -312,8 +368,10 @@ def fit(
         raise ValueError(f"sigma_floor must be positive, got {cfg.sigma_floor}")
     if not records:
         raise ValueError("need at least one record")
+    if not isinstance(records, RecordSet):
+        records = RecordSet.from_records(records)
     if gate_labels is None:
-        gate_labels = tuple(sorted(set(chain.from_iterable(rec.circuit for rec in records)))) or ("H", "S")
+        gate_labels = records.used_labels() or ("H", "S")
     gate_labels = tuple(gate_labels)
     stats = _SufficientStatistics(records, gate_labels, cfg.sigma_floor)
     m = l_size
@@ -364,35 +422,33 @@ def fit(
     )
 
 
-def records_from_tomography(data) -> list[MeasurementRecord]:
+def records_from_tomography(data) -> RecordSet:
     """Flatten tomography data into per-circuit records for likelihood fitting.
 
     Every Gram entry corresponds to the circuit (preparation fiducial i,
     measurement fiducial k) and every gate-matrix entry to the same pair
-    with the gate interposed; the measured value is the record mean.  Exact
-    data yield exact records, sampled data carry the binomial variance
-    estimate.
+    with the gate interposed; the measured value is the record mean.  The
+    :class:`RecordSet` is ordered by k, then i, then the Gram entry before
+    the gates in ``gate_mats`` order.  Exact data yield exact records,
+    sampled data carry the binomial variance estimate.
     """
     shots = data.provenance.get("shots")
+    labels = tuple(sorted(data.gate_mats))
     fids = data.fiducials
-    records: list[MeasurementRecord] = []
-
-    def add(mean: float, gates: tuple[str, ...]) -> None:
-        mean = float(mean)
-        if shots is None:
-            records.append(MeasurementRecord(Circuit(gates), mean, 0.0, None))
-        else:
-            smoothed = (mean * shots + 1.0) / (shots + 2.0)
-            records.append(
-                MeasurementRecord(Circuit(gates), mean, smoothed * (1.0 - smoothed) / shots, shots)
-            )
-
-    for k, meas in enumerate(fids.meas_sequences):
-        for i, prep in enumerate(fids.prep_sequences):
-            add(data.gram[k, i], prep + meas)
-            for label, mat in data.gate_mats.items():
-                add(mat[k, i], prep + (label,) + meas)
-    return records
+    prep, meas = _gate_matrix(fids.prep_sequences, labels), _gate_matrix(fids.meas_sequences, labels)
+    middle = np.array([len(labels), *map(labels.index, data.gate_mats)], dtype=np.int8)
+    width = prep.shape[1]
+    # row (k, i, g) is prep_i, then the Gram's pad or gate g, then meas_k
+    gates = np.empty((len(meas), len(prep), len(middle), width + 1 + meas.shape[1]), dtype=np.int8)
+    gates[..., :width] = prep[:, None, :]
+    gates[..., width] = middle
+    gates[..., width + 1 :] = meas[:, None, None, :]
+    means = np.stack([data.gram, *data.gate_mats.values()], axis=2).ravel()
+    variances = np.zeros_like(means)
+    if shots is not None:
+        smoothed = (means * shots + 1.0) / (shots + 2.0)
+        variances = smoothed * (1.0 - smoothed) / shots
+    return RecordSet(labels, gates.reshape(means.size, -1), means, variances, np.full(means.size, shots or 0))
 
 
 def induced_error_model(param_model: ParamModel) -> ErrorModel:

@@ -414,6 +414,8 @@ def second_order_model(
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (gate_gammas is None or isinstance(gate_gammas, Mapping)):
+        raise TypeError(f"gate_gammas must map gate labels to decay exponents, got {type(gate_gammas).__name__}")
     unknown = sorted(set(gate_gammas or {}) - set(gate_labels))
     if unknown:
         raise ValueError(f"gate_gammas names labels outside the gate set {list(gate_labels)}: {unknown}")

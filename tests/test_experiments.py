@@ -97,6 +97,8 @@ class TestConfigValidation:
             ("threads", {"threads": "two"}),
             ("d", {"experiment": "exact-lot", "params": {"d": "seven"}}),
             ("norm_kind", {"experiment": "bounds", "params": {"norm_kind": "l1", "subspace_dims": [3]}}),
+            ("gate_gammas", {"model": {"kind": "second_order", "sigma": 1, "eta": 0.1, "gate_gammas": "H"}}),
+            ("gate_gammas", {"model": {"kind": "second_order", "sigma": 1, "eta": 0.1, "gate_gammas": ["H"]}}),
         ],
     )
     def test_mistyped_values_exit_2_naming_the_key(self, tmp_path, capfd, key, bad):

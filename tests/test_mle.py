@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 import corrtomo as ct
 import corrtomo.mle as mle
@@ -9,13 +10,14 @@ from corrtomo.device import Circuit, MeasurementRecord
 from corrtomo.mle import (
     OptimizerConfig,
     ParamModel,
+    RecordSet,
     induced_error_model,
     model_predict,
     negative_log_likelihood,
     records_from_tomography,
 )
 from corrtomo.ptm import ideal_qubit_ptms
-from corrtomo.tomography import predict
+from corrtomo.tomography import FiducialSet, TomographyData, predict
 
 
 def two_point_model(p1=0.6, eps_h=(0.003, 0.02), eps_s=(0.004, 0.015)):
@@ -150,7 +152,7 @@ class TestKernels:
     def test_record_features_match_per_record_fold(self):
         circuits = [(), ("H",), ("S",)] + random_circuits(300, 30, seed=12)
         records = noisy_records(two_point_model(), circuits, seed=13)
-        got = mle._record_features(records, ("H", "S"), 1e-3)
+        got = mle._record_features(RecordSet.from_records(records), ("H", "S"), 1e-3)
         want = per_record_features(records, ["H", "S"], 1e-3)
         assert set(got[0]) <= {-1.0, 0.0, 1.0}
         for a, b in zip(got, want):
@@ -159,12 +161,12 @@ class TestKernels:
     def test_record_features_reject_unknown_gate(self):
         records = [MeasurementRecord(Circuit(("H", "T")), 0.5, 0.0, None)]
         with pytest.raises(KeyError, match="'T'"):
-            mle._record_features(records, ("H", "S"), 1e-3)
+            mle._record_features(RecordSet.from_records(records), ("H", "S"), 1e-3)
 
     @pytest.mark.parametrize("l_size", [1, 2, 3])
     def test_jacobian_matches_central_differences(self, l_size):
         records = noisy_records(two_point_model(), random_circuits(200, 25, seed=14), seed=15)
-        stats = mle._SufficientStatistics(records, ("H", "S"), 1e-3)
+        stats = mle._SufficientStatistics(RecordSet.from_records(records), ("H", "S"), 1e-3)
         gen = np.random.default_rng(16 + l_size)
         step = 1e-6
         for _ in range(3):
@@ -284,3 +286,113 @@ class TestRecordsFromTomography:
         assert first.circuit.gates == ()
         assert first.mean == pytest.approx(data.gram[0, 0], abs=1e-15)
         assert all(r.variance == 0.0 for r in records)
+
+
+def reference_records(data):
+    """Per-entry oracle: one Circuit and MeasurementRecord per Gram and gate-matrix entry."""
+    shots = data.provenance.get("shots")
+    fids = data.fiducials
+    records = []
+
+    def add(mean, gates):
+        mean = float(mean)
+        if shots is None:
+            records.append(MeasurementRecord(Circuit(gates), mean, 0.0, None))
+        else:
+            smoothed = (mean * shots + 1.0) / (shots + 2.0)
+            records.append(MeasurementRecord(Circuit(gates), mean, smoothed * (1.0 - smoothed) / shots, shots))
+
+    for k, meas in enumerate(fids.meas_sequences):
+        for i, prep in enumerate(fids.prep_sequences):
+            add(data.gram[k, i], prep + meas)
+            for label, mat in data.gate_mats.items():
+                add(mat[k, i], prep + (label,) + meas)
+    return records
+
+
+@pytest.fixture(scope="module", params=[None, 1000], ids=["exact", "shots"])
+def d7_records(request, device_m5, trial_d7):
+    """Columnar records of d7 data on the 5-point device, with the oracle's list."""
+    from corrtomo.linear_inversion import collect_trial_data
+
+    data = collect_trial_data(device_m5, trial_d7, shots=request.param, seed=0)
+    return records_from_tomography(data), reference_records(data)
+
+
+class TestRecordSet:
+    def test_records_match_the_per_entry_loop(self, d7_records):
+        columnar, oracle = d7_records
+        assert isinstance(columnar, RecordSet)
+        assert len(columnar) == len(oracle) == 45387
+        assert list(columnar) == oracle
+        assert [columnar[i] for i in (0, 1, 2, -1, -len(oracle))] == [oracle[i] for i in (0, 1, 2, -1, 0)]
+        for part in (slice(None, 200), slice(5, 3000, 7), slice(-40, None), slice(10, 10)):
+            assert isinstance(columnar[part], RecordSet)
+            assert list(columnar[part]) == oracle[part]
+        with pytest.raises(IndexError):
+            columnar[len(oracle)]
+
+    def test_features_are_byte_identical_to_the_record_list(self, d7_records):
+        columnar, oracle = d7_records
+        got = mle._record_features(columnar, ("H", "S"), 1e-3)
+        want = mle._record_features(RecordSet.from_records(oracle), ("H", "S"), 1e-3)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_groups_match_unique_rows(self, d7_records):
+        columnar, _ = d7_records
+        z_ideal, counts, means, variances = mle._record_features(columnar, ("H", "S"), 1e-3)
+        rows, inverse = np.unique(np.column_stack([counts, z_ideal]), axis=0, return_inverse=True)
+        inv_var = 1.0 / variances
+        a = np.bincount(inverse, weights=inv_var)
+        mu = np.bincount(inverse, weights=means * inv_var) / a
+        stats = mle._SufficientStatistics(columnar, ("H", "S"), 1e-3)
+        assert np.array_equal(stats.counts, rows[:, :-1])
+        assert np.array_equal(stats.z_ideal, rows[:, -1])
+        assert np.array_equal(stats.a, a)
+        assert np.array_equal(stats.mu, mu)
+        assert stats.spread == np.sum((means - mu[inverse]) ** 2 * inv_var)
+
+    def test_fit_matches_the_record_list(self, d7_records, monkeypatch):
+        # SciPy's LM can end two identical calls in different last bits (its
+        # result depends on uninitialized heap memory), so the optimizer is
+        # replaced by one gradient step, a pure function of the problem it is
+        # handed; the rest of the fit runs as usual on both record forms
+        def one_step(fun, x0, jac, args, **kwargs):
+            x = x0 - 1e-3 * jac(x0, *args).T @ fun(x0, *args)
+            return OptimizeResult(x=x, success=True, nfev=1, njev=1)
+
+        monkeypatch.setattr(mle, "least_squares", one_step)
+        columnar, oracle = d7_records
+        assert ct.fit(columnar, 2, seed=0).to_json() == ct.fit(oracle, 2, seed=0).to_json()
+
+    def test_other_gate_labels_are_remapped(self, suite_records):
+        hs = mle._record_features(suite_records, ("H", "S"), 1e-3)
+        sh = mle._record_features(suite_records, ("S", "H"), 1e-3)
+        assert np.array_equal(sh[0], hs[0]) and np.array_equal(sh[1], hs[1][:, ::-1])
+        only_h = RecordSet.from_records(exact_records(two_point_model(), [("H",), ("H", "H", "H"), ()]))
+        assert only_h.labels == ("H",)
+        z_ideal, counts, _, _ = mle._record_features(only_h, ("H", "S"), 1e-3)
+        assert counts.tolist() == [[1, 0], [3, 0], [0, 0]]
+        assert z_ideal.tolist() == [0.0, 0.0, 1.0]
+
+    def test_label_outside_the_gate_set_rejected(self, suite_records):
+        with pytest.raises(KeyError, match="'S'"):
+            ct.fit(suite_records, 2, gate_labels=("H",))
+        pm = ParamModel(labels=(1,), p=np.array([1.0]), eps={"H": np.array([0.01])})
+        with pytest.raises(KeyError, match="'S'"):
+            negative_log_likelihood(pm, suite_records)
+
+    def test_fiducial_outside_the_data_gate_set_rejected(self):
+        fids = FiducialSet(((), ("S",)), ((), ("S",)))
+        data = TomographyData(np.eye(2), {"H": np.eye(2)}, fids)
+        with pytest.raises(KeyError, match="'S'"):
+            records_from_tomography(data)
+
+    def test_variance_contract_checked_for_every_record(self):
+        gates = np.zeros((2, 1), dtype=np.int8)
+        with pytest.raises(ValueError, match="exact"):
+            RecordSet(("H",), gates, np.array([0.5, 0.5]), np.array([0.0, 1e-4]), np.array([0, 0]))
+        with pytest.raises(ValueError, match="sampled"):
+            RecordSet(("H",), gates, np.array([0.5, 0.5]), np.array([1e-4, 0.0]), np.array([100, 100]))

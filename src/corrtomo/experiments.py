@@ -195,6 +195,19 @@ def _lengths(params: Mapping, key: str, default: Sequence[int]) -> list[int]:
     return lengths
 
 
+def _count(params: Mapping, key: str, default: int, least: int) -> int:
+    """The integer ``params[key]``, checked to be at least ``least``."""
+    value = _param(params, key, int, default)
+    if value < least:
+        raise ConfigError(f"params: {key} must be >= {least}, got {value}")
+    return value
+
+
+def _fiducial_pool(params: Mapping) -> list[tuple[str, ...]]:
+    """Every H/S sequence of at most ``params["pool_max_len"]`` gates (default 3)."""
+    return [s for n in range(_count(params, "pool_max_len", 3, 0) + 1) for s in _all_sequences(n, ("H", "S"))]
+
+
 def _eval_circuits(model, params: Mapping, seed: int) -> list[Circuit]:
     """Identity-equivalent evaluation circuits shared by lim/mle predictions."""
     grid = _lengths(params, "eval_n_gates", list(range(0, 101, 10)))
@@ -230,13 +243,10 @@ def _survival_experiment(model, cfg: dict) -> dict:
     n_gates = _lengths(params, "n_gates", [])
     if not n_gates:
         raise ConfigError("params: n_gates must not be empty")
-    per_point = _param(params, "circuits_per_point", int, 200)
-    if per_point < 1:
-        raise ConfigError(f"params: circuits_per_point must be >= 1, got {per_point}")
     rows = survival_curve(
         model,
         n_gates,
-        circuits_per_point=per_point,
+        circuits_per_point=_count(params, "circuits_per_point", 200, 1),
         shots=cfg["shots"],
         seed=cfg["seed"],
     )
@@ -261,9 +271,7 @@ def _exact_lot_experiment(model, cfg: dict) -> dict:
         "params",
     )
     d = _param(params, "d", int)
-    pool_max_len = _param(params, "pool_max_len", int, 3)
-    pool = [s for n in range(pool_max_len + 1) for s in _all_sequences(n, ("H", "S"))]
-    pool = trial_sequences("custom", sequences=pool).sequences
+    pool = trial_sequences("custom", sequences=_fiducial_pool(params)).sequences
     fiducials = select_fiducials(model, pool, d)
     data = collect_data(model, fiducials, shots=cfg["shots"], seed=cfg["seed"])
     gen = np.random.default_rng(cfg["seed"])
@@ -394,14 +402,21 @@ def _bounds_experiment(model, cfg: dict) -> dict:
         set(),
         "params",
     )
-    dims = _param(params, "subspace_dims", _int_list, [3 * model.m + 1, 7, 3])
-    pool_max_len = _param(params, "pool_max_len", int, 3)
-    pool = [s for n in range(pool_max_len + 1) for s in _all_sequences(n, ("H", "S"))]
-    n_seq = _param(params, "n_sequences", int, 1000)
-    max_len = _param(params, "max_len", int, 20)
+    # An m-point environment reaches 3m + 1 directions (effective_dimension), but
+    # at weak noise the default pool resolves all of them only up to m = 2.
+    dims = _param(params, "subspace_dims", _int_list, [min(3 * model.m + 1, 7), 3])
+    pool = _fiducial_pool(params)
+    largest = min(model.dim, len(pool))
+    if any(not 1 <= d <= largest for d in dims):
+        raise ConfigError(f"params: subspace_dims must lie in 1 .. {largest} (model dimension, pool size), got {dims}")
+    n_seq = _count(params, "n_sequences", 1000, 0)
+    max_len = _count(params, "max_len", 20, 1)
     norm_kind = params.get("norm_kind", "trace")
     if norm_kind not in NORM_KINDS:
         raise ConfigError(f"params: norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
+    gammas = _param(params, "gamma_grid", lambda v: [float(g) for g in v], [0.0, 0.1, 0.5, 1.0, 2.0])
+    if not gammas or not all(g >= 0.0 for g in gammas):
+        raise ConfigError(f"params: gamma_grid must be a nonempty list of decay exponents >= 0, got {gammas}")
     reports = {}
     for d in dims:
         fids = select_fiducials(model, pool, d)
@@ -411,7 +426,6 @@ def _bounds_experiment(model, cfg: dict) -> dict:
         reports[str(d)] = {**rep.to_json(), "gram_gauge_defect": gram_gauge_defect(model, fids)}
         if not rep.passed:
             raise ProtocolFailure(f"bound violated for subspace dimension {d}")
-    gammas = _param(params, "gamma_grid", lambda v: [float(g) for g in v], [0.0, 0.1, 0.5, 1.0, 2.0])
     semigroup = max(
         float(np.max(np.abs(transition_decay(a) @ transition_decay(b) - transition_decay(a + b))))
         for a in gammas

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import corrtomo as ct
 from corrtomo.bounds import (
+    FOLD_CHUNK,
     Projection,
     dual_norm,
     gram_gauge_defect,
@@ -15,8 +16,8 @@ from corrtomo.bounds import (
     operation_norm,
     projection_from_vectors,
 )
-from corrtomo.tomography import FiducialSet, select_fiducials
-from conftest import sequences_up_to
+from corrtomo.tomography import FiducialSet, fiducial_frames, select_fiducials
+from conftest import loop_bound_check, nelder_mead_operation_norm, sequences_up_to
 
 
 class TestProjection:
@@ -56,6 +57,29 @@ class TestNorms:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ket_norm(np.zeros(4), "nuclear")
+
+
+def assert_matches_nelder_mead(mat):
+    """Never below the Nelder-Mead oracle beyond roundoff, and at most 1e-9 above it."""
+    got, want = operation_norm(mat, "trace"), nelder_mead_operation_norm(mat)
+    assert want * (1.0 - 1e-12) <= got <= want * (1.0 + 1e-9)
+
+
+class TestTraceNormSearch:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_blocks_match_nelder_mead(self, seed):
+        m = 1 + seed % 5
+        assert_matches_nelder_mead(np.random.default_rng([seed, 4 * m]).normal(size=(4 * m, 4 * m)))
+
+    @pytest.mark.parametrize("d", [7, 3])
+    def test_gates_and_defects_match_nelder_mead(self, device_m5, device_m2, d):
+        for model in (device_m2, device_m5):
+            _, m_in = fiducial_frames(model, select_fiducials(model, sequences_up_to(3), d))
+            p = projection_from_vectors(m_in).matrix
+            for label in ("H", "S"):
+                gate = model.gate_block(label)
+                assert_matches_nelder_mead(gate)
+                assert_matches_nelder_mead(p @ gate @ p - gate @ p)
 
 
 class TestInvarianceDefect:
@@ -152,6 +176,36 @@ class TestEmpiricalCheck:
         report = ct.empirical_bound_check(device_m2, fids, n_sequences=20, max_len=8, seed=3)
         blob = report.to_json()
         assert set(blob) >= {"norm_kind", "epsilon", "max_ratio", "violations", "ratio_percentiles"}
+
+    @pytest.mark.parametrize(
+        "seed,n_sequences,max_len",
+        [(0, 200, 20), (1, 0, 20), (2, 1, 20), (0, 50, 1), (1, FOLD_CHUNK + 37, 20)],
+    )
+    def test_matches_per_sequence_loop(self, device_m5, seed, n_sequences, max_len):
+        fids = select_fiducials(device_m5, sequences_up_to(3), 7)
+        got = ct.empirical_bound_check(device_m5, fids, n_sequences=n_sequences, max_len=max_len, seed=seed)
+        want = loop_bound_check(device_m5, fids, n_sequences, max_len, seed)
+        assert got.sequences == want.sequences
+        assert np.max(np.abs(got.lhs - want.lhs), initial=0.0) <= 1e-15
+        assert np.array_equal(got.rhs, want.rhs)
+        assert got.violations == want.violations
+
+    def test_adversarial_subspace_matches_per_sequence_loop(self, device_m5):
+        fids = FiducialSet(
+            prep_sequences=((), ("S", "H"), ("H", "S", "S")),
+            meas_sequences=((), ("H", "S"), ("S", "S", "H")),
+        )
+        got = ct.empirical_bound_check(device_m5, fids, n_sequences=100, max_len=20, seed=2)
+        want = loop_bound_check(device_m5, fids, 100, 20, 2)
+        assert got.sequences == want.sequences
+        assert np.max(np.abs(got.lhs - want.lhs)) <= 1e-15
+        assert np.max(got.lhs) > 1e-3
+
+    @pytest.mark.parametrize("bad", [{"n_sequences": -1}, {"max_len": 0}])
+    def test_rejects_out_of_range_counts(self, device_m2, bad):
+        fids = select_fiducials(device_m2, sequences_up_to(3), 3)
+        with pytest.raises(ValueError):
+            ct.empirical_bound_check(device_m2, fids, **{"n_sequences": 10, "max_len": 5, **bad})
 
 
 class TestGramGaugeDefect:

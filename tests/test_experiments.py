@@ -72,12 +72,21 @@ class TestConfigValidation:
                 "experiment": "lim",
                 "params": {"preset": "d4", "d": 200, "eval_n_gates": [0], "eval_circuits_per_point": 1},
             },
+            {"experiment": "bounds", "params": {"subspace_dims": [3], "max_len": 0}},
+            {"experiment": "bounds", "params": {"subspace_dims": [3], "n_sequences": -3}},
+            {"experiment": "bounds", "params": {"subspace_dims": [0]}},
+            {"experiment": "bounds", "params": {"subspace_dims": [9]}},
+            {"experiment": "bounds", "params": {"subspace_dims": [3], "pool_max_len": -1}},
+            {"experiment": "bounds", "params": {"subspace_dims": [3], "gamma_grid": [0.5, -1]}},
+            {"experiment": "bounds", "params": {"subspace_dims": [3], "gamma_grid": []}},
         ],
         ids=[
             "shots-zero", "negative-n_gates", "empty-n_gates", "negative-eval_n_gates", "no-circuits",
             "eta-above-one", "m-not-int", "sigma-negative", "sigma-zero",
             "dense-sigma-zero", "dense-cutoff-zero", "missing-context-rate",
-            "lim-d-too-large",
+            "lim-d-too-large", "bounds-max_len-zero", "bounds-negative-n_sequences",
+            "bounds-dim-zero", "bounds-dim-above-model", "bounds-negative-pool_max_len",
+            "bounds-negative-gamma", "bounds-empty-gamma_grid",
         ],
     )
     def test_out_of_range_values_exit_2_without_traceback(self, tmp_path, capsys, bad):
@@ -238,6 +247,31 @@ class TestOtherExperiments:
         assert run(cfg, out_dir=out) == EXIT_OK
         report = json.loads((out / "fit_report.json").read_text())
         assert "param_model" in report and "nll" in report
+
+    @pytest.mark.parametrize(
+        "model,largest",
+        [
+            ({"kind": "low_freq", "sigma": 1, "eta": 0.02, "m": 1}, 4),
+            ({"kind": "low_freq", "sigma": 1, "eta": 0.02, "m": 2}, 7),
+            ({"kind": "low_freq", "sigma": 1, "eta": 0.02, "m": 5}, 7),
+            ({"kind": "constant", "epsilon": 0.01}, 4),
+            (
+                {
+                    "kind": "context",
+                    "labels": ["H", "S"],
+                    "rates": {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}},
+                    "initial": [0.5, 0.5],
+                },
+                7,
+            ),
+        ],
+        ids=["low_freq-1", "low_freq-2", "low_freq-5", "constant", "context"],
+    )
+    def test_bounds_default_subspaces_run(self, tmp_path, model, largest):
+        out = tmp_path / "bounds"
+        assert run({"experiment": "bounds", "model": model}, out_dir=out) == EXIT_OK
+        report = json.loads((out / "bounds_report.json").read_text())
+        assert set(report["subspaces"]) == {str(largest), "3"}
 
     def test_bounds_run(self, tmp_path):
         cfg = {

@@ -208,10 +208,17 @@ def _fiducial_pool(params: Mapping) -> list[tuple[str, ...]]:
     return [s for n in range(_count(params, "pool_max_len", 3, 0) + 1) for s in _all_sequences(n, ("H", "S"))]
 
 
+def _check_dims(key: str, dims: Sequence[int], model, pool: Sequence) -> None:
+    """Fiducial subspace dimensions must lie in 1 .. min(model dimension, pool size)."""
+    largest = min(model.dim, len(pool))
+    if any(not 1 <= d <= largest for d in dims):
+        raise ConfigError(f"params: {key} must lie in 1 .. {largest} (model dimension, pool size), got {dims}")
+
+
 def _eval_circuits(model, params: Mapping, seed: int) -> list[Circuit]:
     """Identity-equivalent evaluation circuits shared by lim/mle predictions."""
     grid = _lengths(params, "eval_n_gates", list(range(0, 101, 10)))
-    per_point = _param(params, "eval_circuits_per_point", int, 10)
+    per_point = _count(params, "eval_circuits_per_point", 10, 0)
     circuits: list[Circuit] = []
     root = np.random.SeedSequence(seed).spawn(len(grid))
     for n, seq in zip(grid, root):
@@ -272,11 +279,12 @@ def _exact_lot_experiment(model, cfg: dict) -> dict:
     )
     d = _param(params, "d", int)
     pool = trial_sequences("custom", sequences=_fiducial_pool(params)).sequences
+    _check_dims("d", [d], model, pool)
+    n_seq = _count(params, "n_check_sequences", 100, 0)
+    max_len = _count(params, "check_max_len", 20, 1)
     fiducials = select_fiducials(model, pool, d)
     data = collect_data(model, fiducials, shots=cfg["shots"], seed=cfg["seed"])
     gen = np.random.default_rng(cfg["seed"])
-    n_seq = _param(params, "n_check_sequences", int, 100)
-    max_len = _param(params, "check_max_len", int, 20)
     labels = tuple(model.gate_labels)
     sequences = [
         tuple(labels[i] for i in gen.integers(0, len(labels), size=int(gen.integers(1, max_len + 1))))
@@ -406,9 +414,7 @@ def _bounds_experiment(model, cfg: dict) -> dict:
     # at weak noise the default pool resolves all of them only up to m = 2.
     dims = _param(params, "subspace_dims", _int_list, [min(3 * model.m + 1, 7), 3])
     pool = _fiducial_pool(params)
-    largest = min(model.dim, len(pool))
-    if any(not 1 <= d <= largest for d in dims):
-        raise ConfigError(f"params: subspace_dims must lie in 1 .. {largest} (model dimension, pool size), got {dims}")
+    _check_dims("subspace_dims", dims, model, pool)
     n_seq = _count(params, "n_sequences", 1000, 0)
     max_len = _count(params, "max_len", 20, 1)
     norm_kind = params.get("norm_kind", "trace")

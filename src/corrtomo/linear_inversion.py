@@ -22,15 +22,14 @@ comparable entry by entry.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import least_squares
 
+from .lm import levenberg_marquardt
 from .noise import DEFAULT_GATE_LABELS, depolarized_gates
-from .ptm import ideal_qubit_ptms, ideal_seven_ptms, reduced_frame
+from .ptm import block_diag, ideal_qubit_ptms, ideal_seven_ptms, reduced_frame
 from .tomography import ErrorModel, FiducialSet, TomographyData, collect_data
 
 __all__ = [
@@ -290,20 +289,21 @@ def _reference_trial_duals(trial: TrialSpec, d: int, gate_labels: Sequence[str])
     elif d == 7:
         frame = reduced_frame(np.array([0.5, 0.5]))
         ptms = {
-            label: frame.T @ block_diag(*depolarized_gates(label, REFERENCE_RATES)) @ frame
+            label: frame.T @ block_diag(depolarized_gates(label, REFERENCE_RATES)) @ frame
             for label in gate_labels
         }
         q_block = np.array([0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.5])
         q0 = q_block @ frame
     else:
         raise ValueError(f"no reference frame for d = {d}; supply an explicit initial gauge")
-    rows = np.empty((trial.d_trial, d))
-    for k, seq in enumerate(trial.sequences):
-        q = q0
-        for label in seq:
-            q = q @ ptms[label]
-        rows[k, :] = q
-    return rows
+    folded = {(): q0}  # shared prefixes are folded once
+
+    def fold(seq: GateSeq) -> np.ndarray:
+        if seq not in folded:
+            folded[seq] = fold(seq[:-1]) @ ptms[seq[-1]]
+        return folded[seq]
+
+    return np.array([fold(seq) for seq in trial.sequences])
 
 
 def gauge_fit_to_ideal(
@@ -321,14 +321,19 @@ def gauge_fit_to_ideal(
     (built from ``trial``), so noiseless data sits at a zero-objective fixed
     point; pass ``m_hat_out0`` to start elsewhere.
 
-    The fit is Levenberg-Marquardt with constant variable scaling (scaling by
-    the Jacobian columns stalls on some trial sets) and the closed-form Jacobian
+    The fit is Levenberg-Marquardt (:func:`corrtomo.lm.levenberg_marquardt`)
+    with constant variable scaling (scaling by the Jacobian columns stalls on
+    some trial sets) and the closed-form Jacobian
     ``kron(M^-1 A_G, I) - kron(M^-1, R_G^T)``, ``R_G = M^-1 A_G M``, per gate.
-    ``M -> cM`` leaves the objective unchanged, so the result is rescaled to the
-    Frobenius norm of the start; the state and dual then do not depend on where
-    along that direction the optimizer stopped.  ``n_evaluations`` counts
-    residual plus Jacobian evaluations, ``max_nfev`` the residual ones alone.
-    Deterministic; at the budget, the best point so far is returned with
+    The objective is nearly flat along the ideal gates' commutant, and the step
+    bound can shrink to the rounding floor before a long step along that
+    valley is tried, so a converged fit gets a second pass from its end point
+    with a fresh bound.  ``M -> cM`` leaves the objective unchanged, so the
+    result is rescaled to the Frobenius norm of the start; the state and dual
+    then do not depend on where along that direction the optimizer stopped.
+    ``n_evaluations`` counts residual plus Jacobian evaluations of both
+    passes, ``max_nfev`` the residual ones alone, shared by the passes.
+    Deterministic; at the budget, the last accepted point is returned with
     ``converged=False``.
     """
     d = truncation.d
@@ -355,27 +360,32 @@ def gauge_fit_to_ideal(
     def jacobian(x: np.ndarray) -> np.ndarray:
         m = x.reshape(d, d)
         m_inv = np.linalg.inv(m)
-        return np.vstack([np.kron(m_inv @ a, np.eye(d)) - np.kron(m_inv, (m_inv @ a @ m).T) for a in a_mats.values()])
+        eye = np.eye(d)[None, :, None, :]
+        blocks = [  # the two Kronecker products, broadcast
+            (m_inv @ a)[:, None, :, None] * eye - m_inv[:, None, :, None] * (m_inv @ a @ m).T[None, :, None, :]
+            for a in a_mats.values()
+        ]
+        return np.concatenate(blocks).reshape(-1, d * d)
 
-    result = least_squares(
-        residual, m_hat_out0.ravel(), jac=jacobian, method="lm", x_scale=1.0,
-        max_nfev=max_nfev, xtol=1e-14, ftol=1e-14, gtol=1e-14,
-    )
+    result = levenberg_marquardt(residual, jacobian, m_hat_out0.ravel(), 1e-14, max_nfev, jac_scale=False)
+    if result.converged and result.nfev < max_nfev:
+        again = levenberg_marquardt(residual, jacobian, result.x, 1e-14, max_nfev - result.nfev, jac_scale=False)
+        result = replace(again, nfev=result.nfev + again.nfev, njev=result.njev + again.njev)
     m_hat_out = result.x.reshape(d, d)
     m_hat_out *= np.linalg.norm(m_hat_out0) / np.linalg.norm(m_hat_out)
     m_hat_in = np.linalg.solve(m_hat_out, truncation.g_trunc)
     model = lim_reconstruct(truncation, m_hat_in=m_hat_in)
-    converged = bool(result.status > 0 and result.nfev < max_nfev)
-    if not converged:
+    objective = float(result.residuals @ result.residuals)
+    if not result.converged:
         warnings.warn(
-            f"gauge optimization stopped at its evaluation budget (objective {2 * result.cost:.3e})",
+            f"gauge optimization stopped at its evaluation budget (objective {objective:.3e})",
             RuntimeWarning,
             stacklevel=2,
         )
     return GaugeFitResult(
         m_hat_out=m_hat_out,
-        objective=float(2.0 * result.cost),
+        objective=objective,
         error_model=model,
-        n_evaluations=int(result.nfev + result.njev),
-        converged=converged,
+        n_evaluations=result.n_evaluations,
+        converged=result.converged,
     )

@@ -38,15 +38,13 @@ from itertools import chain
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import least_squares
-from scipy.special import expit
 
 from .device import (
     _AXES, RATE_CLAMP, Circuit, MeasurementRecord, _damping, _fast_predictions, _fold_signed_axes, _signed_axis_table,
 )
+from .lm import levenberg_marquardt
 from .noise import depolarized_gates
-from .ptm import ideal_qubit_ptms, reduced_frame
+from .ptm import block_diag, ideal_qubit_ptms, reduced_frame
 from .tomography import ErrorModel
 
 __all__ = [
@@ -333,7 +331,7 @@ def _logit(p: float) -> float:
 
 def _unpack(x: np.ndarray, m: int, n_gates: int) -> tuple[np.ndarray, np.ndarray]:
     p = _softmax(x[: m - 1])
-    rates = expit(x[m - 1 :]).reshape(n_gates, m)
+    rates = np.exp(-np.logaddexp(0.0, -x[m - 1 :])).reshape(n_gates, m)  # logistic, overflow free
     return p, rates
 
 
@@ -386,9 +384,8 @@ def fit(
         starts.append(np.concatenate([w, v]))
 
     results = [
-        least_squares(
-            stats.residuals, x0, jac=stats.jacobian, args=(m,), method="lm",
-            xtol=1e-15, ftol=1e-15, gtol=1e-15,
+        levenberg_marquardt(
+            lambda x: stats.residuals(x, m), lambda x: stats.jacobian(x, m), x0, tol=1e-15, max_nfev=100 * x0.size
         )
         for x0 in starts
     ]
@@ -411,10 +408,10 @@ def fit(
         error_model=error_model,
         nll=objectives[winner],
         diagnostics={
-            "converged": bool(results[winner].success),
+            "converged": results[winner].converged,
             "start_objectives": np.array(objectives),
             "winner": winner,
-            "n_evaluations": int(sum(r.nfev + r.njev for r in results)),
+            "n_evaluations": sum(r.n_evaluations for r in results),
             "n_records": len(records),
             "sigma_floor": cfg.sigma_floor,
             "seed": seed,
@@ -465,7 +462,7 @@ def induced_error_model(param_model: ParamModel) -> ErrorModel:
     for label in param_model.gate_labels:
         # ParamModel admits rates up to 1e-12 outside [0, 1]; clip that round-off
         rates = np.clip(param_model.eps[label], 0.0, 1.0)
-        gates[label] = frame.T @ block_diag(*depolarized_gates(label, rates)) @ frame
+        gates[label] = frame.T @ block_diag(depolarized_gates(label, rates)) @ frame
     rho = np.zeros(4 * m)
     rho[0::4] = param_model.p
     rho[3::4] = param_model.p

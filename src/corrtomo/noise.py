@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_legendre
 
 from .ptm import ideal_qubit_ptms
 
@@ -46,11 +44,13 @@ __all__ = [
     "discretize_from_moments",
     "build_low_freq_model",
     "dense_low_freq_model",
+    "gauss_legendre",
     "constant_depolarizing_model",
     "transition_decay",
     "second_order_model",
 ]
 
+EPS = np.finfo(float).eps
 WEIGHT_TOL = 1e-12
 TRACE_PRESERVATION_TOL = 1e-12
 
@@ -162,7 +162,8 @@ def discretize_from_moments(moments: Sequence[float], m: int) -> tuple[np.ndarra
     alpha, beta = _moment_recurrence(mu)
     if m == 1:
         return np.array([alpha[0]]), np.array([1.0])
-    nodes, vecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
+    off = np.sqrt(beta[1:])
+    nodes, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
     weights = beta[0] * vecs[0, :] ** 2
     order = np.argsort(nodes)
     return nodes[order], weights[order]
@@ -347,6 +348,36 @@ def build_low_freq_model(
     )
 
 
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n, evaluated with the three-term recurrence, for
+    the nonnegative half of the nodes only; the rule is symmetric.  The
+    guesses are Tricomi's (1 - (n - 1) / (8 n^3)) cos(pi (k - 1/4) / (n + 1/2)),
+    the cosine written as a sine that is exactly 0 at the middle node of an
+    odd rule.  The weights are 2 / ((1 - x^2) P_n'(x)^2), with 1 - x^2
+    formed as (1 - x)(1 + x) so that nodes near the ends keep their relative
+    accuracy.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one node, got {n}")
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.sin(np.pi * (n + 1 - 2 * np.arange(1, (n + 1) // 2 + 1)) / (2 * n + 1))
+    for _ in range(100):
+        p, p_prev = np.ones_like(x), np.zeros_like(x)
+        for k in range(1, n + 1):
+            p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
+        one_minus_x2 = (1.0 - x) * (1.0 + x)
+        slope = n * (p_prev - x * p) / one_minus_x2  # P_n'(x)
+        step = p / slope
+        x = x - step
+        if np.max(np.abs(step)) <= 2.0 * EPS:
+            break
+    weights = 2.0 / (one_minus_x2 * slope**2)
+    # mirror onto the negative half; "+ 0.0" turns the middle node of an odd rule from -0.0 into 0.0
+    nodes = np.concatenate([-x, x[::-1][n % 2 :]]) + 0.0
+    return nodes, np.concatenate([weights, weights[::-1][n % 2 :]])
+
+
 def dense_low_freq_model(
     sigma: float,
     eta: float,
@@ -364,7 +395,7 @@ def dense_low_freq_model(
     """
     if sigma <= 0.0 or cutoff <= 0.0:
         raise ValueError(f"sigma and cutoff must be positive, got sigma={sigma}, cutoff={cutoff}")
-    t, gw = roots_legendre(n_points)
+    t, gw = gauss_legendre(n_points)
     half_width = cutoff * sigma
     lambdas = t * half_width
     density = np.exp(-(lambdas**2) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * np.pi * sigma * sigma)

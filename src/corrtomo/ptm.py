@@ -17,9 +17,8 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import block_diag
 
-__all__ = ["GATE_UNITARIES", "ideal_qubit_ptms", "ideal_seven_ptms", "reduced_frame"]
+__all__ = ["GATE_UNITARIES", "block_diag", "ideal_qubit_ptms", "ideal_seven_ptms", "reduced_frame"]
 
 #: The elementary gate set used throughout: Hadamard and phase (X -> -Y, Y -> X).
 GATE_UNITARIES: Mapping[str, np.ndarray] = {
@@ -35,12 +34,18 @@ _PAULIS = (
 )
 
 
+_IDEAL_QUBIT_PTMS = {
+    label: np.array([[np.trace(s @ (u @ t @ u.conj().T)) / 2.0 for t in _PAULIS] for s in _PAULIS]).real.copy()
+    for label, u in GATE_UNITARIES.items()
+}
+
+
 def ideal_qubit_ptms() -> dict[str, np.ndarray]:
-    """4x4 transfer matrices of the ideal H and S gates: ``Tr[s U t U^dag] / 2``."""
-    return {
-        label: np.array([[np.trace(s @ (u @ t @ u.conj().T)) / 2.0 for t in _PAULIS] for s in _PAULIS]).real.copy()
-        for label, u in GATE_UNITARIES.items()
-    }
+    """4x4 transfer matrices of the ideal H and S gates: ``Tr[s U t U^dag] / 2``.
+
+    Fresh copies of a table built once at import, so callers may modify them.
+    """
+    return {label: ptm.copy() for label, ptm in _IDEAL_QUBIT_PTMS.items()}
 
 
 def ideal_seven_ptms(p1: float = 0.5, p2: float | None = None) -> dict[str, np.ndarray]:
@@ -50,7 +55,15 @@ def ideal_seven_ptms(p1: float = 0.5, p2: float | None = None) -> dict[str, np.n
     independent of the environment weights (p1, p2); p2 defaults to 1 - p1.
     """
     frame = reduced_frame(np.array([p1, 1.0 - p1 if p2 is None else p2], dtype=float))
-    return {label: frame.T @ block_diag(g, g) @ frame for label, g in ideal_qubit_ptms().items()}
+    return {label: frame.T @ block_diag(np.stack([g, g])) @ frame for label, g in ideal_qubit_ptms().items()}
+
+
+def block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of a (k, n, n) stack, the blocks in stack order."""
+    k, n, _ = blocks.shape
+    out = np.zeros((k, n, k, n))
+    out[np.arange(k), :, np.arange(k), :] = blocks
+    return out.reshape(k * n, k * n)
 
 
 def reduced_frame(weights: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ __all__ = [
     "FactorizationReport",
     "ProtocolFailure",
     "select_fiducials",
+    "pivot_columns",
     "fiducial_frames",
     "collect_data",
     "verify_factorization",
@@ -177,12 +178,36 @@ def fiducial_frames(model, fiducials: FiducialSet) -> tuple[np.ndarray, np.ndarr
     return m_out, m_in
 
 
+def pivot_columns(columns: np.ndarray, k: int) -> list[int]:
+    """Column 0, then k - 1 more columns, each of largest residual norm.
+
+    The residual of a column is what remains after projecting out the columns
+    picked before it (modified Gram-Schmidt).  Exact ties go to the lowest
+    index, and a column is never picked twice, even once all residuals vanish.
+    """
+    residual = np.array(columns, dtype=float)
+    if not 1 <= k <= residual.shape[1]:
+        raise ValueError(f"cannot pick {k} of {residual.shape[1]} columns")
+    picks = [0]
+    while len(picks) < k:
+        norm = np.linalg.norm(residual[:, picks[-1]])
+        if norm > 0.0:
+            q = residual[:, picks[-1]] / norm
+            residual -= np.outer(q, q @ residual)
+        norms = np.einsum("ij,ij->j", residual, residual)
+        norms[picks] = -1.0
+        picks.append(int(np.argmax(norms)))
+    return picks
+
+
 def select_fiducials(model, pool: Sequence[GateSeq], d: int) -> FiducialSet:
     """Choose d preparation and d measurement fiducials that span the data space.
 
     The empty sequence is always kept first; the remaining picks maximise
-    linear independence via QR with column pivoting on the exact fiducial
-    vectors of the pool.  Measurement candidates are the reversed pool
+    linear independence by greedy column pivoting (Businger-Golub) on the
+    exact fiducial vectors of the pool: each pick is the candidate with the
+    largest norm after projecting out the picks before it, the lowest pool
+    index among exact ties.  Measurement candidates are the reversed pool
     sequences (a preparation sequence, read backwards, realises the matching
     Heisenberg-evolved observable).
     """
@@ -194,17 +219,8 @@ def select_fiducials(model, pool: Sequence[GateSeq], d: int) -> FiducialSet:
     probe = FiducialSet(tuple(prep_pool), tuple(meas_pool))
     m_out, m_in = fiducial_frames(model, probe)
 
-    def pick(columns: np.ndarray) -> list[int]:
-        # always keep column 0; pivoted QR on the rest, orthogonalized against it
-        q0 = columns[:, [0]] / np.linalg.norm(columns[:, 0])
-        rest = columns[:, 1:] - q0 @ (q0.T @ columns[:, 1:])
-        from scipy.linalg import qr
-
-        _, _, piv = qr(rest, pivoting=True, mode="economic")
-        return [0] + [int(p) + 1 for p in piv[: d - 1]]
-
-    prep_idx = pick(m_in)
-    meas_idx = pick(m_out.T)
+    prep_idx = pivot_columns(m_in, d)
+    meas_idx = pivot_columns(m_out.T, d)
     return FiducialSet(
         tuple(prep_pool[i] for i in prep_idx),
         tuple(meas_pool[k] for k in meas_idx),

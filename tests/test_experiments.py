@@ -1,6 +1,10 @@
 """Batch runner: config validation, outputs, reproducibility, comparison."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +83,11 @@ class TestConfigValidation:
             {"experiment": "bounds", "params": {"subspace_dims": [3], "pool_max_len": -1}},
             {"experiment": "bounds", "params": {"subspace_dims": [3], "gamma_grid": [0.5, -1]}},
             {"experiment": "bounds", "params": {"subspace_dims": [3], "gamma_grid": []}},
+            {"experiment": "exact-lot", "params": {"d": 7, "check_max_len": 0}},
+            {"experiment": "exact-lot", "params": {"d": 7, "n_check_sequences": -1}},
+            {"experiment": "exact-lot", "params": {"d": 0}},
+            {"experiment": "exact-lot", "params": {"d": 9}},
+            {"params": dict(SURVIVAL_CFG["params"], eval_circuits_per_point=-1)},
         ],
         ids=[
             "shots-zero", "negative-n_gates", "empty-n_gates", "negative-eval_n_gates", "no-circuits",
@@ -87,6 +96,8 @@ class TestConfigValidation:
             "lim-d-too-large", "bounds-max_len-zero", "bounds-negative-n_sequences",
             "bounds-dim-zero", "bounds-dim-above-model", "bounds-negative-pool_max_len",
             "bounds-negative-gamma", "bounds-empty-gamma_grid",
+            "exact-lot-check_max_len-zero", "exact-lot-negative-n_check_sequences",
+            "exact-lot-d-zero", "exact-lot-d-above-model", "negative-eval_circuits_per_point",
         ],
     )
     def test_out_of_range_values_exit_2_without_traceback(self, tmp_path, capsys, bad):
@@ -209,12 +220,12 @@ class TestOtherExperiments:
         assert report["max_residual"] <= 1e-9
 
     def test_exact_lot_numerical_failure(self, tmp_path):
-        # a one-point device cannot supply seven independent fiducials
+        # a two-point device has dimension 8 but reaches only 3m + 1 = 7 directions
         cfg = {
             "experiment": "exact-lot",
-            "model": {"kind": "constant", "epsilon": 0.01},
+            "model": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 2},
             "seed": 0,
-            "params": {"d": 7, "n_check_sequences": 5},
+            "params": {"d": 8, "n_check_sequences": 5},
         }
         assert run(cfg, out_dir=tmp_path / "fail") == EXIT_NUMERICAL
 
@@ -285,6 +296,68 @@ class TestOtherExperiments:
         report = json.loads((out / "bounds_report.json").read_text())
         assert report["semigroup_max_deviation"] <= 1e-12
         assert all(not rep["violations"] for rep in report["subspaces"].values())
+
+
+class TestReproducibleFits:
+    """Seeded fits write byte-identical result files when run twice in one process."""
+
+    @staticmethod
+    def assert_same_results(a: Path, b: Path) -> None:
+        names = sorted(p.name for p in a.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in b.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("l_size", [2, 3])
+    def test_mle(self, tmp_path, l_size):
+        cfg = {
+            "experiment": "mle",
+            "model": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 2},
+            "seed": 0,
+            "shots": 1000,
+            "params": {"l_size": l_size, "eval_n_gates": [0, 10], "eval_circuits_per_point": 2},
+        }
+        assert run(cfg, out_dir=tmp_path / "a") == EXIT_OK
+        assert run(cfg, out_dir=tmp_path / "b") == EXIT_OK
+        self.assert_same_results(tmp_path / "a", tmp_path / "b")
+
+    def test_lim_with_the_gauge_fit(self, tmp_path):
+        cfg = {"experiment": "lim", "model": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 5}, "params": {"d": 7}}
+        assert run(cfg, out_dir=tmp_path / "a") == EXIT_OK
+        assert run(cfg, out_dir=tmp_path / "b") == EXIT_OK
+        assert json.loads((tmp_path / "a" / "gauge_fit.json").read_text())["converged"]
+        self.assert_same_results(tmp_path / "a", tmp_path / "b")
+
+
+IMPORT_GUARD = """
+import json, sys, tempfile
+from pathlib import Path
+import corrtomo.experiments as ex
+small = {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 2}
+evals = {"eval_n_gates": [0, 4], "eval_circuits_per_point": 2}
+configs = [
+    {"experiment": "survival", "model": small, "params": {"n_gates": [0, 4], "circuits_per_point": 2, **evals}},
+    {"experiment": "survival", "model": {"kind": "dense", "sigma": 1.0, "eta": 1.0, "n_points": 31},
+     "params": {"n_gates": [2], "circuits_per_point": 2, **evals}},
+    {"experiment": "exact-lot", "model": small, "params": {"d": 7, "n_check_sequences": 4}},
+    {"experiment": "lim", "model": small, "params": {"preset": "d4", "d": 4, **evals}},
+    {"experiment": "mle", "model": small, "params": {"preset": "d4", "l_size": 1, "n_starts": 1, **evals}},
+    {"experiment": "bounds", "model": small,
+     "params": {"subspace_dims": [3], "n_sequences": 4, "max_len": 4, "pool_max_len": 2}},
+]
+out = Path(tempfile.mkdtemp())
+codes = [ex.run(cfg, out_dir=out / str(i)) for i, cfg in enumerate(configs)]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_running_every_experiment_never_imports_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [EXIT_OK] * 6, "scipy": []}
 
 
 class TestCompare:

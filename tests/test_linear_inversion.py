@@ -177,26 +177,26 @@ def d7_at_seed(device_m5):
 
 
 @pytest.fixture
-def least_squares_calls(monkeypatch):
-    """(residual, start, keyword arguments, result) of every least_squares call in linear_inversion."""
+def lm_calls(monkeypatch):
+    """(residual, Jacobian, start, result) of every levenberg_marquardt call in linear_inversion."""
     calls = []
-    real = li.least_squares
+    real = li.levenberg_marquardt
 
-    def spy(fun, x0, **kwargs):
-        result = real(fun, x0, **kwargs)
-        calls.append((fun, np.array(x0), kwargs, result))
+    def spy(fun, jac, x0, *args, **kwargs):
+        result = real(fun, jac, x0, *args, **kwargs)
+        calls.append((fun, jac, np.array(x0), result))
         return result
 
-    monkeypatch.setattr(li, "least_squares", spy)
+    monkeypatch.setattr(li, "levenberg_marquardt", spy)
     return calls
 
 
 class TestGaugeFit:
-    def test_jacobian_matches_central_differences(self, d7_at_seed, least_squares_calls):
+    def test_jacobian_matches_central_differences(self, d7_at_seed, lm_calls):
         trunc, trial = d7_at_seed(0)
         gauge_fit_to_ideal(trunc, trial=trial)
-        residual, x0, kwargs, _ = least_squares_calls[0]
-        jac = kwargs["jac"](x0)
+        residual, jacobian, x0, _ = lm_calls[0]
+        jac = jacobian(x0)
         h = 1e-6
         steps = h * np.eye(x0.size)
         fd = np.column_stack([(residual(x0 + e) - residual(x0 - e)) / (2 * h) for e in steps])
@@ -204,13 +204,23 @@ class TestGaugeFit:
         # the objective is invariant under M -> cM, so vec(M) spans a null direction
         assert np.max(np.abs(jac @ x0)) <= 1e-12 * np.max(np.abs(jac))
 
-    def test_cli_default_trial_set_converges(self, d7_at_seed, least_squares_calls):
+    def test_cli_default_trial_set_converges(self, d7_at_seed, lm_calls):
         trunc, trial = d7_at_seed(0)
         fit = gauge_fit_to_ideal(trunc, trial=trial)
         assert fit.converged
         assert fit.n_evaluations <= 200
-        result = least_squares_calls[0][3]
-        assert fit.n_evaluations == result.nfev + result.njev
+        assert fit.n_evaluations == sum(result.nfev + result.njev for *_, result in lm_calls)
+        assert fit.objective == pytest.approx(1.57516405e-3, rel=1e-8)
+
+    def test_second_pass_starts_where_the_first_ended(self, d7_at_seed, lm_calls):
+        trunc, trial = d7_at_seed(12)
+        fit = gauge_fit_to_ideal(trunc, trial=trial, max_nfev=400)
+        (*_, first), (_, _, x1, second) = lm_calls
+        assert np.array_equal(x1, first.x)
+        assert first.converged and fit.converged
+        assert first.nfev + second.nfev <= 400
+        # the first pass stops 2.3e-8 (relative) above the minimum of this trial set
+        assert fit.objective <= (1.0 - 1e-8) * (first.residuals @ first.residuals)
 
     @pytest.mark.parametrize("seed", [20, 23])
     def test_converges_within_400_evaluations(self, d7_at_seed, seed):
@@ -219,10 +229,10 @@ class TestGaugeFit:
         fit = gauge_fit_to_ideal(trunc, trial=trial, max_nfev=400)
         assert fit.converged
 
-    def test_result_keeps_the_norm_of_the_start(self, d7_at_seed, least_squares_calls):
+    def test_result_keeps_the_norm_of_the_start(self, d7_at_seed, lm_calls):
         trunc, trial = d7_at_seed(1)
         fit = gauge_fit_to_ideal(trunc, trial=trial)
-        x0 = least_squares_calls[0][1]
+        x0 = lm_calls[0][2]
         assert np.linalg.norm(fit.m_hat_out) == pytest.approx(np.linalg.norm(x0), rel=1e-12)
 
     def test_noiseless_is_a_zero_objective_fixed_point(self, noiseless):

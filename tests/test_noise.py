@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_legendre
 
 import corrtomo as ct
+import corrtomo.noise as noise
 from conftest import PAULIS, pauli_transfer
 from corrtomo.noise import (
     LowFreqModel,
@@ -17,6 +20,7 @@ from corrtomo.noise import (
     depolarizing_channel,
     discretize_from_moments,
     gate_error_rate,
+    gauss_legendre,
     gaussian_x_moments,
     second_order_model,
     transition_decay,
@@ -120,6 +124,19 @@ class TestDiscretization:
         nodes, weights = discretize_from_moments(moments, 2)
         assert np.allclose(nodes, [0.5 - 1 / (2 * np.sqrt(3)), 0.5 + 1 / (2 * np.sqrt(3))], atol=1e-14)
         assert np.allclose(weights, [0.5, 0.5], atol=1e-14)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_scipy_tridiagonal_eigensolver(self, m):
+        moments = [gaussian_x_moments(1.0, k) for k in range(1, 2 * m)]
+        nodes, weights = discretize_from_moments(moments, m)
+        alpha, beta = noise._moment_recurrence(np.array([1.0, *moments]))
+        if m == 1:
+            want_nodes, want_weights = alpha, np.array([1.0])
+        else:
+            want_nodes, vecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
+            want_weights = beta[0] * vecs[0, :] ** 2
+        np.testing.assert_allclose(nodes, want_nodes, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
     def test_five_point_reproduces_nine_moments(self, sigma):
@@ -318,3 +335,35 @@ class TestContext:
             ctx.gate_block("T")
         with pytest.raises(KeyError, match="missing system map"):
             ct.ContextModel(gate_labels=("H", "S"), per_pair={})
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 2, 301, 2001])
+    def test_matches_scipy(self, n):
+        nodes, weights = gauss_legendre(n)
+        want_nodes, want_weights = roots_legendre(n)
+        np.testing.assert_allclose(nodes, want_nodes, rtol=0, atol=1e-15)
+        # SciPy's weights lose accuracy toward the ends of large rules (6.6e-8
+        # relative at the outermost node for n = 2001, against 50-digit mpmath,
+        # where these are within 6.8e-11); on the middle half both agree to 1e-12
+        np.testing.assert_allclose(weights, want_weights, rtol=1e-7)
+        inner = slice(n // 4, n - n // 4)
+        np.testing.assert_allclose(weights[inner], want_weights[inner], rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 301, 2001])
+    def test_integrates_polynomials_of_degree_below_2n_exactly(self, n):
+        nodes, weights = gauss_legendre(n)
+        for k in sorted({0, 1, 2, 3, 4, 10, 2 * n - 2, 2 * n - 1} & set(range(2 * n))):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert weights @ nodes**k == pytest.approx(exact, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 2001])
+    def test_symmetric_ascending_with_an_exact_middle_node(self, n):
+        nodes, weights = gauss_legendre(n)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        assert np.count_nonzero(nodes == 0.0) == n % 2 and not np.any(np.signbit(nodes[n // 2 :]))
+
+    def test_rejects_empty_rule(self):
+        with pytest.raises(ValueError):
+            gauss_legendre(0)

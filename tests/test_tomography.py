@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import corrtomo as ct
 from corrtomo.tomography import (
@@ -10,6 +11,7 @@ from corrtomo.tomography import (
     fiducial_frames,
     gauge_reconstruct,
     gauge_transform,
+    pivot_columns,
     predict,
     select_fiducials,
 )
@@ -188,3 +190,63 @@ class TestRankLaw:
         s = np.linalg.svd(data.gram, compute_uv=False)
         rank = int(np.sum(s > 1e-8 * s[0]))
         assert rank == ct.effective_dimension(2, m) == 3 * m + 1
+
+
+def lapack_pivots(columns, k):
+    """Oracle: column 0, then LAPACK's pivoted QR on the rest, orthogonalized against it."""
+    q0 = columns[:, [0]] / np.linalg.norm(columns[:, 0])
+    rest = columns[:, 1:] - q0 @ (q0.T @ columns[:, 1:])
+    _, _, piv = scipy.linalg.qr(rest, pivoting=True, mode="economic")
+    return [0] + [int(p) + 1 for p in piv[: k - 1]]
+
+
+def residual_norms(columns, picks):
+    """Norms of the columns after projecting out the picked ones (Householder QR)."""
+    q, _ = np.linalg.qr(columns[:, picks])
+    norms = np.linalg.norm(columns - q @ (q.T @ columns), axis=0)
+    norms[picks] = 0.0
+    return norms
+
+
+POOL_MODELS = {
+    "low_freq-2": lambda: ct.build_low_freq_model(1.0, 0.02, 2),
+    "low_freq-5": lambda: ct.build_low_freq_model(1.0, 0.02, 5),
+    "second_order": lambda: ct.second_order_model(1.0, 0.1, {"H": 0.1, "S": 0.2}),
+}
+
+
+class TestFiducialPivots:
+    @pytest.mark.parametrize("name", sorted(POOL_MODELS))
+    @pytest.mark.parametrize("max_len", [2, 3, 4])
+    def test_greedy_picks_against_lapack(self, name, max_len):
+        model = POOL_MODELS[name]()
+        pool = sequences_up_to(max_len)
+        m_out, m_in = fiducial_frames(model, FiducialSet(tuple(pool), tuple(tuple(reversed(s)) for s in pool)))
+        untied = 0
+        for columns in (m_in, m_out.T):
+            k = min(model.dim, len(pool))
+            picks, oracle = pivot_columns(columns, k), lapack_pivots(columns, k)
+            assert picks[0] == 0 and len(set(picks)) == k
+            scale = np.max(np.linalg.norm(columns, axis=0))
+            same_so_far = True
+            for step in range(1, k):
+                norms = residual_norms(columns, picks[:step])
+                top, second = np.sort(norms)[::-1][:2]
+                if top <= 1e-8 * scale:  # numerically rank deficient from here on
+                    break
+                # every pick is a largest residual, up to rounding
+                assert norms[picks[step]] >= (1.0 - 1e-9) * top
+                if same_so_far and second < (1.0 - 1e-9) * top:
+                    untied += 1
+                    assert picks[step] == oracle[step]
+                same_so_far = same_so_far and picks[step] == oracle[step]
+        assert untied > 0
+
+    def test_exact_ties_go_to_the_lowest_index(self):
+        columns = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 2.0], [0.0, 0.0, 2.0, 0.0]])
+        assert pivot_columns(columns, 3) == [0, 1, 2]
+        assert pivot_columns(columns, 4) == [0, 1, 2, 3]  # a vanished residual is still picked once
+
+    def test_rejects_more_picks_than_columns(self):
+        with pytest.raises(ValueError):
+            pivot_columns(np.eye(3), 4)

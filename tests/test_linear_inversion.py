@@ -219,7 +219,7 @@ class TestGaugeFit:
         assert np.array_equal(x1, first.x)
         assert first.converged and fit.converged
         assert first.nfev + second.nfev <= 400
-        # the first pass stops 2.3e-8 (relative) above the minimum of this trial set
+        # the first pass stops 1.5e-8 (relative) above the minimum of this trial set
         assert fit.objective <= (1.0 - 1e-8) * (first.residuals @ first.residuals)
 
     @pytest.mark.parametrize("seed", [20, 23])

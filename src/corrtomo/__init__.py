@@ -35,7 +35,7 @@ from .device import (
     Circuit,
     MeasurementRecord,
     run_circuit,
-    collect_records,
+    exact_means,
     random_identity_sequences,
     survival_curve,
     analytic_survival,

@@ -40,6 +40,7 @@ from math import comb
 
 import numpy as np
 
+from .device import fold_gates
 from .tomography import FiducialSet, fiducial_frames
 
 __all__ = [
@@ -318,7 +319,7 @@ def empirical_bound_check(
     offending sequence.
 
     The sequences are drawn one by one from ``seed`` and folded together,
-    ``FOLD_CHUNK`` at a time and one gate position per step.
+    ``FOLD_CHUNK`` at a time.
     """
     if n_sequences < 0 or max_len < 1:
         raise ValueError(f"need n_sequences >= 0 and max_len >= 1, got {n_sequences} and {max_len}")
@@ -331,7 +332,8 @@ def empirical_bound_check(
     n_q = max(dual_norm(row, norm_kind) for row in m_out)
     n_rho = max(ket_norm(col, norm_kind) for col in m_in.T)
     gen = np.random.default_rng(seed)
-    gate_idx = np.zeros((n_sequences, max_len), dtype=np.intp)
+    # indices into steps = (*blocks, P), padded with len(labels) + 1
+    gate_idx = np.full((n_sequences, max_len), len(labels) + 1, dtype=np.intp)
     lengths = np.empty(n_sequences, dtype=np.intp)
     for s in range(n_sequences):
         lengths[s] = gen.integers(1, max_len + 1)
@@ -339,22 +341,16 @@ def empirical_bound_check(
     seqs = [tuple(labels[i] for i in row[:n]) for row, n in zip(gate_idx, lengths)]
     bound_by_len = np.array([sequence_bound(n_q, n_rho, n_o, eps, n) for n in range(max_len + 1)])
     rhs = bound_by_len[lengths]
-    lhs = np.empty(n_sequences)
     p = proj.matrix
-    # Longest first, so the sequences still running at a gate position are a
-    # prefix of each chunk.
-    order = np.argsort(-lengths, kind="stable")
+    steps = np.concatenate([blocks, p[None]])
+    then_p = np.where(gate_idx < len(labels), len(labels), gate_idx)  # the compressed chain applies P after each gate
+    compressed_idx = np.stack([gate_idx, then_p], axis=2).reshape(n_sequences, 2 * max_len)
+    lhs = np.empty(n_sequences)
     for first in range(0, n_sequences, FOLD_CHUNK):
-        chunk = order[first : first + FOLD_CHUNK]
-        full = np.repeat(m_in[None], chunk.size, axis=0)
-        compressed = np.repeat((p @ m_in)[None], chunk.size, axis=0)
-        chunk_lengths = lengths[chunk]
-        for pos in range(chunk_lengths[0]):
-            running = int(np.count_nonzero(chunk_lengths > pos))
-            gate = blocks[gate_idx[chunk[:running], pos]]
-            full[:running] = gate @ full[:running]
-            compressed[:running] = p @ (gate @ compressed[:running])
-        lhs[chunk] = np.max(np.abs(m_out @ (full - compressed)), axis=(1, 2))
+        rows = slice(first, first + FOLD_CHUNK)
+        full = fold_gates(steps, gate_idx[rows], m_in)
+        compressed = fold_gates(steps, compressed_idx[rows], p @ m_in)
+        lhs[rows] = np.max(np.abs(m_out @ (full - compressed)), axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs <= 1e-12, 0.0, np.inf))
     violations = np.flatnonzero(lhs > rhs * (1.0 + 1e-9) + 1e-12).tolist()

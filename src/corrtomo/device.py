@@ -5,14 +5,17 @@ list of gate labels applied to ``|0><0|`` with the model's environment
 attached; the measured quantity is the probability of reading ``|0>`` at the
 end.  State preparation and measurement are error free.
 
-Exact mode returns the weighted average over the environment; sampled mode
-draws a binomial with a seeded generator.  Models whose environment variable
-is frozen within a circuit carry per-point depolarizing rates, and
-depolarizing noise commutes with H and S, so a circuit's mean is the closed
-form ``(1 + z sum_lam w_lam prod_G (1 - eps_G(lam))^n_G) / 2``, with ``z``
-the Bloch z value of the ideal output and ``n_G`` the gate counts; the
-likelihood fit of :mod:`corrtomo.mle` evaluates the same form.  Models with
-genuine transitions use the assembled block matrices.
+Every gate-sequence evaluation in the package is one :func:`fold_gates`
+call over a padded gate-index matrix, one row per sequence.  Exact mode
+(:func:`exact_means`, many circuits per call) returns the weighted average
+over the environment; sampled mode draws a binomial with a seeded generator.
+Models whose environment variable is frozen within a circuit carry per-point
+depolarizing rates, and depolarizing noise commutes with H and S, so a
+circuit's mean is the closed form
+``(1 + z sum_lam w_lam prod_G (1 - eps_G(lam))^n_G) / 2``, with ``z`` the
+Bloch z value of the ideal output and ``n_G`` the gate counts; the
+likelihood fit of :mod:`corrtomo.mle` evaluates the same form from the same
+features.  Models with genuine transitions fold the block matrices.
 
 The survival experiment draws uniformly random gate sequences and keeps only
 those whose ideal action returns ``|0>`` up to a global phase, so the ideal
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +43,8 @@ __all__ = [
     "MeasurementRecord",
     "RejectionSamplingError",
     "run_circuit",
-    "collect_records",
+    "exact_means",
+    "fold_gates",
     "random_identity_sequences",
     "survival_curve",
     "analytic_survival",
@@ -97,32 +102,58 @@ class RejectionSamplingError(RuntimeError):
         self.tried = tried
 
 
-def _as_circuit(circuit: Circuit | Sequence[str]) -> Circuit:
-    return circuit if isinstance(circuit, Circuit) else Circuit(tuple(circuit))
+def _gate_matrix(sequences: Sequence[Sequence[str]], labels: tuple[str, ...]) -> np.ndarray:
+    """Int8 matrix of gate indices into ``labels``, padded with ``len(labels)``; KeyError for other gates."""
+    index = {g: j for j, g in enumerate(labels)}
+    lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
+    flat = np.fromiter(map(index.__getitem__, chain.from_iterable(sequences)), dtype=np.int8, count=lengths.sum())
+    gates = np.full((len(sequences), lengths.max(initial=0)), len(labels), dtype=np.int8)
+    gates[np.arange(gates.shape[1]) < lengths[:, None]] = flat  # row-major fill
+    return gates
 
 
-def exact_mean(model, circuit: Circuit | Sequence[str]) -> float:
-    """Exact readout probability of a circuit on the model."""
-    circuit = _as_circuit(circuit)
+def fold_gates(mats: np.ndarray, gates: np.ndarray, start: np.ndarray, right: bool = False) -> np.ndarray:
+    """``P_r @ start``, or from the right ``start @ P_r``, for every row ``r`` of a gate-index matrix.
+
+    ``P_r = mats[g_last] ... mats[g_first]`` over the row's entries into the
+    ``(n_labels, n, n)`` stack; the pad ``n_labels`` may stand anywhere and
+    leaves the value bit for bit.  ``start`` is a vector or a matrix shared by
+    all rows, or one matrix per row; the result holds one value per row.
+    """
+    start = np.asarray(start, dtype=float)
+    vector = start.ndim == 1
+    if vector:
+        start = start[None, :] if right else start[:, None]
+    value = np.broadcast_to(start, (len(gates), *start.shape[-2:])).copy()
+    padded = (gates >= len(mats)).any(axis=0).tolist()
+    for j in reversed(range(len(padded))) if right else range(len(padded)):
+        rows = np.flatnonzero(gates[:, j] < len(mats)) if padded[j] else slice(None)
+        step = mats[gates[rows, j]]
+        value[rows] = value[rows] @ step if right else step @ value[rows]
+    return value.reshape(len(gates), start.size) if vector else value
+
+
+def _ideal_features(gates: np.ndarray, labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Noiseless output's Bloch z (exactly -1, 0 or 1) and per-label gate counts of every row."""
+    z_ideal = _AXES[_fold_signed_axes(_signed_axis_table(labels), gates), 2]
+    counts = np.stack([np.count_nonzero(gates == j, axis=1) for j in range(len(labels))], axis=1)
+    return z_ideal, counts
+
+
+def exact_means(model, circuits: Sequence[Circuit | Sequence[str]]) -> np.ndarray:
+    """Exact readout probability of every circuit on the model."""
+    labels = tuple(model.gate_labels)
+    gates = _gate_matrix(circuits, labels)
     if model.identity_transitions:
-        labels = model.gate_labels
-        table = dict(zip(labels, _signed_axis_table(labels).tolist()))
-        state = _PLUS_Z
-        for label in circuit:
-            if label not in table:
-                raise KeyError(f"unknown gate label {label!r}")
-            state = table[label][state]
-        counts = np.array([circuit.gates.count(g) for g in labels], dtype=float)
+        z_ideal, counts = _ideal_features(gates, labels)
         rates = np.stack([model.rates[g] for g in labels])
-        mean = float(_fast_predictions(model.weights, rates, _AXES[state, 2], counts))
+        means = _fast_predictions(model.weights, rates, z_ideal, counts)
     else:
-        v = model.rho_vec()
-        for label in circuit:
-            v = model.gate_block(label) @ v
-        mean = float(model.dual_vec() @ v)
-    if not -MEAN_SLACK <= mean <= 1.0 + MEAN_SLACK:
-        raise ValueError(f"model produced mean {mean!r} outside [0, 1]; the model is inconsistent")
-    return mean
+        blocks = np.stack([model.gate_block(g) for g in labels])
+        means = (model.dual_vec() @ fold_gates(blocks, gates, model.rho_vec()[:, None]))[:, 0]
+    if not np.all((-MEAN_SLACK <= means) & (means <= 1.0 + MEAN_SLACK)):
+        raise ValueError(f"model produced means {means.min():.17g} .. {means.max():.17g}, not all in [0, 1]")
+    return means
 
 
 def _damping(rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -131,12 +162,7 @@ def _damping(rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.exp(counts @ log1m)
 
 
-def _fast_predictions(
-    p: np.ndarray,
-    rates: np.ndarray,
-    z_ideal: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
+def _fast_predictions(p: np.ndarray, rates: np.ndarray, z_ideal: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Vectorized means: 0.5 (1 + z_ideal * sum_lam p_lam prod_G (1-eps)^n_G)."""
     return 0.5 * (1.0 + z_ideal * (_damping(rates, counts) @ p))
 
@@ -155,14 +181,12 @@ def run_circuit(
     and the variance is the smoothed estimate ptilde (1 - ptilde) / shots
     with ptilde = (k + 1) / (shots + 2).
     """
-    circuit = _as_circuit(circuit)
-    mean = exact_mean(model, circuit)
+    circuit = circuit if isinstance(circuit, Circuit) else Circuit(tuple(circuit))
+    mean = float(exact_means(model, [circuit])[0])
     if shots is None:
         return MeasurementRecord(circuit=circuit, mean=mean, variance=0.0, shots=None)
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    k = int(gen.binomial(shots, min(max(mean, 0.0), 1.0)))
+    k = int(_shot_counts([mean], shots, [gen])[0])
     smoothed = (k + 1.0) / (shots + 2.0)
     return MeasurementRecord(
         circuit=circuit,
@@ -172,15 +196,11 @@ def run_circuit(
     )
 
 
-def collect_records(
-    model,
-    circuits: Iterable[Circuit | Sequence[str]],
-    shots: int | None = None,
-    seed: int | None = None,
-) -> list[MeasurementRecord]:
-    """Run a batch of circuits with one seeded generator shared in order."""
-    gen = np.random.default_rng(seed)
-    return [run_circuit(model, c, shots=shots, rng=gen) for c in circuits]
+def _shot_counts(means: Sequence[float], shots: int, gens: Sequence[np.random.Generator]) -> np.ndarray:
+    """One ``Binomial(shots, mean)`` draw per mean, each from its own generator."""
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
+    return np.array([gen.binomial(shots, p) for gen, p in zip(gens, np.clip(means, 0.0, 1.0))])
 
 
 def ideal_output_state(gates: Sequence[str]) -> np.ndarray:
@@ -227,9 +247,7 @@ def _fold_signed_axes(table: np.ndarray, gates: np.ndarray) -> np.ndarray:
 def returns_to_zero(gates: Sequence[str]) -> bool:
     """True when the ideal action maps |0> back to |0> up to a global phase."""
     labels = tuple(GATE_UNITARIES)
-    index = {g: j for j, g in enumerate(labels)}
-    row = np.array([[index[g] for g in gates]], dtype=np.intp)
-    return bool(_fold_signed_axes(_signed_axis_table(labels), row)[0] == _PLUS_Z)
+    return bool(_fold_signed_axes(_signed_axis_table(labels), _gate_matrix([gates], labels))[0] == _PLUS_Z)
 
 
 def random_identity_sequences(
@@ -313,8 +331,9 @@ def survival_curve(
         circuits = random_identity_sequences(
             int(n_gates), circuits_per_point, seed=np.random.default_rng(draw_seed)
         )
-        shot_rngs = [np.random.default_rng(s) for s in shot_seed.spawn(len(circuits))]
-        arr = np.array([run_circuit(model, c, shots=shots, rng=g).mean for c, g in zip(circuits, shot_rngs)])
+        arr = exact_means(model, circuits)
+        if shots is not None:
+            arr = _shot_counts(arr, shots, [np.random.default_rng(s) for s in shot_seed.spawn(len(circuits))]) / shots
         rows.append(
             {
                 "n_gates": int(n_gates),

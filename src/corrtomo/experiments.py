@@ -35,7 +35,10 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -46,6 +49,8 @@ from .bounds import NORM_KINDS, empirical_bound_check, gram_gauge_defect
 from .device import (
     Circuit,
     RejectionSamplingError,
+    _gate_matrix,
+    exact_means,
     random_identity_sequences,
     run_circuit,
     survival_curve,
@@ -67,6 +72,7 @@ from .ptm import ideal_qubit_ptms, ideal_seven_ptms
 from .tomography import (
     ErrorModel,
     ProtocolFailure,
+    _predictions,
     collect_data,
     gauge_reconstruct,
     predict,
@@ -227,20 +233,13 @@ def _eval_circuits(model, params: Mapping, seed: int) -> list[Circuit]:
 
 
 def _prediction_rows(model, error_model: ErrorModel, circuits: Sequence[Circuit]) -> list[dict]:
-    rows = []
-    for c in circuits:
-        actual = run_circuit(model, c).mean
-        pred = predict(error_model, c)
-        rows.append(
-            {
-                "n_gates": len(c),
-                "gates": "".join(c.gates),
-                "actual": actual,
-                "predicted": pred,
-                "abs_error": abs(pred - actual),
-            }
-        )
-    return rows
+    labels = tuple(error_model.gates)
+    actual = exact_means(model, circuits).tolist()
+    predicted = _predictions(error_model, _gate_matrix(circuits, labels), labels).tolist()
+    return [
+        {"n_gates": len(c), "gates": "".join(c.gates), "actual": a, "predicted": p, "abs_error": abs(p - a)}
+        for c, a, p in zip(circuits, actual, predicted)
+    ]
 
 
 def _survival_experiment(model, cfg: dict) -> dict:
@@ -384,7 +383,8 @@ def _mle_experiment(model, cfg: dict) -> dict:
         result = fit(records, l_size, optimizer_config=opt, seed=cfg["seed"])
     except ValueError as exc:  # l_size, n_starts or sigma_floor out of range
         raise ConfigError(f"params: {exc}") from exc
-    residuals = [predict(result.error_model, r.circuit) - r.mean for r in records[:200]]
+    head = records[:200]
+    residuals = (_predictions(result.error_model, head.gates, head.labels) - head.means).tolist()
     circuits = _eval_circuits(model, params, cfg["seed"] + 1)
     rows = _prediction_rows(model, result.error_model, circuits)
     return {
@@ -464,7 +464,9 @@ def run(
     is checked like the config's own.  On success the output directory
     contains ``manifest.json`` (resolved config, package version, seeds, file
     list) and the experiment's result files; on a validation error or a
-    numerical failure nothing is written.
+    numerical failure nothing is written.  Files go to a staging directory
+    next to the target, moved into place after the manifest: a failing writer
+    leaves no partial output.
     """
     try:
         cfg = _load_config(config)
@@ -487,18 +489,30 @@ def run(
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     target = Path(target)
-    target.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, writer in sorted(writers.items()):
-        writer(target / name)
-        written.append(name)
-    manifest = {
-        "version": __version__,
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": {k: v for k, v in cfg.items() if k != "output_dir"},
-        "files": written,
-    }
-    save_json(target / "manifest.json", manifest)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(dir=target.parent, prefix=f".{target.name}-"))
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        staging.chmod(0o777 & ~umask)  # as mkdir would make it; mkdtemp makes it private
+        for name, writer in sorted(writers.items()):
+            writer(staging / name)
+        manifest = {
+            "version": __version__,
+            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "config": {k: v for k, v in cfg.items() if k != "output_dir"},
+            "files": sorted(writers),
+        }
+        save_json(staging / "manifest.json", manifest)
+        if target.exists():
+            for name in [*sorted(writers), "manifest.json"]:
+                os.replace(staging / name, target / name)
+            staging.rmdir()
+        else:
+            staging.rename(target)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     return EXIT_OK
 
 

@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .device import _gate_matrix, fold_gates
 from .lm import levenberg_marquardt
 from .noise import DEFAULT_GATE_LABELS, depolarized_gates
 from .ptm import block_diag, ideal_qubit_ptms, ideal_seven_ptms, reduced_frame
@@ -296,14 +297,10 @@ def _reference_trial_duals(trial: TrialSpec, d: int, gate_labels: Sequence[str])
         q0 = q_block @ frame
     else:
         raise ValueError(f"no reference frame for d = {d}; supply an explicit initial gauge")
-    folded = {(): q0}  # shared prefixes are folded once
-
-    def fold(seq: GateSeq) -> np.ndarray:
-        if seq not in folded:
-            folded[seq] = fold(seq[:-1]) @ ptms[seq[-1]]
-        return folded[seq]
-
-    return np.array([fold(seq) for seq in trial.sequences])
+    labels = tuple(gate_labels)
+    # q0 @ ptms[g_first] @ ... @ ptms[g_last]: the reversed rows, folded from the right
+    gates = _gate_matrix(trial.sequences, labels)[:, ::-1]
+    return fold_gates(np.stack([ptms[g] for g in labels]), gates, q0, right=True)
 
 
 def gauge_fit_to_ideal(

@@ -23,8 +23,8 @@ predicted mean only depends on its ideal output and its per-gate counts.
 The ideal H and S permute the signed Bloch axes, so both come from one
 integer fold over all records; ``fit`` and ``negative_log_likelihood`` then
 evaluate the likelihood for all records at once in the closed form that
-:func:`corrtomo.device.exact_mean` uses for frozen models (it is checked
-against the generic block evaluation in the tests).
+:func:`corrtomo.device.exact_means` uses for frozen models, from the same
+features (it is checked against the generic block evaluation in the tests).
 
 Records travel as a columnar :class:`RecordSet` (a padded gate-index matrix,
 means, variances, shots) that :func:`records_from_tomography` builds from
@@ -39,9 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .device import (
-    _AXES, RATE_CLAMP, Circuit, MeasurementRecord, _damping, _fast_predictions, _fold_signed_axes, _signed_axis_table,
-)
+from .device import RATE_CLAMP, Circuit, MeasurementRecord, _damping, _fast_predictions, _gate_matrix, _ideal_features
 from .lm import levenberg_marquardt
 from .noise import depolarized_gates
 from .ptm import block_diag, ideal_qubit_ptms, reduced_frame
@@ -125,16 +123,6 @@ def model_predict(param_model: ParamModel, circuit: Circuit | Sequence[str]) -> 
     return float(total)
 
 
-def _gate_matrix(sequences: Sequence[Sequence[str]], labels: tuple[str, ...]) -> np.ndarray:
-    """Padded int8 matrix of gate indices into ``labels``; the pad is ``len(labels)``."""
-    index = {g: j for j, g in enumerate(labels)}
-    lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
-    flat = np.fromiter(map(index.__getitem__, chain.from_iterable(sequences)), dtype=np.int8, count=lengths.sum())
-    gates = np.full((len(sequences), lengths.max(initial=0)), len(labels), dtype=np.int8)
-    gates[np.arange(gates.shape[1]) < lengths[:, None]] = flat  # row-major fill
-    return gates
-
-
 @dataclass(frozen=True, eq=False)
 class RecordSet(Sequence[MeasurementRecord]):
     """Measurement records held as columns; a record is built when indexed.
@@ -189,11 +177,9 @@ def _record_features(
     """Per-record ideal outcome, gate counts, means and variances.
 
     The ideal outcome is 2 C_ideal - 1, the Bloch z component of the
-    noiseless circuit output.  The gate-index matrix, re-indexed onto
-    ``gate_labels`` when the records use other labels, is folded all at
-    once, one gate position at a time, through the signed-axis action of the
-    ideal gates, so the outcome is exactly -1, 0 or 1; the integer gate
-    counts come from the same matrix.
+    noiseless circuit output, exactly -1, 0 or 1.  Both it and the integer
+    gate counts come from the gate-index matrix, re-indexed onto
+    ``gate_labels`` when the records use other labels.
     """
     gates = records.gates
     if records.labels != gate_labels:
@@ -202,8 +188,7 @@ def _record_features(
             raise KeyError(f"record uses gate {outside[0]!r} outside the fitted gate set {gate_labels}")
         lookup = [gate_labels.index(g) if g in gate_labels else len(gate_labels) for g in records.labels]
         gates = np.array([*lookup, len(gate_labels)], dtype=np.int8)[gates]
-    z_ideal = _AXES[_fold_signed_axes(_signed_axis_table(gate_labels), gates), 2]
-    counts = np.stack([np.count_nonzero(gates == j, axis=1) for j in range(len(gate_labels))], axis=1)
+    z_ideal, counts = _ideal_features(gates, gate_labels)
     return z_ideal, counts, records.means, np.maximum(records.variances, sigma_floor**2)
 
 

@@ -195,7 +195,7 @@ class _BlockModel:
     system transfer matrices) and ``transitions`` (label -> (m, m) column
     stochastic matrix, or None for identity).  Models whose transitions are
     all None also provide ``rates`` (label -> (m,) depolarizing rates), from
-    which :func:`corrtomo.device.exact_mean` takes means in closed form.
+    which :func:`corrtomo.device.exact_means` takes means in closed form.
     """
 
     @property

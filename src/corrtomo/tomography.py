@@ -11,10 +11,13 @@ data reproduce every circuit outcome through the factorization
 
     M_out O(chi_N) ... O(chi_1) M_in  =  O~(chi_N) g^-1 ... g^-1 O~(chi_1),
 
-which ``verify_factorization`` checks against direct simulation.  A concrete
-error model (state vector, readout vector, one matrix per gate) follows from
-an arbitrary invertible gauge choice ``M_in_hat``; all gauges predict
-identical outcomes and are related by similarity transformations.
+which ``verify_factorization`` checks against direct simulation.  Both
+sides, the fiducial frames and the predictions of a reconstructed model are
+folded for many sequences at once by :func:`corrtomo.device.fold_gates`; the
+data side folds through ``A_G = O~(G) g^-1``.  A concrete error model (state
+vector, readout vector, one matrix per gate) follows from an arbitrary
+invertible gauge choice ``M_in_hat``; all gauges predict identical outcomes
+and are related by similarity transformations.
 
 Reconstructed gate matrices act on the reachable subspace only and are not
 constrained to be completely positive; no physicality projection is applied.
@@ -27,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .device import Circuit, exact_mean
+from .device import Circuit, _gate_matrix, fold_gates
 
 __all__ = [
     "FiducialSet",
@@ -161,20 +164,10 @@ def fiducial_frames(model, fiducials: FiducialSet) -> tuple[np.ndarray, np.ndarr
     Returns ``(M_out, M_in)``: the d x dim matrix of effective observables
     (rows) and the dim x d matrix of prepared states (columns).
     """
-    dim = model.dim
-    d = fiducials.d
-    m_in = np.empty((dim, d))
-    for i, seq in enumerate(fiducials.prep_sequences):
-        v = model.rho_vec()
-        for label in seq:
-            v = model.gate_block(label) @ v
-        m_in[:, i] = v
-    m_out = np.empty((d, dim))
-    for k, seq in enumerate(fiducials.meas_sequences):
-        q = model.dual_vec()
-        for label in reversed(seq):
-            q = q @ model.gate_block(label)
-        m_out[k, :] = q
+    labels = tuple(model.gate_labels)
+    blocks = np.stack([model.gate_block(g) for g in labels])
+    m_in = fold_gates(blocks, _gate_matrix(fiducials.prep_sequences, labels), model.rho_vec()).T.copy()
+    m_out = fold_gates(blocks, _gate_matrix(fiducials.meas_sequences, labels), model.dual_vec(), right=True)
     return m_out, m_in
 
 
@@ -285,21 +278,15 @@ def verify_factorization(
     """
     g_inv, cond = _inv_with_cond(data.gram, "Gram matrix")
     m_out, m_in = fiducial_frames(model, data.fiducials)
-    residuals = []
     seq_list: list[GateSeq] = [tuple(s) for s in sequences]
-    for seq in seq_list:
-        lhs = m_in.copy()
-        for label in seq:
-            lhs = model.gate_block(label) @ lhs
-        lhs = m_out @ lhs
-        rhs = None
-        for label in seq:
-            tilde = data.gate_mats[label]
-            rhs = tilde if rhs is None else tilde @ g_inv @ rhs
-        if rhs is None:
-            rhs = data.gram
-        residuals.append(float(np.max(np.abs(lhs - rhs))))
-    residuals_arr = np.asarray(residuals)
+    labels = tuple(data.gate_mats)
+    # a trailing pad column gives every row a first entry; an empty sequence's is the pad, started at g
+    gates = np.pad(_gate_matrix(seq_list, labels), ((0, 0), (0, 1)), constant_values=len(labels))
+    lhs = m_out @ fold_gates(np.stack([model.gate_block(g) for g in labels]), gates, m_in)
+    tilde = np.stack([data.gate_mats[g] for g in labels])
+    first = np.concatenate([tilde, data.gram[None]])[gates[:, 0]]
+    rhs = fold_gates(tilde @ g_inv, gates[:, 1:], first)
+    residuals_arr = np.max(np.abs(lhs - rhs), axis=(1, 2))
     return FactorizationReport(
         max_residual=float(residuals_arr.max()) if residuals_arr.size else 0.0,
         residuals=residuals_arr,
@@ -356,11 +343,11 @@ def gauge_transform(error_model: ErrorModel, similarity: np.ndarray) -> ErrorMod
 
 def predict(error_model: ErrorModel, circuit: Circuit | Sequence[str]) -> float:
     """Outcome the error model assigns to a circuit."""
-    gates = circuit.gates if isinstance(circuit, Circuit) else tuple(circuit)
-    v = error_model.state
-    for label in gates:
-        if label not in error_model.gates:
-            raise KeyError(f"circuit uses gate {label!r} not present in the error model")
-        v = error_model.gates[label] @ v
-    return float(error_model.dual @ v)
+    labels = tuple(error_model.gates)
+    return float(_predictions(error_model, _gate_matrix([tuple(circuit)], labels), labels)[0])
 
+
+def _predictions(error_model: ErrorModel, gates: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
+    """Outcomes the error model assigns to every row of a gate-index matrix over ``labels``."""
+    mats = np.reshape([error_model.gates[g] for g in labels], (len(labels), error_model.d, error_model.d))
+    return (error_model.dual @ fold_gates(mats, gates, error_model.state[:, None]))[:, 0]

@@ -43,6 +43,29 @@ def frozen_fold_mean(model, gates) -> float:
     return 0.5 * float(np.sum(v[:, 0] + v[:, 3]))
 
 
+def loop_fold(mats, gates, start, right=False) -> np.ndarray:
+    """Independent oracle for ``fold_gates``: fold each row's sequence on its own, gate by gate.
+
+    A 3-d ``start`` holds one start per row.
+    """
+    out = []
+    for r, row in enumerate(gates):
+        value = np.array(start[r] if np.ndim(start) == 3 else start, dtype=float)
+        seq = [mats[j] for j in row if j < len(mats)]
+        for mat in reversed(seq) if right else seq:
+            value = value @ mat if right else mat @ value
+        out.append(value)
+    return np.array(out).reshape(len(gates), *np.shape(start)[-2 if np.ndim(start) == 3 else 0 :])
+
+
+def block_loop_mean(model, gates) -> float:
+    """Independent oracle for models with transitions: fold the block vector gate by gate."""
+    v = model.rho_vec()
+    for label in gates:
+        v = model.gate_block(label) @ v
+    return float(model.dual_vec() @ v)
+
+
 def _trace_output_norm(cols) -> np.ndarray:
     """Trace norms of output vectors stacked as columns (dim x n)."""
     blocks = cols.reshape(cols.shape[0] // 4, 4, -1)

@@ -4,9 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import corrtomo as ct
-from conftest import frozen_fold_mean
+from conftest import block_loop_mean, frozen_fold_mean, loop_fold, sequences_up_to
 from corrtomo.device import (
     _AXES,
     Circuit,
@@ -14,9 +17,12 @@ from corrtomo.device import (
     RejectionSamplingError,
     _fold_signed_axes,
     _signed_axis_table,
+    exact_means,
+    fold_gates,
     ideal_output_state,
     returns_to_zero,
 )
+from corrtomo.experiments import build_model
 
 
 def sequential_identity_sequences(n_gates, count, gen, gate_labels=("H", "S"), max_tries_per_circuit=1000):
@@ -113,6 +119,66 @@ class TestFrozenClosedForm:
     def test_dense_eta1_clamps_saturated_rates(self):
         dense = ct.dense_low_freq_model(1.0, 1.0)
         assert sum(int(np.sum(rates == 1.0)) for rates in dense.rates.values()) == 2 * 1320
+
+
+@st.composite
+def fold_cases(draw):
+    """Gate stacks of 1-3 gates of size 1-8, a gate-index matrix with pads anywhere, a start and a side."""
+    n_labels, n, k, width, c = (draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (1, 8), (0, 5), (0, 6), (1, 3)))
+    entries = st.floats(-2.0, 2.0, allow_nan=False)  # includes -0.0, which a pad must keep
+    mats = draw(arrays(float, (n_labels, n, n), elements=entries))
+    gates = draw(arrays(np.int8, (k, width), elements=st.integers(0, n_labels)))  # n_labels is the pad
+    right = draw(st.booleans())
+    shape = draw(st.sampled_from([(n,), (c, n) if right else (n, c), (k, c, n) if right else (k, n, c)]))
+    return mats, gates, draw(arrays(float, shape, elements=entries)), right
+
+
+class TestFoldGates:
+    @given(fold_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_sequence_loop_bit_for_bit(self, case):
+        mats, gates, start, right = case
+        got = fold_gates(mats, gates, start, right=right)
+        want = loop_fold(mats, gates, start, right=right)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_pads_keep_negative_zero(self):
+        mats = np.eye(2)[None]
+        got = fold_gates(mats, np.array([[1, 0, 1], [1, 1, 1]]), np.array([-0.0, 1.0]))
+        assert np.signbit(got[:, 0]).tolist() == [False, True]
+
+
+CONTEXT = {
+    "kind": "context",
+    "labels": ["H", "S"],
+    "rates": {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}},
+    "initial": [0.5, 0.5],
+}
+EXACT_MEANS_MODELS = {
+    "low_freq": lambda: ct.build_low_freq_model(1.0, 0.02, 5),
+    "constant": lambda: ct.constant_depolarizing_model(0.03),
+    "second_order": lambda: ct.second_order_model(1.0, 0.1, gate_gammas={"H": 0.3, "S": 1.0}),
+    "context": lambda: build_model(CONTEXT),
+}
+
+
+class TestExactMeans:
+    @pytest.mark.parametrize("kind", sorted(EXACT_MEANS_MODELS))
+    def test_every_short_circuit(self, kind):
+        model = EXACT_MEANS_MODELS[kind]()
+        circuits = sequences_up_to(6)
+        got = exact_means(model, circuits)
+        if model.identity_transitions:
+            want = [frozen_fold_mean(model, c) for c in circuits]
+            assert np.max(np.abs(got - want)) <= 1e-14
+        else:
+            assert got.tolist() == [block_loop_mean(model, c) for c in circuits]
+        assert [ct.run_circuit(model, c).mean for c in circuits] == got.tolist()
+
+    def test_unknown_label(self, device_m5):
+        with pytest.raises(KeyError, match="'T'"):
+            exact_means(device_m5, [("H",), ("S", "T")])
 
 
 class TestIdentitySequences:
@@ -291,6 +357,19 @@ class TestSurvivalCurve:
             if abs(rec.mean - exact) <= 5.0 * np.sqrt(rec.variance):
                 hits += 1
         assert hits / total >= 0.99
+
+    @pytest.mark.parametrize(
+        "kind,want",
+        [
+            ("context", [(0, 1.0, 0.0), (7, 0.9462800000000001, 0.004053196269612411),
+                         (30, 0.7927199999999999, 0.005634276055241404)]),
+            ("low_freq", [(0, 1.0, 0.0), (7, 0.97088, 0.0011652181483882474), (30, 0.89744, 0.001878013134494362)]),
+        ],
+    )
+    def test_pinned_sampled_rows(self, kind, want):
+        # recorded before the survival means were batched: the shot stream must not drift
+        rows = ct.survival_curve(EXACT_MEANS_MODELS[kind](), [0, 7, 30], circuits_per_point=25, shots=1000, seed=11)
+        assert [(r["n_gates"], r["mean"], r["stderr"]) for r in rows] == want
 
     def test_empty_grid_rejected(self, device_m5):
         with pytest.raises(ValueError):

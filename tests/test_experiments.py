@@ -205,6 +205,33 @@ class TestSurvivalRun:
         run(SURVIVAL_CFG, out_dir=b, seed=8)
         assert (a / "survival.csv").read_bytes() != (b / "survival.csv").read_bytes()
 
+    def test_failing_writer_leaves_no_output(self, tmp_path, monkeypatch):
+        import corrtomo.experiments as experiments
+
+        def full_disk(path, *args, **kwargs):
+            Path(path).write_text("partial")
+            raise OSError(28, "No space left on device")
+
+        out = tmp_path / "results" / "out"
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "save_rows_csv", full_disk)
+            with pytest.raises(OSError, match="No space"):
+                run(SURVIVAL_CFG, out_dir=out)
+        assert list(out.parent.iterdir()) == []  # neither the target nor a staging directory
+        assert run(SURVIVAL_CFG, out_dir=out) == EXIT_OK
+        first = (out / "survival.csv").read_bytes()
+        (out / "notes.txt").write_text("kept")
+        assert run(SURVIVAL_CFG, out_dir=out) == EXIT_OK  # into the existing directory
+        assert (out / "survival.csv").read_bytes() == first
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.txt", "records.json", "survival.csv"]
+
+    def test_output_directory_permissions_follow_the_umask(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(SURVIVAL_CFG, out_dir=out) == EXIT_OK
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o777 & ~umask
+
 
 class TestOtherExperiments:
     def test_exact_lot_run(self, tmp_path):

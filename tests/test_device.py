@@ -177,7 +177,7 @@ class TestExactMeans:
         assert [ct.run_circuit(model, c).mean for c in circuits] == got.tolist()
 
     def test_unknown_label(self, device_m5):
-        with pytest.raises(KeyError, match="'T'"):
+        with pytest.raises(KeyError, match="unknown gate label 'T'"):
             exact_means(device_m5, [("H",), ("S", "T")])
 
 

@@ -174,7 +174,7 @@ class TestPredict:
 
     def test_unknown_gate(self, noiseless):
         model = gauge_reconstruct(ct.collect_data(noiseless, D4_FIDUCIALS))
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown gate label 'T'"):
             predict(model, ("T",))
 
 

@@ -51,7 +51,6 @@ __all__ = [
     "random_identity_sequences",
     "survival_curve",
     "analytic_survival",
-    "ideal_output_state",
     "returns_to_zero",
 ]
 
@@ -219,14 +218,6 @@ def run_circuit(
         variance=smoothed * (1.0 - smoothed) / shots,
         shots=shots,
     )
-
-
-def ideal_output_state(gates: Sequence[str]) -> np.ndarray:
-    """State vector produced by the noiseless gates applied to |0>."""
-    psi = np.array([1.0, 0.0], dtype=complex)
-    for label in gates:
-        psi = GATE_UNITARIES[label] @ psi
-    return psi
 
 
 #: The six signed Bloch axes; state ``s`` of the integer fold is ``_AXES[s]``.

@@ -10,10 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "matrix_to_json",
-    "save_matrix_json",
     "save_matrix_csv",
-    "load_matrix_csv",
     "save_json",
     "save_rows_csv",
 ]
@@ -31,21 +28,6 @@ def _plain(obj):
     return obj
 
 
-def matrix_to_json(matrix: np.ndarray, labels: Sequence[str] | None = None) -> dict:
-    """Row-major matrix payload with optional basis labels."""
-    matrix = np.asarray(matrix)
-    out = {"shape": list(matrix.shape), "rows": matrix.tolist()}
-    if labels is not None:
-        out["labels"] = list(labels)
-    return out
-
-
-def save_matrix_json(path: str | Path, matrix: np.ndarray, labels: Sequence[str] | None = None) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(matrix_to_json(matrix, labels), indent=1) + "\n")
-    return path
-
-
 def save_matrix_csv(path: str | Path, matrix: np.ndarray, labels: Sequence[str] | None = None) -> Path:
     """One matrix per file; header row carries the basis labels."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -58,14 +40,6 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray, labels: Sequence[str] 
         for row in matrix:
             writer.writerow([repr(float(v)) for v in row])
     return path
-
-
-def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        labels = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return np.asarray(rows), labels
 
 
 def save_json(path: str | Path, obj) -> Path:

@@ -346,27 +346,31 @@ def gauge_fit_to_ideal(
         ref_rows = _reference_trial_duals(trial, d, labels)
         m_hat_out0 = (truncation.u @ ref_rows)[:d, :]
     g_inv = np.diag(1.0 / np.diag(truncation.g_trunc))
-    a_mats = {label: truncation.gate_mats_trunc[label] @ g_inv for label in labels}
+    a_mats = np.stack([truncation.gate_mats_trunc[label] @ g_inv for label in labels])
+    ideal = np.stack([ideal_ptms[label] for label in labels])
 
     def residual(x: np.ndarray) -> np.ndarray:
-        m = x.reshape(d, d)
-        if not np.linalg.cond(m) <= 1e12:  # also catches inf and nan
-            return np.full(len(labels) * d * d, 1e6)
-        return np.concatenate([(np.linalg.solve(m, a @ m) - ideal_ptms[label]).ravel() for label, a in a_mats.items()])
+        m = x.reshape(len(x), 1, d, d)
+        out = np.full((len(x), len(labels) * d * d), 1e6)
+        fine = np.linalg.cond(m[:, 0]) <= 1e12  # also catches inf and nan
+        out[fine] = (np.linalg.solve(m[fine], a_mats @ m[fine]) - ideal).reshape(-1, out.shape[1])
+        return out
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        m = x.reshape(d, d)
+        m = x.reshape(len(x), 1, d, d)
         m_inv = np.linalg.inv(m)
-        eye = np.eye(d)[None, :, None, :]
-        blocks = [  # the two Kronecker products, broadcast
-            (m_inv @ a)[:, None, :, None] * eye - m_inv[:, None, :, None] * (m_inv @ a @ m).T[None, :, None, :]
-            for a in a_mats.values()
-        ]
-        return np.concatenate(blocks).reshape(-1, d * d)
+        m_inv_a = m_inv @ a_mats
+        # the two Kronecker products per gate, broadcast to (start, gate, i, j, p, q)
+        blocks = m_inv_a[:, :, :, None, :, None] * np.eye(d)[:, None, :] - m_inv[
+            :, :, :, None, :, None
+        ] * (m_inv_a @ m).swapaxes(2, 3)[:, :, None, :, None, :]
+        return blocks.reshape(len(x), -1, d * d)
 
-    result = levenberg_marquardt(residual, jacobian, m_hat_out0.ravel(), 1e-14, max_nfev, jac_scale=False)
+    (result,) = levenberg_marquardt(residual, jacobian, m_hat_out0.reshape(1, -1), 1e-14, max_nfev, jac_scale=False)
     if result.converged and result.nfev < max_nfev:
-        again = levenberg_marquardt(residual, jacobian, result.x, 1e-14, max_nfev - result.nfev, jac_scale=False)
+        (again,) = levenberg_marquardt(
+            residual, jacobian, result.x[None], 1e-14, max_nfev - result.nfev, jac_scale=False
+        )
         result = replace(again, nfev=result.nfev + again.nfev, njev=result.njev + again.njev)
     m_hat_out = result.x.reshape(d, d)
     m_hat_out *= np.linalg.norm(m_hat_out0) / np.linalg.norm(m_hat_out)

@@ -1,11 +1,19 @@
-"""Levenberg-Marquardt least squares with an analytic Jacobian.
+"""Levenberg-Marquardt least squares with an analytic Jacobian, for a batch of starts.
 
 Moré's trust-region form of the method, with the step-bound and damping
 rules of MINPACK's ``lmder`` (J. J. Moré, "The Levenberg-Marquardt
 algorithm: implementation and theory", 1978).  The damped subproblem is
 solved in the eigenbasis of the scaled normal matrix, which gives the step
 and the derivative of its length in closed form for every damping value.
-Plain NumPy, so the same inputs always give the same iterates.
+
+The starts run independently, in one batch.  Every pass moves each running
+start by one trial step: one call evaluates the residuals of all of them,
+and one the Jacobians of those that moved.  Each start keeps its own
+variable scale, step bound, damping, budget and stopping tests, and leaves
+the batch when it stops.  Every per-start sum is a stacked ``matmul`` or
+``eigh``, which works one start at a time, so a start's iterates are bit for
+bit those it has when run alone.  Plain NumPy, so the same inputs always
+give the same iterates.
 """
 
 from __future__ import annotations
@@ -38,8 +46,13 @@ class LMResult:
         return self.nfev + self.njev
 
 
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(v @ v)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row of two (k, n) stacks."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dots(v, v))
 
 
 def _damping(lam: np.ndarray, g: np.ndarray, delta: float, par: float) -> tuple[float, np.ndarray]:
@@ -55,12 +68,12 @@ def _damping(lam: np.ndarray, g: np.ndarray, delta: float, par: float) -> tuple[
     """
     full_rank = lam > lam[0] * EPS
     w = np.divide(g, lam, out=np.zeros_like(g), where=full_rank)
-    dxnorm = _norm(w)
+    dxnorm = math.sqrt(w @ w)
     fp = dxnorm - delta
     if fp <= 0.1 * delta:
         return 0.0, w
-    parl = (fp / delta) / (w @ (w / lam) / dxnorm**2) if full_rank.all() else 0.0
-    gnorm = _norm(g)
+    parl = (fp / delta) / (w @ (w / lam) / (dxnorm * dxnorm)) if full_rank.all() else 0.0
+    gnorm = math.sqrt(g @ g)
     paru = gnorm / delta or DWARF / min(delta, 0.1)
     par = min(max(par, parl), paru) or gnorm / dxnorm
     for iteration in range(1, 11):
@@ -68,17 +81,65 @@ def _damping(lam: np.ndarray, g: np.ndarray, delta: float, par: float) -> tuple[
             par = max(DWARF, 0.001 * paru)
         shifted = lam + par
         w = g / shifted
-        dxnorm = _norm(w)
+        dxnorm = math.sqrt(w @ w)
         previous, fp = fp, dxnorm - delta
         if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
             break
-        correction = (fp / delta) / (w @ (w / shifted) / dxnorm**2)
+        correction = (fp / delta) / (w @ (w / shifted) / (dxnorm * dxnorm))
         if fp > 0.0:
             parl = max(parl, par)
         elif fp < 0.0:
             paru = min(paru, par)
         par = max(parl, par + correction)
     return par, w
+
+
+class _Start:
+    """The scalar state of one running start: counts, norms, step bound and damping."""
+
+    __slots__ = ("index", "fnorm", "nfev", "njev", "xnorm", "delta", "par", "first", "converged")
+
+    def __init__(self, index: int, fnorm: float) -> None:
+        self.index, self.fnorm = index, fnorm
+        self.nfev, self.njev = 1, 0
+        self.xnorm = self.delta = self.par = 0.0
+        self.first = True  # no step accepted yet
+        self.converged = False
+
+    def trial(self, pnorm: float, fnorm1: float, lam_w2: float, xnorm1: float, tol: float) -> bool:
+        """Update the step bound and damping from a trial step; True if the step is accepted.
+
+        ``pnorm`` is the scaled step length, ``fnorm1`` the residual norm at
+        the trial point, ``lam_w2`` is the step's predicted reduction ``lam @ (w * w)`` and
+        ``xnorm1`` the scaled norm of the trial point.  Sets ``converged``
+        when a tolerance test ends the fit.
+        """
+        self.nfev += 1
+        if self.first:
+            self.delta = min(self.delta, pnorm)
+        fnorm = self.fnorm
+        reduction = fnorm1 / fnorm
+        actred = 1.0 - reduction * reduction if 0.1 * fnorm1 < fnorm else -1.0
+        linear = lam_w2 / (fnorm * fnorm)
+        relative_step = pnorm / fnorm
+        damped = self.par * (relative_step * relative_step)
+        prered = linear + 2.0 * damped
+        dirder = -(linear + damped)
+        ratio = actred / prered if prered != 0.0 else 0.0
+        if ratio <= 0.25:
+            temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
+            if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                temp = 0.1
+            self.delta = temp * min(self.delta, pnorm / 0.1)
+            self.par /= temp
+        elif self.par == 0.0 or ratio >= 0.75:
+            self.delta = pnorm / 0.5
+            self.par *= 0.5
+        accepted = ratio >= 1e-4
+        if accepted:
+            self.fnorm, self.xnorm, self.first = fnorm1, xnorm1, False
+        self.converged = (abs(actred) <= tol and prered <= tol and ratio <= 2.0) or self.delta <= tol * self.xnorm
+        return accepted
 
 
 def levenberg_marquardt(
@@ -88,75 +149,74 @@ def levenberg_marquardt(
     tol: float,
     max_nfev: int,
     jac_scale: bool = True,
-) -> LMResult:
-    """Minimise ``||fun(x)||^2`` from ``x0``.
+) -> list[LMResult]:
+    """Minimise ``||fun(x)||^2`` from every start, a row of the (S, n) ``x0``.
 
+    ``fun`` maps a (k, n) stack of points to their (k, r) residuals and
+    ``jac`` to their (k, r, n) Jacobians; both see only the running starts.
     ``jac_scale`` scales each variable by the largest norm its Jacobian
-    column has reached (MINPACK's mode 1); otherwise all scales are one.  The
-    fit ends converged when the relative reduction, actual and predicted, is
-    at most ``tol``, when the step bound falls to ``tol`` times the scaled
-    ``x``, or when the scaled gradient's largest cosine with the residuals is
-    at most ``tol`` (``tol`` should be at least machine epsilon).  It ends
-    unconverged when ``max_nfev`` residual evaluations are spent.  The result
-    is the last accepted point; ``nfev`` counts residual evaluations, the
-    start included, and ``njev`` Jacobian ones.
+    column has reached (MINPACK's mode 1); otherwise all scales are one.  A
+    start ends converged when the relative reduction, actual and predicted,
+    is at most ``tol``, when its step bound falls to ``tol`` times its
+    scaled ``x``, or when its scaled gradient's largest cosine with its
+    residuals is at most ``tol`` (``tol`` should be at least machine
+    epsilon).  It ends unconverged when it has spent ``max_nfev`` residual
+    evaluations.  Returns one result per start, in the order of ``x0``: the
+    last accepted point, with ``nfev`` counting the start's residual
+    evaluations, its start included, and ``njev`` its Jacobian ones.
     """
     x = np.array(x0, dtype=float)
     f = fun(x)
-    fnorm = _norm(f)
-    nfev, njev = 1, 0
-    diag = None
-    par = 0.0
-    first = True
+    starts = [_Start(i, fnorm) for i, fnorm in enumerate(_norms(f).tolist())]
+    results: list[LMResult | None] = [None] * len(starts)
+    moved = np.ones(len(starts), dtype=bool)  # at a new point, whose Jacobian is still to come
+    done = ~moved
+    diag = lam = vecs = g = None
     while True:
-        j = jac(x)
-        njev += 1
-        normal, jtf = j.T @ j, j.T @ f
-        col_norms = np.sqrt(np.diag(normal))
-        if diag is None:
-            diag = np.where(col_norms > 0.0, col_norms, 1.0) if jac_scale else np.ones(x.size)
-            xnorm = _norm(diag * x)
-            delta = STEP_FACTOR * xnorm or STEP_FACTOR
-        gradient = np.abs(jtf) / np.where(col_norms > 0.0, col_norms, np.inf)
-        if fnorm == 0.0 or gradient.max(initial=0.0) <= tol * fnorm:
-            return LMResult(x, f, nfev, njev, True)
-        if jac_scale:
-            diag = np.maximum(diag, col_norms)
-        lam, vecs = np.linalg.eigh(normal / np.outer(diag, diag))
-        lam, vecs = np.maximum(lam[::-1], 0.0), vecs[:, ::-1]
-        g = (jtf / diag) @ vecs
-        while True:  # shrink the step until it lowers the residuals enough
-            par, w = _damping(lam, g, delta, par)
-            pnorm = _norm(w)
-            if first:
-                delta = min(delta, pnorm)
-            trial = x - (vecs @ w) / diag
-            f_trial = fun(trial)
-            nfev += 1
-            fnorm1 = _norm(f_trial)
-            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
-            linear = lam @ (w * w) / fnorm**2
-            damped = par * (pnorm / fnorm) ** 2
-            prered = linear + 2.0 * damped
-            dirder = -(linear + damped)
-            ratio = actred / prered if prered != 0.0 else 0.0
-            if ratio <= 0.25:
-                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
-                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
-                    temp = 0.1
-                delta = temp * min(delta, pnorm / 0.1)
-                par /= temp
-            elif par == 0.0 or ratio >= 0.75:
-                delta = pnorm / 0.5
-                par *= 0.5
-            accepted = ratio >= 1e-4
-            if accepted:
-                x, f, fnorm = trial, f_trial, fnorm1
-                xnorm = _norm(diag * x)
-                first = False
-            if (abs(actred) <= tol and prered <= tol and ratio <= 2.0) or delta <= tol * xnorm:
-                return LMResult(x, f, nfev, njev, True)
-            if nfev >= max_nfev:
-                return LMResult(x, f, nfev, njev, False)
-            if accepted:
-                break
+        rows = np.flatnonzero(moved)
+        if rows.size:
+            j = jac(x[rows])
+            jt = j.swapaxes(1, 2)
+            normal = jt @ j
+            jtf = (jt @ f[rows, :, None])[:, :, 0]
+            col_norms = np.sqrt(np.diagonal(normal, axis1=1, axis2=2))
+            if diag is None:  # the first Jacobians, of every start: scales and step bounds
+                diag = np.where(col_norms > 0.0, col_norms, 1.0) if jac_scale else np.ones_like(x)
+                for start, xnorm in zip(starts, _norms(diag * x).tolist()):
+                    start.xnorm, start.delta = xnorm, STEP_FACTOR * xnorm or STEP_FACTOR
+                lam, vecs, g = np.empty_like(x), np.empty(normal.shape), np.empty_like(x)
+            gradient = np.abs(jtf) / np.where(col_norms > 0.0, col_norms, np.inf)
+            for row, largest in zip(rows.tolist(), gradient.max(axis=1, initial=0.0).tolist()):
+                start = starts[row]
+                start.njev += 1
+                done[row] = start.converged = start.fnorm == 0.0 or largest <= tol * start.fnorm
+            if done.any():
+                go = ~done[rows]
+                rows, normal, jtf, col_norms = rows[go], normal[go], jtf[go], col_norms[go]
+            if jac_scale:
+                diag[rows] = np.maximum(diag[rows], col_norms)
+            scale = diag[rows]
+            lam_rows, vecs_rows = np.linalg.eigh(normal / (scale[:, :, None] * scale[:, None, :]))
+            lam[rows], vecs[rows] = np.maximum(lam_rows[:, ::-1], 0.0), vecs_rows
+            g[rows] = ((jtf / scale)[:, None, :] @ vecs_rows[:, :, ::-1])[:, 0]
+        if done.any():
+            for row in np.flatnonzero(done).tolist():
+                start = starts[row]
+                converged = bool(start.converged)
+                results[start.index] = LMResult(x[row].copy(), f[row].copy(), start.nfev, start.njev, converged)
+            keep = ~done
+            if not keep.any():
+                return results
+            starts = [start for start, kept in zip(starts, keep.tolist()) if kept]
+            x, f, diag, lam, vecs, g = x[keep], f[keep], diag[keep], lam[keep], vecs[keep], g[keep]
+        # one trial step of every running start
+        w = np.empty_like(x)
+        for row, start in enumerate(starts):
+            start.par, w[row] = _damping(lam[row], g[row], start.delta, start.par)
+        trial = x - (vecs[:, :, ::-1] @ w[:, :, None])[:, :, 0] / diag
+        f_trial = fun(trial)
+        norms = (_norms(w), _norms(f_trial), _dots(lam, w * w), _norms(diag * trial))
+        moved = np.array([start.trial(*values, tol) for start, *values in zip(starts, *(a.tolist() for a in norms))])
+        x[moved], f[moved] = trial[moved], f_trial[moved]
+        done = np.array([start.converged or start.nfev >= max_nfev for start in starts])
+        moved &= ~done

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .device import RATE_CLAMP, Circuit, MeasurementRecord, _damping, _fast_predictions, _gate_matrix, _ideal_features
+from .device import RATE_CLAMP, Circuit, MeasurementRecord, _fast_predictions, _gate_matrix, _ideal_features
 from .lm import levenberg_marquardt
 from .noise import depolarized_gates
 from .ptm import block_diag, ideal_qubit_ptms, reduced_frame
@@ -216,11 +216,16 @@ class _SufficientStatistics:
         inv_var = 1.0 / variances
         n_groups = first.size
         self.counts = counts[first].astype(float)
+        self.counts_t = np.ascontiguousarray(self.counts.T)
         self.z_ideal = z_ideal[first]
         self.a = np.bincount(inverse, weights=inv_var, minlength=n_groups)
         self.sqrt_a = np.sqrt(self.a)
         b = np.bincount(inverse, weights=means * inv_var, minlength=n_groups)
         self.mu = b / self.a
+        # residuals and Jacobian are affine in the per-group dampings
+        self.half_root_z = 0.5 * self.sqrt_a * self.z_ideal
+        self.offset = self.sqrt_a * (0.5 - self.mu)
+        self.minus_half_root_z_counts = -self.half_root_z * self.counts_t
         # within-group scatter, accumulated around the group means so the
         # objective is an explicit sum of nonnegative terms
         self.spread = float(np.sum((means - self.mu[inverse]) ** 2 * inv_var))
@@ -230,25 +235,36 @@ class _SufficientStatistics:
         pred = _fast_predictions(p, rates, self.z_ideal, self.counts)
         return float(self.a @ (pred - self.mu) ** 2 + self.spread)
 
+    def _dampings(self, p: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row: the damping ``D_l`` of every group, (k, m, groups), and their mean ``D.p``, (k, groups)."""
+        log1m = np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP))  # (k, gates, m)
+        damping = np.exp(log1m.swapaxes(1, 2) @ self.counts_t)
+        return damping, (p[:, None, :] @ damping)[:, 0]
+
     def residuals(self, x: np.ndarray, m: int) -> np.ndarray:
-        """``sqrt(A_g) (Cbar_g - mu_g)`` at unconstrained parameters ``x``."""
-        p, rates = _unpack(x, m, self.counts.shape[1])
-        return self.sqrt_a * (_fast_predictions(p, rates, self.z_ideal, self.counts) - self.mu)
+        """``sqrt(A_g) (Cbar_g - mu_g)`` at every row of unconstrained parameters ``x``: (k, groups)."""
+        _, mean = self._dampings(*_unpack(x, m, len(self.counts_t)))
+        return self.half_root_z * mean + self.offset
 
     def jacobian(self, x: np.ndarray, m: int) -> np.ndarray:
-        """Closed-form derivative of ``residuals`` through softmax and logistic.
+        """Closed-form derivative of ``residuals`` through softmax and logistic: (k, groups, params).
 
         With D_l the damping at environment value l and z the ideal outcome,
         d Cbar / d u_k = z p_{k+1} (D_{k+1} - D.p) / 2 and
         d Cbar / d v_{G,l} = -z p_l D_l n_G eps_{G,l} / 2
-        (zero where the rate is clamped).
+        (zero where the rate is clamped).  Built with the group axis
+        innermost and returned as a transposed view.
         """
-        p, rates = _unpack(x, m, self.counts.shape[1])
-        scaled = (0.5 * self.sqrt_a * self.z_ideal)[:, None] * _damping(rates, self.counts)
-        d_weights = p[1:] * (scaled[:, 1:] - (scaled @ p)[:, None])
-        slope = np.where(rates < 1.0 - RATE_CLAMP, rates, 0.0) * p
-        d_rates = -self.counts[:, :, None] * (scaled[:, None, :] * slope)
-        return np.concatenate([d_weights, d_rates.reshape(len(self.mu), -1)], axis=1)
+        n_gates, n_groups = self.counts_t.shape
+        p, rates = _unpack(x, m, n_gates)
+        damping, mean = self._dampings(p, rates)
+        out = np.empty((len(x), x.shape[1], n_groups))
+        np.multiply(self.half_root_z * p[:, 1:, None], damping[:, 1:] - mean[:, None], out=out[:, : m - 1])
+        slope = np.where(rates < 1.0 - RATE_CLAMP, rates, 0.0) * p[:, None, :]  # (k, gates, m)
+        d_rates = out[:, m - 1 :].reshape(len(x), n_gates, m, n_groups)
+        np.multiply(slope[:, :, :, None], damping[:, None], out=d_rates)
+        d_rates *= self.minus_half_root_z_counts[:, None, :]
+        return out.swapaxes(1, 2)
 
 
 def negative_log_likelihood(
@@ -302,21 +318,17 @@ class FitResult:
         }
 
 
-def _softmax(u: np.ndarray) -> np.ndarray:
-    z = np.concatenate(([0.0], u))
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def _logit(p: float) -> float:
     p = min(max(p, 1e-12), 1.0 - 1e-12)
     return float(np.log(p / (1.0 - p)))
 
 
 def _unpack(x: np.ndarray, m: int, n_gates: int) -> tuple[np.ndarray, np.ndarray]:
-    p = _softmax(x[: m - 1])
-    rates = np.exp(-np.logaddexp(0.0, -x[m - 1 :])).reshape(n_gates, m)  # logistic, overflow free
+    """Weights (k, m), through softmax, and rates (k, gates, m) of every row of ``x``."""
+    u = np.concatenate([np.zeros((len(x), 1)), x[:, : m - 1]], axis=1)
+    e = np.exp(u - u.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    rates = np.exp(-np.logaddexp(0.0, -x[:, m - 1 :])).reshape(len(x), n_gates, m)  # logistic, overflow free
     return p, rates
 
 
@@ -362,22 +374,20 @@ def fit(
 
     gen = np.random.default_rng(seed)
     base_rate_logit = _logit(cfg.rate_scale)
-    starts = [np.concatenate([np.zeros(m - 1), np.full(n_gates * m, base_rate_logit)])]
-    for _ in range(cfg.n_starts - 1):
-        w = gen.normal(0.0, 1.0, size=m - 1)
-        v = gen.normal(base_rate_logit, 2.0, size=n_gates * m)
-        starts.append(np.concatenate([w, v]))
+    starts = np.empty((cfg.n_starts, m - 1 + n_gates * m))
+    starts[0] = np.concatenate([np.zeros(m - 1), np.full(n_gates * m, base_rate_logit)])
+    for row in starts[1:]:
+        row[: m - 1] = gen.normal(0.0, 1.0, size=m - 1)
+        row[m - 1 :] = gen.normal(base_rate_logit, 2.0, size=n_gates * m)
 
-    results = [
-        levenberg_marquardt(
-            lambda x: stats.residuals(x, m), lambda x: stats.jacobian(x, m), x0, tol=1e-15, max_nfev=100 * x0.size
-        )
-        for x0 in starts
-    ]
-    objectives = [stats.objective(*_unpack(r.x, m, n_gates)) for r in results]
+    results = levenberg_marquardt(
+        lambda x: stats.residuals(x, m), lambda x: stats.jacobian(x, m), starts, tol=1e-15, max_nfev=100 * starts.shape[1]
+    )
+    p_all, rates_all = _unpack(np.stack([r.x for r in results]), m, n_gates)
+    objectives = [stats.objective(p, rates) for p, rates in zip(p_all, rates_all)]
     winner = min(range(len(results)), key=lambda i: (objectives[i], i))
 
-    p, rates = _unpack(results[winner].x, m, n_gates)
+    p, rates = p_all[winner], rates_all[winner]
     # canonical order: ascending rate of the first gate label
     order_lam = np.argsort(rates[0, :], kind="stable")
     p = p[order_lam]

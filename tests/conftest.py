@@ -1,5 +1,8 @@
 """Shared fixtures; expensive device/tomography artifacts are session scoped."""
 
+import csv
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -15,6 +18,7 @@ from corrtomo.bounds import (
     projection_from_vectors,
     sequence_bound,
 )
+from corrtomo.lm import DWARF, EPS, STEP_FACTOR, LMResult
 from corrtomo.linear_inversion import collect_trial_data, svd_truncate, trial_sequences
 from corrtomo.mle import records_from_tomography
 from corrtomo.tomography import fiducial_frames
@@ -57,6 +61,22 @@ def loop_fold(mats, gates, start, right=False) -> np.ndarray:
         out.append(value)
     return np.array(out).reshape(len(gates), *np.shape(start)[-2 if np.ndim(start) == 3 else 0 :])
 
+
+def ideal_output_state(gates) -> np.ndarray:
+    """Independent oracle: the state vector of the noiseless gates applied to |0>."""
+    psi = np.array([1.0, 0.0], dtype=complex)
+    for label in gates:
+        psi = ct.GATE_UNITARIES[label] @ psi
+    return psi
+
+
+def load_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
+    """Reader of ``save_matrix_csv`` files: the header's labels and the rows as floats."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        labels = next(reader)
+        rows = [[float(v) for v in row] for row in reader]
+    return np.asarray(rows), labels
 
 def block_loop_mean(model, gates) -> float:
     """Independent oracle for models with transitions: fold the block vector gate by gate."""
@@ -148,6 +168,116 @@ def sequences_up_to(max_len: int, labels=("H", "S")) -> list[tuple[str, ...]]:
         frontier = [s + (g,) for s in frontier for g in labels]
         seqs.extend(frontier)
     return seqs
+
+
+def _loop_damping(lam, g, delta, par):
+    """One start's ``lmpar``: the scalar form of ``corrtomo.lm._damping``."""
+    full_rank = lam > lam[0] * EPS
+    w = np.divide(g, lam, out=np.zeros_like(g), where=full_rank)
+    dxnorm = math.sqrt(w @ w)
+    fp = dxnorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, w
+    parl = (fp / delta) / (w @ (w / lam) / (dxnorm * dxnorm)) if full_rank.all() else 0.0
+    gnorm = math.sqrt(g @ g)
+    paru = gnorm / delta or DWARF / min(delta, 0.1)
+    par = min(max(par, parl), paru) or gnorm / dxnorm
+    for iteration in range(1, 11):
+        if par == 0.0:
+            par = max(DWARF, 0.001 * paru)
+        shifted = lam + par
+        w = g / shifted
+        dxnorm = math.sqrt(w @ w)
+        previous, fp = fp, dxnorm - delta
+        if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
+            break
+        correction = (fp / delta) / (w @ (w / shifted) / (dxnorm * dxnorm))
+        if fp > 0.0:
+            parl = max(parl, par)
+        elif fp < 0.0:
+            paru = min(paru, par)
+        par = max(parl, par + correction)
+    return par, w
+
+
+def loop_lm(fun, jac, x0, tol, max_nfev, jac_scale=True, stops=None) -> LMResult:
+    """Independent oracle for ``levenberg_marquardt``: one start, run alone in nested loops.
+
+    ``fun`` and ``jac`` take and return one point's arrays.  Squares are
+    written as products, as the batched form computes them: Python's ``**``
+    calls C ``pow``, which can differ from ``x * x`` in the last bit.  When
+    ``stops`` is a list, the name of the test that ended the fit is
+    appended to it.
+    """
+
+    def stop(name, result):
+        if stops is not None:
+            stops.append(name)
+        return result
+
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    fnorm = math.sqrt(f @ f)
+    nfev, njev = 1, 0
+    diag = None
+    par = 0.0
+    first = True
+    while True:
+        j = jac(x)
+        njev += 1
+        normal, jtf = j.T @ j, j.T @ f
+        col_norms = np.sqrt(np.diag(normal))
+        if diag is None:
+            diag = np.where(col_norms > 0.0, col_norms, 1.0) if jac_scale else np.ones(x.size)
+            xnorm = math.sqrt((diag * x) @ (diag * x))
+            delta = STEP_FACTOR * xnorm or STEP_FACTOR
+        gradient = np.abs(jtf) / np.where(col_norms > 0.0, col_norms, np.inf)
+        if fnorm == 0.0:
+            return stop("zero residual", LMResult(x, f, nfev, njev, True))
+        if gradient.max(initial=0.0) <= tol * fnorm:
+            return stop("gradient", LMResult(x, f, nfev, njev, True))
+        if jac_scale:
+            diag = np.maximum(diag, col_norms)
+        lam, vecs = np.linalg.eigh(normal / np.outer(diag, diag))
+        lam, vecs = np.maximum(lam[::-1], 0.0), vecs[:, ::-1]
+        g = (jtf / diag) @ vecs
+        while True:  # shrink the step until it lowers the residuals enough
+            par, w = _loop_damping(lam, g, delta, par)
+            pnorm = math.sqrt(w @ w)
+            if first:
+                delta = min(delta, pnorm)
+            trial = x - (vecs @ w) / diag
+            f_trial = fun(trial)
+            nfev += 1
+            fnorm1 = math.sqrt(f_trial @ f_trial)
+            actred = 1.0 - (fnorm1 / fnorm) * (fnorm1 / fnorm) if 0.1 * fnorm1 < fnorm else -1.0
+            linear = lam @ (w * w) / (fnorm * fnorm)
+            damped = par * ((pnorm / fnorm) * (pnorm / fnorm))
+            prered = linear + 2.0 * damped
+            dirder = -(linear + damped)
+            ratio = actred / prered if prered != 0.0 else 0.0
+            if ratio <= 0.25:
+                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par /= temp
+            elif par == 0.0 or ratio >= 0.75:
+                delta = pnorm / 0.5
+                par *= 0.5
+            accepted = ratio >= 1e-4
+            if accepted:
+                x, f, fnorm = trial, f_trial, fnorm1
+                xnorm = math.sqrt((diag * x) @ (diag * x))
+                first = False
+            if abs(actred) <= tol and prered <= tol and ratio <= 2.0:
+                return stop("reduction", LMResult(x, f, nfev, njev, True))
+            if delta <= tol * xnorm:
+                return stop("step bound", LMResult(x, f, nfev, njev, True))
+            if nfev >= max_nfev:
+                return stop("budget", LMResult(x, f, nfev, njev, False))
+            if accepted:
+                break
 
 
 @pytest.fixture(scope="session")

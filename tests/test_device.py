@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import corrtomo as ct
-from conftest import block_loop_mean, frozen_fold_mean, loop_fold, sequences_up_to
+from conftest import block_loop_mean, frozen_fold_mean, ideal_output_state, loop_fold, sequences_up_to
 from corrtomo.device import (
     _AXES,
     Circuit,
@@ -19,7 +19,6 @@ from corrtomo.device import (
     _signed_axis_table,
     exact_means,
     fold_gates,
-    ideal_output_state,
     returns_to_zero,
 )
 from corrtomo.experiments import build_model

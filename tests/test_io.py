@@ -5,8 +5,8 @@ import json
 import numpy as np
 
 import corrtomo as ct
-from conftest import pauli_transfer
-from corrtomo.io import load_matrix_csv, matrix_to_json, save_json, save_matrix_csv, save_matrix_json
+from conftest import load_matrix_csv, pauli_transfer
+from corrtomo.io import save_json, save_matrix_csv
 from corrtomo.tomography import ErrorModel
 
 PAULI_LABELS = ("I", "X", "Y", "Z")
@@ -23,16 +23,6 @@ def test_matrix_csv_roundtrip(tmp_path):
     mat, labels = load_matrix_csv(path)
     assert labels == ["I", "X", "Y", "Z"]
     assert np.array_equal(mat, tm)
-
-
-def test_matrix_json_payload(tmp_path):
-    tm = conjugation_ptm("S")
-    blob = matrix_to_json(tm, PAULI_LABELS)
-    assert blob["labels"] == ["I", "X", "Y", "Z"]
-    assert blob["shape"] == [4, 4]
-    path = save_matrix_json(tmp_path / "s.json", tm, PAULI_LABELS)
-    loaded = json.loads(path.read_text())
-    assert np.allclose(loaded["rows"], tm)
 
 
 def test_save_json_handles_numpy_types(tmp_path):

@@ -178,14 +178,19 @@ def d7_at_seed(device_m5):
 
 @pytest.fixture
 def lm_calls(monkeypatch):
-    """(residual, Jacobian, start, result) of every levenberg_marquardt call in linear_inversion."""
+    """(residual, Jacobian, start, result) of every levenberg_marquardt call in linear_inversion.
+
+    The gauge fit passes one start; residual and Jacobian are recorded as
+    functions of that one point.
+    """
     calls = []
     real = li.levenberg_marquardt
 
     def spy(fun, jac, x0, *args, **kwargs):
-        result = real(fun, jac, x0, *args, **kwargs)
-        calls.append((fun, jac, np.array(x0), result))
-        return result
+        results = real(fun, jac, x0, *args, **kwargs)
+        (x_start,), (result,) = x0, results
+        calls.append((lambda x: fun(x[None])[0], lambda x: jac(x[None])[0], np.array(x_start), result))
+        return results
 
     monkeypatch.setattr(li, "levenberg_marquardt", spy)
     return calls

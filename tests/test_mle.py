@@ -7,7 +7,7 @@ import pytest
 
 import corrtomo as ct
 import corrtomo.mle as mle
-from corrtomo.device import Circuit, MeasurementRecord
+from corrtomo.device import Circuit, MeasurementRecord, _fast_predictions
 from corrtomo.mle import (
     OptimizerConfig,
     ParamModel,
@@ -164,24 +164,42 @@ class TestKernels:
         with pytest.raises(KeyError, match="'T'"):
             mle._record_features(RecordSet.from_records(records), ("H", "S"), 1e-3)
 
-    @pytest.mark.parametrize("l_size", [1, 2, 3])
-    def test_jacobian_matches_central_differences(self, l_size):
+    @staticmethod
+    def kernel_case(l_size, rows, seed):
         records = noisy_records(two_point_model(), random_circuits(200, 25, seed=14), seed=15)
         stats = mle._SufficientStatistics(RecordSet.from_records(records), ("H", "S"), 1e-3)
-        gen = np.random.default_rng(16 + l_size)
+        gen = np.random.default_rng(seed + l_size)
+        x = np.concatenate([gen.normal(0.0, 1.0, (rows, l_size - 1)), gen.normal(-4.6, 1.0, (rows, 2 * l_size))], axis=1)
+        return stats, x
+
+    @pytest.mark.parametrize("l_size", [1, 2, 3])
+    def test_jacobian_matches_central_differences(self, l_size):
+        stats, x = self.kernel_case(l_size, 3, 16)
         step = 1e-6
-        for _ in range(3):
-            x = np.concatenate([gen.normal(0.0, 1.0, l_size - 1), gen.normal(-4.6, 1.0, 2 * l_size)])
-            jac = stats.jacobian(x, l_size)
-            numeric = np.stack(
-                [
-                    (stats.residuals(x + step * e, l_size) - stats.residuals(x - step * e, l_size)) / (2 * step)
-                    for e in np.eye(x.size)
-                ],
-                axis=1,
-            )
-            assert jac.shape == numeric.shape == (len(stats.mu), 3 * l_size - 1)
-            assert np.max(np.abs(jac - numeric)) <= 1e-6 * np.max(np.abs(jac))
+        jac = stats.jacobian(x, l_size)
+        numeric = np.stack(
+            [
+                (stats.residuals(x + step * e, l_size) - stats.residuals(x - step * e, l_size)) / (2 * step)
+                for e in np.eye(x.shape[1])
+            ],
+            axis=2,
+        )
+        assert jac.shape == numeric.shape == (3, len(stats.mu), 3 * l_size - 1)
+        for got, want in zip(jac, numeric):
+            assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("l_size", [1, 2, 3])
+    def test_rows_match_the_single_row_closed_form(self, l_size):
+        stats, x = self.kernel_case(l_size, 4, 26)
+        residuals, jac = stats.residuals(x, l_size), stats.jacobian(x, l_size)
+        p, rates = mle._unpack(x, l_size, 2)
+        for i in range(len(x)):
+            closed = stats.sqrt_a * (_fast_predictions(p[i], rates[i], stats.z_ideal, stats.counts) - stats.mu)
+            np.testing.assert_allclose(residuals[i], closed, rtol=0.0, atol=1e-12 * np.max(np.abs(stats.sqrt_a)))
+            assert stats.objective(p[i], rates[i]) == pytest.approx(stats.spread + residuals[i] @ residuals[i], rel=1e-9)
+            # a row's bits do not depend on the rows evaluated with it
+            assert stats.residuals(x[i : i + 1], l_size)[0].tobytes() == residuals[i].tobytes()
+            assert np.array_equal(stats.jacobian(x[i : i + 1], l_size)[0], jac[i])
 
 
 class TestFit:
@@ -252,16 +270,18 @@ class TestFit:
         calls = []
 
         def only_a_losing_start_succeeds(fun, jac, x0, *args, **kwargs):
-            result = real(fun, jac, x0, *args, **kwargs)
             calls.append(x0)
-            if len(calls) == 2:  # left at its random start: claims success, loses
-                return dataclasses.replace(result, x=np.array(x0), converged=True)
-            return dataclasses.replace(result, converged=False)
+            return [  # start 1, left at its random start, claims success and loses
+                dataclasses.replace(result, x=np.array(x0[1]), converged=True)
+                if i == 1
+                else dataclasses.replace(result, converged=False)
+                for i, result in enumerate(real(fun, jac, x0, *args, **kwargs))
+            ]
 
         monkeypatch.setattr(mle, "levenberg_marquardt", only_a_losing_start_succeeds)
         records = exact_records(two_point_model(), random_circuits(100, 15, seed=18))
         result = ct.fit(records, 2, seed=0, optimizer_config=OptimizerConfig(n_starts=3))
-        assert len(calls) == 3
+        assert len(calls) == 1 and calls[0].shape == (3, 5)
         assert result.diagnostics["winner"] != 1
         assert result.converged is False
 

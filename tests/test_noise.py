@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
@@ -161,22 +161,51 @@ class TestDiscretization:
         with pytest.raises(ValueError, match="moments"):
             discretize_from_moments([0.5, 0.3], 3)
 
+    @staticmethod
+    def roundtrip(weights, nodes):
+        """Whether the moments determine the distribution, and a check that the m-point rule recovers it.
+
+        The moments mu_k = sum w x^k (k < 2m, x in [0, 1]) each carry at most
+        2m roundings, so any rule is only held to the first-order error
+        ``2m eps ||J^-1||_inf``, with J the Jacobian of (mu_0 .. mu_{2m-1}) in
+        the nodes and weights.  The moments determine a distribution in
+        floating point only while their Hankel matrix stays positive definite
+        under those roundings, that is while cond(H) < 1 / (2 m^2 eps).
+        """
+        eps = np.finfo(float).eps
+        w = np.asarray(weights) / np.sum(weights)
+        x = np.asarray(nodes)
+        m = x.size
+        k = np.arange(2 * m)[:, None]
+        mu = np.sum(w * x**k, axis=1)
+        determined = np.linalg.cond(mu[np.add.outer(np.arange(m), np.arange(m))]) < 1.0 / (2 * m * m * eps)
+
+        def check():
+            jacobian = np.hstack([w * k * x ** np.maximum(k - 1, 0), x**k])
+            tol = 2 * m * eps * np.linalg.norm(np.linalg.inv(jacobian), np.inf)
+            got_x, got_w = discretize_from_moments([float(np.sum(w * x**j)) for j in range(1, 2 * m)], m)
+            order = np.argsort(x)
+            np.testing.assert_allclose(got_x, x[order], rtol=0, atol=tol)
+            np.testing.assert_allclose(got_w, w[order], rtol=0, atol=tol)
+
+        return determined, check
+
     @given(
         weights=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
         nodes=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3, unique=True),
     )
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_from_random_discrete_distributions(self, weights, nodes):
-        # moments of any 3-point distribution are recovered by the 3-point rule
-        w = np.asarray(weights) / np.sum(weights)
-        x = np.asarray(nodes)
-        if np.min(np.abs(np.subtract.outer(x, x) + np.eye(3))) < 1e-3:
-            return  # nearly coincident nodes: conditioning not the point here
-        moments = [float(np.sum(w * x**k)) for k in range(1, 6)]
-        got_x, got_w = discretize_from_moments(moments, 3)
-        order = np.argsort(x)
-        assert np.allclose(got_x, x[order], atol=1e-7)
-        assert np.allclose(got_w, w[order], atol=1e-7)
+        determined, check = self.roundtrip(weights, nodes)
+        assume(determined)
+        check()
+
+    def test_roundtrip_with_nodes_four_thousandths_apart(self):
+        # once drawn by the test above: the weights come back only to 2.2e-6,
+        # inside the conditioning bound of 1.4e-4
+        determined, check = self.roundtrip([1.0, 0.5, 1.0], [0.828125, 0.82421875, 0.75])
+        assert determined
+        check()
 
 
 class TestLowFreqModel:

@@ -10,10 +10,11 @@ The starts run independently, in one batch.  Every pass moves each running
 start by one trial step: one call evaluates the residuals of all of them,
 and one the Jacobians of those that moved.  Each start keeps its own
 variable scale, step bound, damping, budget and stopping tests, and leaves
-the batch when it stops.  Every per-start sum is a stacked ``matmul`` or
-``eigh``, which works one start at a time, so a start's iterates are bit for
-bit those it has when run alone.  Plain NumPy, so the same inputs always
-give the same iterates.
+the batch when it stops.  Its sums are stacked ``matmul`` and ``eigh``
+calls, which work one start at a time, and its trust-region updates are
+scalar arithmetic of its own, so a start's iterates are bit for bit those
+it has when run alone.  Plain NumPy, so the same inputs always give the
+same iterates.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ class LMResult:
         return self.nfev + self.njev
 
 
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(v @ v)
+
+
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a[i] @ b[i]`` for every row of two (k, n) stacks."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -68,12 +73,12 @@ def _damping(lam: np.ndarray, g: np.ndarray, delta: float, par: float) -> tuple[
     """
     full_rank = lam > lam[0] * EPS
     w = np.divide(g, lam, out=np.zeros_like(g), where=full_rank)
-    dxnorm = math.sqrt(w @ w)
+    dxnorm = _norm(w)
     fp = dxnorm - delta
     if fp <= 0.1 * delta:
         return 0.0, w
-    parl = (fp / delta) / (w @ (w / lam) / (dxnorm * dxnorm)) if full_rank.all() else 0.0
-    gnorm = math.sqrt(g @ g)
+    parl = (fp / delta) / (w @ (w / lam) / dxnorm**2) if full_rank.all() else 0.0
+    gnorm = _norm(g)
     paru = gnorm / delta or DWARF / min(delta, 0.1)
     par = min(max(par, parl), paru) or gnorm / dxnorm
     for iteration in range(1, 11):
@@ -81,11 +86,11 @@ def _damping(lam: np.ndarray, g: np.ndarray, delta: float, par: float) -> tuple[
             par = max(DWARF, 0.001 * paru)
         shifted = lam + par
         w = g / shifted
-        dxnorm = math.sqrt(w @ w)
+        dxnorm = _norm(w)
         previous, fp = fp, dxnorm - delta
         if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
             break
-        correction = (fp / delta) / (w @ (w / shifted) / (dxnorm * dxnorm))
+        correction = (fp / delta) / (w @ (w / shifted) / dxnorm**2)
         if fp > 0.0:
             parl = max(parl, par)
         elif fp < 0.0:
@@ -110,19 +115,17 @@ class _Start:
         """Update the step bound and damping from a trial step; True if the step is accepted.
 
         ``pnorm`` is the scaled step length, ``fnorm1`` the residual norm at
-        the trial point, ``lam_w2`` is the step's predicted reduction ``lam @ (w * w)`` and
-        ``xnorm1`` the scaled norm of the trial point.  Sets ``converged``
-        when a tolerance test ends the fit.
+        the trial point, ``lam_w2`` the step's predicted reduction
+        ``lam @ (w * w)`` and ``xnorm1`` the scaled norm of the trial point.
+        Sets ``converged`` when a tolerance test ends the fit.
         """
         self.nfev += 1
         if self.first:
             self.delta = min(self.delta, pnorm)
         fnorm = self.fnorm
-        reduction = fnorm1 / fnorm
-        actred = 1.0 - reduction * reduction if 0.1 * fnorm1 < fnorm else -1.0
-        linear = lam_w2 / (fnorm * fnorm)
-        relative_step = pnorm / fnorm
-        damped = self.par * (relative_step * relative_step)
+        actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
+        linear = lam_w2 / fnorm**2
+        damped = self.par * (pnorm / fnorm) ** 2
         prered = linear + 2.0 * damped
         dirder = -(linear + damped)
         ratio = actred / prered if prered != 0.0 else 0.0
@@ -138,7 +141,7 @@ class _Start:
         accepted = ratio >= 1e-4
         if accepted:
             self.fnorm, self.xnorm, self.first = fnorm1, xnorm1, False
-        self.converged = (abs(actred) <= tol and prered <= tol and ratio <= 2.0) or self.delta <= tol * self.xnorm
+        self.converged = bool((abs(actred) <= tol and prered <= tol and ratio <= 2.0) or self.delta <= tol * self.xnorm)
         return accepted
 
 
@@ -189,7 +192,7 @@ def levenberg_marquardt(
             for row, largest in zip(rows.tolist(), gradient.max(axis=1, initial=0.0).tolist()):
                 start = starts[row]
                 start.njev += 1
-                done[row] = start.converged = start.fnorm == 0.0 or largest <= tol * start.fnorm
+                done[row] = start.converged = bool(start.fnorm == 0.0 or largest <= tol * start.fnorm)
             if done.any():
                 go = ~done[rows]
                 rows, normal, jtf, col_norms = rows[go], normal[go], jtf[go], col_norms[go]
@@ -202,8 +205,7 @@ def levenberg_marquardt(
         if done.any():
             for row in np.flatnonzero(done).tolist():
                 start = starts[row]
-                converged = bool(start.converged)
-                results[start.index] = LMResult(x[row].copy(), f[row].copy(), start.nfev, start.njev, converged)
+                results[start.index] = LMResult(x[row].copy(), f[row].copy(), start.nfev, start.njev, start.converged)
             keep = ~done
             if not keep.any():
                 return results

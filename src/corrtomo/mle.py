@@ -216,16 +216,12 @@ class _SufficientStatistics:
         inv_var = 1.0 / variances
         n_groups = first.size
         self.counts = counts[first].astype(float)
-        self.counts_t = np.ascontiguousarray(self.counts.T)
+        self.minus_counts_t = -np.ascontiguousarray(self.counts.T)
         self.z_ideal = z_ideal[first]
         self.a = np.bincount(inverse, weights=inv_var, minlength=n_groups)
         self.sqrt_a = np.sqrt(self.a)
         b = np.bincount(inverse, weights=means * inv_var, minlength=n_groups)
         self.mu = b / self.a
-        # residuals and Jacobian are affine in the per-group dampings
-        self.half_root_z = 0.5 * self.sqrt_a * self.z_ideal
-        self.offset = self.sqrt_a * (0.5 - self.mu)
-        self.minus_half_root_z_counts = -self.half_root_z * self.counts_t
         # within-group scatter, accumulated around the group means so the
         # objective is an explicit sum of nonnegative terms
         self.spread = float(np.sum((means - self.mu[inverse]) ** 2 * inv_var))
@@ -235,16 +231,15 @@ class _SufficientStatistics:
         pred = _fast_predictions(p, rates, self.z_ideal, self.counts)
         return float(self.a @ (pred - self.mu) ** 2 + self.spread)
 
-    def _dampings(self, p: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row: the damping ``D_l`` of every group, (k, m, groups), and their mean ``D.p``, (k, groups)."""
-        log1m = np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP))  # (k, gates, m)
-        damping = np.exp(log1m.swapaxes(1, 2) @ self.counts_t)
-        return damping, (p[:, None, :] @ damping)[:, 0]
+    def _dampings(self, rates: np.ndarray) -> np.ndarray:
+        """prod_G (1 - eps_G(lam))^n_G per row, group and value: (k, groups, m)."""
+        return np.exp(self.counts @ np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP)))
 
     def residuals(self, x: np.ndarray, m: int) -> np.ndarray:
         """``sqrt(A_g) (Cbar_g - mu_g)`` at every row of unconstrained parameters ``x``: (k, groups)."""
-        _, mean = self._dampings(*_unpack(x, m, len(self.counts_t)))
-        return self.half_root_z * mean + self.offset
+        p, rates = _unpack(x, m, self.counts.shape[1])
+        mean = (self._dampings(rates) @ p[:, :, None])[:, :, 0]
+        return self.sqrt_a * (0.5 * (1.0 + self.z_ideal * mean) - self.mu)
 
     def jacobian(self, x: np.ndarray, m: int) -> np.ndarray:
         """Closed-form derivative of ``residuals`` through softmax and logistic: (k, groups, params).
@@ -252,19 +247,22 @@ class _SufficientStatistics:
         With D_l the damping at environment value l and z the ideal outcome,
         d Cbar / d u_k = z p_{k+1} (D_{k+1} - D.p) / 2 and
         d Cbar / d v_{G,l} = -z p_l D_l n_G eps_{G,l} / 2
-        (zero where the rate is clamped).  Built with the group axis
-        innermost and returned as a transposed view.
+        (zero where the rate is clamped).  The products run with the group
+        axis innermost; one copy then lays the rows out group by group, the
+        order in which the optimizer's sums have always run.
         """
-        n_gates, n_groups = self.counts_t.shape
+        n_gates, n_groups = self.counts.shape[1], len(self.mu)
         p, rates = _unpack(x, m, n_gates)
-        damping, mean = self._dampings(p, rates)
+        scaled = (0.5 * self.sqrt_a * self.z_ideal)[:, None] * self._dampings(rates)  # (k, groups, m)
+        weighted = (scaled @ p[:, :, None])[:, :, 0]
+        scaled = scaled.transpose(0, 2, 1).copy()  # (k, m, groups)
         out = np.empty((len(x), x.shape[1], n_groups))
-        np.multiply(self.half_root_z * p[:, 1:, None], damping[:, 1:] - mean[:, None], out=out[:, : m - 1])
+        out[:, : m - 1] = p[:, 1:, None] * (scaled[:, 1:] - weighted[:, None])
         slope = np.where(rates < 1.0 - RATE_CLAMP, rates, 0.0) * p[:, None, :]  # (k, gates, m)
         d_rates = out[:, m - 1 :].reshape(len(x), n_gates, m, n_groups)
-        np.multiply(slope[:, :, :, None], damping[:, None], out=d_rates)
-        d_rates *= self.minus_half_root_z_counts[:, None, :]
-        return out.swapaxes(1, 2)
+        np.multiply(scaled[:, None], slope[:, :, :, None], out=d_rates)
+        d_rates *= self.minus_counts_t[:, None, :]
+        return np.ascontiguousarray(out.swapaxes(1, 2))
 
 
 def negative_log_likelihood(
@@ -380,8 +378,9 @@ def fit(
         row[: m - 1] = gen.normal(0.0, 1.0, size=m - 1)
         row[m - 1 :] = gen.normal(base_rate_logit, 2.0, size=n_gates * m)
 
+    n_params = starts.shape[1]
     results = levenberg_marquardt(
-        lambda x: stats.residuals(x, m), lambda x: stats.jacobian(x, m), starts, tol=1e-15, max_nfev=100 * starts.shape[1]
+        lambda x: stats.residuals(x, m), lambda x: stats.jacobian(x, m), starts, tol=1e-15, max_nfev=100 * n_params
     )
     p_all, rates_all = _unpack(np.stack([r.x for r in results]), m, n_gates)
     objectives = [stats.objective(p, rates) for p, rates in zip(p_all, rates_all)]

@@ -170,16 +170,20 @@ def sequences_up_to(max_len: int, labels=("H", "S")) -> list[tuple[str, ...]]:
     return seqs
 
 
+def _norm(v) -> float:
+    return math.sqrt(v @ v)
+
+
 def _loop_damping(lam, g, delta, par):
     """One start's ``lmpar``: the scalar form of ``corrtomo.lm._damping``."""
     full_rank = lam > lam[0] * EPS
     w = np.divide(g, lam, out=np.zeros_like(g), where=full_rank)
-    dxnorm = math.sqrt(w @ w)
+    dxnorm = _norm(w)
     fp = dxnorm - delta
     if fp <= 0.1 * delta:
         return 0.0, w
-    parl = (fp / delta) / (w @ (w / lam) / (dxnorm * dxnorm)) if full_rank.all() else 0.0
-    gnorm = math.sqrt(g @ g)
+    parl = (fp / delta) / (w @ (w / lam) / dxnorm**2) if full_rank.all() else 0.0
+    gnorm = _norm(g)
     paru = gnorm / delta or DWARF / min(delta, 0.1)
     par = min(max(par, parl), paru) or gnorm / dxnorm
     for iteration in range(1, 11):
@@ -187,11 +191,11 @@ def _loop_damping(lam, g, delta, par):
             par = max(DWARF, 0.001 * paru)
         shifted = lam + par
         w = g / shifted
-        dxnorm = math.sqrt(w @ w)
+        dxnorm = _norm(w)
         previous, fp = fp, dxnorm - delta
         if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
             break
-        correction = (fp / delta) / (w @ (w / shifted) / (dxnorm * dxnorm))
+        correction = (fp / delta) / (w @ (w / shifted) / dxnorm**2)
         if fp > 0.0:
             parl = max(parl, par)
         elif fp < 0.0:
@@ -203,11 +207,8 @@ def _loop_damping(lam, g, delta, par):
 def loop_lm(fun, jac, x0, tol, max_nfev, jac_scale=True, stops=None) -> LMResult:
     """Independent oracle for ``levenberg_marquardt``: one start, run alone in nested loops.
 
-    ``fun`` and ``jac`` take and return one point's arrays.  Squares are
-    written as products, as the batched form computes them: Python's ``**``
-    calls C ``pow``, which can differ from ``x * x`` in the last bit.  When
-    ``stops`` is a list, the name of the test that ended the fit is
-    appended to it.
+    ``fun`` and ``jac`` take and return one point's arrays.  When ``stops``
+    is a list, the name of the test that ended the fit is appended to it.
     """
 
     def stop(name, result):
@@ -217,7 +218,7 @@ def loop_lm(fun, jac, x0, tol, max_nfev, jac_scale=True, stops=None) -> LMResult
 
     x = np.array(x0, dtype=float)
     f = fun(x)
-    fnorm = math.sqrt(f @ f)
+    fnorm = _norm(f)
     nfev, njev = 1, 0
     diag = None
     par = 0.0
@@ -229,7 +230,7 @@ def loop_lm(fun, jac, x0, tol, max_nfev, jac_scale=True, stops=None) -> LMResult
         col_norms = np.sqrt(np.diag(normal))
         if diag is None:
             diag = np.where(col_norms > 0.0, col_norms, 1.0) if jac_scale else np.ones(x.size)
-            xnorm = math.sqrt((diag * x) @ (diag * x))
+            xnorm = _norm(diag * x)
             delta = STEP_FACTOR * xnorm or STEP_FACTOR
         gradient = np.abs(jtf) / np.where(col_norms > 0.0, col_norms, np.inf)
         if fnorm == 0.0:
@@ -243,16 +244,16 @@ def loop_lm(fun, jac, x0, tol, max_nfev, jac_scale=True, stops=None) -> LMResult
         g = (jtf / diag) @ vecs
         while True:  # shrink the step until it lowers the residuals enough
             par, w = _loop_damping(lam, g, delta, par)
-            pnorm = math.sqrt(w @ w)
+            pnorm = _norm(w)
             if first:
                 delta = min(delta, pnorm)
             trial = x - (vecs @ w) / diag
             f_trial = fun(trial)
             nfev += 1
-            fnorm1 = math.sqrt(f_trial @ f_trial)
-            actred = 1.0 - (fnorm1 / fnorm) * (fnorm1 / fnorm) if 0.1 * fnorm1 < fnorm else -1.0
-            linear = lam @ (w * w) / (fnorm * fnorm)
-            damped = par * ((pnorm / fnorm) * (pnorm / fnorm))
+            fnorm1 = _norm(f_trial)
+            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
+            linear = lam @ (w * w) / fnorm**2
+            damped = par * (pnorm / fnorm) ** 2
             prered = linear + 2.0 * damped
             dirder = -(linear + damped)
             ratio = actred / prered if prered != 0.0 else 0.0
@@ -268,7 +269,7 @@ def loop_lm(fun, jac, x0, tol, max_nfev, jac_scale=True, stops=None) -> LMResult
             accepted = ratio >= 1e-4
             if accepted:
                 x, f, fnorm = trial, f_trial, fnorm1
-                xnorm = math.sqrt((diag * x) @ (diag * x))
+                xnorm = _norm(diag * x)
                 first = False
             if abs(actred) <= tol and prered <= tol and ratio <= 2.0:
                 return stop("reduction", LMResult(x, f, nfev, njev, True))

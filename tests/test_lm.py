@@ -23,7 +23,7 @@ def linear_problem(seed, rows=30, cols=6):
 
 
 def rosenbrock(x):
-    return np.array([10.0 * (x[1] - x[0] * x[0]), 1.0 - x[0]])
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
 
 def rosenbrock_jacobian(x):
@@ -113,7 +113,8 @@ class TestTermination:
             seen.append(len(xs))
             return stacked(rosenbrock)(xs)
 
-        results = levenberg_marquardt(fun, stacked(rosenbrock_jacobian), np.array([[1.0, 1.0], [-1.2, 1.0]]), 1e-15, 200)
+        starts = np.array([[1.0, 1.0], [-1.2, 1.0]])
+        results = levenberg_marquardt(fun, stacked(rosenbrock_jacobian), starts, 1e-15, 200)
         # the zero-residual start leaves after its first Jacobian
         assert seen == [2] + [1] * (results[1].nfev - 1)
 
@@ -149,9 +150,10 @@ class TestAgainstOneStartAlone:
     def test_batch_matches_the_loop_bit_for_bit(self, jac_scale):
         stops = []
         for name, fun, jac, starts, tol, budget in oracle_cases():
-            results = levenberg_marquardt(stacked(fun), stacked(jac), np.array(starts, dtype=float), tol, budget, jac_scale)
-            for x0, got in zip(starts, results):
-                assert_same_bits(got, loop_lm(fun, jac, x0, tol, budget, jac_scale, stops=stops))
+            x0 = np.array(starts, dtype=float)
+            results = levenberg_marquardt(stacked(fun), stacked(jac), x0, tol, budget, jac_scale)
+            for start, got in zip(starts, results):
+                assert_same_bits(got, loop_lm(fun, jac, start, tol, budget, jac_scale, stops=stops))
         # every termination test is covered
         assert set(stops) == {"zero residual", "gradient", "reduction", "step bound", "budget"}
 

@@ -169,7 +169,8 @@ class TestKernels:
         records = noisy_records(two_point_model(), random_circuits(200, 25, seed=14), seed=15)
         stats = mle._SufficientStatistics(RecordSet.from_records(records), ("H", "S"), 1e-3)
         gen = np.random.default_rng(seed + l_size)
-        x = np.concatenate([gen.normal(0.0, 1.0, (rows, l_size - 1)), gen.normal(-4.6, 1.0, (rows, 2 * l_size))], axis=1)
+        weights, rates = gen.normal(0.0, 1.0, (rows, l_size - 1)), gen.normal(-4.6, 1.0, (rows, 2 * l_size))
+        x = np.concatenate([weights, rates], axis=1)
         return stats, x
 
     @pytest.mark.parametrize("l_size", [1, 2, 3])
@@ -196,7 +197,8 @@ class TestKernels:
         for i in range(len(x)):
             closed = stats.sqrt_a * (_fast_predictions(p[i], rates[i], stats.z_ideal, stats.counts) - stats.mu)
             np.testing.assert_allclose(residuals[i], closed, rtol=0.0, atol=1e-12 * np.max(np.abs(stats.sqrt_a)))
-            assert stats.objective(p[i], rates[i]) == pytest.approx(stats.spread + residuals[i] @ residuals[i], rel=1e-9)
+            objective = stats.spread + residuals[i] @ residuals[i]
+            assert stats.objective(p[i], rates[i]) == pytest.approx(objective, rel=1e-9)
             # a row's bits do not depend on the rows evaluated with it
             assert stats.residuals(x[i : i + 1], l_size)[0].tobytes() == residuals[i].tobytes()
             assert np.array_equal(stats.jacobian(x[i : i + 1], l_size)[0], jac[i])

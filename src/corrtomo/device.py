@@ -162,14 +162,20 @@ def exact_means(model, circuits: Sequence[Circuit | Sequence[str]]) -> np.ndarra
 
 
 def _damping(rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """prod_G (1 - eps_G(lam))^n_G for every record (row) and value (column)."""
-    log1m = np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP))  # (n_gates, m)
+    """prod_G (1 - eps_G(lam))^n_G for every record (row) and value (column).
+
+    ``rates`` is (n_gates, m), or a stack of them, which stacks the result.
+    """
+    log1m = np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP))
     return np.exp(counts @ log1m)
 
 
 def _fast_predictions(p: np.ndarray, rates: np.ndarray, z_ideal: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Vectorized means: 0.5 (1 + z_ideal * sum_lam p_lam prod_G (1-eps)^n_G)."""
-    return 0.5 * (1.0 + z_ideal * (_damping(rates, counts) @ p))
+    """Vectorized means: 0.5 (1 + z_ideal * sum_lam p_lam prod_G (1-eps)^n_G).
+
+    ``p`` (m,) and ``rates`` (n_gates, m) may be stacks of weights and rates.
+    """
+    return 0.5 * (1.0 + z_ideal * (_damping(rates, counts) @ p[..., None])[..., 0])
 
 
 def run_circuit(

@@ -13,9 +13,12 @@ over the weights and rates, with exact-mean records assigned a configurable
 variance floor.  The objective is a weighted sum of squares, so the
 optimizer is a deterministic multi-start Levenberg-Marquardt on the residual
 vector, with the analytic Jacobian, over an unconstrained parametrization
-(weights through softmax, rates through a logistic map).  The winning start
-is chosen by (objective, start index), so results are reproducible and
-independent of evaluation order.  Fits are canonicalized by ascending
+(weights through softmax, rates through a logistic map).  The starts run
+independently, in one batch through :mod:`corrtomo.lm`: the residuals and
+Jacobians of all running starts are evaluated in one call each, and every
+start's iterates are bit for bit those it has when run alone.  The winning
+start is chosen by (objective, start index), so results are reproducible
+and independent of evaluation order.  Fits are canonicalized by ascending
 first-gate rate to remove the label permutation symmetry.
 
 Because depolarizing noise commutes with the ideal gates, a circuit's
@@ -39,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .device import RATE_CLAMP, Circuit, MeasurementRecord, _fast_predictions, _gate_matrix, _ideal_features
+from .device import RATE_CLAMP, Circuit, MeasurementRecord, _damping, _fast_predictions, _gate_matrix, _ideal_features
 from .lm import levenberg_marquardt
 from .noise import depolarized_gates
 from .ptm import block_diag, ideal_qubit_ptms, reduced_frame
@@ -231,15 +234,10 @@ class _SufficientStatistics:
         pred = _fast_predictions(p, rates, self.z_ideal, self.counts)
         return float(self.a @ (pred - self.mu) ** 2 + self.spread)
 
-    def _dampings(self, rates: np.ndarray) -> np.ndarray:
-        """prod_G (1 - eps_G(lam))^n_G per row, group and value: (k, groups, m)."""
-        return np.exp(self.counts @ np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP)))
-
     def residuals(self, x: np.ndarray, m: int) -> np.ndarray:
         """``sqrt(A_g) (Cbar_g - mu_g)`` at every row of unconstrained parameters ``x``: (k, groups)."""
         p, rates = _unpack(x, m, self.counts.shape[1])
-        mean = (self._dampings(rates) @ p[:, :, None])[:, :, 0]
-        return self.sqrt_a * (0.5 * (1.0 + self.z_ideal * mean) - self.mu)
+        return self.sqrt_a * (_fast_predictions(p, rates, self.z_ideal, self.counts) - self.mu)
 
     def jacobian(self, x: np.ndarray, m: int) -> np.ndarray:
         """Closed-form derivative of ``residuals`` through softmax and logistic: (k, groups, params).
@@ -253,7 +251,7 @@ class _SufficientStatistics:
         """
         n_gates, n_groups = self.counts.shape[1], len(self.mu)
         p, rates = _unpack(x, m, n_gates)
-        scaled = (0.5 * self.sqrt_a * self.z_ideal)[:, None] * self._dampings(rates)  # (k, groups, m)
+        scaled = (0.5 * self.sqrt_a * self.z_ideal)[:, None] * _damping(rates, self.counts)  # (k, groups, m)
         weighted = (scaled @ p[:, :, None])[:, :, 0]
         scaled = scaled.transpose(0, 2, 1).copy()  # (k, m, groups)
         out = np.empty((len(x), x.shape[1], n_groups))
@@ -342,8 +340,9 @@ def fit(
     Deterministic multi-start Levenberg-Marquardt on the weighted residuals,
     with the analytic Jacobian of the closed-form predictions.  The first
     start uses equal weights and a common small rate; the remaining starts
-    are drawn from the seeded generator.  Starts run independently; the
-    winner is the lowest objective with ties broken by start index, and
+    are drawn from the seeded generator.  Starts run independently, all in
+    one batch of :func:`corrtomo.lm.levenberg_marquardt`; the winner is the
+    lowest objective with ties broken by start index, and
     ``converged`` is the winning start's own termination status.  The fitted
     model is canonicalized by ascending first-gate rate and exported both as
     a ParamModel and as the equivalent reduced-space ErrorModel.

@@ -361,10 +361,9 @@ def gauge_fit_to_ideal(
         m_inv = np.linalg.inv(m)
         m_inv_a = m_inv @ a_mats
         # the two Kronecker products per gate, broadcast to (start, gate, i, j, p, q)
-        blocks = m_inv_a[:, :, :, None, :, None] * np.eye(d)[:, None, :] - m_inv[
-            :, :, :, None, :, None
-        ] * (m_inv_a @ m).swapaxes(2, 3)[:, :, None, :, None, :]
-        return blocks.reshape(len(x), -1, d * d)
+        left = m_inv_a[:, :, :, None, :, None] * np.eye(d)[:, None, :]
+        right = m_inv[:, :, :, None, :, None] * (m_inv_a @ m).swapaxes(2, 3)[:, :, None, :, None, :]
+        return (left - right).reshape(len(x), -1, d * d)
 
     (result,) = levenberg_marquardt(residual, jacobian, m_hat_out0.reshape(1, -1), 1e-14, max_nfev, jac_scale=False)
     if result.converged and result.nfev < max_nfev:

@@ -51,15 +51,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[i] @ b[i]`` for every row of two (k, n) stacks."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dots(v, v))
-
-
 def _damping(lam: np.ndarray, g: np.ndarray, delta: float, par: float) -> tuple[float, np.ndarray]:
     """Damping ``par`` whose step has length within 10% of ``delta`` (MINPACK ``lmpar``).
 
@@ -111,20 +102,21 @@ class _Start:
         self.first = True  # no step accepted yet
         self.converged = False
 
-    def trial(self, pnorm: float, fnorm1: float, lam_w2: float, xnorm1: float, tol: float) -> bool:
+    def trial(self, lam: np.ndarray, w: np.ndarray, scaled: np.ndarray, f_trial: np.ndarray, tol: float) -> bool:
         """Update the step bound and damping from a trial step; True if the step is accepted.
 
-        ``pnorm`` is the scaled step length, ``fnorm1`` the residual norm at
-        the trial point, ``lam_w2`` the step's predicted reduction
-        ``lam @ (w * w)`` and ``xnorm1`` the scaled norm of the trial point.
-        Sets ``converged`` when a tolerance test ends the fit.
+        ``w`` is the step in the eigenbasis of the scaled normal matrix, whose
+        eigenvalues are ``lam``; ``scaled`` is the scaled trial point and
+        ``f_trial`` its residuals.  Sets ``converged`` when a tolerance test
+        ends the fit.
         """
         self.nfev += 1
+        pnorm, fnorm1 = _norm(w), _norm(f_trial)
         if self.first:
             self.delta = min(self.delta, pnorm)
         fnorm = self.fnorm
         actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
-        linear = lam_w2 / fnorm**2
+        linear = lam @ (w * w) / fnorm**2
         damped = self.par * (pnorm / fnorm) ** 2
         prered = linear + 2.0 * damped
         dirder = -(linear + damped)
@@ -140,7 +132,7 @@ class _Start:
             self.par *= 0.5
         accepted = ratio >= 1e-4
         if accepted:
-            self.fnorm, self.xnorm, self.first = fnorm1, xnorm1, False
+            self.fnorm, self.xnorm, self.first = fnorm1, _norm(scaled), False
         self.converged = bool((abs(actred) <= tol and prered <= tol and ratio <= 2.0) or self.delta <= tol * self.xnorm)
         return accepted
 
@@ -170,7 +162,7 @@ def levenberg_marquardt(
     """
     x = np.array(x0, dtype=float)
     f = fun(x)
-    starts = [_Start(i, fnorm) for i, fnorm in enumerate(_norms(f).tolist())]
+    starts = [_Start(i, _norm(row)) for i, row in enumerate(f)]
     results: list[LMResult | None] = [None] * len(starts)
     moved = np.ones(len(starts), dtype=bool)  # at a new point, whose Jacobian is still to come
     done = ~moved
@@ -185,8 +177,9 @@ def levenberg_marquardt(
             col_norms = np.sqrt(np.diagonal(normal, axis1=1, axis2=2))
             if diag is None:  # the first Jacobians, of every start: scales and step bounds
                 diag = np.where(col_norms > 0.0, col_norms, 1.0) if jac_scale else np.ones_like(x)
-                for start, xnorm in zip(starts, _norms(diag * x).tolist()):
-                    start.xnorm, start.delta = xnorm, STEP_FACTOR * xnorm or STEP_FACTOR
+                for start, scaled in zip(starts, diag * x):
+                    start.xnorm = _norm(scaled)
+                    start.delta = STEP_FACTOR * start.xnorm or STEP_FACTOR
                 lam, vecs, g = np.empty_like(x), np.empty(normal.shape), np.empty_like(x)
             gradient = np.abs(jtf) / np.where(col_norms > 0.0, col_norms, np.inf)
             for row, largest in zip(rows.tolist(), gradient.max(axis=1, initial=0.0).tolist()):
@@ -217,8 +210,9 @@ def levenberg_marquardt(
             start.par, w[row] = _damping(lam[row], g[row], start.delta, start.par)
         trial = x - (vecs[:, :, ::-1] @ w[:, :, None])[:, :, 0] / diag
         f_trial = fun(trial)
-        norms = (_norms(w), _norms(f_trial), _dots(lam, w * w), _norms(diag * trial))
-        moved = np.array([start.trial(*values, tol) for start, *values in zip(starts, *(a.tolist() for a in norms))])
-        x[moved], f[moved] = trial[moved], f_trial[moved]
+        scaled = diag * trial
+        moved = np.array([start.trial(lam[row], w[row], scaled[row], f_trial[row], tol) for row, start in enumerate(starts)])
+        np.copyto(x, trial, where=moved[:, None])
+        np.copyto(f, f_trial, where=moved[:, None])
         done = np.array([start.converged or start.nfev >= max_nfev for start in starts])
         moved &= ~done

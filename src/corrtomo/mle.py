@@ -371,15 +371,14 @@ def fit(
 
     gen = np.random.default_rng(seed)
     base_rate_logit = _logit(cfg.rate_scale)
-    starts = np.empty((cfg.n_starts, m - 1 + n_gates * m))
-    starts[0] = np.concatenate([np.zeros(m - 1), np.full(n_gates * m, base_rate_logit)])
-    for row in starts[1:]:
-        row[: m - 1] = gen.normal(0.0, 1.0, size=m - 1)
-        row[m - 1 :] = gen.normal(base_rate_logit, 2.0, size=n_gates * m)
+    starts = [np.concatenate([np.zeros(m - 1), np.full(n_gates * m, base_rate_logit)])]
+    for _ in range(cfg.n_starts - 1):
+        w = gen.normal(0.0, 1.0, size=m - 1)
+        v = gen.normal(base_rate_logit, 2.0, size=n_gates * m)
+        starts.append(np.concatenate([w, v]))
 
-    n_params = starts.shape[1]
     results = levenberg_marquardt(
-        lambda x: stats.residuals(x, m), lambda x: stats.jacobian(x, m), starts, tol=1e-15, max_nfev=100 * n_params
+        lambda x: stats.residuals(x, m), lambda x: stats.jacobian(x, m), np.stack(starts), 1e-15, 100 * starts[0].size
     )
     p_all, rates_all = _unpack(np.stack([r.x for r in results]), m, n_gates)
     objectives = [stats.objective(p, rates) for p, rates in zip(p_all, rates_all)]

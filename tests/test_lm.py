@@ -92,7 +92,7 @@ class TestTermination:
         assert result.nfev == 4
         assert np.array_equal(result.residuals, rosenbrock(result.x))
 
-    def test_counts_every_evaluation_of_every_start(self):
+    def test_counts_every_evaluation(self):
         rows = {"fun": 0, "jac": 0}
 
         def fun(xs):

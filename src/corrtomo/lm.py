@@ -211,7 +211,7 @@ def levenberg_marquardt(
         trial = x - (vecs[:, :, ::-1] @ w[:, :, None])[:, :, 0] / diag
         f_trial = fun(trial)
         scaled = diag * trial
-        moved = np.array([start.trial(lam[row], w[row], scaled[row], f_trial[row], tol) for row, start in enumerate(starts)])
+        moved = np.array([start.trial(lam[i], w[i], scaled[i], f_trial[i], tol) for i, start in enumerate(starts)])
         np.copyto(x, trial, where=moved[:, None])
         np.copyto(f, f_trial, where=moved[:, None])
         done = np.array([start.converged or start.nfev >= max_nfev for start in starts])

@@ -149,7 +149,7 @@ class TestAgainstOneStartAlone:
     @pytest.mark.parametrize("jac_scale", [True, False])
     def test_batch_matches_the_loop_bit_for_bit(self, jac_scale):
         stops = []
-        for name, fun, jac, starts, tol, budget in oracle_cases():
+        for _, fun, jac, starts, tol, budget in oracle_cases():
             x0 = np.array(starts, dtype=float)
             results = levenberg_marquardt(stacked(fun), stacked(jac), x0, tol, budget, jac_scale)
             for start, got in zip(starts, results):

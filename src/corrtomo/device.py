@@ -171,11 +171,8 @@ def _damping(rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _fast_predictions(p: np.ndarray, rates: np.ndarray, z_ideal: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Vectorized means: 0.5 (1 + z_ideal * sum_lam p_lam prod_G (1-eps)^n_G).
-
-    ``p`` (m,) and ``rates`` (n_gates, m) may be stacks of weights and rates.
-    """
-    return 0.5 * (1.0 + z_ideal * (_damping(rates, counts) @ p[..., None])[..., 0])
+    """Vectorized means: 0.5 (1 + z_ideal * sum_lam p_lam prod_G (1-eps)^n_G)."""
+    return 0.5 * (1.0 + z_ideal * (_damping(rates, counts) @ p))
 
 
 def run_circuit(

@@ -237,7 +237,8 @@ class _SufficientStatistics:
     def residuals(self, x: np.ndarray, m: int) -> np.ndarray:
         """``sqrt(A_g) (Cbar_g - mu_g)`` at every row of unconstrained parameters ``x``: (k, groups)."""
         p, rates = _unpack(x, m, self.counts.shape[1])
-        return self.sqrt_a * (_fast_predictions(p, rates, self.z_ideal, self.counts) - self.mu)
+        mean = (_damping(rates, self.counts) @ p[:, :, None])[:, :, 0]  # the closed form's sum, per row
+        return self.sqrt_a * (0.5 * (1.0 + self.z_ideal * mean) - self.mu)
 
     def jacobian(self, x: np.ndarray, m: int) -> np.ndarray:
         """Closed-form derivative of ``residuals`` through softmax and logistic: (k, groups, params).

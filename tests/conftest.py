@@ -18,8 +18,8 @@ from corrtomo.bounds import (
     projection_from_vectors,
     sequence_bound,
 )
-from corrtomo.lm import DWARF, EPS, STEP_FACTOR, LMResult
 from corrtomo.linear_inversion import collect_trial_data, svd_truncate, trial_sequences
+from corrtomo.lm import DWARF, EPS, STEP_FACTOR, LMResult
 from corrtomo.mle import records_from_tomography
 from corrtomo.tomography import fiducial_frames
 

@@ -6,20 +6,15 @@ reconstructed error models against stored ground-truth circuit means.  With
 the same config and seed the result CSV/JSON files are byte identical
 (the manifest carries the only timestamp).
 
-Config schema (unknown keys are rejected)::
+A config is a JSON object::
 
-    {
-      "experiment": "survival" | "exact-lot" | "lim" | "mle" | "bounds",
-      "model":  {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 5}
-              | {"kind": "dense", "sigma": ..., "eta": ..., "n_points": 2001}
-              | {"kind": "constant", "epsilon": 0.01}
-              | {"kind": "second_order", "sigma": ..., "eta": ..., "gate_gammas": {...}}
-              | {"kind": "context", "labels": [...], "rates": {chi: {lam: eps}}, "initial": [...]},
-      "seed": 0,            # optional, default 0
-      "shots": null,        # optional, null = exact means
-      "output_dir": "out",  # optional, else pass out_dir/--out
-      "params": { ... experiment-specific ... }
-    }
+    {"experiment": "survival", "model": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 5},
+     "seed": 0, "shots": null, "output_dir": "out", "params": {"n_gates": [0, 10, 20]}}
+
+Its keys are given by three tables below: ``CONFIG`` for the top level,
+``MODELS`` for each model kind and ``EXPERIMENTS`` for each experiment's
+``params``.  ``run`` checks the whole config against them before it builds
+the model; unknown keys are rejected.
 
 Exit codes: 0 success, 2 config validation error, 3 numerical failure
 (singular Gram matrix, invalid moment sequence, optimizer breakdown).
@@ -39,7 +34,7 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence, get_args, get_origin
 
 import numpy as np
 
@@ -86,61 +81,117 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-EXPERIMENTS = ("survival", "exact-lot", "lim", "mle", "bounds")
-
 
 class ConfigError(ValueError):
     """Configuration file is malformed or inconsistent."""
 
 
-def _require_keys(section: Mapping, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+REQUIRED = object()  # the default of a key that must be given
+
+
+class Param(NamedTuple):
+    """One config key.
+
+    ``kind`` is ``int``, ``float``, ``bool``, ``str``, ``dict`` (an object
+    checked elsewhere), ``list[...]`` or ``dict[str, ...]``.  An integer takes
+    a JSON integer only; a float takes any JSON number and is passed on as a
+    ``float``; a list must be nonempty.  ``least`` (inclusive) and ``above``
+    (exclusive) bound every number of the value, and NaN meets neither;
+    ``choices`` lists the allowed strings.  A key whose default is None also
+    takes null.
+    """
+
+    kind: object
+    default: object = REQUIRED
+    least: float | None = None
+    above: float | None = None
+    choices: tuple = ()
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+               list: "a nonempty list", dict: "an object"}
+
+
+def _value(value, kind, p: Param, name: str):
+    """``value`` checked against ``kind`` and the limits of ``p``."""
+    origin, args = get_origin(kind) or kind, get_args(kind)
+    if origin is float and type(value) is int:
+        value = float(value)
+    if not (isinstance(value, Mapping) if origin is dict else type(value) is origin) or value == []:
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[origin]}, got {value!r}")
+    if origin is list:
+        return [_value(v, args[0], p, f"{name}[{i}]") for i, v in enumerate(value)]
+    if args:
+        return {k: _value(v, args[1], p, f"{name}[{k!r}]") for k, v in value.items()}
+    if p.choices and value not in p.choices:
+        raise ConfigError(f"{name} must be one of {list(p.choices)}, got {value!r}")
+    if p.least is not None and not value >= p.least:
+        raise ConfigError(f"{name} must be >= {p.least}, got {value!r}")
+    if p.above is not None and not value > p.above:
+        raise ConfigError(f"{name} must be > {p.above}, got {value!r}")
+    return value
+
+
+def _checked(section: Mapping, table: Mapping[str, Param], where: str) -> dict:
+    """Every key of ``table``: its checked value in ``section``, or its default."""
+    unknown = set(section) - set(table)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(section)
+    missing = [key for key, p in table.items() if p.default is REQUIRED and key not in section]
     if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+        raise ConfigError(f"missing keys in {where}: {missing}")
+    prefix = "" if where == "config" else f"{where}: "
+    return {
+        key: None if p.default is None and section.get(key) is None
+        else _value(section.get(key, p.default), p.kind, p, prefix + key)
+        for key, p in table.items()
+    }
+
+
+def _context_model(labels: list[str], rates: dict, initial: list[float] | None = None) -> ContextModel:
+    """Context model whose gate ``chi`` after gate ``lam`` depolarizes at ``rates[chi][lam]``."""
+    per_pair = {}
+    for chi in labels:
+        gates = depolarized_gates(chi, [rates[chi][lam] for lam in labels])
+        per_pair.update(((chi, lam), gate) for lam, gate in zip(labels, gates))
+    return ContextModel(gate_labels=tuple(labels), per_pair=per_pair, initial=initial)
+
+
+# Each model kind: its builder, called with the checked keys, and their table.
+# An omitted optional key keeps the builder's own default.
+MODELS = {
+    "low_freq": (build_low_freq_model, {
+        "sigma": Param(float, above=0.0), "eta": Param(float, least=0.0), "m": Param(int, least=1)}),
+    "dense": (dense_low_freq_model, {
+        "sigma": Param(float, above=0.0), "eta": Param(float, least=0.0),
+        "n_points": Param(int, default=None, least=1), "cutoff": Param(float, default=None, above=0.0)}),
+    "constant": (constant_depolarizing_model, {"epsilon": Param(float, least=0.0)}),
+    "second_order": (second_order_model, {
+        "sigma": Param(float, above=0.0), "eta": Param(float, default=None, least=0.0),
+        "gate_gammas": Param(dict[str, float], default=None, least=0.0)}),
+    "context": (_context_model, {
+        "labels": Param(list[str]), "rates": Param(dict[str, dict[str, float]], least=0.0),
+        "initial": Param(list[float], default=None, least=0.0)}),
+}
+
+
+def _model_section(spec) -> tuple:
+    """The builder of ``spec["kind"]`` and its checked keyword arguments."""
+    kind = spec.get("kind") if isinstance(spec, Mapping) else None
+    if kind not in list(MODELS):
+        raise ConfigError(f"model: kind must be one of {list(MODELS)}, got {kind!r}")
+    builder, table = MODELS[kind]
+    section = _checked({k: v for k, v in spec.items() if k != "kind"}, table, "model")
+    return builder, {k: v for k, v in section.items() if v is not None}
 
 
 def build_model(spec: Mapping):
     """Instantiate a noise model from its config section."""
-    if not isinstance(spec, Mapping) or "kind" not in spec:
-        raise ConfigError("model section must be an object with a 'kind' key")
-    kind = spec["kind"]
-    if kind == "low_freq":
-        _require_keys(spec, {"kind", "sigma", "eta", "m"}, {"sigma", "eta", "m"}, "model")
-        return build_low_freq_model(float(spec["sigma"]), float(spec["eta"]), int(spec["m"]))
-    if kind == "dense":
-        _require_keys(spec, {"kind", "sigma", "eta", "n_points", "cutoff"}, {"sigma", "eta"}, "model")
-        return dense_low_freq_model(
-            float(spec["sigma"]),
-            float(spec["eta"]),
-            n_points=int(spec.get("n_points", 2001)),
-            cutoff=float(spec.get("cutoff", 12.0)),
-        )
-    if kind == "constant":
-        _require_keys(spec, {"kind", "epsilon"}, {"epsilon"}, "model")
-        return constant_depolarizing_model(float(spec["epsilon"]))
-    if kind == "second_order":
-        _require_keys(spec, {"kind", "sigma", "eta", "gate_gammas"}, {"sigma"}, "model")
-        return second_order_model(
-            float(spec["sigma"]),
-            eta=float(spec.get("eta", 0.0)),
-            gate_gammas=spec.get("gate_gammas"),
-        )
-    if kind == "context":
-        _require_keys(spec, {"kind", "labels", "rates", "initial"}, {"labels", "rates"}, "model")
-        labels = tuple(spec["labels"])
-        per_pair = {}
-        for chi in labels:
-            gates = depolarized_gates(chi, [float(spec["rates"][chi][lam]) for lam in labels])
-            per_pair.update(((chi, lam), gate) for lam, gate in zip(labels, gates))
-        initial = np.asarray(spec["initial"], dtype=float) if "initial" in spec else None
-        return ContextModel(gate_labels=labels, per_pair=per_pair, initial=initial)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    builder, kwargs = _model_section(spec)
+    return builder(**kwargs)
 
 
-def _load_config(config: str | Path | Mapping) -> dict:
+def _load_config(config: str | Path | Mapping) -> Mapping:
     if isinstance(config, (str, Path)):
         try:
             config = json.loads(Path(config).read_text())
@@ -148,69 +199,30 @@ def _load_config(config: str | Path | Mapping) -> dict:
             raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(config, Mapping):
         raise ConfigError("config must be a JSON object")
-    cfg = dict(config)
-    _require_keys(
-        cfg,
-        {"experiment", "model", "seed", "shots", "output_dir", "params"},
-        {"experiment", "model"},
-        "config",
-    )
-    if cfg["experiment"] not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {cfg['experiment']!r}")
-    cfg.setdefault("seed", 0)
-    seed = cfg["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    shots = cfg.setdefault("shots", None)
-    if shots is not None and (isinstance(shots, bool) or not isinstance(shots, int) or shots < 1):
-        raise ConfigError(f"shots must be null or an integer >= 1, got {shots!r}")
-    cfg.setdefault("params", {})
-    if not isinstance(cfg["params"], Mapping):
-        raise ConfigError("params must be an object")
-    return cfg
+    return config
+
+
+def _output_dir(target: str | Path | None) -> Path:
+    """``target``, checked to be a directory or a path where one can be made."""
+    if target is None:
+        raise ConfigError("no output directory: set output_dir in the config or pass out_dir")
+    target = Path(target)
+    existing = next(p for p in (target, *target.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir: {str(existing)!r} is not a directory")
+    return target
 
 
 # ---------------------------------------------------------------------------
-# Experiment bodies.  Each returns {filename: writer} where the writer is a
-# callable(path) producing the file, so nothing is written before the whole
-# experiment has succeeded.
+# Experiment bodies.  Each reads its checked params and returns {filename:
+# writer} where the writer is a callable(path) producing the file, so nothing
+# is written before the whole experiment has succeeded.
 # ---------------------------------------------------------------------------
 
 
-def _param(params: Mapping, key: str, convert, default=None):
-    """``convert(params[key])``, or of ``default`` when the key is absent.
-
-    A value that ``convert`` rejects is a ConfigError naming the key.
-    """
-    try:
-        return convert(params.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {key}: {exc}") from exc
-
-
-def _int_list(values) -> list[int]:
-    return [int(v) for v in values]
-
-
-def _lengths(params: Mapping, key: str, default: Sequence[int]) -> list[int]:
-    """Circuit lengths under ``params[key]``, each checked to be nonnegative."""
-    lengths = _param(params, key, _int_list, default)
-    if any(n < 0 for n in lengths):
-        raise ConfigError(f"params: {key} must hold lengths >= 0, got {lengths}")
-    return lengths
-
-
-def _count(params: Mapping, key: str, default: int, least: int) -> int:
-    """The integer ``params[key]``, checked to be at least ``least``."""
-    value = _param(params, key, int, default)
-    if value < least:
-        raise ConfigError(f"params: {key} must be >= {least}, got {value}")
-    return value
-
-
-def _fiducial_pool(params: Mapping) -> list[tuple[str, ...]]:
-    """Every H/S sequence of at most ``params["pool_max_len"]`` gates (default 3)."""
-    return [s for n in range(_count(params, "pool_max_len", 3, 0) + 1) for s in _all_sequences(n, ("H", "S"))]
+def _fiducial_pool(pool_max_len: int) -> list[tuple[str, ...]]:
+    """Every H/S sequence of at most ``pool_max_len`` gates."""
+    return [s for n in range(pool_max_len + 1) for s in _all_sequences(n, ("H", "S"))]
 
 
 def _check_dims(key: str, dims: Sequence[int], model, pool: Sequence) -> None:
@@ -220,20 +232,19 @@ def _check_dims(key: str, dims: Sequence[int], model, pool: Sequence) -> None:
         raise ConfigError(f"params: {key} must lie in 1 .. {largest} (model dimension, pool size), got {dims}")
 
 
-def _eval_circuits(model, params: Mapping, seed: int) -> list[Circuit]:
+def _eval_circuits(params: dict, seed: int) -> list[Circuit]:
     """Identity-equivalent evaluation circuits shared by lim/mle predictions."""
-    grid = _lengths(params, "eval_n_gates", list(range(0, 101, 10)))
-    per_point = _count(params, "eval_circuits_per_point", 10, 0)
+    grid, per_point = params["eval_n_gates"], params["eval_circuits_per_point"]
     circuits: list[Circuit] = []
     root = np.random.SeedSequence(seed).spawn(len(grid))
     for n, seq in zip(grid, root):
-        circuits.extend(random_identity_sequences(int(n), per_point, seed=np.random.default_rng(seq)))
+        circuits.extend(random_identity_sequences(n, per_point, seed=np.random.default_rng(seq)))
     return circuits
 
 
-def _predictions_writer(model, error_model: ErrorModel, params: Mapping, seed: int):
+def _predictions_writer(model, error_model: ErrorModel, params: dict, seed: int):
     """Writer of ``predictions.csv``: the model's and the error model's means on the evaluation circuits."""
-    circuits = _eval_circuits(model, params, seed)
+    circuits = _eval_circuits(params, seed)
     labels = tuple(error_model.gates)
     actual = exact_means(model, circuits).tolist()
     predicted = _predictions(error_model, _gate_matrix(circuits, labels), labels).tolist()
@@ -244,21 +255,15 @@ def _predictions_writer(model, error_model: ErrorModel, params: Mapping, seed: i
     return lambda p: save_rows_csv(p, rows, ["n_gates", "gates", "actual", "predicted", "abs_error"])
 
 
-def _survival_experiment(model, cfg: dict) -> dict:
-    params = dict(cfg["params"])
-    _require_keys(params, {"n_gates", "circuits_per_point", "eval_n_gates", "eval_circuits_per_point"},
-                  {"n_gates"}, "params")
-    n_gates = _lengths(params, "n_gates", [])
-    if not n_gates:
-        raise ConfigError("params: n_gates must not be empty")
+def _survival_experiment(model, cfg: dict, params: dict) -> dict:
     rows = survival_curve(
         model,
-        n_gates,
-        circuits_per_point=_count(params, "circuits_per_point", 200, 1),
+        params["n_gates"],
+        circuits_per_point=params["circuits_per_point"],
         shots=cfg["shots"],
         seed=cfg["seed"],
     )
-    circuits = _eval_circuits(model, params, cfg["seed"] + 1)
+    circuits = _eval_circuits(params, cfg["seed"] + 1)
     records = [
         {"gates": list(c.gates), "mean": run_circuit(model, c).mean} for c in circuits
     ]
@@ -270,19 +275,10 @@ def _survival_experiment(model, cfg: dict) -> dict:
     }
 
 
-def _exact_lot_experiment(model, cfg: dict) -> dict:
-    params = dict(cfg["params"])
-    _require_keys(
-        params,
-        {"d", "pool_max_len", "n_check_sequences", "check_max_len"},
-        {"d"},
-        "params",
-    )
-    d = _param(params, "d", int)
-    pool = trial_sequences("custom", sequences=_fiducial_pool(params)).sequences
+def _exact_lot_experiment(model, cfg: dict, params: dict) -> dict:
+    d, n_seq, max_len = params["d"], params["n_check_sequences"], params["check_max_len"]
+    pool = _fiducial_pool(params["pool_max_len"])
     _check_dims("d", [d], model, pool)
-    n_seq = _count(params, "n_check_sequences", 100, 0)
-    max_len = _count(params, "check_max_len", 20, 1)
     fiducials = select_fiducials(model, pool, d)
     data = collect_data(model, fiducials, shots=cfg["shots"], seed=cfg["seed"])
     gen = np.random.default_rng(cfg["seed"])
@@ -311,29 +307,13 @@ def _exact_lot_experiment(model, cfg: dict) -> dict:
     return out
 
 
-def _trial(params: Mapping, seed: int):
-    """The trial sequences of ``params["preset"]`` (default d7)."""
-    try:
-        return trial_sequences(str(params.get("preset", "d7")), seed=seed)
-    except ValueError as exc:  # unknown preset, or custom without sequences
-        raise ConfigError(f"params: preset: {exc}") from exc
-
-
-def _lim_experiment(model, cfg: dict) -> dict:
-    params = dict(cfg["params"])
-    _require_keys(
-        params,
-        {"preset", "d", "gauge_fit", "eval_n_gates", "eval_circuits_per_point"},
-        {"d"},
-        "params",
-    )
-    trial = _trial(params, cfg["seed"])
+def _lim_experiment(model, cfg: dict, params: dict) -> dict:
+    trial = trial_sequences(params["preset"], seed=cfg["seed"])
+    d = params["d"]
+    if d > trial.d_trial:
+        raise ConfigError(f"params: d must be at most the {trial.d_trial} trial sequences, got {d}")
     data = collect_trial_data(model, trial, shots=cfg["shots"], seed=cfg["seed"])
-    d = _param(params, "d", int)
-    try:
-        trunc = svd_truncate(data.gram, data.gate_mats, d)
-    except ValueError as exc:  # d outside 1 .. trial dimension
-        raise ConfigError(f"params: d: {exc}") from exc
+    trunc = svd_truncate(data.gram, data.gate_mats, d)
     out: dict = {
         "spectrum.csv": lambda p: save_rows_csv(
             p,
@@ -341,7 +321,7 @@ def _lim_experiment(model, cfg: dict) -> dict:
             ["index", "singular_value"],
         ),
     }
-    if params.get("gauge_fit", True) and d in (4, 7):
+    if params["gauge_fit"] and d in (4, 7):
         fit_res = gauge_fit_to_ideal(trunc, trial=trial)
         error_model = fit_res.error_model
         ideal = ideal_qubit_ptms() if d == 4 else ideal_seven_ptms(0.5)
@@ -361,26 +341,12 @@ def _lim_experiment(model, cfg: dict) -> dict:
     return out
 
 
-def _mle_experiment(model, cfg: dict) -> dict:
-    params = dict(cfg["params"])
-    _require_keys(
-        params,
-        {"preset", "l_size", "sigma_floor", "n_starts", "eval_n_gates", "eval_circuits_per_point"},
-        {"l_size"},
-        "params",
-    )
-    trial = _trial(params, cfg["seed"])
+def _mle_experiment(model, cfg: dict, params: dict) -> dict:
+    trial = trial_sequences(params["preset"], seed=cfg["seed"])
     data = collect_trial_data(model, trial, shots=cfg["shots"], seed=cfg["seed"])
     records = records_from_tomography(data)
-    opt = OptimizerConfig(
-        sigma_floor=_param(params, "sigma_floor", float, 1e-3),
-        n_starts=_param(params, "n_starts", int, 16),
-    )
-    l_size = _param(params, "l_size", int)
-    try:
-        result = fit(records, l_size, optimizer_config=opt, seed=cfg["seed"])
-    except ValueError as exc:  # l_size, n_starts or sigma_floor out of range
-        raise ConfigError(f"params: {exc}") from exc
+    opt = OptimizerConfig(sigma_floor=params["sigma_floor"], n_starts=params["n_starts"])
+    result = fit(records, params["l_size"], optimizer_config=opt, seed=cfg["seed"])
     head = records[:200]
     residuals = (_predictions(result.error_model, head.gates, head.labels) - head.means).tolist()
     predictions = _predictions_writer(model, result.error_model, params, cfg["seed"] + 1)
@@ -397,32 +363,19 @@ def _mle_experiment(model, cfg: dict) -> dict:
     }
 
 
-def _bounds_experiment(model, cfg: dict) -> dict:
-    params = dict(cfg["params"])
-    _require_keys(
-        params,
-        {"subspace_dims", "n_sequences", "max_len", "pool_max_len", "norm_kind", "gamma_grid"},
-        set(),
-        "params",
-    )
+def _bounds_experiment(model, cfg: dict, params: dict) -> dict:
     # An m-point environment reaches 3m + 1 directions (effective_dimension), but
     # at weak noise the default pool resolves all of them only up to m = 2.
-    dims = _param(params, "subspace_dims", _int_list, [min(3 * model.m + 1, 7), 3])
-    pool = _fiducial_pool(params)
+    dims = params["subspace_dims"] or [min(3 * model.m + 1, 7), 3]
+    pool = _fiducial_pool(params["pool_max_len"])
     _check_dims("subspace_dims", dims, model, pool)
-    n_seq = _count(params, "n_sequences", 1000, 0)
-    max_len = _count(params, "max_len", 20, 1)
-    norm_kind = params.get("norm_kind", "trace")
-    if norm_kind not in NORM_KINDS:
-        raise ConfigError(f"params: norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
-    gammas = _param(params, "gamma_grid", lambda v: [float(g) for g in v], [0.0, 0.1, 0.5, 1.0, 2.0])
-    if not gammas or not all(g >= 0.0 for g in gammas):
-        raise ConfigError(f"params: gamma_grid must be a nonempty list of decay exponents >= 0, got {gammas}")
+    gammas = params["gamma_grid"]
     reports = {}
     for d in dims:
         fids = select_fiducials(model, pool, d)
         rep = empirical_bound_check(
-            model, fids, n_sequences=n_seq, max_len=max_len, seed=cfg["seed"], norm_kind=norm_kind
+            model, fids, n_sequences=params["n_sequences"], max_len=params["max_len"], seed=cfg["seed"],
+            norm_kind=params["norm_kind"],
         )
         reports[str(d)] = {**rep.to_json(), "gram_gauge_defect": gram_gauge_defect(model, fids)}
         if not rep.passed:
@@ -439,12 +392,40 @@ def _bounds_experiment(model, cfg: dict) -> dict:
     }
 
 
-_BODIES = {
-    "survival": _survival_experiment,
-    "exact-lot": _exact_lot_experiment,
-    "lim": _lim_experiment,
-    "mle": _mle_experiment,
-    "bounds": _bounds_experiment,
+_EVAL = {
+    "eval_n_gates": Param(list[int], default=list(range(0, 101, 10)), least=0),
+    "eval_circuits_per_point": Param(int, default=10, least=0),
+}
+_TRIAL = {"preset": Param(str, default="d7", choices=("d4", "d7"))}
+_POOL = {"pool_max_len": Param(int, default=3, least=0)}
+
+# Each experiment: its body and the table of its params.
+EXPERIMENTS = {
+    "survival": (_survival_experiment, {
+        "n_gates": Param(list[int], least=0), "circuits_per_point": Param(int, default=200, least=1), **_EVAL}),
+    "exact-lot": (_exact_lot_experiment, {
+        "d": Param(int, least=1), **_POOL, "n_check_sequences": Param(int, default=100, least=0),
+        "check_max_len": Param(int, default=20, least=1)}),
+    "lim": (_lim_experiment, {
+        **_TRIAL, "d": Param(int, least=1), "gauge_fit": Param(bool, default=True), **_EVAL}),
+    "mle": (_mle_experiment, {
+        **_TRIAL, "l_size": Param(int, least=1), "sigma_floor": Param(float, default=1e-3, above=0.0),
+        "n_starts": Param(int, default=16, least=1), **_EVAL}),
+    "bounds": (_bounds_experiment, {
+        # null: [min(3m + 1, 7), 3] for an m-point model
+        "subspace_dims": Param(list[int], default=None, least=1), "n_sequences": Param(int, default=1000, least=0),
+        "max_len": Param(int, default=20, least=1), **_POOL,
+        "norm_kind": Param(str, default="trace", choices=NORM_KINDS),
+        "gamma_grid": Param(list[float], default=[0.0, 0.1, 0.5, 1.0, 2.0], least=0.0)}),
+}
+
+CONFIG = {
+    "experiment": Param(str, choices=tuple(EXPERIMENTS)),
+    "model": Param(dict),  # checked against the table of its kind
+    "seed": Param(int, default=0, least=0),
+    "shots": Param(int, default=None, least=1),  # null: exact means
+    "output_dir": Param(str, default=None),
+    "params": Param(dict, default={}),  # checked against the experiment's table
 }
 
 
@@ -455,8 +436,9 @@ def run(
 ) -> int:
     """Execute one configured experiment; returns the process exit code.
 
-    ``out_dir`` and ``seed`` override the config values; the seed override
-    is checked like the config's own.  On success the output directory
+    ``out_dir`` and ``seed`` override the config values.  The whole config,
+    the output directory included, is checked against the tables before the
+    model is built.  On success the output directory
     contains ``manifest.json`` (resolved config, package version, seeds, file
     list) and the experiment's result files; on a validation error or a
     numerical failure nothing is written.  Files go to a staging directory
@@ -465,25 +447,24 @@ def run(
     """
     try:
         cfg = _load_config(config)
-        if seed is not None:
-            cfg = _load_config({**cfg, "seed": seed})
-        target = out_dir if out_dir is not None else cfg.get("output_dir")
-        if target is None:
-            raise ConfigError("no output directory: set output_dir in the config or pass out_dir")
+        cfg = _checked(cfg if seed is None else {**cfg, "seed": seed}, CONFIG, "config")
+        body, table = EXPERIMENTS[cfg["experiment"]]
+        params = _checked(cfg["params"], table, "params")
+        _model_section(cfg["model"])  # checked here, before build_model runs
+        target = _output_dir(out_dir if out_dir is not None else cfg["output_dir"])
         try:
             model = build_model(cfg["model"])
         except (ConfigError, MomentSequenceError):
             raise
-        except (ValueError, TypeError, KeyError) as exc:  # out-of-range, mistyped or missing values
+        except (ValueError, TypeError, KeyError) as exc:  # values the builder rejects
             raise ConfigError(f"model: {exc!r}") from exc
-        writers = _BODIES[cfg["experiment"]](model, cfg)
+        writers = body(model, cfg, params)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ProtocolFailure, MomentSequenceError, RejectionSamplingError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    target = Path(target)
     target.parent.mkdir(parents=True, exist_ok=True)
     staging = target.parent / f".{target.name}-{os.getpid()}-{os.urandom(4).hex()}"
     staging.mkdir()  # a unique sibling, with the mode the umask gives
@@ -577,7 +558,11 @@ def _main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, out_dir=args.out, seed=args.seed)
-    rows = compare(args.model_a, args.model_b, args.circuits, out_csv=args.out)
+    try:
+        rows = compare(args.model_a, args.model_b, args.circuits, out_csv=args.out)
+    except (OSError, ValueError, TypeError, LookupError, AttributeError) as exc:  # unreadable or malformed input
+        print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     worst_a = max((r["abs_error_a"] for r in rows), default=0.0)
     worst_b = max((r["abs_error_b"] for r in rows), default=0.0)
     print(f"{len(rows)} circuits: max |error| model_a = {worst_a:.3e}, model_b = {worst_b:.3e}")

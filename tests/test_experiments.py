@@ -1,15 +1,34 @@
 """Batch runner: config validation, outputs, reproducibility, comparison."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrtomo.experiments import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _main, build_model, compare, run
+import corrtomo.experiments as experiments
+from corrtomo.experiments import (
+    CONFIG,
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXPERIMENTS,
+    MODELS,
+    REQUIRED,
+    _main,
+    build_model,
+    compare,
+    run,
+)
 
 SURVIVAL_CFG = {
     "experiment": "survival",
@@ -88,6 +107,11 @@ class TestConfigValidation:
             {"experiment": "exact-lot", "params": {"d": 0}},
             {"experiment": "exact-lot", "params": {"d": 9}},
             {"params": dict(SURVIVAL_CFG["params"], eval_circuits_per_point=-1)},
+            {"params": dict(SURVIVAL_CFG["params"], eval_n_gates=[])},
+            {"experiment": "bounds", "params": {"subspace_dims": []}},
+            {"model": {"kind": "context", "labels": [], "rates": {}}},
+            {"experiment": "mle", "params": {"preset": "d4", "l_size": 1, "sigma_floor": float("nan")}},
+            {"experiment": "bounds", "params": {"subspace_dims": [3], "gamma_grid": [float("nan")]}},
         ],
         ids=[
             "shots-zero", "negative-n_gates", "empty-n_gates", "negative-eval_n_gates", "no-circuits",
@@ -98,6 +122,8 @@ class TestConfigValidation:
             "bounds-negative-gamma", "bounds-empty-gamma_grid",
             "exact-lot-check_max_len-zero", "exact-lot-negative-n_check_sequences",
             "exact-lot-d-zero", "exact-lot-d-above-model", "negative-eval_circuits_per_point",
+            "empty-eval_n_gates", "bounds-empty-subspace_dims", "context-no-labels",
+            "mle-sigma_floor-nan", "bounds-nan-gamma",
         ],
     )
     def test_out_of_range_values_exit_2_without_traceback(self, tmp_path, capsys, bad):
@@ -119,6 +145,16 @@ class TestConfigValidation:
             ("norm_kind", {"experiment": "bounds", "params": {"norm_kind": "l1", "subspace_dims": [3]}}),
             ("gate_gammas", {"model": {"kind": "second_order", "sigma": 1, "eta": 0.1, "gate_gammas": "H"}}),
             ("gate_gammas", {"model": {"kind": "second_order", "sigma": 1, "eta": 0.1, "gate_gammas": ["H"]}}),
+            ("n_gates", {"params": dict(SURVIVAL_CFG["params"], n_gates="0123")}),
+            ("circuits_per_point", {"params": dict(SURVIVAL_CFG["params"], circuits_per_point=2.9)}),
+            ("circuits_per_point", {"params": dict(SURVIVAL_CFG["params"], circuits_per_point=True)}),
+            ("m", {"model": dict(SURVIVAL_CFG["model"], m=2.7)}),
+            ("m", {"model": dict(SURVIVAL_CFG["model"], m=True)}),
+            ("sigma", {"model": dict(SURVIVAL_CFG["model"], sigma="1")}),
+            ("gauge_fit", {"experiment": "lim", "params": {"preset": "d4", "d": 4, "gauge_fit": "no"}}),
+            ("subspace_dims", {"experiment": "bounds", "params": {"subspace_dims": "3"}}),
+            ("d", {"experiment": "exact-lot", "params": {"d": 3.5}}),
+            ("l_size", {"experiment": "mle", "params": {"preset": "d4", "l_size": "2"}}),
         ],
     )
     def test_mistyped_values_exit_2_naming_the_key(self, tmp_path, capfd, key, bad):
@@ -163,6 +199,32 @@ class TestConfigValidation:
     def test_params_unknown_key(self, tmp_path):
         cfg = dict(SURVIVAL_CFG, params=dict(SURVIVAL_CFG["params"], extra=1))
         assert run(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"experiment": "mle", "model": SURVIVAL_CFG["model"], "params": {"l_size": 1, "sigma_floor": 0}},
+            {"experiment": "lim", "model": SURVIVAL_CFG["model"], "params": {"d": "seven"}},
+        ],
+        ids=["mle-sigma_floor-zero", "lim-d-string"],
+    )
+    def test_rejected_config_exits_2_before_building_or_simulating(self, tmp_path, monkeypatch, cfg):
+        calls = []
+        monkeypatch.setattr(experiments, "build_model", lambda *args, **kwargs: calls.append("build_model"))
+        monkeypatch.setattr(experiments, "collect_trial_data", lambda *args, **kwargs: calls.append("collect"))
+        assert run(cfg, out_dir=tmp_path / "out") == EXIT_CONFIG
+        assert calls == []
+
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    def test_output_dir_that_is_not_a_directory_exits_2(self, tmp_path, capfd, target):
+        (tmp_path / "afile").write_text("kept")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SURVIVAL_CFG))
+        assert _main(["run", "--config", str(cfg), "--out", str(tmp_path / target)]) == EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.startswith("config error: output_dir") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
+        assert (tmp_path / "afile").read_text() == "kept"
 
 
 class TestModelBuilding:
@@ -464,3 +526,143 @@ class TestCommandLine:
         )
         assert code == EXIT_OK
         assert "max |error|" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", ["model", "circuits"])
+    @pytest.mark.parametrize(
+        "content", [None, "{not json", '{"gates": 3}', "[1]"], ids=["missing", "not-json", "dict", "list"]
+    )
+    def test_compare_on_unreadable_or_malformed_input_exits_2(self, tmp_path, capfd, bad, content):
+        model = {"state": [1.0, 0.0], "dual": [1.0, 0.0], "gates": {"H": np.eye(2).tolist(), "S": np.eye(2).tolist()}}
+        files = {"model": tmp_path / "model.json", "circuits": tmp_path / "records.json"}
+        files["model"].write_text(json.dumps(model))
+        files["circuits"].write_text(json.dumps({"circuits": [{"gates": ["H", "S"], "mean": 1.0}]}))
+        assert _main(["compare", str(files["model"]), str(files["model"]), str(files["circuits"])]) == EXIT_OK
+        files[bad].unlink()
+        if content is not None:
+            files[bad].write_text(content)
+        assert _main(["compare", str(files["model"]), str(files["model"]), str(files["circuits"])]) == EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.startswith("input error:") and err.count("\n") == 1
+
+
+SMALL_MODELS = [
+    {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 2},
+    {"kind": "dense", "sigma": 1.0, "eta": 1.0, "n_points": 31, "cutoff": 12.0},
+    {"kind": "constant", "epsilon": 0.01},
+    {"kind": "second_order", "sigma": 1.0, "eta": 0.1, "gate_gammas": {"H": 0.3}},
+    {
+        "kind": "context",
+        "labels": ["H", "S"],
+        "rates": {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}},
+        "initial": [0.5, 0.5],
+    },
+]
+# JSON values of the wrong type for a key of each kind (a list key takes no empty list)
+WRONG_TYPE = {
+    int: [True, 2.5, "3"],
+    float: [True, False, "1"],
+    bool: ["no", 0],
+    str: [3, ["d4"]],
+    list: ["0123", [None], []],
+    dict: ["H", ["H"]],
+}
+
+
+def _origin(kind):
+    return get_origin(kind) or kind
+
+
+def tiny_value(kind, p):
+    """A small valid value of a key: preset d4, short lists, numbers near their least."""
+    if p.choices:
+        return st.just("d4") if "d4" in p.choices else st.sampled_from(p.choices)
+    if _origin(kind) is list:
+        return st.lists(tiny_value(get_args(kind)[0], p), min_size=1, max_size=2)
+    if kind is bool:
+        return st.booleans()
+    low = p.least if p.least is not None else p.above
+    if kind is int:
+        return st.integers(low, low + 2)
+    return st.floats(low, low + 1, exclude_min=p.least is None)
+
+
+def out_of_range(kind, p):
+    """A value of the right type that breaks the key's least value, bound or choices."""
+    if _origin(kind) is list:
+        return [out_of_range(get_args(kind)[0], p)]
+    if _origin(kind) is dict:
+        return {"H": out_of_range(get_args(kind)[1], p)}
+    if p.choices:
+        return "bogus"
+    return p.above if p.least is None else p.least - 1
+
+
+@st.composite
+def mutated_configs(draw):
+    """A small valid config drawn from the tables, then exactly one mutation the tables reject."""
+    experiment = draw(st.sampled_from(list(EXPERIMENTS)))
+    params_table = EXPERIMENTS[experiment][1]
+    model = dict(draw(st.sampled_from(SMALL_MODELS)))
+    params = {key: draw(tiny_value(p.kind, p)) for key, p in params_table.items() if p.default is not None}
+    cfg = {
+        "experiment": experiment,
+        "model": model,
+        "seed": draw(st.integers(0, 3)),
+        "shots": draw(st.none() | st.integers(1, 3)),
+        "params": params,
+    }
+    sections = {"config": (cfg, CONFIG), "model": (model, MODELS[model["kind"]][1]), "params": (params, params_table)}
+    targets = {
+        "type": [(where, key) for where, (_, table) in sections.items() for key in table],
+        "range": [
+            (where, key)
+            for where, (_, table) in sections.items()
+            for key, p in table.items()
+            if p.least is not None or p.above is not None or p.choices
+        ],
+        "unknown": [(where, "bogus") for where in sections],
+        "missing": [
+            (where, key) for where, (_, table) in sections.items() for key, p in table.items() if p.default is REQUIRED
+        ],
+    }
+    mutation = draw(st.sampled_from(sorted(targets)))
+    where, key = draw(st.sampled_from(targets[mutation]))
+    section, table = sections[where]
+    if mutation == "missing":
+        del section[key]
+    elif mutation == "unknown":
+        section[key] = 1
+    elif mutation == "type":
+        section[key] = draw(st.sampled_from(WRONG_TYPE[_origin(table[key].kind)]))
+    else:
+        section[key] = out_of_range(table[key].kind, table[key])
+    return cfg, mutation, key
+
+
+class TestConfigTables:
+    @settings(max_examples=200, deadline=None)
+    @given(mutated=mutated_configs())
+    def test_one_mutation_exits_2_with_one_line_and_no_output(self, mutated):
+        cfg, mutation, key = mutated
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            code = run(cfg, out_dir=Path(tmp) / "out")
+            left = list(Path(tmp).iterdir())
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        assert "Traceback" not in err.getvalue()
+        assert code == EXIT_OK or left == []
+        # every mutation breaks the tables, so the run stops at validation
+        assert code == EXIT_CONFIG
+        assert err.getvalue().startswith("config error:") and err.getvalue().count("\n") == 1
+        assert key in err.getvalue()
+        assert ("missing keys" in err.getvalue()) == (mutation == "missing")
+
+    def test_small_models_give_every_model_key(self):
+        assert {m["kind"]: set(m) - {"kind"} for m in SMALL_MODELS} == {k: set(t) for k, (_, t) in MODELS.items()}
+
+    def test_readme_names_every_key(self):
+        lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+        for name, table in [*((f"`{k}`", t) for k, (_, t) in EXPERIMENTS.items()),
+                            *((f"`{k}`", t) for k, (_, t) in MODELS.items()), ("config", CONFIG)]:
+            row = next(line for line in lines if line.startswith(f"| {name} |"))
+            assert [key for key in table if f"`{key}`" not in row] == [], name

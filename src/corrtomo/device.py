@@ -19,6 +19,9 @@ features.  Models with genuine transitions fold the block matrices.
 batched sequence evaluation in the package uses.  :func:`run_circuit` goes
 gate by gate, which for a single circuit costs a fraction of a one-row fold;
 the survival curve calls it per circuit, as the benchmark's tracer counts it.
+What does not depend on the circuit is computed once per model and kept on
+it: the gate blocks of a model with transitions, and for a frozen model the
+signed-axis table of each gate and the ``log(1 - eps)`` stack of its rates.
 
 The survival experiment draws uniformly random gate sequences and keeps only
 those whose ideal action returns ``|0>`` up to a global phase, so the ideal
@@ -151,8 +154,7 @@ def exact_means(model, circuits: Sequence[Circuit | Sequence[str]]) -> np.ndarra
     gates = _gate_matrix(circuits, labels)
     if model.identity_transitions:
         z_ideal, counts = _ideal_features(gates, labels)
-        rates = np.stack([model.rates[g] for g in labels])
-        means = _fast_predictions(model.weights, rates, z_ideal, counts)
+        means = _fast_predictions(model.weights, _frozen_tables(model)[1], z_ideal, counts)
     else:
         blocks = np.stack([model.gate_block(g) for g in labels])
         means = (model.dual_vec() @ fold_gates(blocks, gates, model.rho_vec()[:, None]))[:, 0]
@@ -161,18 +163,36 @@ def exact_means(model, circuits: Sequence[Circuit | Sequence[str]]) -> np.ndarra
     return means
 
 
+def _log_damping(rates: np.ndarray) -> np.ndarray:
+    """log(1 - eps) of every rate, with eps clipped to [0, 1 - RATE_CLAMP]."""
+    return np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP))
+
+
 def _damping(rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """prod_G (1 - eps_G(lam))^n_G for every record (row) and value (column).
 
     ``rates`` is (n_gates, m), or a stack of them, which stacks the result.
     """
-    log1m = np.log1p(-np.clip(rates, 0.0, 1.0 - RATE_CLAMP))
-    return np.exp(counts @ log1m)
+    return np.exp(counts @ _log_damping(rates))
 
 
-def _fast_predictions(p: np.ndarray, rates: np.ndarray, z_ideal: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Vectorized means: 0.5 (1 + z_ideal * sum_lam p_lam prod_G (1-eps)^n_G)."""
-    return 0.5 * (1.0 + z_ideal * (_damping(rates, counts) @ p))
+def _fast_predictions(p: np.ndarray, log_damping: np.ndarray, z_ideal: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Vectorized means: 0.5 (1 + z_ideal * sum_lam p_lam prod_G (1-eps)^n_G), from the rates' ``_log_damping``."""
+    return 0.5 * (1.0 + z_ideal * (np.exp(counts @ log_damping) @ p))
+
+
+def _frozen_tables(model) -> tuple[dict[str, list[int]], np.ndarray]:
+    """A frozen model's signed-axis table row by gate label and the ``_log_damping`` of its rates.
+
+    Built on first use and kept in the model's ``_block_cache``, beside its
+    gate blocks, under a key that is not a gate label.
+    """
+    cache = model._block_cache
+    if _FROZEN_KEY not in cache:
+        labels = tuple(model.gate_labels)
+        table = dict(zip(labels, _signed_axis_table(labels).tolist()))
+        cache[_FROZEN_KEY] = table, _log_damping(np.stack([model.rates[g] for g in labels]))
+    return cache[_FROZEN_KEY]
 
 
 def run_circuit(
@@ -190,17 +210,15 @@ def run_circuit(
     with ptilde = (k + 1) / (shots + 2).
     """
     circuit = circuit if isinstance(circuit, Circuit) else Circuit(tuple(circuit))
-    labels = model.gate_labels
     if model.identity_transitions:  # the closed form, from the signed-axis fold and the gate counts
-        table = dict(zip(labels, _signed_axis_table(labels).tolist()))
+        table, log_damping = _frozen_tables(model)
         state = _PLUS_Z
         for label in circuit:
             if label not in table:
                 raise KeyError(f"unknown gate label {label!r}")
             state = table[label][state]
-        counts = np.array([circuit.gates.count(g) for g in labels], dtype=float)
-        rates = np.stack([model.rates[g] for g in labels])
-        mean = float(_fast_predictions(model.weights, rates, _AXES[state, 2], counts))
+        counts = np.array([circuit.gates.count(g) for g in table], dtype=float)
+        mean = float(_fast_predictions(model.weights, log_damping, _AXES[state, 2], counts))
     else:
         v = model.rho_vec()
         for label in circuit:
@@ -229,6 +247,9 @@ _AXES = np.vstack([np.eye(3), -np.eye(3)])
 #: Fold state of ``|0>``, the +z axis.
 _PLUS_Z = 2
 
+#: Key of :func:`_frozen_tables` in a model's ``_block_cache``; gate labels are strings.
+_FROZEN_KEY = ("closed form",)
+
 #: Most gate indices drawn in one rejection-sampling batch (8 MiB of int64).
 _MAX_BATCH_GATES = 1 << 20
 
@@ -249,10 +270,20 @@ def _signed_axis_table(gate_labels: tuple[str, ...]) -> np.ndarray:
 
 
 def _fold_signed_axes(table: np.ndarray, gates: np.ndarray) -> np.ndarray:
-    """Final signed-axis state of every row of a gate-index matrix, started at +z."""
-    state = np.full(gates.shape[0], _PLUS_Z, dtype=np.int8)
-    for column in gates.T:
-        state = table[column, state]
+    """Final signed-axis state of every row of a gate-index matrix, started at +z.
+
+    Each gate position is one ``take`` from the flattened table at
+    ``6 * gate + state``.  The offsets are one transposed copy of the matrix
+    in the smallest integer type that holds them, int8 or uint8 for H and S,
+    so a position's column is contiguous and the copy costs little memory.
+    """
+    dtype = np.min_scalar_type(table.size - 1)
+    flat = table.ravel().astype(dtype)
+    offsets = gates.T.astype(dtype, order="C")
+    offsets *= table.shape[1]
+    state = np.full(gates.shape[0], _PLUS_Z, dtype=dtype)
+    for column in offsets:
+        state = flat.take(column + state)
     return state
 
 
@@ -313,7 +344,7 @@ def random_identity_sequences(
             gen.bit_generator.state = saved
             draws = gen.integers(0, len(labels), size=(batch, n_gates))
         tried += batch
-        accepted.extend(Circuit(tuple(labels[i] for i in draws[row])) for row in hits)
+        accepted.extend(Circuit(tuple(map(labels.__getitem__, row))) for row in draws[hits].tolist())
     return accepted
 
 

@@ -53,6 +53,7 @@ from .io import save_json, save_matrix_csv, save_rows_csv
 from .linear_inversion import _all_sequences, gauge_fit_to_ideal, lim_reconstruct, svd_truncate, trial_sequences
 from .mle import OptimizerConfig, fit, records_from_tomography
 from .noise import (
+    DEFAULT_GATE_LABELS,
     ContextModel,
     MomentSequenceError,
     build_low_freq_model,
@@ -69,7 +70,7 @@ from .tomography import (
     _predictions,
     collect_data,
     gauge_reconstruct,
-    predict,
+    predict,  # unused here, but corrbench/tracing.py counts prediction calls through experiments.predict
     select_fiducials,
     verify_factorization,
 )
@@ -149,7 +150,18 @@ def _checked(section: Mapping, table: Mapping[str, Param], where: str) -> dict:
 
 
 def _context_model(labels: list[str], rates: dict, initial: list[float] | None = None) -> ContextModel:
-    """Context model whose gate ``chi`` after gate ``lam`` depolarizes at ``rates[chi][lam]``."""
+    """Context model whose gate ``chi`` after gate ``lam`` depolarizes at ``rates[chi][lam]``.
+
+    ``labels`` must hold every gate of the experiments' circuits, and
+    ``rates`` may name no other label.
+    """
+    missing = [g for g in DEFAULT_GATE_LABELS if g not in labels]
+    if missing:
+        raise ConfigError(f"model: labels must hold every gate of the circuits {list(DEFAULT_GATE_LABELS)}, "
+                          f"missing {missing}")
+    outside = sorted((set(rates) | {lam for row in rates.values() for lam in row}) - set(labels))
+    if outside:
+        raise ConfigError(f"model: rates names labels outside labels {labels}: {outside}")
     per_pair = {}
     for chi in labels:
         gates = depolarized_gates(chi, [rates[chi][lam] for lam in labels])
@@ -517,23 +529,23 @@ def compare(
         circuits = json.loads(Path(circuits).read_text())
     if isinstance(circuits, Mapping):
         circuits = circuits["circuits"]
-    rows = []
-    for entry in circuits:
-        gates = tuple(entry["gates"])
-        truth = float(entry["mean"])
-        pred_a = predict(model_a, gates)
-        pred_b = predict(model_b, gates)
-        rows.append(
-            {
-                "n_gates": len(gates),
-                "gates": "".join(gates),
-                "truth": truth,
-                "pred_a": pred_a,
-                "pred_b": pred_b,
-                "abs_error_a": abs(pred_a - truth),
-                "abs_error_b": abs(pred_b - truth),
-            }
-        )
+    sequences = [tuple(entry["gates"]) for entry in circuits]
+    truths = [float(entry["mean"]) for entry in circuits]
+    pred_a, pred_b = (
+        _predictions(m, _gate_matrix(sequences, tuple(m.gates)), tuple(m.gates)).tolist() for m in (model_a, model_b)
+    )
+    rows = [
+        {
+            "n_gates": len(gates),
+            "gates": "".join(gates),
+            "truth": truth,
+            "pred_a": a,
+            "pred_b": b,
+            "abs_error_a": abs(a - truth),
+            "abs_error_b": abs(b - truth),
+        }
+        for gates, truth, a, b in zip(sequences, truths, pred_a, pred_b)
+    ]
     if out_csv is not None:
         save_rows_csv(
             out_csv,

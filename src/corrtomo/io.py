@@ -17,6 +17,10 @@ __all__ = [
 
 
 def _plain(obj):
+    # Scalars first, before the slow Mapping test; bool is an int.  NumPy's
+    # float64 is a float, which json writes with float.__repr__, as its item.
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):

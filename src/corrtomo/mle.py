@@ -42,7 +42,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .device import RATE_CLAMP, Circuit, MeasurementRecord, _damping, _fast_predictions, _gate_matrix, _ideal_features
+from .device import (
+    RATE_CLAMP,
+    Circuit,
+    MeasurementRecord,
+    _damping,
+    _fast_predictions,
+    _gate_matrix,
+    _ideal_features,
+    _log_damping,
+)
 from .lm import levenberg_marquardt
 from .noise import depolarized_gates
 from .ptm import block_diag, ideal_qubit_ptms, reduced_frame
@@ -169,7 +178,7 @@ class RecordSet(Sequence[MeasurementRecord]):
 
     def used_labels(self) -> tuple[str, ...]:
         """Sorted labels that occur in at least one record."""
-        return tuple(sorted(self.labels[j] for j in np.unique(self.gates).tolist() if j < len(self.labels)))
+        return tuple(sorted(label for j, label in enumerate(self.labels) if (self.gates == j).any()))
 
 
 def _record_features(
@@ -231,7 +240,7 @@ class _SufficientStatistics:
         self.n_records = len(records)
 
     def objective(self, p: np.ndarray, rates: np.ndarray) -> float:
-        pred = _fast_predictions(p, rates, self.z_ideal, self.counts)
+        pred = _fast_predictions(p, _log_damping(rates), self.z_ideal, self.counts)
         return float(self.a @ (pred - self.mu) ** 2 + self.spread)
 
     def residuals(self, x: np.ndarray, m: int) -> np.ndarray:

@@ -81,21 +81,35 @@ def depolarizing_channel(epsilon: float) -> np.ndarray:
     return np.diag([1.0, 1.0 - epsilon, 1.0 - epsilon, 1.0 - epsilon])
 
 
-def depolarized_gates(label: str, rates: Sequence[float]) -> np.ndarray:
-    """Stack (k, 4, 4) of the ideal gate followed by depolarizing noise at each rate."""
+def depolarized_gates(label: str, rates: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Stack (k, 4, 4) of the ideal gate followed by depolarizing noise at each rate.
+
+    One stacked product of the :func:`depolarizing_channel` diagonals with the
+    ideal gate, bit for bit the per-rate products.
+    """
     ideal = ideal_qubit_ptms()[label]
-    return np.stack([depolarizing_channel(eps) @ ideal for eps in rates])
+    rates = np.asarray(rates, dtype=float)
+    outside = np.flatnonzero(~((0.0 <= rates) & (rates <= 1.0)))
+    if outside.size:
+        raise ValueError(f"depolarizing rate must be in [0, 1], got {rates[outside[0]]}")
+    channels = np.zeros((rates.size, 4, 4))
+    channels[:, 0, 0] = 1.0
+    channels[:, [1, 2, 3], [1, 2, 3]] = (1.0 - rates)[:, None]
+    return channels @ ideal
 
 
-def gate_error_rate(gate_label: str, lam: float, eta: float) -> float:
+def gate_error_rate(gate_label: str, lam: float | np.ndarray, eta: float) -> float | np.ndarray:
     """Depolarizing rate of a gate at noise value ``lam``: eta * (1 - exp(-lam^2)).
 
     The same curve applies to both gates of the set; it vanishes at
-    ``lam = 0`` and saturates at ``eta``.
+    ``lam = 0`` and saturates at ``eta``.  An array of values gives the
+    array of their rates.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"noise strength eta must be in [0, 1], got {eta}")
-    return float(eta * -np.expm1(-(lam * lam)))
+    lam = np.asarray(lam, dtype=float)
+    rate = eta * -np.expm1(-(lam * lam))
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def gaussian_x_moments(sigma: float, k: int) -> float:
@@ -184,7 +198,7 @@ def transition_decay(gamma: float) -> np.ndarray:
 
 def _drift_rates(lambdas: np.ndarray, eta: float, gate_labels: Sequence[str]) -> dict[str, np.ndarray]:
     """Per-point depolarizing rates eps(lam) of every gate."""
-    return {label: np.array([gate_error_rate(label, lam, eta) for lam in lambdas]) for label in gate_labels}
+    return {label: gate_error_rate(label, lambdas, eta) for label in gate_labels}
 
 
 class _BlockModel:
@@ -196,6 +210,8 @@ class _BlockModel:
     stochastic matrix, or None for identity).  Models whose transitions are
     all None also provide ``rates`` (label -> (m,) depolarizing rates), from
     which :func:`corrtomo.device.exact_means` takes means in closed form.
+    ``_block_cache`` starts empty; :meth:`gate_block` keeps the blocks there
+    by label and :mod:`corrtomo.device` its closed-form tables.
     """
 
     @property

@@ -1,5 +1,6 @@
 """Circuit execution, random identity sequences, survival curves."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ import corrtomo as ct
 from conftest import block_loop_mean, frozen_fold_mean, ideal_output_state, loop_fold, sequences_up_to
 from corrtomo.device import (
     _AXES,
+    _PLUS_Z,
     Circuit,
     MeasurementRecord,
     RejectionSamplingError,
@@ -119,6 +121,18 @@ class TestFrozenClosedForm:
         dense = ct.dense_low_freq_model(1.0, 1.0)
         assert sum(int(np.sum(rates == 1.0)) for rates in dense.rates.values()) == 2 * 1320
 
+    def test_each_model_keeps_its_own_tables(self):
+        # two models that differ only in their rates, run alternately
+        a = FROZEN_MODELS["per_gate_rates"]()
+        b = dataclasses.replace(a, rates={g: 0.5 * r for g, r in a.rates.items()})
+        circuits = [c.gates for n in (1, 3, 20) for c in ct.random_identity_sequences(n, 3, seed=n)]
+        # references from fresh copies, whose tables no run_circuit call has built
+        want = [exact_means(dataclasses.replace(model), circuits).tolist() for model in (a, b)]
+        assert all(x != y for x, y in zip(*want))
+        for i, gates in enumerate(circuits):
+            assert [ct.run_circuit(model, gates).mean for model in (a, b)] == [want[0][i], want[1][i]]
+        assert [exact_means(model, circuits).tolist() for model in (a, b)] == want
+
 
 @st.composite
 def fold_cases(draw):
@@ -160,6 +174,9 @@ EXACT_MEANS_MODELS = {
     "second_order": lambda: ct.second_order_model(1.0, 0.1, gate_gammas={"H": 0.3, "S": 1.0}),
     "context": lambda: build_model(CONTEXT),
 }
+
+
+PINNED_MODELS = {**EXACT_MEANS_MODELS, "dense": lambda: ct.dense_low_freq_model(1.0, 1.0, n_points=301)}
 
 
 class TestExactMeans:
@@ -287,6 +304,21 @@ class TestIdentitySequences:
         assert len(want) < count
         assert (err.value.accepted, err.value.tried) == (len(want), tried)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("labels", [("H", "S"), ("S",), RARE_S], ids=["HS", "S", "rare-S"])
+    def test_signed_axis_fold_matches_per_row_loop(self, labels, dtype):
+        table = _signed_axis_table(labels)
+        gen = np.random.default_rng(3)
+        for shape in [(200, 30), (5, 0), (0, 4)]:
+            gates = gen.integers(0, len(labels) + 1, size=shape).astype(dtype)  # the pad len(labels) anywhere
+            want = []
+            for row in gates.tolist():
+                state = _PLUS_Z
+                for g in row:
+                    state = int(table[g, state])
+                want.append(state)
+            assert _fold_signed_axes(table, gates).tolist() == want
+
     def test_signed_axis_table_against_state_vectors(self):
         # every H/S sequence of length <= 8: the fold lands on the Bloch vector of the
         # state-vector simulation, and returns_to_zero agrees with it
@@ -363,11 +395,18 @@ class TestSurvivalCurve:
             ("context", [(0, 1.0, 0.0), (7, 0.9462800000000001, 0.004053196269612411),
                          (30, 0.7927199999999999, 0.005634276055241404)]),
             ("low_freq", [(0, 1.0, 0.0), (7, 0.97088, 0.0011652181483882474), (30, 0.89744, 0.001878013134494362)]),
+            ("dense", [(0, 1.0, 0.0), (7, 0.63124, 0.003414810878120976), (30, 0.56372, 0.0037002342268204176)]),
         ],
     )
     def test_pinned_sampled_rows(self, kind, want):
         # recorded before the survival means were batched: the shot stream must not drift
-        rows = ct.survival_curve(EXACT_MEANS_MODELS[kind](), [0, 7, 30], circuits_per_point=25, shots=1000, seed=11)
+        rows = ct.survival_curve(PINNED_MODELS[kind](), [0, 7, 30], circuits_per_point=25, shots=1000, seed=11)
+        assert [(r["n_gates"], r["mean"], r["stderr"]) for r in rows] == want
+
+    def test_pinned_exact_dense_rows(self):
+        # recorded before the dense model was built from arrays: the closed form's bits must not drift
+        rows = ct.survival_curve(PINNED_MODELS["dense"](), [0, 7, 30], circuits_per_point=25, seed=11)
+        want = [(0, 1.0, 0.0), (7, 0.6290994448735807, 1.1102230246251566e-17), (30, 0.5640184401018562, 0.0)]
         assert [(r["n_gates"], r["mean"], r["stderr"]) for r in rows] == want
 
     def test_empty_grid_rejected(self, device_m5):

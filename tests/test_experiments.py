@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrtomo.experiments as experiments
+from corrtomo.tomography import ErrorModel, predict
 from corrtomo.experiments import (
     CONFIG,
     EXIT_CONFIG,
@@ -165,6 +166,32 @@ class TestConfigValidation:
         err = capfd.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,model,named",
+        [
+            ("labels", {"kind": "context", "labels": ["H"], "rates": {"H": {"H": 0.01}}}, "['S']"),
+            (
+                "rates",
+                {
+                    "kind": "context",
+                    "labels": ["H", "S"],
+                    "rates": {"H": {"H": 0.01, "S": 0.0, "X": 1}, "S": {"H": 0.0, "S": 0.0}},
+                },
+                "['X']",
+            ),
+        ],
+        ids=["labels-miss-S", "rates-name-X"],
+    )
+    def test_context_labels_and_rates_disagreeing_exit_2(self, tmp_path, capfd, key, model, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SURVIVAL_CFG, "model": model}))
+        out = tmp_path / "out"
+        assert _main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.startswith(f"config error: model: {key}") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
         assert not out.exists()
 
     def test_unknown_gate_gamma_label_exits_2_naming_it(self, tmp_path, capfd):
@@ -477,6 +504,17 @@ class TestCompare:
     def test_empty_circuit_list(self, tmp_path):
         a, b, _ = self.make_reports(tmp_path)
         assert compare(a, b, []) == []
+
+    def test_one_prediction_call_per_model(self, tmp_path, monkeypatch):
+        a, b, circuits = self.make_reports(tmp_path)
+        calls = []
+        batched = experiments._predictions
+        monkeypatch.setattr(experiments, "_predictions", lambda *args: calls.append(args) or batched(*args))
+        rows = compare(a, b, circuits)
+        assert len(calls) == 2 and len(rows) == len(json.loads(circuits.read_text())["circuits"])
+        models = [ErrorModel.from_json(json.loads(path.read_text())) for path in (a, b)]
+        for row in rows:
+            assert [row["pred_a"], row["pred_b"]] == [predict(model, tuple(row["gates"])) for model in models]
 
     def test_gate_mismatch_raises(self, tmp_path):
         a, b, _ = self.make_reports(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 
 import corrtomo as ct
 import corrtomo.mle as mle
-from corrtomo.device import Circuit, MeasurementRecord, _fast_predictions
+from corrtomo.device import Circuit, MeasurementRecord, _fast_predictions, _log_damping
 from corrtomo.mle import (
     OptimizerConfig,
     ParamModel,
@@ -195,7 +195,8 @@ class TestKernels:
         residuals, jac = stats.residuals(x, l_size), stats.jacobian(x, l_size)
         p, rates = mle._unpack(x, l_size, 2)
         for i in range(len(x)):
-            closed = stats.sqrt_a * (_fast_predictions(p[i], rates[i], stats.z_ideal, stats.counts) - stats.mu)
+            log_damping = _log_damping(rates[i])
+            closed = stats.sqrt_a * (_fast_predictions(p[i], log_damping, stats.z_ideal, stats.counts) - stats.mu)
             np.testing.assert_allclose(residuals[i], closed, rtol=0.0, atol=1e-12 * np.max(np.abs(stats.sqrt_a)))
             objective = stats.spread + residuals[i] @ residuals[i]
             assert stats.objective(p[i], rates[i]) == pytest.approx(objective, rel=1e-9)

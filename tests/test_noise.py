@@ -77,6 +77,21 @@ class TestDepolarizing:
         with pytest.raises(ValueError):
             depolarizing_channel(eps)
 
+    def test_depolarized_gates_are_the_per_rate_products_bit_for_bit(self):
+        rates = [0.0, 1.0, 0.5, 0.013, 1e-300, 1.0 - 2**-53]
+        for label, ideal in ideal_qubit_ptms().items():
+            want = np.stack([depolarizing_channel(eps) @ ideal for eps in rates])
+            assert depolarized_gates(label, rates).tobytes() == want.tobytes()
+            assert depolarized_gates(label, np.array(rates)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+    def test_depolarized_gates_name_the_first_rate_out_of_range(self, bad):
+        with pytest.raises(ValueError) as want:
+            depolarizing_channel(bad)
+        with pytest.raises(ValueError) as got:
+            depolarized_gates("H", [0.5, bad, 2.0])
+        assert str(got.value) == str(want.value)
+
 
 class TestGateErrorRate:
     def test_optimal_at_zero(self):
@@ -94,6 +109,26 @@ class TestGateErrorRate:
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
             gate_error_rate("H", 0.0, 1.5)
+
+    def test_array_is_the_per_point_rates_bit_for_bit(self):
+        # rates 0 (at +-0), eta (saturated) and eta / 2 (at lam^2 = ln 2) among the dense nodes
+        support = ct.dense_low_freq_model(1.0, 1.0, 301).support
+        lam = np.concatenate([support, [0.0, -0.0, np.sqrt(np.log(2.0)), 1e-200, 50.0]])
+        for eta in (0.0, 0.02, 0.5, 1.0):
+            want = np.array([gate_error_rate("H", v, eta) for v in lam])
+            assert gate_error_rate("H", lam, eta).tobytes() == want.tobytes()
+        model = ct.dense_low_freq_model(1.0, 1.0, 301)
+        for label in model.gate_labels:
+            want = np.array([gate_error_rate(label, v, 1.0) for v in model.support])
+            assert model.rates[label].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("eta", [-0.1, 1.5, float("nan")])
+    def test_array_rejects_bad_eta_like_a_point(self, eta):
+        with pytest.raises(ValueError) as want:
+            gate_error_rate("H", 0.0, eta)
+        with pytest.raises(ValueError) as got:
+            gate_error_rate("H", np.array([0.0, 1.0]), eta)
+        assert str(got.value) == str(want.value)
 
 
 class TestGaussianMoments:

@@ -182,11 +182,7 @@ def _fast_predictions(p: np.ndarray, log_damping: np.ndarray, z_ideal: np.ndarra
 
 
 def _frozen_tables(model) -> tuple[dict[str, list[int]], np.ndarray]:
-    """A frozen model's signed-axis table row by gate label and the ``_log_damping`` of its rates.
-
-    Built on first use and kept in the model's ``_block_cache``, beside its
-    gate blocks, under a key that is not a gate label.
-    """
+    """A frozen model's signed-axis table rows by label and its rates' ``_log_damping``, kept on the model."""
     cache = model._block_cache
     if _FROZEN_KEY not in cache:
         labels = tuple(model.gate_labels)
@@ -272,10 +268,8 @@ def _signed_axis_table(gate_labels: tuple[str, ...]) -> np.ndarray:
 def _fold_signed_axes(table: np.ndarray, gates: np.ndarray) -> np.ndarray:
     """Final signed-axis state of every row of a gate-index matrix, started at +z.
 
-    Each gate position is one ``take`` from the flattened table at
-    ``6 * gate + state``.  The offsets are one transposed copy of the matrix
-    in the smallest integer type that holds them, int8 or uint8 for H and S,
-    so a position's column is contiguous and the copy costs little memory.
+    One ``take`` per gate position from the flat table at ``6 * gate + state``,
+    over a transposed copy of the matrix in the smallest type that holds them.
     """
     dtype = np.min_scalar_type(table.size - 1)
     flat = table.ravel().astype(dtype)

@@ -17,12 +17,7 @@ import corrtomo as ct
 # Rates: a gate is clean after itself and noisy after the other gate.
 RATES = {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}}
 
-per_pair = {
-    (chi, lam): ct.depolarized_gates(chi, [RATES[chi][lam]])[0]
-    for chi in ("H", "S")
-    for lam in ("H", "S")
-}
-model = ct.ContextModel(gate_labels=("H", "S"), per_pair=per_pair, initial=np.array([1.0, 0.0]))
+model = ct.ContextModel(gate_labels=("H", "S"), rates=RATES, initial=np.array([1.0, 0.0]))
 
 print("=== same gates, different order, different survival ===")
 for gates in [("H", "H", "S", "S"), ("H", "S", "H", "S"), ("S", "S", "H", "H"), ("S", "H", "S", "H")]:

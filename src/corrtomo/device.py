@@ -12,16 +12,19 @@ depolarizing noise commutes with H and S, so a circuit's mean is the closed
 form ``(1 + z sum_lam w_lam prod_G (1 - eps_G(lam))^n_G) / 2``, with ``z``
 the Bloch z value of the ideal output and ``n_G`` the gate counts; the
 likelihood fit of :mod:`corrtomo.mle` evaluates the same form from the same
-features.  Models with genuine transitions fold the block matrices.
+features.  A context model's register holds the last gate, so its mean is
+``(1 + z sum_r w_r exp(L[g_1, r] + sum n_(chi lam) L[chi, lam])) / 2`` with
+``L = log(1 - eps)``, ``g_1`` the first gate and ``n_(chi lam)`` the times
+gate ``chi`` follows gate ``lam``.  Models with stochastic transitions fold
+the block matrices.
 
-:func:`exact_means` evaluates many circuits at once, through one
-:func:`fold_gates` call over a padded gate-index matrix, the fold that every
+:func:`exact_means` evaluates many circuits at once over a padded gate-index
+matrix, by a closed form or one :func:`fold_gates` call, the fold that every
 batched sequence evaluation in the package uses.  :func:`run_circuit` goes
-gate by gate, which for a single circuit costs a fraction of a one-row fold;
-the survival curve calls it per circuit, as the benchmark's tracer counts it.
-What does not depend on the circuit is computed once per model and kept on
-it: the gate blocks of a model with transitions, and for a frozen model the
-signed-axis table of each gate and the ``log(1 - eps)`` stack of its rates.
+gate by gate; the survival curve calls it per circuit, as the benchmark's
+tracer counts it.  What does not depend on the circuit is computed once per
+model and kept on it: the gate blocks, and for a closed form the signed-axis
+table of each gate and the ``log(1 - eps)`` stack of its rates.
 
 The survival experiment draws uniformly random gate sequences and keeps only
 those whose ideal action returns ``|0>`` up to a global phase, so the ideal
@@ -35,13 +38,15 @@ circuits and the generator's final state do not depend on the batch size.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, product, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .noise import ContextModel
 from .ptm import GATE_UNITARIES, ideal_qubit_ptms
 
 __all__ = [
@@ -154,7 +159,13 @@ def exact_means(model, circuits: Sequence[Circuit | Sequence[str]]) -> np.ndarra
     gates = _gate_matrix(circuits, labels)
     if model.identity_transitions:
         z_ideal, counts = _ideal_features(gates, labels)
-        means = _fast_predictions(model.weights, _frozen_tables(model)[1], z_ideal, counts)
+        means = _fast_predictions(model.weights, _closed_form_tables(model)[1], z_ideal, counts)
+    elif isinstance(model, ContextModel):
+        z_ideal = _AXES[_fold_signed_axes(_signed_axis_table(labels), gates), 2]
+        first = gates[:, 0] if gates.shape[1] else np.full(len(gates), len(labels))
+        pairs = [np.count_nonzero((gates[:, 1:] == chi) & (gates[:, :-1] == lam), axis=1)
+                 for chi, lam in np.ndindex(len(labels), len(labels))]
+        means = _context_predictions(model.weights, _closed_form_tables(model)[1], z_ideal, first, pairs)
     else:
         blocks = np.stack([model.gate_block(g) for g in labels])
         means = (model.dual_vec() @ fold_gates(blocks, gates, model.rho_vec()[:, None]))[:, 0]
@@ -181,14 +192,26 @@ def _fast_predictions(p: np.ndarray, log_damping: np.ndarray, z_ideal: np.ndarra
     return 0.5 * (1.0 + z_ideal * (np.exp(counts @ log_damping) @ p))
 
 
-def _frozen_tables(model) -> tuple[dict[str, list[int]], np.ndarray]:
-    """A frozen model's signed-axis table rows by label and its rates' ``_log_damping``, kept on the model."""
+def _context_predictions(p: np.ndarray, log_damping: np.ndarray, z_ideal, first, pairs) -> np.ndarray:
+    """Context means from ``log_damping``: ``L`` by gate and register, over a zero row (no first gate).
+
+    ``first`` holds each circuit's row, ``pairs`` the counts of gate ``chi`` after ``lam`` in ``L.ravel()`` order.
+    Sums go term by term in that order, so a circuit's bits do not depend on the batch, as a matrix product's do.
+    """
+    pair_log = sum(n * value for n, value in zip(pairs, log_damping[:-1].ravel().tolist()))
+    damped = np.exp(log_damping[first].T + pair_log)
+    return 0.5 * (1.0 + z_ideal * sum(w * d for w, d in zip(p.tolist(), damped)))
+
+
+def _closed_form_tables(model) -> tuple[dict[str, list[int]], np.ndarray]:
+    """A model's signed-axis table rows by label and its rates' ``_log_damping`` (context: over a zero row)."""
     cache = model._block_cache
-    if _FROZEN_KEY not in cache:
+    if _TABLES_KEY not in cache:
         labels = tuple(model.gate_labels)
         table = dict(zip(labels, _signed_axis_table(labels).tolist()))
-        cache[_FROZEN_KEY] = table, _log_damping(np.stack([model.rates[g] for g in labels]))
-    return cache[_FROZEN_KEY]
+        rates = [model.rates[g] for g in labels] + ([] if model.identity_transitions else [np.zeros(model.m)])
+        cache[_TABLES_KEY] = table, _log_damping(np.stack(rates))
+    return cache[_TABLES_KEY]
 
 
 def run_circuit(
@@ -206,15 +229,21 @@ def run_circuit(
     with ptilde = (k + 1) / (shots + 2).
     """
     circuit = circuit if isinstance(circuit, Circuit) else Circuit(tuple(circuit))
-    if model.identity_transitions:  # the closed form, from the signed-axis fold and the gate counts
-        table, log_damping = _frozen_tables(model)
+    if model.identity_transitions or isinstance(model, ContextModel):  # the closed forms, from the signed-axis fold
+        table, log_damping = _closed_form_tables(model)
         state = _PLUS_Z
         for label in circuit:
             if label not in table:
                 raise KeyError(f"unknown gate label {label!r}")
             state = table[label][state]
-        counts = np.array([circuit.gates.count(g) for g in table], dtype=float)
-        mean = float(_fast_predictions(model.weights, log_damping, _AXES[state, 2], counts))
+        if model.identity_transitions:
+            counts = np.array([circuit.gates.count(g) for g in table], dtype=float)
+            mean = float(_fast_predictions(model.weights, log_damping, _AXES[state, 2], counts))
+        else:
+            first = list(table).index(circuit.gates[0]) if circuit else len(table)
+            pairs = Counter(zip(circuit.gates[1:], circuit.gates))
+            counts = [pairs[chi, lam] for chi, lam in product(table, table)]
+            mean = float(_context_predictions(model.weights, log_damping, _AXES[state, 2], first, counts))
     else:
         v = model.rho_vec()
         for label in circuit:
@@ -243,8 +272,8 @@ _AXES = np.vstack([np.eye(3), -np.eye(3)])
 #: Fold state of ``|0>``, the +z axis.
 _PLUS_Z = 2
 
-#: Key of :func:`_frozen_tables` in a model's ``_block_cache``; gate labels are strings.
-_FROZEN_KEY = ("closed form",)
+#: Key of :func:`_closed_form_tables` in a model's ``_block_cache``; gate labels are strings.
+_TABLES_KEY = ("closed form",)
 
 #: Most gate indices drawn in one rejection-sampling batch (8 MiB of int64).
 _MAX_BATCH_GATES = 1 << 20
@@ -368,7 +397,7 @@ def survival_curve(
         circuits = random_identity_sequences(
             int(n_gates), circuits_per_point, seed=np.random.default_rng(draw_seed)
         )
-        shot_rngs = [np.random.default_rng(s) for s in shot_seed.spawn(len(circuits))]
+        shot_rngs = repeat(None) if shots is None else map(np.random.default_rng, shot_seed.spawn(len(circuits)))
         arr = np.array([run_circuit(model, c, shots=shots, rng=g).mean for c, g in zip(circuits, shot_rngs)])
         rows.append(
             {

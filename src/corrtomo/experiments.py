@@ -59,7 +59,6 @@ from .noise import (
     build_low_freq_model,
     constant_depolarizing_model,
     dense_low_freq_model,
-    depolarized_gates,
     second_order_model,
     transition_decay,
 )
@@ -162,11 +161,7 @@ def _context_model(labels: list[str], rates: dict, initial: list[float] | None =
     outside = sorted((set(rates) | {lam for row in rates.values() for lam in row}) - set(labels))
     if outside:
         raise ConfigError(f"model: rates names labels outside labels {labels}: {outside}")
-    per_pair = {}
-    for chi in labels:
-        gates = depolarized_gates(chi, [rates[chi][lam] for lam in labels])
-        per_pair.update(((chi, lam), gate) for lam, gate in zip(labels, gates))
-    return ContextModel(gate_labels=tuple(labels), per_pair=per_pair, initial=initial)
+    return ContextModel(gate_labels=tuple(labels), rates=rates, initial=initial)
 
 
 # Each model kind: its builder, called with the checked keys, and their table.

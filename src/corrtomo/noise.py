@@ -21,12 +21,14 @@ the initial state / readout are ``|0><0|`` with the stationary (resp.
 initial) environment distribution attached.
 
 The concrete gate set is Hadamard + phase with depolarizing error rates
-``eta * (1 - exp(-lambda^2))``, optimal at ``lambda = 0``.
+``eta * (1 - exp(-lambda^2))``, optimal at ``lambda = 0``.  Frozen and
+context models take their means in closed form; others fold the blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -207,9 +209,10 @@ class _BlockModel:
     Subclasses provide ``weights`` (initial environment distribution),
     ``gate_labels``, ``sys_ptms`` (label -> (m, 4, 4) stack of per-point
     system transfer matrices) and ``transitions`` (label -> (m, m) column
-    stochastic matrix, or None for identity).  Models whose transitions are
-    all None also provide ``rates`` (label -> (m,) depolarizing rates), from
-    which :func:`corrtomo.device.exact_means` takes means in closed form.
+    stochastic matrix, or None for identity) and ``rates`` (label -> (m,)
+    depolarizing rates).  :mod:`corrtomo.device` takes the means of frozen
+    models (all transitions None) and of context models in closed form from
+    ``rates`` and folds the blocks of models with stochastic transitions.
     ``_block_cache`` starts empty; :meth:`gate_block` keeps the blocks there
     by label and :mod:`corrtomo.device` its closed-form tables.
     """
@@ -488,37 +491,30 @@ class ContextModel(_BlockModel):
     """Device whose gate error depends on the preceding gate.
 
     The environment is a register over ``gate_labels``; after gate ``chi`` it
-    deterministically holds ``chi``.  ``initial`` is the register distribution
-    before the first gate (uniform by default).
+    deterministically holds ``chi``.  ``rates[chi][lam]`` is the depolarizing
+    rate of gate ``chi`` after gate ``lam``, kept as ``rates[chi]``, an (m,)
+    array over the register in label order.  ``initial`` is the register
+    distribution before the first gate (uniform by default).
     """
 
     gate_labels: tuple[str, ...]
-    per_pair: Mapping[tuple[str, str], np.ndarray]
+    rates: Mapping[str, Mapping[str, float]]
     initial: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         labels = tuple(self.gate_labels)
         object.__setattr__(self, "gate_labels", labels)
-        init = self.initial
-        if init is None:
-            init = np.full(len(labels), 1.0 / len(labels))
+        init = np.full(len(labels), 1.0 / len(labels)) if self.initial is None else self.initial
         object.__setattr__(self, "initial", np.asarray(init, dtype=float))
-        per_pair = {key: np.asarray(val, dtype=float) for key, val in self.per_pair.items()}
-        object.__setattr__(self, "per_pair", per_pair)
-        sys_ptms = {}
-        transitions = {}
-        for chi in labels:
-            stack = np.empty((len(labels), 4, 4))
-            for col, lam in enumerate(labels):
-                if (chi, lam) not in per_pair:
-                    raise KeyError(f"missing system map for gate {chi!r} after {lam!r}")
-                stack[col] = per_pair[(chi, lam)]
-            sys_ptms[chi] = stack
-            trans = np.zeros((len(labels), len(labels)))
-            trans[labels.index(chi), :] = 1.0
-            transitions[chi] = trans
-        object.__setattr__(self, "sys_ptms", sys_ptms)
-        object.__setattr__(self, "transitions", transitions)
+        for chi, lam in product(labels, labels):
+            rate = self.rates.get(chi, {}).get(lam)
+            if rate is None or not 0.0 <= rate <= 1.0:
+                raise ValueError(f"rate of gate {chi!r} after {lam!r} must be in [0, 1], got {rate!r}")
+        rates = {chi: np.array([self.rates[chi][lam] for lam in labels], dtype=float) for chi in labels}
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "sys_ptms", {chi: depolarized_gates(chi, r) for chi, r in rates.items()})
+        moves = np.eye(len(labels))[:, :, None] * np.ones(len(labels))  # gate j sets every register value to j
+        object.__setattr__(self, "transitions", dict(zip(labels, moves)))
         object.__setattr__(self, "_block_cache", {})
         self._validate_blocks()
 
@@ -531,5 +527,5 @@ class ContextModel(_BlockModel):
             "kind": "context",
             "gate_labels": list(self.gate_labels),
             "initial": self.initial.tolist(),
-            "per_pair": {f"{chi}|{lam}": np.asarray(mat).tolist() for (chi, lam), mat in self.per_pair.items()},
+            "rates": {chi: dict(zip(self.gate_labels, r.tolist())) for chi, r in self.rates.items()},
         }

@@ -14,6 +14,7 @@ from conftest import block_loop_mean, frozen_fold_mean, ideal_output_state, loop
 from corrtomo.device import (
     _AXES,
     _PLUS_Z,
+    RATE_CLAMP,
     Circuit,
     MeasurementRecord,
     RejectionSamplingError,
@@ -121,18 +122,6 @@ class TestFrozenClosedForm:
         dense = ct.dense_low_freq_model(1.0, 1.0)
         assert sum(int(np.sum(rates == 1.0)) for rates in dense.rates.values()) == 2 * 1320
 
-    def test_each_model_keeps_its_own_tables(self):
-        # two models that differ only in their rates, run alternately
-        a = FROZEN_MODELS["per_gate_rates"]()
-        b = dataclasses.replace(a, rates={g: 0.5 * r for g, r in a.rates.items()})
-        circuits = [c.gates for n in (1, 3, 20) for c in ct.random_identity_sequences(n, 3, seed=n)]
-        # references from fresh copies, whose tables no run_circuit call has built
-        want = [exact_means(dataclasses.replace(model), circuits).tolist() for model in (a, b)]
-        assert all(x != y for x, y in zip(*want))
-        for i, gates in enumerate(circuits):
-            assert [ct.run_circuit(model, gates).mean for model in (a, b)] == [want[0][i], want[1][i]]
-        assert [exact_means(model, circuits).tolist() for model in (a, b)] == want
-
 
 @st.composite
 def fold_cases(draw):
@@ -168,6 +157,12 @@ CONTEXT = {
     "rates": {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}},
     "initial": [0.5, 0.5],
 }
+
+
+def context_model(rates, initial):
+    return ct.ContextModel(gate_labels=("H", "S"), rates=rates, initial=np.array(initial))
+
+
 EXACT_MEANS_MODELS = {
     "low_freq": lambda: ct.build_low_freq_model(1.0, 0.02, 5),
     "constant": lambda: ct.constant_depolarizing_model(0.03),
@@ -188,6 +183,9 @@ class TestExactMeans:
         if model.identity_transitions:
             want = [frozen_fold_mean(model, c) for c in circuits]
             assert np.max(np.abs(got - want)) <= 1e-14
+        elif isinstance(model, ct.ContextModel):  # the closed form, against the block fold
+            want = [block_loop_mean(model, c) for c in circuits]
+            assert np.max(np.abs(got - want)) <= 1e-14
         else:
             assert got.tolist() == [block_loop_mean(model, c) for c in circuits]
         assert [ct.run_circuit(model, c).mean for c in circuits] == got.tolist()
@@ -195,6 +193,57 @@ class TestExactMeans:
     def test_unknown_label(self, device_m5):
         with pytest.raises(KeyError, match="unknown gate label 'T'"):
             exact_means(device_m5, [("H",), ("S", "T")])
+
+    @pytest.mark.parametrize("kind", ["per_gate_rates", "context"])
+    def test_each_model_keeps_its_own_tables(self, kind):
+        # two models of one closed form that differ only in their rates, run alternately
+        def make(scale):
+            if kind == "context":
+                rates = {chi: {lam: scale * r for lam, r in row.items()} for chi, row in CONTEXT["rates"].items()}
+                return context_model(rates, [0.3, 0.7])
+            model = FROZEN_MODELS[kind]()
+            return dataclasses.replace(model, rates={g: scale * r for g, r in model.rates.items()})
+
+        a, b = make(1.0), make(0.5)
+        circuits = [c.gates for n in (1, 3, 20) for c in ct.random_identity_sequences(n, 3, seed=n)]
+        # references from fresh models, whose tables no run_circuit call has built
+        want = [exact_means(make(scale), circuits).tolist() for scale in (1.0, 0.5)]
+        assert all(x != y for x, y in zip(*want))
+        for i, gates in enumerate(circuits):
+            assert [ct.run_circuit(model, gates).mean for model in (a, b)] == [want[0][i], want[1][i]]
+        assert [exact_means(model, circuits).tolist() for model in (a, b)] == want
+
+
+class TestContextClosedForm:
+    """Closed-form means of context models against the block fold, and run_circuit against exact_means."""
+
+    @pytest.mark.parametrize("initial", [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    def test_random_circuits_up_to_100_gates(self, initial):
+        model = context_model(CONTEXT["rates"], initial)
+        gen = np.random.default_rng(5)
+        circuits = [c.gates for n in (1, 2, 10, 37, 64, 100) for c in ct.random_identity_sequences(n, 5, seed=gen)]
+        circuits += [tuple(gen.choice(["H", "S"], size=n)) for n in (1, 3, 20, 99, 100) for _ in range(3)]
+        got = exact_means(model, circuits)
+        assert np.max(np.abs(got - [block_loop_mean(model, c) for c in circuits])) <= 2e-14
+        # one row at a time, as survival_curve runs them, and in batches of other sizes
+        assert [ct.run_circuit(model, c).mean for c in circuits] == got.tolist()
+        assert exact_means(model, circuits[::-1]).tolist() == got.tolist()[::-1]
+        assert exact_means(model, circuits[:7]).tolist() == got.tolist()[:7]
+
+    def test_saturated_rate_stays_within_the_clamp(self):
+        model = context_model({"H": {"H": 1.0, "S": 0.3}, "S": {"H": 0.0, "S": 1.0}}, [0.5, 0.5])
+        circuits = sequences_up_to(6)
+        got = exact_means(model, circuits)
+        want = [block_loop_mean(model, c) for c in circuits]
+        assert np.max(np.abs(got - want)) <= RATE_CLAMP
+        assert [ct.run_circuit(model, c).mean for c in circuits] == got.tolist()
+
+    def test_unknown_label(self):
+        model = build_model(CONTEXT)
+        with pytest.raises(KeyError, match="unknown gate label 'T'"):
+            ct.run_circuit(model, ("H", "T"))
+        with pytest.raises(KeyError, match="unknown gate label 'T'"):
+            exact_means(model, [("H",), ("S", "T")])
 
 
 class TestIdentitySequences:
@@ -407,6 +456,13 @@ class TestSurvivalCurve:
         # recorded before the dense model was built from arrays: the closed form's bits must not drift
         rows = ct.survival_curve(PINNED_MODELS["dense"](), [0, 7, 30], circuits_per_point=25, seed=11)
         want = [(0, 1.0, 0.0), (7, 0.6290994448735807, 1.1102230246251566e-17), (30, 0.5640184401018562, 0.0)]
+        assert [(r["n_gates"], r["mean"], r["stderr"]) for r in rows] == want
+
+    def test_pinned_exact_context_rows(self):
+        # recorded when context means moved from the block fold to the closed form
+        rows = ct.survival_curve(PINNED_MODELS["context"](), [0, 7, 30], circuits_per_point=25, seed=11)
+        want = [(0, 1.0, 0.0), (7, 0.9450362188060112, 0.004235085939441202),
+                (30, 0.7917840419645829, 0.004968605143912605)]
         assert [(r["n_gates"], r["mean"], r["stderr"]) for r in rows] == want
 
     def test_empty_grid_rejected(self, device_m5):

@@ -194,6 +194,24 @@ class TestConfigValidation:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rates,named",
+        [
+            ({"H": {"H": 0.01, "S": 0.0}, "S": {"H": 0.0}}, "gate 'S' after 'S' must be in [0, 1], got None"),
+            ({"H": {"H": 0.01, "S": 1.5}, "S": {"H": 0.0, "S": 0.0}}, "gate 'H' after 'S' must be in [0, 1]"),
+        ],
+        ids=["missing-pair", "rate-above-one"],
+    )
+    def test_context_rate_error_exits_2_naming_the_pair(self, tmp_path, capfd, rates, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SURVIVAL_CFG, "model": {"kind": "context", "labels": ["H", "S"], "rates": rates}}))
+        out = tmp_path / "out"
+        assert _main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.startswith("config error: model:") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_gate_gamma_label_exits_2_naming_it(self, tmp_path, capfd):
         model = {"kind": "second_order", "sigma": 1, "eta": 0.1, "gate_gammas": {"H": 0.3, "T": 1}}
         cfg = tmp_path / "cfg.json"

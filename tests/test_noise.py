@@ -356,10 +356,7 @@ class TestSecondOrder:
 
 class TestContext:
     def rates_model(self, rates, initial=None):
-        per_pair = {
-            (chi, lam): depolarized_gates(chi, [rates[chi][lam]])[0] for chi in ("H", "S") for lam in ("H", "S")
-        }
-        return ct.ContextModel(gate_labels=("H", "S"), per_pair=per_pair, initial=initial)
+        return ct.ContextModel(gate_labels=("H", "S"), rates=rates, initial=initial)
 
     def test_uniform_rates_equal_context_free(self):
         eps = 0.05
@@ -393,12 +390,36 @@ class TestContext:
         v = ctx.gate_block("H") @ v
         assert np.allclose(v[0::4], [1.0, 0.0], atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "rates,message",
+        [
+            ({"H": {"H": 0.01, "S": 0.02}, "S": {"H": 0.03}}, "rate of gate 'S' after 'S' must be in .* got None"),
+            ({"H": {"H": 0.01, "S": 0.02}}, "rate of gate 'S' after 'H' must be in .* got None"),
+            ({"H": {"H": 0.01, "S": 1.5}, "S": {"H": 0.03, "S": 0.04}}, r"gate 'H' after 'S' must be in \[0, 1\], got 1.5"),
+            ({"H": {"H": 0.01, "S": 0.02}, "S": {"H": -0.1, "S": 0.04}}, r"gate 'S' after 'H' must be in \[0, 1\]"),
+            ({"H": {"H": float("nan"), "S": 0.02}, "S": {"H": 0.03, "S": 0.04}}, "gate 'H' after 'H' .* got nan"),
+        ],
+        ids=["missing-pair", "missing-row", "above-one", "negative", "nan"],
+    )
+    def test_bad_rate_names_the_pair(self, rates, message):
+        with pytest.raises(ValueError, match=message):
+            self.rates_model(rates)
+
+    def test_rates_kept_in_register_order_and_gates_from_them(self):
+        rates = {"H": {"S": 0.02, "H": 0.01}, "S": {"H": 0.03, "S": 0.04}}
+        ctx = self.rates_model(rates)
+        for chi in ("H", "S"):
+            want = np.array([rates[chi]["H"], rates[chi]["S"]])
+            assert ctx.rates[chi].tobytes() == want.tobytes()
+            assert ctx.sys_ptms[chi].tobytes() == depolarized_gates(chi, want).tobytes()
+        assert ctx.to_json()["rates"] == {chi: {"H": rates[chi]["H"], "S": rates[chi]["S"]} for chi in ("H", "S")}
+
     def test_unknown_label_rejected(self):
         ctx = self.rates_model({"H": {"H": 0.0, "S": 0.0}, "S": {"H": 0.0, "S": 0.0}})
         with pytest.raises(KeyError, match="unknown gate label"):
             ctx.gate_block("T")
-        with pytest.raises(KeyError, match="missing system map"):
-            ct.ContextModel(gate_labels=("H", "S"), per_pair={})
+        with pytest.raises(ValueError, match="rate of gate 'H' after 'H' .* got None"):
+            ct.ContextModel(gate_labels=("H", "S"), rates={})
 
 
 class TestGaussLegendre:

@@ -130,7 +130,7 @@ class TestExpectation:
         initial = np.array([0.3, 0.7])
         context = ct.ContextModel(
             gate_labels=("H", "S"),
-            per_pair={key: ct.depolarized_gates(key[0], [eps])[0] for key, eps in rates.items()},
+            rates={chi: {lam: rates[chi, lam] for lam in "HS"} for chi in "HS"},
             initial=initial,
         )
         for _ in range(20):

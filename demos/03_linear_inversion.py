@@ -57,7 +57,7 @@ for i, n in enumerate(range(0, 101, 20)):
 print("\n=== gauge fit to the ideal gate frame ===")
 fit = gauge_fit_to_ideal(trunc7, trial=trial)
 print(f"  objective {fit.objective:.3e} after {fit.n_evaluations} evaluations")
-ideal = ct.ideal_seven_ptms(0.5)
+ideal = ct.ideal_seven_ptms()
 for label in ("H", "S"):
     diff = fit.error_model.gates[label] - ideal[label]
     print(f"  max |reconstructed {label} - ideal {label}| = {np.max(np.abs(diff)):.4f}")

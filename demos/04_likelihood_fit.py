@@ -9,7 +9,8 @@ predictions track the device closely, while the single-point fit (the
 memoryless assumption) is orders of magnitude worse in likelihood.
 
 Also demonstrates an exact round trip: data generated from a known two-point
-model returns its parameters to twelve digits.
+model (a frozen ``LowFreqModel``, the type a fit exports) returns its
+parameters to twelve digits.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 import corrtomo as ct
 from corrtomo.device import Circuit, MeasurementRecord
 from corrtomo.linear_inversion import collect_trial_data, trial_sequences
-from corrtomo.mle import ParamModel, model_predict, records_from_tomography
+from corrtomo.mle import records_from_tomography
 from corrtomo.tomography import predict
 
 device = ct.build_low_freq_model(sigma=1.0, eta=0.02, m=5)
@@ -29,12 +30,12 @@ fit2 = ct.fit(records, l_size=2, seed=0)
 fit1 = ct.fit(records, l_size=1, seed=0)
 pm = fit2.param_model
 print("\n=== two-point fit ===")
-print(f"  weights        p = ({pm.p[0]:.4f}, {pm.p[1]:.4f})")
-print(f"  Hadamard rates   = ({pm.eps['H'][0]:.4e}, {pm.eps['H'][1]:.4e})")
-print(f"  phase rates      = ({pm.eps['S'][0]:.4e}, {pm.eps['S'][1]:.4e})")
+print(f"  weights        p = ({pm.weights[0]:.4f}, {pm.weights[1]:.4f})")
+print(f"  Hadamard rates   = ({pm.rates['H'][0]:.4e}, {pm.rates['H'][1]:.4e})")
+print(f"  phase rates      = ({pm.rates['S'][0]:.4e}, {pm.rates['S'][1]:.4e})")
 print(f"  objective        = {fit2.nll:.4e}")
 print(f"\n=== one-point fit (no memory) ===")
-print(f"  rate             = {fit1.param_model.eps['H'][0]:.4e}")
+print(f"  rate             = {fit1.param_model.rates['H'][0]:.4e}")
 print(f"  objective        = {fit1.nll:.4e}   ({fit1.nll / fit2.nll:.1e} x worse)")
 
 print("\n=== prediction accuracy on fresh random identity circuits ===")
@@ -47,20 +48,17 @@ for i, n in enumerate((0, 20, 50, 100)):
     print(f"  {n:3d}   {actual:.6f}    {f2:.6f}     {f1:.6f}")
 
 print("\n=== exact parameter round trip ===")
-truth = ParamModel(
-    labels=(1, 2),
-    p=np.array([0.6, 0.4]),
-    eps={"H": np.array([0.003, 0.02]), "S": np.array([0.004, 0.015])},
-)
+truth = ct.frozen_model([0.6, 0.4], {"H": [0.003, 0.02], "S": [0.004, 0.015]})
 gen = np.random.default_rng(5)
 circuits = [
     tuple(np.where(gen.integers(0, 2, size=int(gen.integers(1, 26))) == 0, "H", "S"))
     for _ in range(400)
 ]
-synthetic = [MeasurementRecord(Circuit(c), model_predict(truth, c), 0.0, None) for c in circuits]
+means = ct.exact_means(truth, circuits)
+synthetic = [MeasurementRecord(Circuit(c), float(mean), 0.0, None) for c, mean in zip(circuits, means)]
 recovered = ct.fit(synthetic, l_size=2, seed=0).param_model
 err = max(
-    np.max(np.abs(recovered.p - truth.p)),
-    max(np.max(np.abs(recovered.eps[g] - truth.eps[g])) for g in ("H", "S")),
+    np.max(np.abs(recovered.weights - truth.weights)),
+    max(np.max(np.abs(recovered.rates[g] - truth.rates[g])) for g in ("H", "S")),
 )
-print(f"  recovered p = {recovered.p}, max parameter error {err:.1e}")
+print(f"  recovered p = {recovered.weights}, max parameter error {err:.1e}")

@@ -15,7 +15,7 @@ The package has three layers:
 ``experiments`` ties everything into reproducible, file-based batch runs.
 """
 
-from .ptm import GATE_UNITARIES, ideal_qubit_ptms, ideal_seven_ptms
+from .ptm import GATE_UNITARIES, ideal_qubit_ptms
 from .noise import (
     LowFreqModel,
     ContextModel,
@@ -26,6 +26,7 @@ from .noise import (
     gaussian_x_moments,
     discretize_from_moments,
     build_low_freq_model,
+    frozen_model,
     dense_low_freq_model,
     constant_depolarizing_model,
     transition_decay,
@@ -61,11 +62,10 @@ from .linear_inversion import (
     singular_spectrum,
     lim_reconstruct,
     gauge_fit_to_ideal,
+    ideal_seven_ptms,
 )
 from .mle import (
-    ParamModel,
     FitResult,
-    model_predict,
     negative_log_likelihood,
     fit,
 )

@@ -62,7 +62,7 @@ from .noise import (
     second_order_model,
     transition_decay,
 )
-from .ptm import ideal_qubit_ptms, ideal_seven_ptms
+from .ptm import ideal_qubit_ptms
 from .tomography import (
     ErrorModel,
     ProtocolFailure,
@@ -73,7 +73,7 @@ from .tomography import (
     select_fiducials,
     verify_factorization,
 )
-from .linear_inversion import collect_trial_data
+from .linear_inversion import collect_trial_data, ideal_seven_ptms
 
 __all__ = ["run", "compare", "build_model", "ConfigError"]
 
@@ -220,6 +220,15 @@ def _output_dir(target: str | Path | None) -> Path:
     return target
 
 
+def _listed_files(target: Path) -> set[str]:
+    """Files in ``target`` that its manifest lists by bare name; none without a readable manifest."""
+    try:
+        files = json.loads((target / "manifest.json").read_text())["files"]
+        return {f for f in files if Path(f).name == f and (target / f).is_file()} if isinstance(files, list) else set()
+    except (OSError, ValueError, LookupError, TypeError):  # TypeError: a listed name that is not a string
+        return set()
+
+
 # ---------------------------------------------------------------------------
 # Experiment bodies.  Each reads its checked params and returns {filename:
 # writer} where the writer is a callable(path) producing the file, so nothing
@@ -331,7 +340,7 @@ def _lim_experiment(model, cfg: dict, params: dict) -> dict:
     if params["gauge_fit"] and d in (4, 7):
         fit_res = gauge_fit_to_ideal(trunc, trial=trial)
         error_model = fit_res.error_model
-        ideal = ideal_qubit_ptms() if d == 4 else ideal_seven_ptms(0.5)
+        ideal = ideal_qubit_ptms() if d == 4 else ideal_seven_ptms()
         for label in sorted(error_model.gates):
             mat = error_model.gates[label]
             out[f"ptm_{label}.csv"] = (lambda m: (lambda p: save_matrix_csv(p, m)))(mat)
@@ -450,7 +459,8 @@ def run(
     list) and the experiment's result files; on a validation error or a
     numerical failure nothing is written.  Files go to a staging directory
     next to the target, moved into place after the manifest: a failing writer
-    leaves no partial output.
+    leaves no partial output.  Reusing a directory deletes the files its old
+    manifest lists that this run does not write, and touches no other file.
     """
     try:
         cfg = _load_config(config)
@@ -485,7 +495,9 @@ def run(
             "files": sorted(writers),
         }
         save_json(staging / "manifest.json", manifest)
-        if target.exists():
+        if target.exists():  # first delete the old run's files that this run does not write
+            for name in sorted(_listed_files(target) - set(writers)):
+                (target / name).unlink()
             for name in [*sorted(writers), "manifest.json"]:
                 os.replace(staging / name, target / name)
             staging.rmdir()

@@ -29,8 +29,9 @@ import numpy as np
 
 from .device import _gate_matrix, fold_gates
 from .lm import levenberg_marquardt
-from .noise import DEFAULT_GATE_LABELS, depolarized_gates
-from .ptm import block_diag, ideal_qubit_ptms, ideal_seven_ptms, reduced_frame
+from .mle import induced_error_model
+from .noise import DEFAULT_GATE_LABELS, frozen_model
+from .ptm import ideal_qubit_ptms
 from .tomography import ErrorModel, FiducialSet, TomographyData, collect_data
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "singular_spectrum",
     "lim_reconstruct",
     "gauge_fit_to_ideal",
+    "ideal_seven_ptms",
 ]
 
 DEFAULT_SELECTION_SEED = 20260808
@@ -277,6 +279,11 @@ class GaugeFitResult:
 REFERENCE_RATES = (1e-3, 1e-2)
 
 
+def ideal_seven_ptms() -> dict[str, np.ndarray]:
+    """7x7 transfer matrices of the ideal H and S gates on the reduced frame: the noiseless two-point export."""
+    return induced_error_model(frozen_model([0.5, 0.5], dict.fromkeys(DEFAULT_GATE_LABELS, (0.0, 0.0)))).gates
+
+
 def _reference_trial_duals(trial: TrialSpec, d: int, gate_labels: Sequence[str]) -> np.ndarray:
     """Rows of effective reference observables for each trial sequence (d^t x d).
 
@@ -288,13 +295,8 @@ def _reference_trial_duals(trial: TrialSpec, d: int, gate_labels: Sequence[str])
         ptms = ideal_qubit_ptms()
         q0 = np.array([0.5, 0.0, 0.0, 0.5])
     elif d == 7:
-        frame = reduced_frame(np.array([0.5, 0.5]))
-        ptms = {
-            label: frame.T @ block_diag(depolarized_gates(label, REFERENCE_RATES)) @ frame
-            for label in gate_labels
-        }
-        q_block = np.array([0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.5])
-        q0 = q_block @ frame
+        reference = induced_error_model(frozen_model([0.5, 0.5], dict.fromkeys(gate_labels, REFERENCE_RATES)))
+        ptms, q0 = reference.gates, reference.dual
     else:
         raise ValueError(f"no reference frame for d = {d}; supply an explicit initial gauge")
     labels = tuple(gate_labels)
@@ -335,7 +337,7 @@ def gauge_fit_to_ideal(
     """
     d = truncation.d
     if ideal_ptms is None:
-        ideal_ptms = ideal_qubit_ptms() if d == 4 else ideal_seven_ptms(0.5)
+        ideal_ptms = ideal_qubit_ptms() if d == 4 else ideal_seven_ptms()
     labels = sorted(truncation.gate_mats_trunc.keys())
     for label in labels:
         if ideal_ptms[label].shape != (d, d):

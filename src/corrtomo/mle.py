@@ -3,7 +3,8 @@
 The model family: the environment variable takes ``L`` values with weights
 ``p(lam)``; each gate acts as its ideal unitary followed by depolarizing
 noise with a rate ``eps[gate](lam)`` that depends on the environment value,
-which is frozen over a circuit.  State and readout are error free.
+which is frozen over a circuit.  State and readout are error free.  This
+is a frozen :class:`corrtomo.noise.LowFreqModel`, and a fit exports one.
 
 Fitting minimises the Gaussian negative log-likelihood
 
@@ -53,15 +54,13 @@ from .device import (
     _log_damping,
 )
 from .lm import levenberg_marquardt
-from .noise import depolarized_gates
-from .ptm import block_diag, ideal_qubit_ptms, reduced_frame
+from .noise import LowFreqModel, frozen_model
+from .ptm import reduced_frame
 from .tomography import ErrorModel
 
 __all__ = [
-    "ParamModel",
     "OptimizerConfig",
     "FitResult",
-    "model_predict",
     "negative_log_likelihood",
     "fit",
     "induced_error_model",
@@ -70,69 +69,6 @@ __all__ = [
 ]
 
 DEFAULT_SIGMA_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class ParamModel:
-    """Weights and per-gate depolarizing rates over a finite environment.
-
-    ``eps[gate]`` is an array of rates, one per environment value, aligned
-    with ``p``.
-    """
-
-    labels: tuple[int, ...]
-    p: np.ndarray
-    eps: dict[str, np.ndarray]
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights must be nonnegative and sum to 1, got {p}")
-        object.__setattr__(self, "p", p)
-        eps = {g: np.asarray(v, dtype=float) for g, v in self.eps.items()}
-        for g, v in eps.items():
-            if v.shape != p.shape:
-                raise ValueError(f"rates for gate {g!r} have shape {v.shape}, expected {p.shape}")
-            if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
-                raise ValueError(f"rates for gate {g!r} must lie in [0, 1], got {v}")
-        object.__setattr__(self, "eps", eps)
-        if len(self.labels) != p.size:
-            raise ValueError("labels and weights must have the same length")
-
-    @property
-    def m(self) -> int:
-        return self.p.size
-
-    @property
-    def gate_labels(self) -> tuple[str, ...]:
-        return tuple(sorted(self.eps.keys()))
-
-    def to_json(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "p": self.p.tolist(),
-            "eps": {g: v.tolist() for g, v in self.eps.items()},
-        }
-
-
-def model_predict(param_model: ParamModel, circuit: Circuit | Sequence[str]) -> float:
-    """Predicted |0> probability of a circuit: block-diagonal evaluation.
-
-    Folds the 4x4 transfer matrices gate by gate independently at every
-    environment value, then averages with the weights.
-    """
-    gates = circuit.gates if isinstance(circuit, Circuit) else tuple(circuit)
-    ideal = ideal_qubit_ptms()
-    total = 0.0
-    for lam in range(param_model.m):
-        v = np.array([1.0, 0.0, 0.0, 1.0])
-        for label in gates:
-            if label not in param_model.eps:
-                raise KeyError(f"unknown gate label {label!r}")
-            eps = param_model.eps[label][lam]
-            v = np.diag([1.0, 1.0 - eps, 1.0 - eps, 1.0 - eps]) @ (ideal[label] @ v)
-        total += param_model.p[lam] * 0.5 * (v[0] + v[3])
-    return float(total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,25 +210,24 @@ class _SufficientStatistics:
 
 
 def negative_log_likelihood(
-    param_model: ParamModel,
+    model: LowFreqModel,
     records: Sequence[MeasurementRecord],
     sigma_floor: float = DEFAULT_SIGMA_FLOOR,
 ) -> float:
-    """Sum of squared residuals weighted by the per-record variances.
+    """Sum of squared residuals of a frozen model's predictions, weighted by the per-record variances.
 
     Exact records (zero variance) use the floor; sampled records use the
     larger of their variance estimate and the floor.
     """
+    _require_frozen(model)
     if not records:
         raise ValueError("need at least one record")
     if sigma_floor <= 0.0:
         raise ValueError("sigma_floor must be positive (records may carry zero variance)")
     if not isinstance(records, RecordSet):
         records = RecordSet.from_records(records)
-    gate_labels = param_model.gate_labels
-    stats = _SufficientStatistics(records, gate_labels, sigma_floor)
-    rates = np.stack([param_model.eps[g] for g in gate_labels])
-    return stats.objective(param_model.p, rates)
+    stats = _SufficientStatistics(records, model.gate_labels, sigma_floor)
+    return stats.objective(model.weights, np.stack([model.rates[g] for g in model.gate_labels]))
 
 
 @dataclass(frozen=True)
@@ -304,7 +239,7 @@ class OptimizerConfig:
 
 @dataclass
 class FitResult:
-    param_model: ParamModel
+    param_model: LowFreqModel  # frozen, its support the labels 1..m
     error_model: ErrorModel
     nll: float
     diagnostics: dict = field(default_factory=dict)
@@ -315,7 +250,7 @@ class FitResult:
 
     def to_json(self) -> dict:
         return {
-            "param_model": self.param_model.to_json(),
+            "param_model": _parametric_json(self.param_model),
             "error_model": self.error_model.to_json(),
             "nll": self.nll,
             "diagnostics": {
@@ -355,7 +290,8 @@ def fit(
     lowest objective with ties broken by start index, and
     ``converged`` is the winning start's own termination status.  The fitted
     model is canonicalized by ascending first-gate rate and exported both as
-    a ParamModel and as the equivalent reduced-space ErrorModel.
+    a frozen LowFreqModel (``sigma`` and ``eta`` None, the support the labels
+    1..m) and as the equivalent reduced-space ErrorModel.
 
     Records should cover circuits long enough for the slow environment
     directions to matter (lengths of order tens for weak noise); otherwise
@@ -394,20 +330,11 @@ def fit(
     objectives = [stats.objective(p, rates) for p, rates in zip(p_all, rates_all)]
     winner = min(range(len(results)), key=lambda i: (objectives[i], i))
 
-    p, rates = p_all[winner], rates_all[winner]
-    # canonical order: ascending rate of the first gate label
-    order_lam = np.argsort(rates[0, :], kind="stable")
-    p = p[order_lam]
-    rates = rates[:, order_lam]
-    param_model = ParamModel(
-        labels=tuple(range(1, m + 1)),
-        p=p,
-        eps={g: rates[j, :] for j, g in enumerate(gate_labels)},
-    )
-    error_model = induced_error_model(param_model)
+    order = np.argsort(rates_all[winner, 0], kind="stable")  # canonical: ascending rate of the first gate label
+    param_model = frozen_model(p_all[winner, order], dict(zip(gate_labels, rates_all[winner][:, order])))
     return FitResult(
         param_model=param_model,
-        error_model=error_model,
+        error_model=induced_error_model(param_model),
         nll=objectives[winner],
         diagnostics={
             "converged": results[winner].converged,
@@ -450,30 +377,30 @@ def records_from_tomography(data) -> RecordSet:
     return RecordSet(labels, gates.reshape(means.size, -1), means, variances, np.full(means.size, shots or 0))
 
 
-def induced_error_model(param_model: ParamModel) -> ErrorModel:
-    """Equivalent error model on the reduced (3m + 1)-dimensional space.
+def _require_frozen(model) -> None:
+    if not model.identity_transitions:
+        raise ValueError("the model's environment must be frozen: every transition None")
 
-    The block dynamics of the parametric family keeps the reachable subspace
+
+def _parametric_json(model: LowFreqModel) -> dict:
+    """The ``{labels, p, eps}`` description of a frozen model, as fit reports write it."""
+    rates = {g: v.tolist() for g, v in model.rates.items()}
+    return {"labels": list(range(1, model.m + 1)), "p": model.weights.tolist(), "eps": rates}
+
+
+def induced_error_model(model: LowFreqModel) -> ErrorModel:
+    """Equivalent error model of a frozen model on the reduced (3m + 1)-dimensional space.
+
+    The block dynamics of a frozen environment keeps the reachable subspace
     spanned by the weighted identity profile and the per-value X, Y, Z slots,
     so projecting the block matrices onto that frame loses nothing: the
-    induced model predicts identically to the parametric one.
+    induced model predicts identically to the block one.
     """
-    m = param_model.m
-    frame = reduced_frame(param_model.p)
-    gates = {}
-    for label in param_model.gate_labels:
-        # ParamModel admits rates up to 1e-12 outside [0, 1]; clip that round-off
-        rates = np.clip(param_model.eps[label], 0.0, 1.0)
-        gates[label] = frame.T @ block_diag(depolarized_gates(label, rates)) @ frame
-    rho = np.zeros(4 * m)
-    rho[0::4] = param_model.p
-    rho[3::4] = param_model.p
-    dual = np.zeros(4 * m)
-    dual[0::4] = 0.5
-    dual[3::4] = 0.5
+    _require_frozen(model)
+    frame = reduced_frame(model.weights)
     return ErrorModel(
-        state=frame.T @ rho,
-        dual=dual @ frame,
-        gates=gates,
-        gauge={"parametric": param_model.to_json()},
+        state=frame.T @ model.rho_vec(),
+        dual=model.dual_vec() @ frame,
+        gates={label: frame.T @ model.gate_block(label) @ frame for label in model.gate_labels},
+        gauge={"parametric": _parametric_json(model)},
     )

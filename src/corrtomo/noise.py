@@ -45,6 +45,7 @@ __all__ = [
     "gaussian_x_moments",
     "discretize_from_moments",
     "build_low_freq_model",
+    "frozen_model",
     "dense_low_freq_model",
     "gauss_legendre",
     "constant_depolarizing_model",
@@ -297,11 +298,12 @@ class LowFreqModel(_BlockModel):
     at support point i; the per-point system transfer matrices
     ``sys_ptms[label]`` (depolarizing noise after the ideal gate) are built
     from them.  ``transitions[label]`` redistributes the environment with
-    each application (None = frozen variable).
+    each application (None = frozen variable).  ``sigma`` and ``eta`` are
+    None for a model not built from the drift distribution.
     """
 
-    sigma: float
-    eta: float
+    sigma: float | None
+    eta: float | None
     support: np.ndarray
     weights: np.ndarray
     gate_labels: tuple[str, ...]
@@ -364,6 +366,17 @@ def build_low_freq_model(
         rates=_drift_rates(lambdas, eta, gate_labels),
         transitions={label: None for label in gate_labels},
         meta={"construction": "moment_matched", "m": m},
+    )
+
+
+def frozen_model(weights: Sequence[float] | np.ndarray, rates: Mapping[str, Sequence[float]]) -> LowFreqModel:
+    """Frozen model of these weights and per-gate rates, as a likelihood fit exports it.
+
+    The support is the labels 1..m; ``sigma`` and ``eta`` are None.
+    """
+    return LowFreqModel(
+        sigma=None, eta=None, support=np.arange(1, np.size(weights) + 1), weights=weights,
+        gate_labels=tuple(rates), rates=rates, transitions=dict.fromkeys(rates),
     )
 
 
@@ -437,16 +450,7 @@ def constant_depolarizing_model(
     gate_labels: Sequence[str] = DEFAULT_GATE_LABELS,
 ) -> LowFreqModel:
     """One-point model: every gate carries the same depolarizing rate."""
-    return LowFreqModel(
-        sigma=0.0,
-        eta=float(epsilon),
-        support=np.array([0.0]),
-        weights=np.array([1.0]),
-        gate_labels=tuple(gate_labels),
-        rates={label: [epsilon] for label in gate_labels},
-        transitions={label: None for label in gate_labels},
-        meta={"construction": "constant", "epsilon": epsilon},
-    )
+    return frozen_model([1.0], dict.fromkeys(gate_labels, [epsilon]))
 
 
 def second_order_model(
@@ -493,12 +497,13 @@ class ContextModel(_BlockModel):
     The environment is a register over ``gate_labels``; after gate ``chi`` it
     deterministically holds ``chi``.  ``rates[chi][lam]`` is the depolarizing
     rate of gate ``chi`` after gate ``lam``, kept as ``rates[chi]``, an (m,)
-    array over the register in label order.  ``initial`` is the register
-    distribution before the first gate (uniform by default).
+    array over the register in label order; that array is accepted too.
+    ``initial`` is the register distribution before the first gate (uniform
+    by default).
     """
 
     gate_labels: tuple[str, ...]
-    rates: Mapping[str, Mapping[str, float]]
+    rates: Mapping[str, Mapping[str, float] | Sequence[float]]
     initial: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -506,11 +511,12 @@ class ContextModel(_BlockModel):
         object.__setattr__(self, "gate_labels", labels)
         init = np.full(len(labels), 1.0 / len(labels)) if self.initial is None else self.initial
         object.__setattr__(self, "initial", np.asarray(init, dtype=float))
+        given = {g: r if isinstance(r, Mapping) else dict(zip(labels, r, strict=True)) for g, r in self.rates.items()}
         for chi, lam in product(labels, labels):
-            rate = self.rates.get(chi, {}).get(lam)
+            rate = given.get(chi, {}).get(lam)
             if rate is None or not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate of gate {chi!r} after {lam!r} must be in [0, 1], got {rate!r}")
-        rates = {chi: np.array([self.rates[chi][lam] for lam in labels], dtype=float) for chi in labels}
+        rates = {chi: np.array([given[chi][lam] for lam in labels], dtype=float) for chi in labels}
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "sys_ptms", {chi: depolarized_gates(chi, r) for chi, r in rates.items()})
         moves = np.eye(len(labels))[:, :, None] * np.ones(len(labels))  # gate j sets every register value to j

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["GATE_UNITARIES", "block_diag", "ideal_qubit_ptms", "ideal_seven_ptms", "reduced_frame"]
+__all__ = ["GATE_UNITARIES", "ideal_qubit_ptms", "reduced_frame"]
 
 #: The elementary gate set used throughout: Hadamard and phase (X -> -Y, Y -> X).
 GATE_UNITARIES: Mapping[str, np.ndarray] = {
@@ -46,24 +46,6 @@ def ideal_qubit_ptms() -> dict[str, np.ndarray]:
     Fresh copies of a table built once at import, so callers may modify them.
     """
     return {label: ptm.copy() for label, ptm in _IDEAL_QUBIT_PTMS.items()}
-
-
-def ideal_seven_ptms(p1: float = 0.5, p2: float | None = None) -> dict[str, np.ndarray]:
-    """7x7 transfer matrices of the ideal H and S gates on the reduced frame.
-
-    The gate acts identically at both environment points, so the result is
-    independent of the environment weights (p1, p2); p2 defaults to 1 - p1.
-    """
-    frame = reduced_frame(np.array([p1, 1.0 - p1 if p2 is None else p2], dtype=float))
-    return {label: frame.T @ block_diag(np.stack([g, g])) @ frame for label, g in ideal_qubit_ptms().items()}
-
-
-def block_diag(blocks: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix of a (k, n, n) stack, the blocks in stack order."""
-    k, n, _ = blocks.shape
-    out = np.zeros((k, n, k, n))
-    out[np.arange(k), :, np.arange(k), :] = blocks
-    return out.reshape(k * n, k * n)
 
 
 def reduced_frame(weights: np.ndarray) -> np.ndarray:

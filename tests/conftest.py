@@ -47,6 +47,29 @@ def frozen_fold_mean(model, gates) -> float:
     return 0.5 * float(np.sum(v[:, 0] + v[:, 3]))
 
 
+def block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of a (k, n, n) stack, the blocks in stack order."""
+    k, n, _ = blocks.shape
+    out = np.zeros((k, n, k, n))
+    out[np.arange(k), :, np.arange(k), :] = blocks
+    return out.reshape(k * n, k * n)
+
+
+def model_predict(model, circuit) -> float:
+    """Independent oracle for frozen models: fold a 4-vector through diag(1, 1 - eps, 1 - eps, 1 - eps) @ ideal
+    gate by gate at every environment value, from the model's weights and rates, then average."""
+    gates = circuit.gates if isinstance(circuit, ct.Circuit) else tuple(circuit)
+    ideal = ct.ideal_qubit_ptms()
+    total = 0.0
+    for lam in range(model.m):
+        v = np.array([1.0, 0.0, 0.0, 1.0])
+        for label in gates:
+            eps = model.rates[label][lam]
+            v = np.diag([1.0, 1.0 - eps, 1.0 - eps, 1.0 - eps]) @ (ideal[label] @ v)
+        total += model.weights[lam] * 0.5 * (v[0] + v[3])
+    return float(total)
+
+
 def loop_fold(mats, gates, start, right=False) -> np.ndarray:
     """Independent oracle for ``fold_gates``: fold each row's sequence on its own, gate by gate.
 

@@ -17,9 +17,10 @@ from corrtomo.linear_inversion import (
     svd_truncate,
     trial_sequences,
 )
-from corrtomo.mle import ParamModel, model_predict, records_from_tomography
+from corrtomo.mle import records_from_tomography
+from corrtomo.noise import frozen_model
 from corrtomo.tomography import FiducialSet, gauge_reconstruct, gauge_transform, predict, select_fiducials
-from conftest import sequences_up_to
+from conftest import model_predict, sequences_up_to
 
 
 def verdict(num: int, label: str, passed: bool, detail: str) -> None:
@@ -156,15 +157,11 @@ def test_07_mle_parameter_recovery(suite_records):
     t0 = time.perf_counter()
     result = ct.fit(suite_records, 2, seed=0)
     pm = result.param_model
-    p_ok = abs(pm.p[0] - 0.5606) <= 0.1 * 0.5606
-    e1_ok = abs(pm.eps["H"][0] - 2.485e-3) <= 0.1 * 2.485e-3
-    e2_ok = abs(pm.eps["H"][1] - 1.606e-2) <= 0.1 * 1.606e-2
+    p_ok = abs(pm.weights[0] - 0.5606) <= 0.1 * 0.5606
+    e1_ok = abs(pm.rates["H"][0] - 2.485e-3) <= 0.1 * 2.485e-3
+    e2_ok = abs(pm.rates["H"][1] - 1.606e-2) <= 0.1 * 1.606e-2
     # synthetic round trip at exact means
-    true = ParamModel(
-        labels=(1, 2),
-        p=np.array([0.6, 0.4]),
-        eps={"H": np.array([0.003, 0.02]), "S": np.array([0.004, 0.015])},
-    )
+    true = frozen_model([0.6, 0.4], {"H": [0.003, 0.02], "S": [0.004, 0.015]})
     gen = np.random.default_rng(7)
     circuits = [
         tuple(np.where(gen.integers(0, 2, size=int(gen.integers(1, 26))) == 0, "H", "S"))
@@ -175,15 +172,15 @@ def test_07_mle_parameter_recovery(suite_records):
     ]
     rt = ct.fit(records, 2, seed=0)
     rt_err = max(
-        np.max(np.abs(rt.param_model.p - true.p)),
-        max(np.max(np.abs(rt.param_model.eps[g] - true.eps[g])) for g in ("H", "S")),
+        np.max(np.abs(rt.param_model.weights - true.weights)),
+        max(np.max(np.abs(rt.param_model.rates[g] - true.rates[g])) for g in ("H", "S")),
     )
     elapsed = time.perf_counter() - t0
     verdict(
         7,
         "likelihood fit recovery",
         p_ok and e1_ok and e2_ok and rt_err <= 1e-6 and elapsed < 120.0,
-        f"p1 {pm.p[0]:.4f} (0.5606 +-10%), eps {pm.eps['H'][0]:.3e}/{pm.eps['H'][1]:.3e} "
+        f"p1 {pm.weights[0]:.4f} (0.5606 +-10%), eps {pm.rates['H'][0]:.3e}/{pm.rates['H'][1]:.3e} "
         f"(2.485e-3/1.606e-2 +-10%), round-trip err {rt_err:.1e} (tol 1e-6), {elapsed:.0f}s",
     )
 
@@ -213,7 +210,7 @@ def test_08_ideal_seven_dimensional_gates():
         ],
         dtype=float,
     )
-    ptms = ct.ideal_seven_ptms(0.5)
+    ptms = ct.ideal_seven_ptms()
     dev = max(np.max(np.abs(ptms["H"] - h_expected)), np.max(np.abs(ptms["S"] - s_expected)))
     exact = np.array_equal(np.rint(ptms["H"]), h_expected) and np.array_equal(
         np.rint(ptms["S"]), s_expected

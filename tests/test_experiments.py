@@ -332,6 +332,40 @@ class TestSurvivalRun:
         assert (out / "survival.csv").read_bytes() == first
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.txt", "records.json", "survival.csv"]
 
+    def test_reused_directory_drops_the_old_runs_files_and_no_others(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(SURVIVAL_CFG, out_dir=out) == EXIT_OK
+        (out / "notes.txt").write_text("kept")
+        (tmp_path / "outside.txt").write_text("kept")
+        exact_lot = {
+            "experiment": "exact-lot",
+            "model": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 2},
+            "params": {"d": 7, "n_check_sequences": 3},
+        }
+        assert run(exact_lot, out_dir=out) == EXIT_OK
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        assert "survival.csv" not in listed
+        assert sorted(p.name for p in out.iterdir()) == sorted([*listed, "manifest.json", "notes.txt"])
+        assert (tmp_path / "outside.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "files",
+        [["../outside.txt", "notes.txt/..", "", ".."], "survival.csv", {"records.json": 1}, [3, None]],
+        ids=["paths", "string", "mapping", "not-names"],
+    )
+    def test_reused_directory_with_a_strange_manifest_deletes_nothing(self, tmp_path, files):
+        out = tmp_path / "out"
+        assert run(SURVIVAL_CFG, out_dir=out) == EXIT_OK
+        (tmp_path / "outside.txt").write_text("kept")
+        for name in ("notes.txt", "s", "u"):
+            (out / name).write_text("kept")
+        manifest = json.loads((out / "manifest.json").read_text())
+        (out / "manifest.json").write_text(json.dumps({**manifest, "files": files}))
+        assert run({**SURVIVAL_CFG, "seed": 8}, out_dir=out) == EXIT_OK
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["manifest.json", "notes.txt", "records.json", "s", "survival.csv", "u"]
+        assert (tmp_path / "outside.txt").read_text() == "kept"
+
     def test_output_directory_permissions_follow_the_umask(self, tmp_path):
         out = tmp_path / "out"
         assert run(SURVIVAL_CFG, out_dir=out) == EXIT_OK

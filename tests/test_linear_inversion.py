@@ -14,7 +14,11 @@ from corrtomo.linear_inversion import (
     svd_truncate,
     trial_sequences,
 )
+from corrtomo.device import _gate_matrix, fold_gates
+from corrtomo.noise import depolarized_gates
+from corrtomo.ptm import reduced_frame
 from corrtomo.tomography import predict
+from conftest import block_diag
 
 
 class TestTrialSequences:
@@ -197,6 +201,15 @@ def lm_calls(monkeypatch):
 
 
 class TestGaugeFit:
+    def test_d7_reference_duals_match_the_hand_built_frame_bit_for_bit(self, trial_d7):
+        # the reduced-frame reference as it was written out before the two-point export took its place
+        frame = reduced_frame(np.array([0.5, 0.5]))
+        labels = ("H", "S")
+        ptms = [frame.T @ block_diag(depolarized_gates(g, li.REFERENCE_RATES)) @ frame for g in labels]
+        q0 = np.array([0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.5]) @ frame
+        want = fold_gates(np.stack(ptms), _gate_matrix(trial_d7.sequences, labels)[:, ::-1], q0, right=True)
+        assert li._reference_trial_duals(trial_d7, 7, labels).tobytes() == want.tobytes()
+
     def test_jacobian_matches_central_differences(self, d7_at_seed, lm_calls):
         trunc, trial = d7_at_seed(0)
         gauge_fit_to_ideal(trunc, trial=trial)
@@ -252,7 +265,7 @@ class TestGaugeFit:
 
     def test_correlated_device_stays_near_ideal(self, truncation_d7, trial_d7):
         fit = gauge_fit_to_ideal(truncation_d7, trial=trial_d7)
-        ideal = ct.ideal_seven_ptms(0.5)
+        ideal = ct.ideal_seven_ptms()
         for label in ("H", "S"):
             assert np.max(np.abs(fit.error_model.gates[label] - ideal[label])) <= 0.05
 

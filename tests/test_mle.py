@@ -7,26 +7,22 @@ import pytest
 
 import corrtomo as ct
 import corrtomo.mle as mle
-from corrtomo.device import Circuit, MeasurementRecord, _fast_predictions, _log_damping
+from corrtomo.device import Circuit, MeasurementRecord, _fast_predictions, _gate_matrix, _log_damping
 from corrtomo.mle import (
     OptimizerConfig,
-    ParamModel,
     RecordSet,
     induced_error_model,
-    model_predict,
     negative_log_likelihood,
     records_from_tomography,
 )
+from corrtomo.noise import frozen_model
 from corrtomo.ptm import ideal_qubit_ptms
-from corrtomo.tomography import FiducialSet, TomographyData, predict
+from corrtomo.tomography import FiducialSet, TomographyData, _predictions, predict
+from conftest import model_predict
 
 
 def two_point_model(p1=0.6, eps_h=(0.003, 0.02), eps_s=(0.004, 0.015)):
-    return ParamModel(
-        labels=(1, 2),
-        p=np.array([p1, 1.0 - p1]),
-        eps={"H": np.asarray(eps_h), "S": np.asarray(eps_s)},
-    )
+    return frozen_model([p1, 1.0 - p1], {"H": eps_h, "S": eps_s})
 
 
 def random_circuits(count, max_len, seed):
@@ -44,43 +40,34 @@ def exact_records(pm, circuits):
 
 class TestModelPredict:
     def test_error_free_identity_circuit(self):
-        pm = ParamModel(labels=(1,), p=np.array([1.0]), eps={"H": np.zeros(1), "S": np.zeros(1)})
+        pm = frozen_model([1.0], {"H": [0.0], "S": [0.0]})
         assert model_predict(pm, ("H", "H", "S", "S", "S", "S")) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("eps,n", [(0.01, 8), (0.3, 5)])
     def test_single_point_closed_form(self, eps, n):
-        pm = ParamModel(labels=(1,), p=np.array([1.0]), eps={"H": np.array([eps]), "S": np.array([eps])})
+        pm = frozen_model([1.0], {"H": [eps], "S": [eps]})
         circuit = ct.random_identity_sequences(n, 1, seed=n)[0]
         assert model_predict(pm, circuit) == pytest.approx(0.5 * (1 + (1 - eps) ** n), abs=1e-12)
 
     def test_two_point_reported_parameters_blockwise(self):
         # weighted sum of two single-point survival curves, length-20 circuit
         p, e1, e2 = 0.5606, 2.485e-3, 1.606e-2
-        pm = ParamModel(
-            labels=(1, 2),
-            p=np.array([p, 1 - p]),
-            eps={"H": np.array([e1, e2]), "S": np.array([e1, e2])},
-        )
+        pm = frozen_model([p, 1 - p], {"H": [e1, e2], "S": [e1, e2]})
         circuit = ct.random_identity_sequences(20, 1, seed=1)[0]
         want = p * 0.5 * (1 + (1 - e1) ** 20) + (1 - p) * 0.5 * (1 + (1 - e2) ** 20)
         assert model_predict(pm, circuit) == pytest.approx(want, abs=1e-12)
 
     def test_label_permutation_symmetry(self):
         pm = two_point_model()
-        flipped = ParamModel(
-            labels=(1, 2),
-            p=pm.p[::-1].copy(),
-            eps={g: v[::-1].copy() for g, v in pm.eps.items()},
-        )
+        flipped = frozen_model(pm.weights[::-1], {g: v[::-1] for g, v in pm.rates.items()})
         for c in random_circuits(10, 15, seed=2):
             assert model_predict(pm, c) == pytest.approx(model_predict(flipped, c), abs=1e-14)
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError):
-            ParamModel(labels=(1,), p=np.array([0.7]), eps={"H": np.array([0.1])})
+            frozen_model([0.7], {"H": [0.1]})
         with pytest.raises(ValueError):
-            ParamModel(labels=(1, 2), p=np.array([0.5, 0.5]), eps={"H": np.array([0.1, 1.2]),
-                                                                   "S": np.array([0.1, 0.2])})
+            frozen_model([0.5, 0.5], {"H": [0.1, 1.2], "S": [0.1, 0.2]})
 
 
 class TestNegativeLogLikelihood:
@@ -90,7 +77,7 @@ class TestNegativeLogLikelihood:
         assert negative_log_likelihood(pm, records) <= 1e-16
 
     def test_unit_residual(self):
-        pm = ParamModel(labels=(1,), p=np.array([1.0]), eps={"H": np.array([0.0]), "S": np.array([0.0])})
+        pm = frozen_model([1.0], {"H": [0.0], "S": [0.0]})
         circuit = ("H", "H")
         off = model_predict(pm, circuit) - 1e-3
         record = MeasurementRecord(Circuit(circuit), off, 0.0, None)
@@ -120,6 +107,11 @@ class TestNegativeLogLikelihood:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             negative_log_likelihood(two_point_model(), [])
+
+    def test_model_with_transitions_rejected(self):
+        records = exact_records(two_point_model(), random_circuits(5, 5, seed=3))
+        with pytest.raises(ValueError, match="frozen"):
+            negative_log_likelihood(ct.second_order_model(1.0, 0.02, gate_gammas={"H": 0.1}), records)
 
 
 def noisy_records(pm, circuits, seed, scale=1e-3):
@@ -211,12 +203,12 @@ class TestFit:
         records = exact_records(pm, random_circuits(400, 25, seed=7))
         result = ct.fit(records, 2, seed=0)
         assert result.converged
-        assert np.max(np.abs(result.param_model.p - pm.p)) <= 1e-6
+        assert np.max(np.abs(result.param_model.weights - pm.weights)) <= 1e-6
         for g in ("H", "S"):
-            assert np.max(np.abs(result.param_model.eps[g] - pm.eps[g])) <= 1e-6
+            assert np.max(np.abs(result.param_model.rates[g] - pm.rates[g])) <= 1e-6
 
     def test_canonical_order_is_ascending_first_gate_rate(self, suite_fit_l2):
-        eps_h = suite_fit_l2.param_model.eps["H"]
+        eps_h = suite_fit_l2.param_model.rates["H"]
         assert eps_h[0] < eps_h[1]
 
     def test_single_point_fit_is_strictly_worse(self, suite_records, suite_fit_l2):
@@ -235,12 +227,31 @@ class TestFit:
         for c in random_circuits(20, 18, seed=9):
             assert predict(em, c) == pytest.approx(model_predict(pm, c), abs=1e-12)
 
-    def test_induced_model_accepts_rates_at_the_tolerance(self):
-        # ParamModel admits rates up to 1e-12 outside [0, 1]
-        pm = ParamModel(labels=(1, 2), p=np.array([0.5, 0.5]), eps={"H": [-1e-12, 1.0 + 1e-12], "S": [0.01, 0.2]})
-        em = induced_error_model(pm)
-        for c in random_circuits(20, 8, seed=11):
-            assert predict(em, c) == pytest.approx(model_predict(pm, c), abs=1e-11)
+    def test_induced_model_rejects_transitions(self):
+        with pytest.raises(ValueError, match="frozen"):
+            induced_error_model(ct.second_order_model(1.0, 0.02, gate_gammas={"S": 0.5}))
+
+    def test_exported_model_predicts_like_the_error_model(self, suite_fit_l2):
+        model = suite_fit_l2.param_model
+        assert model.identity_transitions and model.sigma is None and model.eta is None
+        assert model.support.tolist() == [1.0, 2.0]
+        circuits = [(), ("H",), ("S",)] + random_circuits(200, 40, seed=19)
+        labels = ("H", "S")
+        error_model_means = _predictions(suite_fit_l2.error_model, _gate_matrix(circuits, labels), labels)
+        means = ct.exact_means(model, circuits)
+        np.testing.assert_allclose(means, error_model_means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(means, [model_predict(model, c) for c in circuits], rtol=0, atol=1e-12)
+
+    def test_report_payload(self, suite_fit_l2):
+        report = suite_fit_l2.to_json()
+        model = suite_fit_l2.param_model
+        want = {"labels": [1, 2], "p": model.weights.tolist(), "eps": {g: model.rates[g].tolist() for g in "HS"}}
+        assert report["param_model"] == want
+        assert report["error_model"]["gauge"]["parametric"] == want
+
+    def test_likelihood_of_the_exported_model_is_the_fit_objective(self, suite_records, suite_fit_l2):
+        nll = negative_log_likelihood(suite_fit_l2.param_model, suite_records)
+        assert nll == pytest.approx(suite_fit_l2.nll, rel=1e-12)
 
     def test_fit_deterministic(self):
         pm = two_point_model()
@@ -248,7 +259,7 @@ class TestFit:
         a = ct.fit(records, 2, seed=1)
         b = ct.fit(records, 2, seed=1)
         assert a.nll == b.nll
-        assert np.array_equal(a.param_model.p, b.param_model.p)
+        assert np.array_equal(a.param_model.weights, b.param_model.weights)
 
     def test_requires_records(self):
         with pytest.raises(ValueError):
@@ -393,7 +404,7 @@ class TestRecordSet:
     def test_label_outside_the_gate_set_rejected(self, suite_records):
         with pytest.raises(KeyError, match="'S'"):
             ct.fit(suite_records, 2, gate_labels=("H",))
-        pm = ParamModel(labels=(1,), p=np.array([1.0]), eps={"H": np.array([0.01])})
+        pm = frozen_model([1.0], {"H": [0.01]})
         with pytest.raises(KeyError, match="'S'"):
             negative_log_likelihood(pm, suite_records)
 

@@ -1,5 +1,7 @@
 """Noise model construction: quadrature, channels, transitions, context."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -420,6 +422,58 @@ class TestContext:
             ctx.gate_block("T")
         with pytest.raises(ValueError, match="rate of gate 'H' after 'H' .* got None"):
             ct.ContextModel(gate_labels=("H", "S"), rates={})
+
+
+    def test_rates_accepted_as_the_stored_arrays(self):
+        nested = self.rates_model({"H": {"H": 0.01, "S": 0.02}, "S": {"H": 0.03, "S": 0.04}})
+        flat = self.rates_model({"H": [0.01, 0.02], "S": np.array([0.03, 0.04])})
+        assert flat.to_json() == nested.to_json()
+        for chi in ("H", "S"):
+            assert flat.sys_ptms[chi].tobytes() == nested.sys_ptms[chi].tobytes()
+        with pytest.raises(ValueError):
+            self.rates_model({"H": [0.01, 0.02, 0.03], "S": [0.03, 0.04]})
+        with pytest.raises(ValueError, match="gate 'S' after 'H' must be in"):
+            self.rates_model({"H": [0.01, 0.02], "S": [1.5, 0.04]})
+
+
+def _assert_same_model(copy, model):
+    assert type(copy) is type(model) and copy.to_json() == model.to_json()
+    assert copy.weights.tobytes() == model.weights.tobytes()
+    for label in model.gate_labels:
+        assert copy.rates[label].tobytes() == model.rates[label].tobytes()
+        assert copy.gate_block(label).tobytes() == model.gate_block(label).tobytes()
+    circuits = ct.random_identity_sequences(12, 5, seed=4) + [("H", "S", "S")]
+    assert ct.exact_means(copy, circuits).tobytes() == ct.exact_means(model, circuits).tobytes()
+
+
+class TestReplace:
+    """``dataclasses.replace`` rebuilds every model kind from the fields it stores."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ct.build_low_freq_model(1.0, 0.02, 3),
+            lambda: ct.second_order_model(1.0, 0.05, gate_gammas={"H": 0.2}),
+            lambda: ct.frozen_model([0.3, 0.7], {"H": [0.01, 0.02], "S": [0.0, 0.5]}),
+            lambda: ct.ContextModel(("H", "S"), {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}}),
+        ],
+        ids=["moment-matched", "second-order", "frozen", "context"],
+    )
+    def test_round_trip(self, make):
+        model = make()
+        _assert_same_model(dataclasses.replace(model), model)
+
+    def test_round_trip_of_the_fitted_model(self, suite_fit_l2):
+        model = suite_fit_l2.param_model
+        _assert_same_model(dataclasses.replace(model), model)
+        changed = dataclasses.replace(model, weights=model.weights[::-1])
+        assert changed.weights.tolist() == model.weights[::-1].tolist()
+
+    def test_context_replace_with_new_rates(self):
+        model = ct.ContextModel(("H", "S"), {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}})
+        changed = dataclasses.replace(model, rates={**model.rates, "S": np.array([0.1, 0.2])})
+        assert changed.to_json()["rates"]["S"] == {"H": 0.1, "S": 0.2}
+        assert changed.rates["H"].tobytes() == model.rates["H"].tobytes()
 
 
 class TestGaussLegendre:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import corrtomo as ct
-from conftest import PAULIS, pauli_transfer
-from corrtomo.ptm import GATE_UNITARIES, ideal_qubit_ptms, ideal_seven_ptms, reduced_frame
+from conftest import PAULIS, block_diag, pauli_transfer
+from corrtomo.linear_inversion import ideal_seven_ptms
+from corrtomo.ptm import GATE_UNITARIES, ideal_qubit_ptms, reduced_frame
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -178,12 +179,23 @@ class TestSevenDim:
             ],
             dtype=float,
         )
+        ptms = ideal_seven_ptms()
+        assert np.allclose(ptms["H"], h_expected, atol=1e-12)
+        assert np.allclose(ptms["S"], s_expected, atol=1e-12)
+        assert np.array_equal(np.rint(ptms["H"]), h_expected)
+        assert np.array_equal(np.rint(ptms["S"]), s_expected)
+
+    def test_ideal_gates_match_the_hand_built_frame_bit_for_bit(self):
+        # the form ideal_seven_ptms had, at the equal weights every caller passed, before it became
+        # the export of the noiseless two-point model; other weights agree up to rounding
+        ptms = ideal_seven_ptms()
         for weights in ((0.5, 0.5), (0.7, 0.3)):
-            ptms = ideal_seven_ptms(*weights)
-            assert np.allclose(ptms["H"], h_expected, atol=1e-12)
-            assert np.allclose(ptms["S"], s_expected, atol=1e-12)
-            assert np.array_equal(np.rint(ptms["H"]), h_expected)
-            assert np.array_equal(np.rint(ptms["S"]), s_expected)
+            frame = reduced_frame(np.array(weights))
+            for label, g in ideal_qubit_ptms().items():
+                want = frame.T @ block_diag(np.stack([g, g])) @ frame
+                if weights == (0.5, 0.5):
+                    assert ptms[label].tobytes() == want.tobytes()
+                assert np.max(np.abs(ptms[label] - want)) <= 1e-15
 
     def test_seven_basis_invariants(self):
         # read as block operators sum_{k,p} frame[4k+p, c] |k><k| (x) P_p, the

@@ -16,7 +16,7 @@ parameters to twelve digits.
 import numpy as np
 
 import corrtomo as ct
-from corrtomo.device import Circuit, MeasurementRecord
+from corrtomo.device import MeasurementRecord
 from corrtomo.linear_inversion import collect_trial_data, trial_sequences
 from corrtomo.mle import records_from_tomography
 from corrtomo.tomography import predict
@@ -24,7 +24,8 @@ from corrtomo.tomography import predict
 device = ct.build_low_freq_model(sigma=1.0, eta=0.02, m=5)
 data = collect_trial_data(device, trial_sequences("d7"))
 records = records_from_tomography(data)
-print(f"fitting {len(records)} circuit means (lengths up to {max(len(r.circuit) for r in records)})")
+longest = np.count_nonzero(records.gates < len(records.labels), axis=1).max()  # pads are len(labels)
+print(f"fitting {len(records)} circuit means (lengths up to {longest})")
 
 fit2 = ct.fit(records, l_size=2, seed=0)
 fit1 = ct.fit(records, l_size=1, seed=0)
@@ -55,7 +56,7 @@ circuits = [
     for _ in range(400)
 ]
 means = ct.exact_means(truth, circuits)
-synthetic = [MeasurementRecord(Circuit(c), float(mean), 0.0, None) for c, mean in zip(circuits, means)]
+synthetic = [MeasurementRecord(tuple(c), float(mean), 0.0, None) for c, mean in zip(circuits, means)]
 recovered = ct.fit(synthetic, l_size=2, seed=0).param_model
 err = max(
     np.max(np.abs(recovered.weights - truth.weights)),

@@ -33,7 +33,6 @@ from .noise import (
     second_order_model,
 )
 from .device import (
-    Circuit,
     MeasurementRecord,
     run_circuit,
     exact_means,

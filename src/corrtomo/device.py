@@ -1,9 +1,10 @@
 """Gate-sequence execution on block noise models.
 
-The "device" is a model from :mod:`corrtomo.noise`.  A circuit is an ordered
-list of gate labels applied to ``|0><0|`` with the model's environment
-attached; the measured quantity is the probability of reading ``|0>`` at the
-end.  State preparation and measurement are error free.
+The "device" is a model from :mod:`corrtomo.noise`.  A circuit is a tuple
+(or any sequence) of gate labels, the first applied first, acting on
+``|0><0|`` with the model's environment attached; the measured quantity is
+the probability of reading ``|0>`` at the end.  State preparation and
+measurement are error free.
 
 Exact mode returns the weighted average over the environment; sampled mode
 draws a binomial with a seeded generator.  Models whose environment variable
@@ -42,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product, repeat
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .noise import ContextModel
 from .ptm import GATE_UNITARIES, ideal_qubit_ptms
 
 __all__ = [
-    "Circuit",
     "MeasurementRecord",
     "RejectionSamplingError",
     "run_circuit",
@@ -67,22 +67,6 @@ RATE_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
-class Circuit:
-    """Ordered gate sequence; ``gates[0]`` is applied first."""
-
-    gates: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.gates)
-
-
-@dataclass(frozen=True)
 class MeasurementRecord:
     """One circuit with its measured mean and variance.
 
@@ -90,7 +74,7 @@ class MeasurementRecord:
     carry the smoothed binomial variance estimate, which is strictly positive.
     """
 
-    circuit: Circuit
+    circuit: tuple[str, ...]
     mean: float
     variance: float
     shots: int | None = None
@@ -153,7 +137,7 @@ def _ideal_features(gates: np.ndarray, labels: tuple[str, ...]) -> tuple[np.ndar
     return z_ideal, counts
 
 
-def exact_means(model, circuits: Sequence[Circuit | Sequence[str]]) -> np.ndarray:
+def exact_means(model, circuits: Sequence[Sequence[str]]) -> np.ndarray:
     """Exact readout probability of every circuit on the model."""
     labels = tuple(model.gate_labels)
     gates = _gate_matrix(circuits, labels)
@@ -216,7 +200,7 @@ def _closed_form_tables(model) -> tuple[dict[str, list[int]], np.ndarray]:
 
 def run_circuit(
     model,
-    circuit: Circuit | Sequence[str],
+    circuit: Sequence[str],
     shots: int | None = None,
     rng: np.random.Generator | int | None = None,
 ) -> MeasurementRecord:
@@ -228,7 +212,7 @@ def run_circuit(
     and the variance is the smoothed estimate ptilde (1 - ptilde) / shots
     with ptilde = (k + 1) / (shots + 2).
     """
-    circuit = circuit if isinstance(circuit, Circuit) else Circuit(tuple(circuit))
+    circuit = tuple(circuit)
     if model.identity_transitions or isinstance(model, ContextModel):  # the closed forms, from the signed-axis fold
         table, log_damping = _closed_form_tables(model)
         state = _PLUS_Z
@@ -237,11 +221,11 @@ def run_circuit(
                 raise KeyError(f"unknown gate label {label!r}")
             state = table[label][state]
         if model.identity_transitions:
-            counts = np.array([circuit.gates.count(g) for g in table], dtype=float)
+            counts = np.array([circuit.count(g) for g in table], dtype=float)
             mean = float(_fast_predictions(model.weights, log_damping, _AXES[state, 2], counts))
         else:
-            first = list(table).index(circuit.gates[0]) if circuit else len(table)
-            pairs = Counter(zip(circuit.gates[1:], circuit.gates))
+            first = list(table).index(circuit[0]) if circuit else len(table)
+            pairs = Counter(zip(circuit[1:], circuit))
             counts = [pairs[chi, lam] for chi, lam in product(table, table)]
             mean = float(_context_predictions(model.weights, log_damping, _AXES[state, 2], first, counts))
     else:
@@ -322,7 +306,7 @@ def random_identity_sequences(
     seed: int | np.random.Generator | np.random.SeedSequence | None = None,
     gate_labels: Sequence[str] = ("H", "S"),
     max_tries_per_circuit: int = 1000,
-) -> list[Circuit]:
+) -> list[tuple[str, ...]]:
     """Uniformly random length-``n_gates`` sequences whose ideal action fixes |0>.
 
     Rejection sampling with a deterministic generator: gates are drawn
@@ -343,9 +327,9 @@ def random_identity_sequences(
     gen = np.random.default_rng(seed)
     labels = tuple(gate_labels)
     if n_gates == 0:
-        return [Circuit(()) for _ in range(count)]
+        return [()] * count
     table = _signed_axis_table(labels)
-    accepted: list[Circuit] = []
+    accepted: list[tuple[str, ...]] = []
     tried = 0
     cap = count * max_tries_per_circuit
     while len(accepted) < count:
@@ -367,7 +351,7 @@ def random_identity_sequences(
             gen.bit_generator.state = saved
             draws = gen.integers(0, len(labels), size=(batch, n_gates))
         tried += batch
-        accepted.extend(Circuit(tuple(map(labels.__getitem__, row))) for row in draws[hits].tolist())
+        accepted.extend(tuple(map(labels.__getitem__, row)) for row in draws[hits].tolist())
     return accepted
 
 

@@ -33,6 +33,7 @@ import json
 import os
 import shutil
 import sys
+from itertools import product
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence, get_args, get_origin
 
@@ -41,7 +42,6 @@ import numpy as np
 from . import __version__
 from .bounds import NORM_KINDS, empirical_bound_check, gram_gauge_defect
 from .device import (
-    Circuit,
     RejectionSamplingError,
     _gate_matrix,
     exact_means,
@@ -50,7 +50,7 @@ from .device import (
     survival_curve,
 )
 from .io import save_json, save_matrix_csv, save_rows_csv
-from .linear_inversion import _all_sequences, gauge_fit_to_ideal, lim_reconstruct, svd_truncate, trial_sequences
+from .linear_inversion import gauge_fit_to_ideal, lim_reconstruct, svd_truncate, trial_sequences
 from .mle import OptimizerConfig, fit, records_from_tomography
 from .noise import (
     DEFAULT_GATE_LABELS,
@@ -231,14 +231,14 @@ def _listed_files(target: Path) -> set[str]:
 
 # ---------------------------------------------------------------------------
 # Experiment bodies.  Each reads its checked params and returns {filename:
-# writer} where the writer is a callable(path) producing the file, so nothing
-# is written before the whole experiment has succeeded.
+# content}: a matrix for save_matrix_csv, a (rows, fieldnames) pair for
+# save_rows_csv, or anything else for save_json.  ``run`` writes them.
 # ---------------------------------------------------------------------------
 
 
 def _fiducial_pool(pool_max_len: int) -> list[tuple[str, ...]]:
     """Every H/S sequence of at most ``pool_max_len`` gates."""
-    return [s for n in range(pool_max_len + 1) for s in _all_sequences(n, ("H", "S"))]
+    return [s for n in range(pool_max_len + 1) for s in product(("H", "S"), repeat=n)]
 
 
 def _check_dims(key: str, dims: Sequence[int], model, pool: Sequence) -> None:
@@ -248,27 +248,27 @@ def _check_dims(key: str, dims: Sequence[int], model, pool: Sequence) -> None:
         raise ConfigError(f"params: {key} must lie in 1 .. {largest} (model dimension, pool size), got {dims}")
 
 
-def _eval_circuits(params: dict, seed: int) -> list[Circuit]:
+def _eval_circuits(params: dict, seed: int) -> list[tuple[str, ...]]:
     """Identity-equivalent evaluation circuits shared by lim/mle predictions."""
     grid, per_point = params["eval_n_gates"], params["eval_circuits_per_point"]
-    circuits: list[Circuit] = []
+    circuits: list[tuple[str, ...]] = []
     root = np.random.SeedSequence(seed).spawn(len(grid))
     for n, seq in zip(grid, root):
         circuits.extend(random_identity_sequences(n, per_point, seed=np.random.default_rng(seq)))
     return circuits
 
 
-def _predictions_writer(model, error_model: ErrorModel, params: dict, seed: int):
-    """Writer of ``predictions.csv``: the model's and the error model's means on the evaluation circuits."""
+def _prediction_rows(model, error_model: ErrorModel, params: dict, seed: int) -> tuple[list[dict], list[str]]:
+    """``predictions.csv``: the model's and the error model's means on the evaluation circuits."""
     circuits = _eval_circuits(params, seed)
     labels = tuple(error_model.gates)
     actual = exact_means(model, circuits).tolist()
     predicted = _predictions(error_model, _gate_matrix(circuits, labels), labels).tolist()
     rows = [
-        {"n_gates": len(c), "gates": "".join(c.gates), "actual": a, "predicted": p, "abs_error": abs(p - a)}
+        {"n_gates": len(c), "gates": "".join(c), "actual": a, "predicted": p, "abs_error": abs(p - a)}
         for c, a, p in zip(circuits, actual, predicted)
     ]
-    return lambda p: save_rows_csv(p, rows, ["n_gates", "gates", "actual", "predicted", "abs_error"])
+    return rows, ["n_gates", "gates", "actual", "predicted", "abs_error"]
 
 
 def _survival_experiment(model, cfg: dict, params: dict) -> dict:
@@ -280,14 +280,10 @@ def _survival_experiment(model, cfg: dict, params: dict) -> dict:
         seed=cfg["seed"],
     )
     circuits = _eval_circuits(params, cfg["seed"] + 1)
-    records = [
-        {"gates": list(c.gates), "mean": run_circuit(model, c).mean} for c in circuits
-    ]
+    records = [{"gates": list(c), "mean": run_circuit(model, c).mean} for c in circuits]
     return {
-        "survival.csv": lambda p: save_rows_csv(
-            p, rows, ["n_gates", "mean", "stderr", "circuits", "shots", "seed"]
-        ),
-        "records.json": lambda p: save_json(p, {"circuits": records}),
+        "survival.csv": (rows, ["n_gates", "mean", "stderr", "circuits", "shots", "seed"]),
+        "records.json": {"circuits": records},
     }
 
 
@@ -305,22 +301,17 @@ def _exact_lot_experiment(model, cfg: dict, params: dict) -> dict:
     ]
     report = verify_factorization(data, model, sequences)
     error_model = gauge_reconstruct(data)
-    out = {
-        "gram.csv": lambda p: save_matrix_csv(p, data.gram),
-        "factorization.json": lambda p: save_json(
-            p,
-            {
-                "max_residual": report.max_residual,
-                "cond_gram": report.cond_gram,
-                "n_sequences": n_seq,
-                "residuals": report.residuals,
-            },
-        ),
-        "error_model.json": lambda p: save_json(p, error_model.to_json()),
+    return {
+        "gram.csv": data.gram,
+        "factorization.json": {
+            "max_residual": report.max_residual,
+            "cond_gram": report.cond_gram,
+            "n_sequences": n_seq,
+            "residuals": report.residuals,
+        },
+        "error_model.json": error_model.to_json(),
+        **{f"gate_{label}.csv": mat for label, mat in data.gate_mats.items()},
     }
-    for label, mat in data.gate_mats.items():
-        out[f"gate_{label}.csv"] = (lambda m: (lambda p: save_matrix_csv(p, m)))(mat)
-    return out
 
 
 def _lim_experiment(model, cfg: dict, params: dict) -> dict:
@@ -330,30 +321,21 @@ def _lim_experiment(model, cfg: dict, params: dict) -> dict:
         raise ConfigError(f"params: d must be at most the {trial.d_trial} trial sequences, got {d}")
     data = collect_trial_data(model, trial, shots=cfg["shots"], seed=cfg["seed"])
     trunc = svd_truncate(data.gram, data.gate_mats, d)
-    out: dict = {
-        "spectrum.csv": lambda p: save_rows_csv(
-            p,
-            [{"index": i, "singular_value": float(s)} for i, s in enumerate(trunc.singular_values)],
-            ["index", "singular_value"],
-        ),
-    }
+    spectrum = [{"index": i, "singular_value": float(s)} for i, s in enumerate(trunc.singular_values)]
+    out: dict = {"spectrum.csv": (spectrum, ["index", "singular_value"])}
     if params["gauge_fit"] and d in (4, 7):
         fit_res = gauge_fit_to_ideal(trunc, trial=trial)
         error_model = fit_res.error_model
         ideal = ideal_qubit_ptms() if d == 4 else ideal_seven_ptms()
         for label in sorted(error_model.gates):
-            mat = error_model.gates[label]
-            out[f"ptm_{label}.csv"] = (lambda m: (lambda p: save_matrix_csv(p, m)))(mat)
-            out[f"ptm_diff_{label}.csv"] = (lambda m: (lambda p: save_matrix_csv(p, m)))(mat - ideal[label])
-        out["gauge_fit.json"] = lambda p: save_json(
-            p,
-            {"objective": fit_res.objective, "n_evaluations": fit_res.n_evaluations,
-             "converged": fit_res.converged},
-        )
+            out[f"ptm_{label}.csv"] = error_model.gates[label]
+            out[f"ptm_diff_{label}.csv"] = error_model.gates[label] - ideal[label]
+        out["gauge_fit.json"] = {"objective": fit_res.objective, "n_evaluations": fit_res.n_evaluations,
+                                 "converged": fit_res.converged}
     else:
         error_model = lim_reconstruct(trunc)
-    out["error_model.json"] = lambda p: save_json(p, error_model.to_json())
-    out["predictions.csv"] = _predictions_writer(model, error_model, params, cfg["seed"] + 1)
+    out["error_model.json"] = error_model.to_json()
+    out["predictions.csv"] = _prediction_rows(model, error_model, params, cfg["seed"] + 1)
     return out
 
 
@@ -363,19 +345,11 @@ def _mle_experiment(model, cfg: dict, params: dict) -> dict:
     records = records_from_tomography(data)
     opt = OptimizerConfig(sigma_floor=params["sigma_floor"], n_starts=params["n_starts"])
     result = fit(records, params["l_size"], optimizer_config=opt, seed=cfg["seed"])
-    head = records[:200]
-    residuals = (_predictions(result.error_model, head.gates, head.labels) - head.means).tolist()
-    predictions = _predictions_writer(model, result.error_model, params, cfg["seed"] + 1)
+    residuals = _predictions(result.error_model, records.gates[:200], records.labels) - records.means[:200]
     return {
-        "fit_report.json": lambda p: save_json(
-            p,
-            {
-                **result.to_json(),
-                "residual_head": residuals,
-            },
-        ),
-        "error_model.json": lambda p: save_json(p, result.error_model.to_json()),
-        "predictions.csv": predictions,
+        "fit_report.json": {**result.to_json(), "residual_head": residuals.tolist()},
+        "error_model.json": result.error_model.to_json(),
+        "predictions.csv": _prediction_rows(model, result.error_model, params, cfg["seed"] + 1),
     }
 
 
@@ -401,11 +375,7 @@ def _bounds_experiment(model, cfg: dict, params: dict) -> dict:
         for a in gammas
         for b in gammas
     )
-    return {
-        "bounds_report.json": lambda p: save_json(
-            p, {"subspaces": reports, "semigroup_max_deviation": semigroup}
-        )
-    }
+    return {"bounds_report.json": {"subspaces": reports, "semigroup_max_deviation": semigroup}}
 
 
 _EVAL = {
@@ -457,10 +427,13 @@ def run(
     model is built.  On success the output directory
     contains ``manifest.json`` (resolved config, package version, seeds, file
     list) and the experiment's result files; on a validation error or a
-    numerical failure nothing is written.  Files go to a staging directory
-    next to the target, moved into place after the manifest: a failing writer
-    leaves no partial output.  Reusing a directory deletes the files its old
-    manifest lists that this run does not write, and touches no other file.
+    numerical failure nothing is written.  The body returns each file's
+    content, which one loop writes with ``save_matrix_csv`` (a matrix),
+    ``save_rows_csv`` (a ``(rows, fieldnames)`` pair) or ``save_json`` into a
+    staging directory next to the target, moved into place after the
+    manifest: a failing writer leaves no partial output.  Reusing a
+    directory deletes the files its old manifest lists that this run does
+    not write, and touches no other file.
     """
     try:
         cfg = _load_config(config)
@@ -475,7 +448,7 @@ def run(
             raise
         except (ValueError, TypeError, KeyError) as exc:  # values the builder rejects
             raise ConfigError(f"model: {exc!r}") from exc
-        writers = body(model, cfg, params)
+        files = body(model, cfg, params)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -486,19 +459,24 @@ def run(
     staging = target.parent / f".{target.name}-{os.getpid()}-{os.urandom(4).hex()}"
     staging.mkdir()  # a unique sibling, with the mode the umask gives
     try:
-        for name, writer in sorted(writers.items()):
-            writer(staging / name)
+        for name, content in sorted(files.items()):
+            if isinstance(content, np.ndarray):
+                save_matrix_csv(staging / name, content)
+            elif isinstance(content, tuple):
+                save_rows_csv(staging / name, *content)
+            else:
+                save_json(staging / name, content)
         manifest = {
             "version": __version__,
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "config": {k: v for k, v in cfg.items() if k != "output_dir"},
-            "files": sorted(writers),
+            "files": sorted(files),
         }
         save_json(staging / "manifest.json", manifest)
         if target.exists():  # first delete the old run's files that this run does not write
-            for name in sorted(_listed_files(target) - set(writers)):
+            for name in sorted(_listed_files(target) - set(files)):
                 (target / name).unlink()
-            for name in [*sorted(writers), "manifest.json"]:
+            for name in [*sorted(files), "manifest.json"]:
                 os.replace(staging / name, target / name)
             staging.rmdir()
         else:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -76,16 +77,6 @@ class TrialSpec:
         )
 
 
-def _all_sequences(length: int, labels: Sequence[str]) -> list[GateSeq]:
-    if length == 0:
-        return [()]
-    out: list[GateSeq] = []
-    for prefix in _all_sequences(length - 1, labels):
-        for l in labels:
-            out.append(prefix + (l,))
-    return out
-
-
 def trial_sequences(
     preset: str,
     seed: int | None = DEFAULT_SELECTION_SEED,
@@ -104,9 +95,7 @@ def trial_sequences(
     if preset == "d4":
         seqs: list[GateSeq] = [(), ("H",), ("H", "S"), ("H", "S", "H")]
     elif preset == "d7":
-        seqs = []
-        for n in range(6):
-            seqs.extend(_all_sequences(n, gate_labels))
+        seqs = [s for n in range(6) for s in product(gate_labels, repeat=n)]
         gen = np.random.default_rng(seed)
         base = len(gate_labels)
         for n in range(6, 21):

@@ -45,7 +45,6 @@ import numpy as np
 
 from .device import (
     RATE_CLAMP,
-    Circuit,
     MeasurementRecord,
     _damping,
     _fast_predictions,
@@ -72,13 +71,12 @@ DEFAULT_SIGMA_FLOOR = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
-class RecordSet(Sequence[MeasurementRecord]):
-    """Measurement records held as columns; a record is built when indexed.
+class RecordSet:
+    """Measurement records held as columns.
 
     ``gates[r]`` holds record ``r``'s gates as indices into ``labels``, padded
     anywhere in the row with ``len(labels)``, the identity row of the
-    signed-axis table.  ``shots[r] == 0`` marks an exact record.  A slice is
-    another RecordSet.
+    signed-axis table.  ``shots[r] == 0`` marks an exact record.
     """
 
     labels: tuple[str, ...]
@@ -103,14 +101,6 @@ class RecordSet(Sequence[MeasurementRecord]):
 
     def __len__(self) -> int:
         return len(self.means)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            columns = (self.gates, self.means, self.variances, self.shots)
-            return RecordSet(self.labels, *(column[index] for column in columns))
-        gates = tuple(self.labels[j] for j in self.gates[index].tolist() if j < len(self.labels))
-        shots = int(self.shots[index]) or None
-        return MeasurementRecord(Circuit(gates), float(self.means[index]), float(self.variances[index]), shots)
 
     def used_labels(self) -> tuple[str, ...]:
         """Sorted labels that occur in at least one record."""
@@ -211,7 +201,7 @@ class _SufficientStatistics:
 
 def negative_log_likelihood(
     model: LowFreqModel,
-    records: Sequence[MeasurementRecord],
+    records: RecordSet | Sequence[MeasurementRecord],
     sigma_floor: float = DEFAULT_SIGMA_FLOOR,
 ) -> float:
     """Sum of squared residuals of a frozen model's predictions, weighted by the per-record variances.
@@ -274,7 +264,7 @@ def _unpack(x: np.ndarray, m: int, n_gates: int) -> tuple[np.ndarray, np.ndarray
 
 
 def fit(
-    records: Sequence[MeasurementRecord],
+    records: RecordSet | Sequence[MeasurementRecord],
     l_size: int,
     optimizer_config: OptimizerConfig | None = None,
     seed: int = 0,

@@ -27,7 +27,7 @@ context models take their means in closed form; others fold the blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -309,7 +309,6 @@ class LowFreqModel(_BlockModel):
     gate_labels: tuple[str, ...]
     rates: Mapping[str, np.ndarray]
     transitions: Mapping[str, np.ndarray | None]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", np.asarray(self.support, dtype=float))
@@ -365,7 +364,6 @@ def build_low_freq_model(
         gate_labels=tuple(gate_labels),
         rates=_drift_rates(lambdas, eta, gate_labels),
         transitions={label: None for label in gate_labels},
-        meta={"construction": "moment_matched", "m": m},
     )
 
 
@@ -441,7 +439,6 @@ def dense_low_freq_model(
         gate_labels=tuple(gate_labels),
         rates=_drift_rates(lambdas, eta, gate_labels),
         transitions={label: None for label in gate_labels},
-        meta={"construction": "dense_grid", "n_points": n_points, "cutoff": cutoff},
     )
 
 
@@ -486,7 +483,6 @@ def second_order_model(
         gate_labels=tuple(gate_labels),
         rates=_drift_rates(lambdas, eta, gate_labels),
         transitions=transitions,
-        meta={"construction": "second_order", "gate_gammas": dict(gate_gammas or {})},
     )
 
 
@@ -508,6 +504,9 @@ class ContextModel(_BlockModel):
 
     def __post_init__(self) -> None:
         labels = tuple(self.gate_labels)
+        twice = [g for i, g in enumerate(labels) if g in labels[:i]]
+        if twice:
+            raise ValueError(f"gate labels must be distinct, got {twice[0]!r} more than once in {list(labels)}")
         object.__setattr__(self, "gate_labels", labels)
         init = np.full(len(labels), 1.0 / len(labels)) if self.initial is None else self.initial
         object.__setattr__(self, "initial", np.asarray(init, dtype=float))

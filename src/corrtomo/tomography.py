@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .device import Circuit, _gate_matrix, fold_gates
+from .device import _gate_matrix, fold_gates
 
 __all__ = [
     "FiducialSet",
@@ -341,10 +341,10 @@ def gauge_transform(error_model: ErrorModel, similarity: np.ndarray) -> ErrorMod
     )
 
 
-def predict(error_model: ErrorModel, circuit: Circuit | Sequence[str]) -> float:
+def predict(error_model: ErrorModel, circuit: Sequence[str]) -> float:
     """Outcome the error model assigns to a circuit."""
     labels = tuple(error_model.gates)
-    return float(_predictions(error_model, _gate_matrix([tuple(circuit)], labels), labels)[0])
+    return float(_predictions(error_model, _gate_matrix([circuit], labels), labels)[0])
 
 
 def _predictions(error_model: ErrorModel, gates: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:

@@ -58,7 +58,7 @@ def block_diag(blocks: np.ndarray) -> np.ndarray:
 def model_predict(model, circuit) -> float:
     """Independent oracle for frozen models: fold a 4-vector through diag(1, 1 - eps, 1 - eps, 1 - eps) @ ideal
     gate by gate at every environment value, from the model's weights and rates, then average."""
-    gates = circuit.gates if isinstance(circuit, ct.Circuit) else tuple(circuit)
+    gates = tuple(circuit)
     ideal = ct.ideal_qubit_ptms()
     total = 0.0
     for lam in range(model.m):

@@ -168,7 +168,7 @@ def test_07_mle_parameter_recovery(suite_records):
         for _ in range(400)
     ]
     records = [
-        ct.MeasurementRecord(ct.Circuit(c), model_predict(true, c), 0.0, None) for c in circuits
+        ct.MeasurementRecord(tuple(c), model_predict(true, c), 0.0, None) for c in circuits
     ]
     rt = ct.fit(records, 2, seed=0)
     rt_err = max(

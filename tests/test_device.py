@@ -15,7 +15,6 @@ from corrtomo.device import (
     _AXES,
     _PLUS_Z,
     RATE_CLAMP,
-    Circuit,
     MeasurementRecord,
     RejectionSamplingError,
     _fold_signed_axes,
@@ -84,9 +83,9 @@ class TestRunCircuit:
 
     def test_exact_record_invariants(self):
         with pytest.raises(ValueError):
-            MeasurementRecord(Circuit(()), 1.0, 0.1, None)
+            MeasurementRecord((), 1.0, 0.1, None)
         with pytest.raises(ValueError):
-            MeasurementRecord(Circuit(()), 1.0, 0.0, 100)
+            MeasurementRecord((), 1.0, 0.0, 100)
 
 
 FROZEN_MODELS = {
@@ -112,7 +111,7 @@ class TestFrozenClosedForm:
         assert model.identity_transitions
         gen = np.random.default_rng(11)
         circuits = [()]
-        circuits += [c.gates for n in (1, 2, 7, 40, 100) for c in ct.random_identity_sequences(n, 3, seed=gen)]
+        circuits += [c for n in (1, 2, 7, 40, 100) for c in ct.random_identity_sequences(n, 3, seed=gen)]
         circuits += [tuple(gen.choice(["H", "S"], size=n)) for n in (1, 2, 3, 10, 33, 100) for _ in range(3)]
         assert any(not returns_to_zero(c) for c in circuits)
         for gates in circuits:
@@ -205,7 +204,7 @@ class TestExactMeans:
             return dataclasses.replace(model, rates={g: scale * r for g, r in model.rates.items()})
 
         a, b = make(1.0), make(0.5)
-        circuits = [c.gates for n in (1, 3, 20) for c in ct.random_identity_sequences(n, 3, seed=n)]
+        circuits = [c for n in (1, 3, 20) for c in ct.random_identity_sequences(n, 3, seed=n)]
         # references from fresh models, whose tables no run_circuit call has built
         want = [exact_means(make(scale), circuits).tolist() for scale in (1.0, 0.5)]
         assert all(x != y for x, y in zip(*want))
@@ -221,7 +220,7 @@ class TestContextClosedForm:
     def test_random_circuits_up_to_100_gates(self, initial):
         model = context_model(CONTEXT["rates"], initial)
         gen = np.random.default_rng(5)
-        circuits = [c.gates for n in (1, 2, 10, 37, 64, 100) for c in ct.random_identity_sequences(n, 5, seed=gen)]
+        circuits = [c for n in (1, 2, 10, 37, 64, 100) for c in ct.random_identity_sequences(n, 5, seed=gen)]
         circuits += [tuple(gen.choice(["H", "S"], size=n)) for n in (1, 3, 20, 99, 100) for _ in range(3)]
         got = exact_means(model, circuits)
         assert np.max(np.abs(got - [block_loop_mean(model, c) for c in circuits])) <= 2e-14
@@ -256,14 +255,14 @@ class TestIdentitySequences:
         assert returns_to_zero(("S",))
         assert not returns_to_zero(("H",))
         circuits = ct.random_identity_sequences(1, 20, seed=7)
-        assert all(c.gates == ("S",) for c in circuits)
+        assert all(c == ("S",) for c in circuits)
 
     def test_length_two_accepted_set(self):
         # enumerate all four candidates against the state-vector oracle
         accepted = {g for g in [("H", "H"), ("H", "S"), ("S", "H"), ("S", "S")] if returns_to_zero(g)}
         assert accepted == {("H", "H"), ("S", "S")}
         circuits = ct.random_identity_sequences(2, 50, seed=3)
-        assert {c.gates for c in circuits} <= accepted
+        assert set(circuits) <= accepted
 
     def test_global_phase_is_ignored(self):
         # S S S S = diag(1, -1)^2 = identity up to phase at every step on |0>
@@ -273,7 +272,7 @@ class TestIdentitySequences:
     def test_deterministic_by_seed(self):
         a = ct.random_identity_sequences(8, 10, seed=5)
         b = ct.random_identity_sequences(8, 10, seed=5)
-        assert [c.gates for c in a] == [c.gates for c in b]
+        assert a == b
 
     def test_rejection_cap_reported(self):
         with pytest.raises(RejectionSamplingError) as err:
@@ -291,11 +290,11 @@ class TestIdentitySequences:
 
     def test_pinned_sequences(self):
         # recorded from the one-draw-per-sequence sampler
-        got = [c.gates for c in ct.random_identity_sequences(10, 5, seed=0)]
+        got = ct.random_identity_sequences(10, 5, seed=0)
         assert ["".join(g) for g in got] == [
             "SSSHHHHHHS", "SSSSSSSSSS", "HSSHHSSHSS", "HSHHSSHHSH", "HSSHHSSHSS"
         ]
-        got = [c.gates for c in ct.random_identity_sequences(25, 2, seed=2)]
+        got = ct.random_identity_sequences(25, 2, seed=2)
         assert ["".join(g) for g in got] == ["SSHHSSSHHHSHHSSSHSSSHHSSS", "SSSHHSHSHHSSSSHSSHHHSHHHS"]
 
     @pytest.mark.parametrize("n_gates", [0, 1, 2, 3, 5, 10, 37, 100])
@@ -304,7 +303,7 @@ class TestIdentitySequences:
         gen, ref_gen = np.random.default_rng(n_gates + count), np.random.default_rng(n_gates + count)
         got = ct.random_identity_sequences(n_gates, count, seed=gen)
         want, _ = sequential_identity_sequences(n_gates, count, ref_gen)
-        assert [c.gates for c in got] == want
+        assert got == want
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     def test_short_batches_match_sequential_reference(self):
@@ -313,7 +312,7 @@ class TestIdentitySequences:
         got = ct.random_identity_sequences(1, 40, seed=gen, gate_labels=RARE_S)
         want, tried = sequential_identity_sequences(1, 40, ref_gen, gate_labels=RARE_S)
         assert tried > 8 * 40
-        assert [c.gates for c in got] == want
+        assert got == want
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     def test_memory_capped_batches_match_sequential_reference(self, monkeypatch):
@@ -322,7 +321,7 @@ class TestIdentitySequences:
         gen, ref_gen = np.random.default_rng(8), np.random.default_rng(8)
         got = ct.random_identity_sequences(10, 25, seed=gen)
         want, _ = sequential_identity_sequences(10, 25, ref_gen)
-        assert [c.gates for c in got] == want
+        assert got == want
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     def test_shared_generator_stream(self):
@@ -333,7 +332,7 @@ class TestIdentitySequences:
             assert n == int(ref_gen.integers(1, 40))
             got = ct.random_identity_sequences(n, 3, seed=gen)
             want, _ = sequential_identity_sequences(n, 3, ref_gen)
-            assert [c.gates for c in got] == want
+            assert got == want
             assert gen.binomial(300, 0.7) == ref_gen.binomial(300, 0.7)
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 

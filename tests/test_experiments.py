@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrtomo.experiments as experiments
+from conftest import sequences_up_to
 from corrtomo.tomography import ErrorModel, predict
 from corrtomo.experiments import (
     CONFIG,
@@ -42,6 +43,13 @@ SURVIVAL_CFG = {
         "eval_circuits_per_point": 3,
     },
 }
+
+EXACT_LOT_CFG = {
+    "experiment": "exact-lot",
+    "model": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 2},
+    "params": {"d": 7, "n_check_sequences": 3},
+}
+EXACT_LOT_FILES = ["error_model.json", "factorization.json", "gate_H.csv", "gate_S.csv", "gram.csv"]
 
 
 class TestConfigValidation:
@@ -212,6 +220,18 @@ class TestConfigValidation:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_context_duplicate_label_exits_2_naming_it(self, tmp_path, capfd):
+        rates = {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}}
+        cfg = tmp_path / "cfg.json"
+        model = {"kind": "context", "labels": ["H", "S", "H"], "rates": rates}
+        cfg.write_text(json.dumps({**SURVIVAL_CFG, "model": model}))
+        out = tmp_path / "out"
+        assert _main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err.startswith("config error: model:") and err.count("\n") == 1
+        assert "'H' more than once" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unknown_gate_gamma_label_exits_2_naming_it(self, tmp_path, capfd):
         model = {"kind": "second_order", "sigma": 1, "eta": 0.1, "gate_gammas": {"H": 0.3, "T": 1}}
         cfg = tmp_path / "cfg.json"
@@ -312,37 +332,55 @@ class TestSurvivalRun:
         run(SURVIVAL_CFG, out_dir=b, seed=8)
         assert (a / "survival.csv").read_bytes() != (b / "survival.csv").read_bytes()
 
-    def test_failing_writer_leaves_no_output(self, tmp_path, monkeypatch):
-        import corrtomo.experiments as experiments
-
+    @pytest.mark.parametrize(
+        "writer,cfg,files",
+        [
+            ("save_rows_csv", SURVIVAL_CFG, ["records.json", "survival.csv"]),
+            ("save_json", EXACT_LOT_CFG, EXACT_LOT_FILES),
+            ("save_matrix_csv", EXACT_LOT_CFG, EXACT_LOT_FILES),
+        ],
+        ids=["save_rows_csv", "save_json", "save_matrix_csv"],
+    )
+    def test_failing_writer_leaves_no_output(self, tmp_path, monkeypatch, writer, cfg, files):
         def full_disk(path, *args, **kwargs):
             Path(path).write_text("partial")
             raise OSError(28, "No space left on device")
 
         out = tmp_path / "results" / "out"
         with monkeypatch.context() as patch:
-            patch.setattr(experiments, "save_rows_csv", full_disk)
+            patch.setattr(experiments, writer, full_disk)
             with pytest.raises(OSError, match="No space"):
-                run(SURVIVAL_CFG, out_dir=out)
+                run(cfg, out_dir=out)
         assert list(out.parent.iterdir()) == []  # neither the target nor a staging directory
-        assert run(SURVIVAL_CFG, out_dir=out) == EXIT_OK
-        first = (out / "survival.csv").read_bytes()
+        assert run(cfg, out_dir=out) == EXIT_OK
+        first = {name: (out / name).read_bytes() for name in files}
         (out / "notes.txt").write_text("kept")
-        assert run(SURVIVAL_CFG, out_dir=out) == EXIT_OK  # into the existing directory
-        assert (out / "survival.csv").read_bytes() == first
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.txt", "records.json", "survival.csv"]
+        assert run(cfg, out_dir=out) == EXIT_OK  # into the existing directory
+        assert {name: (out / name).read_bytes() for name in files} == first
+        assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", "notes.txt", *files])
+
+    @pytest.mark.parametrize("experiment", ["lim", "mle"])
+    def test_no_evaluation_circuits_write_the_predictions_header(self, tmp_path, experiment):
+        params = {"preset": "d4", "eval_n_gates": [0, 10], "eval_circuits_per_point": 0}
+        params.update({"d": 4, "gauge_fit": False} if experiment == "lim" else {"l_size": 1, "n_starts": 1})
+        cfg = {**SURVIVAL_CFG, "experiment": experiment, "params": params}
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == EXIT_OK
+        assert (out / "predictions.csv").read_text().splitlines() == ["n_gates,gates,actual,predicted,abs_error"]
+
+    def test_fiducial_pool_is_every_sequence_with_the_last_gate_fastest(self):
+        assert ["".join(s) for s in experiments._fiducial_pool(3)] == [
+            "", "H", "S", "HH", "HS", "SH", "SS", "HHH", "HHS", "HSH", "HSS", "SHH", "SHS", "SSH", "SSS"
+        ]
+        assert experiments._fiducial_pool(0) == [()]
+        assert experiments._fiducial_pool(6) == sequences_up_to(6)
 
     def test_reused_directory_drops_the_old_runs_files_and_no_others(self, tmp_path):
         out = tmp_path / "out"
         assert run(SURVIVAL_CFG, out_dir=out) == EXIT_OK
         (out / "notes.txt").write_text("kept")
         (tmp_path / "outside.txt").write_text("kept")
-        exact_lot = {
-            "experiment": "exact-lot",
-            "model": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 2},
-            "params": {"d": 7, "n_check_sequences": 3},
-        }
-        assert run(exact_lot, out_dir=out) == EXIT_OK
+        assert run(EXACT_LOT_CFG, out_dir=out) == EXIT_OK
         listed = json.loads((out / "manifest.json").read_text())["files"]
         assert "survival.csv" not in listed
         assert sorted(p.name for p in out.iterdir()) == sorted([*listed, "manifest.json", "notes.txt"])

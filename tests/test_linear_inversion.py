@@ -1,5 +1,7 @@
 """SVD-truncated linear inversion: trial sets, spectra, reconstruction, gauge fit."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from corrtomo.device import _gate_matrix, fold_gates
 from corrtomo.noise import depolarized_gates
 from corrtomo.ptm import reduced_frame
 from corrtomo.tomography import predict
-from conftest import block_diag
+from conftest import block_diag, sequences_up_to
 
 
 class TestTrialSequences:
@@ -38,6 +40,20 @@ class TestTrialSequences:
             assert hist[n] == 2**n
         for n in range(6, 21):
             assert hist[n] == 4
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (0, "f6a56c5e6c3a772d472bed0b0b17bd02df1c7d754bef1975d83e7addd58999b5"),
+            (li.DEFAULT_SELECTION_SEED, "aff49a4a16ad9dbe0d472d0ed5a520a39896c3cc399bc6df3bb9d8a2069116bb"),
+        ],
+    )
+    def test_d7_set_is_unchanged(self, seed, digest):
+        # every sequence up to length 5, the last gate varying fastest, then the seeded picks
+        spec = trial_sequences("d7", seed=seed)
+        assert list(spec.sequences[:63]) == sequences_up_to(5)
+        text = ",".join("".join(s) for s in spec.sequences)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest  # recorded from the recursive enumeration
 
     def test_d7_deterministic_and_seed_dependent(self):
         a = trial_sequences("d7", seed=1)

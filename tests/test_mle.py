@@ -7,7 +7,7 @@ import pytest
 
 import corrtomo as ct
 import corrtomo.mle as mle
-from corrtomo.device import Circuit, MeasurementRecord, _fast_predictions, _gate_matrix, _log_damping
+from corrtomo.device import MeasurementRecord, _fast_predictions, _gate_matrix, _log_damping
 from corrtomo.mle import (
     OptimizerConfig,
     RecordSet,
@@ -35,7 +35,7 @@ def random_circuits(count, max_len, seed):
 
 
 def exact_records(pm, circuits):
-    return [MeasurementRecord(Circuit(c), model_predict(pm, c), 0.0, None) for c in circuits]
+    return [MeasurementRecord(tuple(c), model_predict(pm, c), 0.0, None) for c in circuits]
 
 
 class TestModelPredict:
@@ -80,13 +80,13 @@ class TestNegativeLogLikelihood:
         pm = frozen_model([1.0], {"H": [0.0], "S": [0.0]})
         circuit = ("H", "H")
         off = model_predict(pm, circuit) - 1e-3
-        record = MeasurementRecord(Circuit(circuit), off, 0.0, None)
+        record = MeasurementRecord(tuple(circuit), off, 0.0, None)
         assert negative_log_likelihood(pm, [record], sigma_floor=1e-3) == pytest.approx(1.0, rel=1e-9)
 
     def test_scaling_of_variances(self):
         pm = two_point_model()
         records = [
-            MeasurementRecord(Circuit(c), model_predict(pm, c) + 0.01, 0.0, None)
+            MeasurementRecord(tuple(c), model_predict(pm, c) + 0.01, 0.0, None)
             for c in random_circuits(20, 10, seed=4)
         ]
         base = negative_log_likelihood(pm, records, sigma_floor=1e-3)
@@ -98,7 +98,7 @@ class TestNegativeLogLikelihood:
         circuits = random_circuits(30, 12, seed=5)
         gen = np.random.default_rng(6)
         records = [
-            MeasurementRecord(Circuit(c), model_predict(pm, c) + gen.normal(0, 1e-3), 0.0, None)
+            MeasurementRecord(tuple(c), model_predict(pm, c) + gen.normal(0, 1e-3), 0.0, None)
             for c in circuits
         ]
         direct = sum((model_predict(pm, r.circuit) - r.mean) ** 2 / 1e-6 for r in records)
@@ -120,9 +120,9 @@ def noisy_records(pm, circuits, seed, scale=1e-3):
     for c, shots in zip(circuits, gen.choice([0, 1000], size=len(circuits))):
         mean = model_predict(pm, c) + gen.normal(0.0, scale)
         if shots:  # a sampled record whose variance lies above the floor
-            records.append(MeasurementRecord(Circuit(c), mean, 4e-6, int(shots)))
+            records.append(MeasurementRecord(tuple(c), mean, 4e-6, int(shots)))
         else:
-            records.append(MeasurementRecord(Circuit(c), mean, 0.0, None))
+            records.append(MeasurementRecord(tuple(c), mean, 0.0, None))
     return records
 
 
@@ -152,7 +152,7 @@ class TestKernels:
             assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
     def test_record_features_reject_unknown_gate(self):
-        records = [MeasurementRecord(Circuit(("H", "T")), 0.5, 0.0, None)]
+        records = [MeasurementRecord(("H", "T"), 0.5, 0.0, None)]
         with pytest.raises(KeyError, match="'T'"):
             mle._record_features(RecordSet.from_records(records), ("H", "S"), 1e-3)
 
@@ -217,8 +217,9 @@ class TestFit:
 
     def test_training_residuals_small_for_exact_data(self, suite_records, suite_fit_l2):
         gen = np.random.default_rng(8)
-        sample = [suite_records[i] for i in gen.integers(0, len(suite_records), size=150)]
-        resid = [predict(suite_fit_l2.error_model, r.circuit) - r.mean for r in sample]
+        rows = gen.integers(0, len(suite_records), size=150)
+        predicted = _predictions(suite_fit_l2.error_model, suite_records.gates[rows], suite_records.labels)
+        resid = predicted - suite_records.means[rows]
         assert np.sqrt(np.mean(np.square(resid))) <= 1e-3
 
     def test_induced_model_predicts_identically(self):
@@ -315,14 +316,13 @@ class TestRecordsFromTomography:
         data = collect_trial_data(device_m2, trial)
         records = records_from_tomography(data)
         assert len(records) == 16 * (1 + 2)
-        first = records[0]
-        assert first.circuit.gates == ()
-        assert first.mean == pytest.approx(data.gram[0, 0], abs=1e-15)
-        assert all(r.variance == 0.0 for r in records)
+        assert np.all(records.gates[0] == len(records.labels))  # the empty circuit
+        assert records.means[0] == pytest.approx(data.gram[0, 0], abs=1e-15)
+        assert np.all(records.variances == 0.0) and np.all(records.shots == 0)
 
 
 def reference_records(data):
-    """Per-entry oracle: one Circuit and MeasurementRecord per Gram and gate-matrix entry."""
+    """Per-entry oracle: one MeasurementRecord per Gram and gate-matrix entry."""
     shots = data.provenance.get("shots")
     fids = data.fiducials
     records = []
@@ -330,10 +330,10 @@ def reference_records(data):
     def add(mean, gates):
         mean = float(mean)
         if shots is None:
-            records.append(MeasurementRecord(Circuit(gates), mean, 0.0, None))
+            records.append(MeasurementRecord(tuple(gates), mean, 0.0, None))
         else:
             smoothed = (mean * shots + 1.0) / (shots + 2.0)
-            records.append(MeasurementRecord(Circuit(gates), mean, smoothed * (1.0 - smoothed) / shots, shots))
+            records.append(MeasurementRecord(tuple(gates), mean, smoothed * (1.0 - smoothed) / shots, shots))
 
     for k, meas in enumerate(fids.meas_sequences):
         for i, prep in enumerate(fids.prep_sequences):
@@ -355,15 +355,19 @@ def d7_records(request, device_m5, trial_d7):
 class TestRecordSet:
     def test_records_match_the_per_entry_loop(self, d7_records):
         columnar, oracle = d7_records
+        want = RecordSet.from_records(oracle)
         assert isinstance(columnar, RecordSet)
-        assert len(columnar) == len(oracle) == 45387
-        assert list(columnar) == oracle
-        assert [columnar[i] for i in (0, 1, 2, -1, -len(oracle))] == [oracle[i] for i in (0, 1, 2, -1, 0)]
-        for part in (slice(None, 200), slice(5, 3000, 7), slice(-40, None), slice(10, 10)):
-            assert isinstance(columnar[part], RecordSet)
-            assert list(columnar[part]) == oracle[part]
-        with pytest.raises(IndexError):
-            columnar[len(oracle)]
+        assert len(columnar) == len(want) == 45387
+        assert columnar.labels == want.labels
+        for name in ("means", "variances", "shots"):
+            got, ref = getattr(columnar, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        # records_from_tomography pads between preparation, middle gate and measurement; from_records at the end
+        pad = len(columnar.labels)
+        packed = np.take_along_axis(columnar.gates, np.argsort(columnar.gates == pad, axis=1, kind="stable"), axis=1)
+        width = want.gates.shape[1]
+        assert np.all(packed[:, width:] == pad)
+        assert np.array_equal(packed[:, :width], want.gates)
 
     def test_features_are_byte_identical_to_the_record_list(self, d7_records):
         columnar, oracle = d7_records

@@ -360,6 +360,13 @@ class TestContext:
     def rates_model(self, rates, initial=None):
         return ct.ContextModel(gate_labels=("H", "S"), rates=rates, initial=initial)
 
+    def test_duplicate_label_rejected(self):
+        rates = {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}}
+        with pytest.raises(ValueError, match="'H' more than once"):
+            ct.ContextModel(gate_labels=("H", "S", "H"), rates=rates)
+        with pytest.raises(ValueError, match="'S' more than once"):
+            ct.ContextModel(gate_labels=("S", "S"), rates=rates)
+
     def test_uniform_rates_equal_context_free(self):
         eps = 0.05
         ctx = self.rates_model({"H": {"H": eps, "S": eps}, "S": {"H": eps, "S": eps}})

@@ -158,11 +158,12 @@ def _pure_state_norms(mat: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 # Compass stencil on (theta, phi): the four axis steps and the four diagonals.
 _COMPASS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
+N_GRID = 2048  # sphere points per environment value
 REFINE_FIRST_STEP = 0.05  # radians; the 2048-point grid spacing is about 0.08
 REFINE_LAST_STEP = 1e-11
 
 
-def operation_norm(matrix: np.ndarray, norm_kind: str = "trace", n_grid: int = 2048) -> float:
+def operation_norm(matrix: np.ndarray, norm_kind: str = "trace") -> float:
     """Induced norm of an operation on the block space.
 
     Frobenius: the spectral norm of the coefficient matrix.  Trace: maximum
@@ -182,8 +183,8 @@ def operation_norm(matrix: np.ndarray, norm_kind: str = "trace", n_grid: int = 2
     m = mat.shape[0] // 4
     if mat.shape != (4 * m, 4 * m):
         raise ValueError(f"operation must act on stacked qubit blocks, got shape {mat.shape}")
-    dirs = _fibonacci_sphere(n_grid)
-    grid = _pure_state_norms(mat, np.broadcast_to(dirs, (m, n_grid, 3)))
+    dirs = _fibonacci_sphere(N_GRID)
+    grid = _pure_state_norms(mat, np.broadcast_to(dirs, (m, N_GRID, 3)))
     top = np.argsort(grid, axis=1)[:, -4:]
     best = np.take_along_axis(grid, top, axis=1).ravel()
     start = dirs[top.ravel()]

@@ -21,11 +21,13 @@ the block matrices.
 
 :func:`exact_means` evaluates many circuits at once over a padded gate-index
 matrix, by a closed form or one :func:`fold_gates` call, the fold that every
-batched sequence evaluation in the package uses.  :func:`run_circuit` goes
-gate by gate; the survival curve calls it per circuit, as the benchmark's
-tracer counts it.  What does not depend on the circuit is computed once per
-model and kept on it: the gate blocks, and for a closed form the signed-axis
-table of each gate and the ``log(1 - eps)`` stack of its rates.
+batched sequence evaluation in the package uses.  :func:`run_circuit` folds
+one circuit gate by gate through the closed forms' signed-axis table, and
+takes models with transitions to :func:`exact_means`; the survival curve
+calls it per circuit, as the benchmark's tracer counts it.  What does not
+depend on the circuit is computed once per model and kept on it: the gate
+blocks, and for a closed form the signed-axis table of each gate and the
+``log(1 - eps)`` stack of its rates.
 
 The survival experiment draws uniformly random gate sequences and keeps only
 those whose ideal action returns ``|0>`` up to a global phase, so the ideal
@@ -229,10 +231,7 @@ def run_circuit(
             counts = [pairs[chi, lam] for chi, lam in product(table, table)]
             mean = float(_context_predictions(model.weights, log_damping, _AXES[state, 2], first, counts))
     else:
-        v = model.rho_vec()
-        for label in circuit:
-            v = model.gate_block(label) @ v
-        mean = float(model.dual_vec() @ v)
+        mean = float(exact_means(model, [circuit])[0])
     if not -MEAN_SLACK <= mean <= 1.0 + MEAN_SLACK:
         raise ValueError(f"model produced mean {mean!r} outside [0, 1]; the model is inconsistent")
     if shots is None:

@@ -16,8 +16,9 @@ Its keys are given by three tables below: ``CONFIG`` for the top level,
 ``params``.  ``run`` checks the whole config against them before it builds
 the model; unknown keys are rejected.
 
-Exit codes: 0 success, 2 config validation error, 3 numerical failure
-(singular Gram matrix, invalid moment sequence, optimizer breakdown).
+Exit codes: 0 success, 2 config validation error or a result file that
+cannot be written, 3 numerical failure (singular Gram matrix, invalid moment
+sequence, optimizer breakdown).
 
 Invoke from the shell as::
 
@@ -424,15 +425,16 @@ def run(
 
     ``out_dir`` and ``seed`` override the config values.  The whole config,
     the output directory included, is checked against the tables before the
-    model is built.  On success the output directory
-    contains ``manifest.json`` (resolved config, package version, seeds, file
-    list) and the experiment's result files; on a validation error or a
-    numerical failure nothing is written.  The body returns each file's
-    content, which one loop writes with ``save_matrix_csv`` (a matrix),
-    ``save_rows_csv`` (a ``(rows, fieldnames)`` pair) or ``save_json`` into a
-    staging directory next to the target, moved into place after the
-    manifest: a failing writer leaves no partial output.  Reusing a
-    directory deletes the files its old manifest lists that this run does
+    model is built.  On success the output directory contains
+    ``manifest.json`` (resolved config, package version, seeds, file list)
+    and the experiment's result files; on a validation error or a numerical
+    failure nothing is written.  The body returns each file's content, which
+    one loop writes with ``save_matrix_csv`` (a matrix), ``save_rows_csv`` (a
+    ``(rows, fieldnames)`` pair) or ``save_json`` into a staging directory
+    next to the target, moved into place after the manifest: a failing
+    writer leaves no partial output, and an ``OSError`` while writing
+    returns exit code 2 with one ``output error:`` line on stderr.  Reusing
+    a directory deletes the files its old manifest lists that this run does
     not write, and touches no other file.
     """
     try:
@@ -455,35 +457,39 @@ def run(
     except (ProtocolFailure, MomentSequenceError, RejectionSamplingError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    target.parent.mkdir(parents=True, exist_ok=True)
-    staging = target.parent / f".{target.name}-{os.getpid()}-{os.urandom(4).hex()}"
-    staging.mkdir()  # a unique sibling, with the mode the umask gives
     try:
-        for name, content in sorted(files.items()):
-            if isinstance(content, np.ndarray):
-                save_matrix_csv(staging / name, content)
-            elif isinstance(content, tuple):
-                save_rows_csv(staging / name, *content)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        staging = target.parent / f".{target.name}-{os.getpid()}-{os.urandom(4).hex()}"
+        staging.mkdir()  # a unique sibling, with the mode the umask gives
+        try:
+            for name, content in sorted(files.items()):
+                if isinstance(content, np.ndarray):
+                    save_matrix_csv(staging / name, content)
+                elif isinstance(content, tuple):
+                    save_rows_csv(staging / name, *content)
+                else:
+                    save_json(staging / name, content)
+            manifest = {
+                "version": __version__,
+                "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                "config": {k: v for k, v in cfg.items() if k != "output_dir"},
+                "files": sorted(files),
+            }
+            save_json(staging / "manifest.json", manifest)
+            if target.exists():  # first delete the old run's files that this run does not write
+                for name in sorted(_listed_files(target) - set(files)):
+                    (target / name).unlink()
+                for name in [*sorted(files), "manifest.json"]:
+                    os.replace(staging / name, target / name)
+                staging.rmdir()
             else:
-                save_json(staging / name, content)
-        manifest = {
-            "version": __version__,
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "config": {k: v for k, v in cfg.items() if k != "output_dir"},
-            "files": sorted(files),
-        }
-        save_json(staging / "manifest.json", manifest)
-        if target.exists():  # first delete the old run's files that this run does not write
-            for name in sorted(_listed_files(target) - set(files)):
-                (target / name).unlink()
-            for name in [*sorted(files), "manifest.json"]:
-                os.replace(staging / name, target / name)
-            staging.rmdir()
-        else:
-            staging.rename(target)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
+                staging.rename(target)
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+    except OSError as exc:  # a result file that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -32,15 +32,13 @@ def _plain(obj):
     return obj
 
 
-def save_matrix_csv(path: str | Path, matrix: np.ndarray, labels: Sequence[str] | None = None) -> Path:
-    """One matrix per file; header row carries the basis labels."""
+def save_matrix_csv(path: str | Path, matrix: np.ndarray) -> Path:
+    """One matrix per file, under a header row of column names c0, c1, ..."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     path = Path(path)
-    if labels is None:
-        labels = [f"c{j}" for j in range(matrix.shape[1])]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(labels))
+        writer.writerow([f"c{j}" for j in range(matrix.shape[1])])
         for row in matrix:
             writer.writerow([repr(float(v)) for v in row])
     return path

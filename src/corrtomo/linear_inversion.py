@@ -22,7 +22,7 @@ comparable entry by entry.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -57,7 +57,6 @@ GateSeq = tuple[str, ...]
 class TrialSpec:
     """Trial sequences probing the device beyond the target model dimension."""
 
-    d_trial: int
     sequences: tuple[GateSeq, ...]
     selection_seed: int | None
 
@@ -65,9 +64,11 @@ class TrialSpec:
         seqs = tuple(tuple(s) for s in self.sequences)
         if not seqs or seqs[0] != ():
             raise ValueError("the first trial sequence must be empty")
-        if len(seqs) != self.d_trial:
-            raise ValueError(f"d_trial = {self.d_trial} does not match {len(seqs)} sequences")
         object.__setattr__(self, "sequences", seqs)
+
+    @property
+    def d_trial(self) -> int:
+        return len(self.sequences)
 
     def fiducials(self) -> FiducialSet:
         """Trial fiducials: states from the sequences, observables from their reverses."""
@@ -77,42 +78,32 @@ class TrialSpec:
         )
 
 
-def trial_sequences(
-    preset: str,
-    seed: int | None = DEFAULT_SELECTION_SEED,
-    sequences: Sequence[Sequence[str]] | None = None,
-    gate_labels: Sequence[str] = DEFAULT_GATE_LABELS,
-) -> TrialSpec:
-    """Standard trial sets.
+def trial_sequences(preset: str, seed: int | None = DEFAULT_SELECTION_SEED) -> TrialSpec:
+    """Standard trial sets over the gates H and S; ``TrialSpec(...)`` builds any other.
 
     * ``"d4"``: the four sequences (), (H), (H,S), (H,S,H) that already span
       a bare qubit.
     * ``"d7"``: every sequence of length 0..5 plus four seeded random picks
       per length 6..20, 123 sequences in total; long sequences let slow
       environment directions show up in the spectrum.
-    * ``"custom"``: caller-provided ``sequences`` (first must be empty).
     """
     if preset == "d4":
         seqs: list[GateSeq] = [(), ("H",), ("H", "S"), ("H", "S", "H")]
     elif preset == "d7":
-        seqs = [s for n in range(6) for s in product(gate_labels, repeat=n)]
+        seqs = [s for n in range(6) for s in product(DEFAULT_GATE_LABELS, repeat=n)]
         gen = np.random.default_rng(seed)
-        base = len(gate_labels)
+        base = len(DEFAULT_GATE_LABELS)
         for n in range(6, 21):
             codes = gen.choice(base**n, size=4, replace=False)
             for code in sorted(int(c) for c in codes):
                 digits = []
                 for _ in range(n):
-                    digits.append(gate_labels[code % base])
+                    digits.append(DEFAULT_GATE_LABELS[code % base])
                     code //= base
                 seqs.append(tuple(digits))
-    elif preset == "custom":
-        if sequences is None:
-            raise ValueError("custom preset requires explicit sequences")
-        seqs = [tuple(s) for s in sequences]
     else:
-        raise ValueError(f"unknown preset {preset!r}; expected d4, d7 or custom")
-    return TrialSpec(d_trial=len(seqs), sequences=tuple(seqs), selection_seed=seed)
+        raise ValueError(f"unknown preset {preset!r}; expected d4 or d7")
+    return TrialSpec(sequences=tuple(seqs), selection_seed=seed)
 
 
 def collect_trial_data(
@@ -146,7 +137,6 @@ class TruncationResult:
     gate_mats_trunc: dict[str, np.ndarray]
     g_col0: np.ndarray
     g_row0: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
 
 def singular_spectrum(g_trial: np.ndarray) -> np.ndarray:
@@ -154,12 +144,11 @@ def singular_spectrum(g_trial: np.ndarray) -> np.ndarray:
     return np.linalg.svd(np.asarray(g_trial, dtype=float), compute_uv=False)
 
 
-def svd_truncate(
-    g_trial: np.ndarray,
-    gate_mats_trial: Mapping[str, np.ndarray],
-    d: int,
-    rank_rtol: float = 1e-12,
-) -> TruncationResult:
+#: Singular values below this fraction of the largest count as zero for the numerical rank.
+RANK_RTOL = 1e-12
+
+
+def svd_truncate(g_trial: np.ndarray, gate_mats_trial: Mapping[str, np.ndarray], d: int) -> TruncationResult:
     """Keep the subspace of the d largest singular values of the trial Gram matrix.
 
     Sign/permutation freedom of the SVD is fixed by making the largest-magnitude
@@ -181,10 +170,10 @@ def svd_truncate(
         if col[pivot] < 0.0:
             u_np[:, j] = -col
             vh[j, :] = -vh[j, :]
-    if s[0] > 0.0 and d > np.count_nonzero(s > rank_rtol * s[0]):
+    if s[0] > 0.0 and d > np.count_nonzero(s > RANK_RTOL * s[0]):
         warnings.warn(
             f"kept dimension d = {d} exceeds the numerical rank "
-            f"{np.count_nonzero(s > rank_rtol * s[0])}; spectrum: {s}",
+            f"{np.count_nonzero(s > RANK_RTOL * s[0])}; spectrum: {s}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -287,27 +276,22 @@ def _reference_trial_duals(trial: TrialSpec, d: int, gate_labels: Sequence[str])
         reference = induced_error_model(frozen_model([0.5, 0.5], dict.fromkeys(gate_labels, REFERENCE_RATES)))
         ptms, q0 = reference.gates, reference.dual
     else:
-        raise ValueError(f"no reference frame for d = {d}; supply an explicit initial gauge")
+        raise ValueError(f"no reference frame for d = {d}; the gauge fit needs d = 4 or d = 7")
     labels = tuple(gate_labels)
     # q0 @ ptms[g_first] @ ... @ ptms[g_last]: the reversed rows, folded from the right
     gates = _gate_matrix(trial.sequences, labels)[:, ::-1]
     return fold_gates(np.stack([ptms[g] for g in labels]), gates, q0, right=True)
 
 
-def gauge_fit_to_ideal(
-    truncation: TruncationResult,
-    ideal_ptms: Mapping[str, np.ndarray] | None = None,
-    trial: TrialSpec | None = None,
-    m_hat_out0: np.ndarray | None = None,
-    max_nfev: int = 20000,
-) -> GaugeFitResult:
+def gauge_fit_to_ideal(truncation: TruncationResult, trial: TrialSpec, max_nfev: int = 20000) -> GaugeFitResult:
     """Choose the output gauge minimising the distance to the ideal gates.
 
     Minimises ``sum_G || M^-1 A_G M - ideal(G) ||_F^2`` over the d^2 entries of
     ``M = M_out_hat``, where ``A_G = O~(G) g^-1`` and ``M_in_hat = M^-1 g``.
-    The starting point maps the truncated data frame onto the ideal frame
-    (built from ``trial``), so noiseless data sits at a zero-objective fixed
-    point; pass ``m_hat_out0`` to start elsewhere.
+    The ideal gates are ``ideal_qubit_ptms()`` at d = 4 and
+    ``ideal_seven_ptms()`` at d = 7; no other d has a reference frame.  The
+    starting point maps the truncated data frame onto the ideal frame (built
+    from ``trial``), so noiseless data sits at a zero-objective fixed point.
 
     The fit is Levenberg-Marquardt (:func:`corrtomo.lm.levenberg_marquardt`)
     with constant variable scaling (scaling by the Jacobian columns stalls on
@@ -325,17 +309,9 @@ def gauge_fit_to_ideal(
     ``converged=False``.
     """
     d = truncation.d
-    if ideal_ptms is None:
-        ideal_ptms = ideal_qubit_ptms() if d == 4 else ideal_seven_ptms()
     labels = sorted(truncation.gate_mats_trunc.keys())
-    for label in labels:
-        if ideal_ptms[label].shape != (d, d):
-            raise ValueError(f"ideal matrix for {label!r} has wrong shape {ideal_ptms[label].shape}")
-    if m_hat_out0 is None:
-        if trial is None:
-            raise ValueError("need the trial spec (or an explicit m_hat_out0) to build the initial gauge")
-        ref_rows = _reference_trial_duals(trial, d, labels)
-        m_hat_out0 = (truncation.u @ ref_rows)[:d, :]
+    m_start = (truncation.u @ _reference_trial_duals(trial, d, labels))[:d, :]
+    ideal_ptms = ideal_qubit_ptms() if d == 4 else ideal_seven_ptms()
     g_inv = np.diag(1.0 / np.diag(truncation.g_trunc))
     a_mats = np.stack([truncation.gate_mats_trunc[label] @ g_inv for label in labels])
     ideal = np.stack([ideal_ptms[label] for label in labels])
@@ -356,14 +332,14 @@ def gauge_fit_to_ideal(
         right = m_inv[:, :, :, None, :, None] * (m_inv_a @ m).swapaxes(2, 3)[:, :, None, :, None, :]
         return (left - right).reshape(len(x), -1, d * d)
 
-    (result,) = levenberg_marquardt(residual, jacobian, m_hat_out0.reshape(1, -1), 1e-14, max_nfev, jac_scale=False)
+    (result,) = levenberg_marquardt(residual, jacobian, m_start.reshape(1, -1), 1e-14, max_nfev, jac_scale=False)
     if result.converged and result.nfev < max_nfev:
         (again,) = levenberg_marquardt(
             residual, jacobian, result.x[None], 1e-14, max_nfev - result.nfev, jac_scale=False
         )
         result = replace(again, nfev=result.nfev + again.nfev, njev=result.njev + again.njev)
     m_hat_out = result.x.reshape(d, d)
-    m_hat_out *= np.linalg.norm(m_hat_out0) / np.linalg.norm(m_hat_out)
+    m_hat_out *= np.linalg.norm(m_start) / np.linalg.norm(m_hat_out)
     m_hat_in = np.linalg.solve(m_hat_out, truncation.g_trunc)
     model = lim_reconstruct(truncation, m_hat_in=m_hat_in)
     objective = float(result.residuals @ result.residuals)

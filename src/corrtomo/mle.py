@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 DEFAULT_SIGMA_FLOOR = 1e-3
+START_RATE = 0.01  # typical rate magnitude used to seed starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +225,6 @@ def negative_log_likelihood(
 class OptimizerConfig:
     n_starts: int = 16
     sigma_floor: float = DEFAULT_SIGMA_FLOOR
-    rate_scale: float = 0.01  # typical rate magnitude used to seed starts
 
 
 @dataclass
@@ -268,7 +268,6 @@ def fit(
     l_size: int,
     optimizer_config: OptimizerConfig | None = None,
     seed: int = 0,
-    gate_labels: Sequence[str] | None = None,
 ) -> FitResult:
     """Fit weights and per-gate rates to measured circuit means.
 
@@ -298,15 +297,13 @@ def fit(
         raise ValueError("need at least one record")
     if not isinstance(records, RecordSet):
         records = RecordSet.from_records(records)
-    if gate_labels is None:
-        gate_labels = records.used_labels() or ("H", "S")
-    gate_labels = tuple(gate_labels)
+    gate_labels = records.used_labels() or ("H", "S")
     stats = _SufficientStatistics(records, gate_labels, cfg.sigma_floor)
     m = l_size
     n_gates = len(gate_labels)
 
     gen = np.random.default_rng(seed)
-    base_rate_logit = _logit(cfg.rate_scale)
+    base_rate_logit = _logit(START_RATE)
     starts = [np.concatenate([np.zeros(m - 1), np.full(n_gates * m, base_rate_logit)])]
     for _ in range(cfg.n_starts - 1):
         w = gen.normal(0.0, 1.0, size=m - 1)

@@ -105,15 +105,6 @@ class TomographyData:
             raise ValueError(f"Gram matrix shape {self.gram.shape} does not match fiducial count {d}")
         self.gate_mats = {k: np.asarray(v, dtype=float) for k, v in self.gate_mats.items()}
 
-    def to_json(self) -> dict:
-        return {
-            "gram": self.gram.tolist(),
-            "gate_mats": {k: v.tolist() for k, v in self.gate_mats.items()},
-            "prep_sequences": [list(s) for s in self.fiducials.prep_sequences],
-            "meas_sequences": [list(s) for s in self.fiducials.meas_sequences],
-            "provenance": dict(self.provenance),
-        }
-
 
 @dataclass
 class ErrorModel:
@@ -220,21 +211,15 @@ def select_fiducials(model, pool: Sequence[GateSeq], d: int) -> FiducialSet:
     )
 
 
-def collect_data(
-    model,
-    fiducials: FiducialSet,
-    gate_set: Sequence[str] | None = None,
-    shots: int | None = None,
-    seed: int | None = None,
-) -> TomographyData:
-    """Measure the Gram matrix and one matrix per gate on the device model.
+def collect_data(model, fiducials: FiducialSet, shots: int | None = None, seed: int | None = None) -> TomographyData:
+    """Measure the Gram matrix and one matrix per gate of the device model.
 
     Every entry is the outcome of one circuit: preparation fiducial, an
     optional single gate, then the measurement fiducial.  Exact means by
     default; with ``shots`` each entry is binomially sampled with a seeded
     generator (entries are probabilities of reading |0>).
     """
-    labels = tuple(gate_set) if gate_set is not None else tuple(model.gate_labels)
+    labels = tuple(model.gate_labels)
     m_out, m_in = fiducial_frames(model, fiducials)
     gram = m_out @ m_in
     gate_mats = {label: m_out @ model.gate_block(label) @ m_in for label in labels}
@@ -260,7 +245,6 @@ class FactorizationReport:
     max_residual: float
     residuals: np.ndarray
     cond_gram: float
-    sequences: list[GateSeq]
 
 
 def verify_factorization(
@@ -278,10 +262,9 @@ def verify_factorization(
     """
     g_inv, cond = _inv_with_cond(data.gram, "Gram matrix")
     m_out, m_in = fiducial_frames(model, data.fiducials)
-    seq_list: list[GateSeq] = [tuple(s) for s in sequences]
     labels = tuple(data.gate_mats)
     # a trailing pad column gives every row a first entry; an empty sequence's is the pad, started at g
-    gates = np.pad(_gate_matrix(seq_list, labels), ((0, 0), (0, 1)), constant_values=len(labels))
+    gates = np.pad(_gate_matrix([tuple(s) for s in sequences], labels), ((0, 0), (0, 1)), constant_values=len(labels))
     lhs = m_out @ fold_gates(np.stack([model.gate_block(g) for g in labels]), gates, m_in)
     tilde = np.stack([data.gate_mats[g] for g in labels])
     first = np.concatenate([tilde, data.gram[None]])[gates[:, 0]]
@@ -291,21 +274,17 @@ def verify_factorization(
         max_residual=float(residuals_arr.max()) if residuals_arr.size else 0.0,
         residuals=residuals_arr,
         cond_gram=cond,
-        sequences=seq_list,
     )
 
 
-def gauge_reconstruct(
-    data: TomographyData,
-    m_hat_in: np.ndarray | None = None,
-    cond_limit: float = COND_LIMIT,
-) -> ErrorModel:
+def gauge_reconstruct(data: TomographyData, m_hat_in: np.ndarray | None = None) -> ErrorModel:
     """Build an error model from tomography data in a chosen gauge.
 
     ``M_out_hat = g @ M_in_hat^-1``; the state is the first column of
     ``M_in_hat``, the readout the first row of ``M_out_hat``, and each gate
     ``M_out_hat^-1 O~(chi) M_in_hat^-1``.  The default gauge is the identity,
-    where the readout row is the first row of g itself.
+    where the readout row is the first row of g itself.  The gauge and the
+    Gram matrix must each have a condition number of at most ``COND_LIMIT``.
     """
     d = data.fiducials.d
     if m_hat_in is None:
@@ -313,8 +292,8 @@ def gauge_reconstruct(
     m_hat_in = np.asarray(m_hat_in, dtype=float)
     if m_hat_in.shape != (d, d):
         raise ValueError(f"gauge matrix must be {d} x {d}, got {m_hat_in.shape}")
-    m_in_inv, cond_in = _inv_with_cond(m_hat_in, "gauge matrix", cond_limit)
-    _, cond_g = _inv_with_cond(data.gram, "Gram matrix", cond_limit)
+    m_in_inv, cond_in = _inv_with_cond(m_hat_in, "gauge matrix")
+    _, cond_g = _inv_with_cond(data.gram, "Gram matrix")
     m_hat_out = data.gram @ m_in_inv
     m_out_inv = m_hat_in @ np.linalg.inv(data.gram)
     gates = {label: m_out_inv @ tilde @ m_in_inv for label, tilde in data.gate_mats.items()}

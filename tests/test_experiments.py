@@ -341,7 +341,7 @@ class TestSurvivalRun:
         ],
         ids=["save_rows_csv", "save_json", "save_matrix_csv"],
     )
-    def test_failing_writer_leaves_no_output(self, tmp_path, monkeypatch, writer, cfg, files):
+    def test_failing_writer_leaves_no_output(self, tmp_path, monkeypatch, capsys, writer, cfg, files):
         def full_disk(path, *args, **kwargs):
             Path(path).write_text("partial")
             raise OSError(28, "No space left on device")
@@ -349,8 +349,9 @@ class TestSurvivalRun:
         out = tmp_path / "results" / "out"
         with monkeypatch.context() as patch:
             patch.setattr(experiments, writer, full_disk)
-            with pytest.raises(OSError, match="No space"):
-                run(cfg, out_dir=out)
+            assert run(cfg, out_dir=out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "output error: [Errno 28] No space left on device\n"
         assert list(out.parent.iterdir()) == []  # neither the target nor a staging directory
         assert run(cfg, out_dir=out) == EXIT_OK
         first = {name: (out / name).read_bytes() for name in files}
@@ -358,6 +359,25 @@ class TestSurvivalRun:
         assert run(cfg, out_dir=out) == EXIT_OK  # into the existing directory
         assert {name: (out / name).read_bytes() for name in files} == first
         assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", "notes.txt", *files])
+
+    @pytest.mark.parametrize("failing", ["mkdir", "rename", "replace"])
+    def test_unwritable_output_exits_2_without_traceback(self, tmp_path, monkeypatch, capsys, failing):
+        # Path.mkdir makes the directories, Path.rename moves a new output into place, os.replace into an old one
+        out = tmp_path / "out"
+        if failing == "replace":
+            assert run(SURVIVAL_CFG, out_dir=out) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os if failing == "replace" else Path, failing, denied)
+            assert run(SURVIVAL_CFG, out_dir=out) == EXIT_CONFIG
+        assert capsys.readouterr().err == "output error: [Errno 13] Permission denied\n"
+        assert [p.name for p in tmp_path.iterdir()] == (["out"] if before else [])  # no staging directory left
+        if before:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("experiment", ["lim", "mle"])
     def test_no_evaluation_circuits_write_the_predictions_header(self, tmp_path, experiment):

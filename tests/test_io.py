@@ -9,8 +9,6 @@ from conftest import load_matrix_csv, pauli_transfer
 from corrtomo.io import save_json, save_matrix_csv
 from corrtomo.tomography import ErrorModel
 
-PAULI_LABELS = ("I", "X", "Y", "Z")
-
 
 def conjugation_ptm(label):
     u = ct.GATE_UNITARIES[label]
@@ -19,9 +17,9 @@ def conjugation_ptm(label):
 
 def test_matrix_csv_roundtrip(tmp_path):
     tm = conjugation_ptm("H")
-    path = save_matrix_csv(tmp_path / "h.csv", tm, PAULI_LABELS)
+    path = save_matrix_csv(tmp_path / "h.csv", tm)
     mat, labels = load_matrix_csv(path)
-    assert labels == ["I", "X", "Y", "Z"]
+    assert labels == ["c0", "c1", "c2", "c3"]
     assert np.array_equal(mat, tm)
 
 
@@ -42,12 +40,3 @@ def test_error_model_json_roundtrip(device_m2):
     for gates in [("H",), ("S", "H", "S"), ("H", "H", "S")]:
         assert predict(clone, gates) == predict(model, gates)
 
-
-def test_tomography_data_json(device_m2):
-    from corrtomo.linear_inversion import collect_trial_data, trial_sequences
-
-    data = collect_trial_data(device_m2, trial_sequences("d4"))
-    blob = data.to_json()
-    assert np.allclose(blob["gram"], data.gram)
-    assert blob["prep_sequences"][0] == []
-    assert set(blob["gate_mats"]) == {"H", "S"}

@@ -62,15 +62,9 @@ class TestTrialSequences:
         assert a.sequences == b.sequences
         assert a.sequences != c.sequences
 
-    def test_custom_requires_sequences(self):
-        with pytest.raises(ValueError):
-            trial_sequences("custom")
-        spec = trial_sequences("custom", sequences=[(), ("H",)])
-        assert spec.d_trial == 2
-
     def test_first_sequence_must_be_empty(self):
         with pytest.raises(ValueError, match="empty"):
-            TrialSpec(d_trial=1, sequences=(("H",),), selection_seed=None)
+            TrialSpec(sequences=(("H",),), selection_seed=None)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
@@ -268,6 +262,14 @@ class TestGaugeFit:
         fit = gauge_fit_to_ideal(trunc, trial=trial)
         x0 = lm_calls[0][2]
         assert np.linalg.norm(fit.m_hat_out) == pytest.approx(np.linalg.norm(x0), rel=1e-12)
+
+    def test_other_dimensions_have_no_reference_frame(self, device_m5, lm_calls):
+        trial = trial_sequences("d4")
+        data = collect_trial_data(device_m5, trial)
+        trunc = svd_truncate(data.gram, data.gate_mats, 3)
+        with pytest.raises(ValueError, match="no reference frame for d = 3"):
+            gauge_fit_to_ideal(trunc, trial=trial)
+        assert lm_calls == []
 
     def test_noiseless_is_a_zero_objective_fixed_point(self, noiseless):
         trial = trial_sequences("d4")

@@ -435,7 +435,8 @@ def run(
     writer leaves no partial output, and an ``OSError`` while writing
     returns exit code 2 with one ``output error:`` line on stderr.  Reusing
     a directory deletes the files its old manifest lists that this run does
-    not write, and touches no other file.
+    not write, and touches no other file; the files then move in one by one,
+    so a move that fails there leaves the directory partly updated.
     """
     try:
         cfg = _load_config(config)

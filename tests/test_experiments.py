@@ -379,6 +379,30 @@ class TestSurvivalRun:
         if before:
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_failed_second_move_leaves_a_reused_directory_partly_updated(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert run(SURVIVAL_CFG, out_dir=out) == EXIT_OK
+        old_manifest = (out / "manifest.json").read_bytes()
+        files = json.loads(old_manifest)["files"]
+        assert len(files) >= 2
+        moved = []
+
+        def replace_once(src, dst):
+            if moved:
+                raise PermissionError(13, "Permission denied")
+            moved.append(Path(dst).name)
+            real_replace(src, dst)
+
+        real_replace = os.replace
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", replace_once)
+            assert run(SURVIVAL_CFG, out_dir=out) == EXIT_CONFIG
+        assert capsys.readouterr().err == "output error: [Errno 13] Permission denied\n"
+        assert moved == [sorted(files)[0]]  # the first new file is in place
+        assert (out / "manifest.json").read_bytes() == old_manifest  # the old manifest stays
+        assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *files])
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no staging directory left
+
     @pytest.mark.parametrize("experiment", ["lim", "mle"])
     def test_no_evaluation_circuits_write_the_predictions_header(self, tmp_path, experiment):
         params = {"preset": "d4", "eval_n_gates": [0, 10], "eval_circuits_per_point": 0}

@@ -58,7 +58,6 @@ class TrialSpec:
     """Trial sequences probing the device beyond the target model dimension."""
 
     sequences: tuple[GateSeq, ...]
-    selection_seed: int | None
 
     def __post_init__(self) -> None:
         seqs = tuple(tuple(s) for s in self.sequences)
@@ -103,7 +102,7 @@ def trial_sequences(preset: str, seed: int | None = DEFAULT_SELECTION_SEED) -> T
                 seqs.append(tuple(digits))
     else:
         raise ValueError(f"unknown preset {preset!r}; expected d4 or d7")
-    return TrialSpec(sequences=tuple(seqs), selection_seed=seed)
+    return TrialSpec(sequences=tuple(seqs))
 
 
 def collect_trial_data(
@@ -113,10 +112,7 @@ def collect_trial_data(
     seed: int | None = None,
 ) -> TomographyData:
     """Measure the trial Gram matrix and per-gate trial matrices."""
-    data = collect_data(model, trial.fiducials(), shots=shots, seed=seed)
-    data.provenance["trial_seed"] = trial.selection_seed
-    data.provenance["d_trial"] = trial.d_trial
-    return data
+    return collect_data(model, trial.fiducials(), shots=shots, seed=seed)
 
 
 @dataclass

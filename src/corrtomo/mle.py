@@ -345,7 +345,7 @@ def records_from_tomography(data) -> RecordSet:
     the gates in ``gate_mats`` order.  Exact data yield exact records,
     sampled data carry the binomial variance estimate.
     """
-    shots = data.provenance.get("shots")
+    shots = data.shots
     labels = tuple(sorted(data.gate_mats))
     fids = data.fiducials
     prep, meas = _gate_matrix(fids.prep_sequences, labels), _gate_matrix(fids.meas_sequences, labels)

@@ -27,6 +27,7 @@ context models take their means in closed form; others fold the blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
@@ -58,6 +59,10 @@ WEIGHT_TOL = 1e-12
 TRACE_PRESERVATION_TOL = 1e-12
 
 DEFAULT_GATE_LABELS = ("H", "S")
+
+# gauss_legendre's switch from the exact sum to Stieltjes' expansion, in n sin(theta), and the expansion's length
+GL_EDGE = 30.0
+GL_TERMS = 20
 
 
 class MomentSequenceError(ValueError):
@@ -381,28 +386,68 @@ def frozen_model(weights: Sequence[float] | np.ndarray, rates: Mapping[str, Sequ
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    Newton's method on P_n, evaluated with the three-term recurrence, for
-    the nonnegative half of the nodes only; the rule is symmetric.  The
-    guesses are Tricomi's (1 - (n - 1) / (8 n^3)) cos(pi (k - 1/4) / (n + 1/2)),
-    the cosine written as a sine that is exactly 0 at the middle node of an
-    odd rule.  The weights are 2 / ((1 - x^2) P_n'(x)^2), with 1 - x^2
-    formed as (1 - x)(1 + x) so that nodes near the ends keep their relative
-    accuracy.
+    Newton's method in theta, x = cos(theta), on the nonnegative half of the
+    nodes; the rule is symmetric.  Node k starts from Tricomi's guess
+    (1 - (n - 1) / (8 n^3)) cos(phi_k), phi_k = pi (k - 1/4) / (n + 1/2), and
+    Newton moves theta - phi_k, so that x = sin(pi/2 - theta) stays accurate
+    near the middle.  P_n(cos theta) and dP_n/dtheta need no loop over the
+    degree (Hale and Townsend, SIAM J. Sci. Comput. 35, A652, 2013):
+
+    * where n sin(theta) >= ``GL_EDGE``, ``GL_TERMS`` terms of Stieltjes'
+      expansion C_n sum_m h_m cos(alpha_m) / (2 sin theta)^(m+1/2),
+      alpha_m = (n + m + 1/2) theta - (m + 1/2) pi/2;
+    * elsewhere, the exact sum P_n(cos theta) = sum_j g_j g_(n-j) cos((n - 2j) theta),
+      g_j = C(2j, j) / 4^j.
+
+    The weights are 2 / (dP_n/dtheta)^2 at the converged nodes.
     """
     if n < 1:
         raise ValueError(f"need at least one node, got {n}")
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.sin(np.pi * (n + 1 - 2 * np.arange(1, (n + 1) // 2 + 1)) / (2 * n + 1))
+    k = np.arange(1, (n + 1) // 2 + 1)
+    phi = np.pi * (4 * k - 1) / (4 * n + 2)
+    psi = np.pi * (n + 1 - 2 * k) / (2 * n + 1)  # pi/2 - phi
+    offset = psi - np.arcsin((1.0 - (n - 1) / (8.0 * n**3)) * np.sin(psi))
+    edge = n * np.cos(psi) < GL_EDGE
+    # the exact sum, folded onto j <= n/2 since its terms are symmetric in j <-> n - j
+    g = np.cumprod(np.concatenate([[1.0], 1.0 - 0.5 / np.arange(1, n + 1)]))
+    freq = n - 2 * np.arange(n // 2 + 1)
+    coef = np.where(freq > 0, 2.0, 1.0) * (g * g[::-1])[: n // 2 + 1]
+    # (n - 2j) phi_k = pi r / (4n + 2), r = (n - 2j)(4k - 1) reduced mod 8n + 4 in integers to |r| <= 4n + 2
+    r = np.outer(4 * k[edge] - 1, freq) % (8 * n + 4)
+    base = np.pi * np.where(r > 4 * n + 2, r - (8 * n + 4), r) / (4 * n + 2)
+    # Stieltjes' expansion; C_n = (4/pi) prod_j j / (j + 1/2), summed in logs by math.fsum to keep it to a rounding
+    m = np.arange(GL_TERMS)
+    h = np.cumprod(np.concatenate([[1.0], (m[1:] - 0.5) ** 2 / (m[1:] * (n + m[1:] + 0.5))]))
+    c_n = 4.0 / np.pi * math.exp(-math.fsum(np.log1p(0.5 / np.arange(1, n + 1))))
+    # e^(i alpha_0) = e^(i pi (k - 1/2)) e^(i (n + 1/2) offset), since (n + 1/2) phi_k = pi (k - 1/4)
+    phase = c_n * np.where(k % 2 == 1, 1j, -1j)[~edge]
+
+    def evaluate(offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p, slope = np.empty_like(offset), np.empty_like(offset)
+        angles = base + np.outer(offset[edge], freq)
+        p[edge], slope[edge] = np.cos(angles) @ coef, -np.sin(angles) @ (coef * freq)
+        t = (phi + offset)[~edge]
+        cot = 1.0 / np.tan(t)
+        z = 0.5 - 0.5j * cot  # e^(i (theta - pi/2)) / (2 sin theta)
+        q, zdq = np.zeros_like(z), np.zeros_like(z)  # sum_m h_m z^m and sum_m m h_m z^m, by Horner's rule
+        for j in reversed(range(GL_TERMS)):
+            q, zdq = q * z + h[j], zdq * z + j * h[j]
+        amp = phase * np.exp(1j * (n + 0.5) * offset[~edge]) / np.sqrt(2.0 * np.sin(t))
+        p[~edge] = (amp * q).real
+        slope[~edge] = (amp * ((1j * (n + 0.5) - 0.5 * cot) * q + (1j - cot) * zdq)).real
+        if n % 2:
+            p[-1] = 0.0  # keeps the middle node's offset at 0: P_n at the rounded phi_k is noise, not 0
+        return p, slope
+
     for _ in range(100):
-        p, p_prev = np.ones_like(x), np.zeros_like(x)
-        for k in range(1, n + 1):
-            p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
-        one_minus_x2 = (1.0 - x) * (1.0 + x)
-        slope = n * (p_prev - x * p) / one_minus_x2  # P_n'(x)
+        p, slope = evaluate(offset)
         step = p / slope
-        x = x - step
+        offset = offset - step
         if np.max(np.abs(step)) <= 2.0 * EPS:
             break
-    weights = 2.0 / (one_minus_x2 * slope**2)
+    _, slope = evaluate(offset)
+    x = np.sin(psi - offset)
+    weights = 2.0 / slope**2
     # mirror onto the negative half; "+ 0.0" turns the middle node of an odd rule from -0.0 into 0.0
     nodes = np.concatenate([-x, x[::-1][n % 2 :]]) + 0.0
     return nodes, np.concatenate([weights, weights[::-1][n % 2 :]])

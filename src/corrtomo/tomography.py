@@ -91,12 +91,12 @@ class FiducialSet:
 
 @dataclass
 class TomographyData:
-    """Measured Gram matrix and per-gate matrices with provenance metadata."""
+    """Measured Gram matrix and per-gate matrices; ``shots`` per entry, None for exact means."""
 
     gram: np.ndarray
     gate_mats: dict[str, np.ndarray]
     fiducials: FiducialSet
-    provenance: dict = field(default_factory=dict)
+    shots: int | None = None
 
     def __post_init__(self) -> None:
         d = self.fiducials.d
@@ -219,16 +219,14 @@ def collect_data(model, fiducials: FiducialSet, shots: int | None = None, seed: 
     default; with ``shots`` each entry is binomially sampled with a seeded
     generator (entries are probabilities of reading |0>).
     """
-    labels = tuple(model.gate_labels)
     m_out, m_in = fiducial_frames(model, fiducials)
     gram = m_out @ m_in
-    gate_mats = {label: m_out @ model.gate_block(label) @ m_in for label in labels}
-    provenance: dict = {"shots": shots, "seed": seed, "gate_set": list(labels)}
+    gate_mats = {label: m_out @ model.gate_block(label) @ m_in for label in model.gate_labels}
     if shots is not None:
         gen = np.random.default_rng(seed)
         gram = gen.binomial(shots, np.clip(gram, 0.0, 1.0)) / shots
         gate_mats = {k: gen.binomial(shots, np.clip(v, 0.0, 1.0)) / shots for k, v in gate_mats.items()}
-    return TomographyData(gram=gram, gate_mats=gate_mats, fiducials=fiducials, provenance=provenance)
+    return TomographyData(gram=gram, gate_mats=gate_mats, fiducials=fiducials, shots=shots)
 
 
 def _inv_with_cond(mat: np.ndarray, what: str, cond_limit: float = COND_LIMIT) -> tuple[np.ndarray, float]:

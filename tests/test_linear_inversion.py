@@ -64,7 +64,7 @@ class TestTrialSequences:
 
     def test_first_sequence_must_be_empty(self):
         with pytest.raises(ValueError, match="empty"):
-            TrialSpec(sequences=(("H",),), selection_seed=None)
+            TrialSpec(sequences=(("H",),))
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):

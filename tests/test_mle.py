@@ -323,7 +323,7 @@ class TestRecordsFromTomography:
 
 def reference_records(data):
     """Per-entry oracle: one MeasurementRecord per Gram and gate-matrix entry."""
-    shots = data.provenance.get("shots")
+    shots = data.shots
     fids = data.fiducials
     records = []
 

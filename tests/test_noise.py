@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +15,7 @@ import corrtomo as ct
 import corrtomo.noise as noise
 from conftest import PAULIS, pauli_transfer
 from corrtomo.noise import (
+    GL_EDGE,
     LowFreqModel,
     MomentSequenceError,
     build_low_freq_model,
@@ -483,6 +485,19 @@ class TestReplace:
         assert changed.rates["H"].tobytes() == model.rates["H"].tobytes()
 
 
+def mpmath_legendre_node(n, x0):
+    """50-digit node of P_n next to ``x0`` and its weight: two Newton steps on the three-term recurrence."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(x0))
+        for _ in range(2):
+            p, p_prev = mpmath.mpf(1), mpmath.mpf(0)
+            for k in range(1, n + 1):
+                p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
+            slope = n * (p_prev - x * p) / (1 - x * x)
+            x -= p / slope
+        return x, 2 / ((1 - x * x) * slope**2)
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [1, 2, 301, 2001])
     def test_matches_scipy(self, n):
@@ -491,10 +506,32 @@ class TestGaussLegendre:
         np.testing.assert_allclose(nodes, want_nodes, rtol=0, atol=1e-15)
         # SciPy's weights lose accuracy toward the ends of large rules (6.6e-8
         # relative at the outermost node for n = 2001, against 50-digit mpmath,
-        # where these are within 6.8e-11); on the middle half both agree to 1e-12
+        # where these are within 2.8e-15); on the middle half both agree to 1e-12
         np.testing.assert_allclose(weights, want_weights, rtol=1e-7)
         inner = slice(n // 4, n - n // 4)
         np.testing.assert_allclose(weights[inner], want_weights[inner], rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [301, 2001])
+    def test_ends_and_evaluator_switch_match_50_digit_mpmath(self, n):
+        nodes, weights = gauss_legendre(n)
+        # nonnegative half from the right end; its first node with n sin(theta) >= GL_EDGE is the first Stieltjes node
+        half = nodes[::-1][: (n + 1) // 2]
+        switch = int(np.argmax(n * np.sqrt((1.0 - half) * (1.0 + half)) >= GL_EDGE))
+        assert 0 < switch < half.size
+        for i in sorted({*range(10), switch - 1, switch, switch + 1}):
+            x, w = mpmath_legendre_node(n, half[i])
+            for node, weight in ((nodes[n - 1 - i], weights[n - 1 - i]), (-nodes[i], weights[i])):
+                assert abs(node - x) <= 1e-16, (i, float(node - x))
+                assert abs(weight - w) <= 1e-14 * w, (i, float(weight / w - 1))
+
+    def test_every_small_rule_is_symmetric_ascending_and_exact_to_degree_2n_minus_1(self):
+        for n in range(1, 261):
+            nodes, weights = gauss_legendre(n)
+            assert np.all(np.diff(nodes) > 0.0), n
+            assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1]), n
+            k = np.arange(2 * n)
+            exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+            np.testing.assert_allclose(weights @ nodes[:, None] ** k, exact, rtol=0, atol=1e-14, err_msg=f"n = {n}")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 301, 2001])
     def test_integrates_polynomials_of_degree_below_2n_exactly(self, n):

@@ -54,7 +54,7 @@ class TestCollectData:
         a = ct.collect_data(device_m2, D4_FIDUCIALS, shots=100, seed=5)
         b = ct.collect_data(device_m2, D4_FIDUCIALS, shots=100, seed=5)
         assert np.array_equal(a.gram, b.gram)
-        assert a.provenance["shots"] == 100
+        assert a.shots == 100
 
     def test_fiducials_must_start_empty(self):
         with pytest.raises(ValueError, match="empty"):

@@ -20,7 +20,6 @@ from .noise import (
     LowFreqModel,
     ContextModel,
     MomentSequenceError,
-    depolarizing_channel,
     depolarized_gates,
     gate_error_rate,
     gaussian_x_moments,

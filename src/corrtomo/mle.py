@@ -279,8 +279,9 @@ def fit(
     lowest objective with ties broken by start index, and
     ``converged`` is the winning start's own termination status.  The fitted
     model is canonicalized by ascending first-gate rate and exported both as
-    a frozen LowFreqModel (``sigma`` and ``eta`` None, the support the labels
-    1..m) and as the equivalent reduced-space ErrorModel.
+    a frozen LowFreqModel (the support the labels 1..m, see
+    :func:`corrtomo.noise.frozen_model`) and as the equivalent reduced-space
+    ErrorModel.
 
     Records should cover circuits long enough for the slow environment
     directions to matter (lengths of order tens for weak noise); otherwise

@@ -40,7 +40,6 @@ __all__ = [
     "MomentSequenceError",
     "LowFreqModel",
     "ContextModel",
-    "depolarizing_channel",
     "depolarized_gates",
     "gate_error_rate",
     "gaussian_x_moments",
@@ -77,23 +76,13 @@ class MomentSequenceError(ValueError):
         self.failing_minor = failing_minor
 
 
-def depolarizing_channel(epsilon: float) -> np.ndarray:
-    """Transfer matrix of the qubit depolarizing channel with rate ``epsilon``.
-
-    The channel keeps the state with probability ``1 - epsilon`` and replaces
-    it by the average of the four Pauli conjugations otherwise, which scales
-    every traceless component by ``1 - epsilon``.
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"depolarizing rate must be in [0, 1], got {epsilon}")
-    return np.diag([1.0, 1.0 - epsilon, 1.0 - epsilon, 1.0 - epsilon])
-
-
 def depolarized_gates(label: str, rates: Sequence[float] | np.ndarray) -> np.ndarray:
     """Stack (k, 4, 4) of the ideal gate followed by depolarizing noise at each rate.
 
-    One stacked product of the :func:`depolarizing_channel` diagonals with the
-    ideal gate, bit for bit the per-rate products.
+    The depolarizing channel of rate eps keeps the state with probability
+    1 - eps and replaces it by the average of the four Pauli conjugations
+    otherwise, so its transfer matrix is diag(1, 1 - eps, 1 - eps, 1 - eps).
+    One stacked product applies it after the ideal gate at every rate.
     """
     ideal = ideal_qubit_ptms()[label]
     rates = np.asarray(rates, dtype=float)
@@ -106,7 +95,7 @@ def depolarized_gates(label: str, rates: Sequence[float] | np.ndarray) -> np.nda
     return channels @ ideal
 
 
-def gate_error_rate(gate_label: str, lam: float | np.ndarray, eta: float) -> float | np.ndarray:
+def gate_error_rate(lam: float | np.ndarray, eta: float) -> float | np.ndarray:
     """Depolarizing rate of a gate at noise value ``lam``: eta * (1 - exp(-lam^2)).
 
     The same curve applies to both gates of the set; it vanishes at
@@ -204,11 +193,6 @@ def transition_decay(gamma: float) -> np.ndarray:
     return np.array([[stay, flip], [flip, stay]])
 
 
-def _drift_rates(lambdas: np.ndarray, eta: float, gate_labels: Sequence[str]) -> dict[str, np.ndarray]:
-    """Per-point depolarizing rates eps(lam) of every gate."""
-    return {label: gate_error_rate(label, lambdas, eta) for label in gate_labels}
-
-
 class _BlockModel:
     """Shared behaviour of block-structured device models.
 
@@ -255,18 +239,12 @@ class _BlockModel:
         if label not in cache:
             if label not in self.sys_ptms:
                 raise KeyError(f"unknown gate label {label!r}")
-            sys = self.sys_ptms[label]
             trans = self.transitions.get(label)
-            m = self.m
-            block = np.zeros((4 * m, 4 * m))
-            for col in range(m):
-                if trans is None:
-                    block[4 * col : 4 * col + 4, 4 * col : 4 * col + 4] = sys[col]
-                else:
-                    for row in range(m):
-                        t = trans[row, col]
-                        if t != 0.0:
-                            block[4 * row : 4 * row + 4, 4 * col : 4 * col + 4] = t * sys[col]
+            trans = np.eye(self.m) if trans is None else np.asarray(trans, dtype=float)
+            rows, cols = np.nonzero(trans)  # blocks of zero transition stay +0.0
+            block = np.zeros((self.m, 4, self.m, 4))
+            block[rows, :, cols, :] = trans[rows, cols, None, None] * self.sys_ptms[label][cols]
+            block = block.reshape(self.dim, self.dim)
             block.setflags(write=False)
             cache[label] = block
         return cache[label]
@@ -303,15 +281,12 @@ class LowFreqModel(_BlockModel):
     at support point i; the per-point system transfer matrices
     ``sys_ptms[label]`` (depolarizing noise after the ideal gate) are built
     from them.  ``transitions[label]`` redistributes the environment with
-    each application (None = frozen variable).  ``sigma`` and ``eta`` are
-    None for a model not built from the drift distribution.
+    each application (None = frozen variable).  The gate labels are the keys
+    of ``rates``.
     """
 
-    sigma: float | None
-    eta: float | None
     support: np.ndarray
     weights: np.ndarray
-    gate_labels: tuple[str, ...]
     rates: Mapping[str, np.ndarray]
     transitions: Mapping[str, np.ndarray | None]
 
@@ -325,20 +300,20 @@ class LowFreqModel(_BlockModel):
             raise ValueError("support and weights must have the same length")
         self._validate_blocks()
 
-    def to_json(self) -> dict:
-        """Serializable description (gates as per-point depolarizing rates)."""
-        return {
-            "kind": "low_freq",
-            "sigma": self.sigma,
-            "eta": self.eta,
-            "m": self.m,
-            "support": self.support.tolist(),
-            "weights": self.weights.tolist(),
-            "transition": {
-                label: (None if t is None else np.asarray(t).tolist()) for label, t in self.transitions.items()
-            },
-            "gates": {label: self.rates[label].tolist() for label in self.gate_labels},
-        }
+    @property
+    def gate_labels(self) -> tuple[str, ...]:
+        return tuple(self.rates)
+
+
+def _drift_model(
+    support: np.ndarray, weights: np.ndarray, eta: float, gate_labels: Sequence[str], transitions: Mapping | None = None
+) -> LowFreqModel:
+    """Model whose gates all depolarize at ``gate_error_rate(lam, eta)`` at support point lam.
+
+    Transitions default to None (a frozen variable) for every gate.
+    """
+    rates = {label: gate_error_rate(support, eta) for label in gate_labels}
+    return LowFreqModel(support, weights, rates, dict.fromkeys(gate_labels) if transitions is None else transitions)
 
 
 def build_low_freq_model(
@@ -360,26 +335,16 @@ def build_low_freq_model(
     moments = [gaussian_x_moments(sigma, k) for k in range(1, 2 * m)]
     x_nodes, weights = discretize_from_moments(moments, m)
     x_nodes = np.clip(x_nodes, 1e-300, 1.0)
-    lambdas = np.sqrt(-np.log(x_nodes))
-    return LowFreqModel(
-        sigma=float(sigma),
-        eta=float(eta),
-        support=lambdas,
-        weights=weights,
-        gate_labels=tuple(gate_labels),
-        rates=_drift_rates(lambdas, eta, gate_labels),
-        transitions={label: None for label in gate_labels},
-    )
+    return _drift_model(np.sqrt(-np.log(x_nodes)), weights, eta, gate_labels)
 
 
 def frozen_model(weights: Sequence[float] | np.ndarray, rates: Mapping[str, Sequence[float]]) -> LowFreqModel:
     """Frozen model of these weights and per-gate rates, as a likelihood fit exports it.
 
-    The support is the labels 1..m; ``sigma`` and ``eta`` are None.
+    The support is the labels 1..m.
     """
     return LowFreqModel(
-        sigma=None, eta=None, support=np.arange(1, np.size(weights) + 1), weights=weights,
-        gate_labels=tuple(rates), rates=rates, transitions=dict.fromkeys(rates),
+        support=np.arange(1, np.size(weights) + 1), weights=weights, rates=rates, transitions=dict.fromkeys(rates)
     )
 
 
@@ -475,16 +440,7 @@ def dense_low_freq_model(
     lambdas = t * half_width
     density = np.exp(-(lambdas**2) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * np.pi * sigma * sigma)
     weights = gw * half_width * density
-    weights = weights / weights.sum()
-    return LowFreqModel(
-        sigma=float(sigma),
-        eta=float(eta),
-        support=lambdas,
-        weights=weights,
-        gate_labels=tuple(gate_labels),
-        rates=_drift_rates(lambdas, eta, gate_labels),
-        transitions={label: None for label in gate_labels},
-    )
+    return _drift_model(lambdas, weights / weights.sum(), eta, gate_labels)
 
 
 def constant_depolarizing_model(
@@ -515,20 +471,11 @@ def second_order_model(
     unknown = sorted(set(gate_gammas or {}) - set(gate_labels))
     if unknown:
         raise ValueError(f"gate_gammas names labels outside the gate set {list(gate_labels)}: {unknown}")
-    lambdas = np.array([-sigma, sigma])
     transitions: dict[str, np.ndarray | None] = {}
     for label in gate_labels:
         gamma = 0.0 if gate_gammas is None else float(gate_gammas.get(label, 0.0))
         transitions[label] = None if gamma == 0.0 else transition_decay(gamma)
-    return LowFreqModel(
-        sigma=float(sigma),
-        eta=float(eta),
-        support=lambdas,
-        weights=np.array([0.5, 0.5]),
-        gate_labels=tuple(gate_labels),
-        rates=_drift_rates(lambdas, eta, gate_labels),
-        transitions=transitions,
-    )
+    return _drift_model(np.array([-sigma, sigma]), np.array([0.5, 0.5]), eta, gate_labels, transitions)
 
 
 @dataclass(frozen=True)
@@ -571,11 +518,3 @@ class ContextModel(_BlockModel):
     @property
     def weights(self) -> np.ndarray:
         return self.initial
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "context",
-            "gate_labels": list(self.gate_labels),
-            "initial": self.initial.tolist(),
-            "rates": {chi: dict(zip(self.gate_labels, r.tolist())) for chi, r in self.rates.items()},
-        }

@@ -96,7 +96,7 @@ FROZEN_MODELS = {
     "second_order": lambda: ct.second_order_model(0.5, 0.1),
     # the builders give H and S the same rates; this model tells the gate counts apart
     "per_gate_rates": lambda: ct.LowFreqModel(
-        sigma=1.0, eta=1.0, support=[-1.0, 0.0, 1.0], weights=[0.25, 0.5, 0.25], gate_labels=("H", "S"),
+        support=[-1.0, 0.0, 1.0], weights=[0.25, 0.5, 0.25],
         rates={"H": [0.01, 0.0, 0.05], "S": [0.002, 0.03, 0.2]}, transitions={"H": None, "S": None},
     ),
 }

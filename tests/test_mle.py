@@ -234,7 +234,7 @@ class TestFit:
 
     def test_exported_model_predicts_like_the_error_model(self, suite_fit_l2):
         model = suite_fit_l2.param_model
-        assert model.identity_transitions and model.sigma is None and model.eta is None
+        assert model.identity_transitions and model.gate_labels == ("H", "S")
         assert model.support.tolist() == [1.0, 2.0]
         circuits = [(), ("H",), ("S",)] + random_circuits(200, 40, seed=19)
         labels = ("H", "S")

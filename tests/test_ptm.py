@@ -137,7 +137,7 @@ class TestExpectation:
         for _ in range(20):
             word = random_word(rng, 12)
             want_drift = sum(
-                w * dense_mean(PROJ0, [depolarized(g, ct.gate_error_rate(g, lam, 0.4)) for g in word], PROJ0)
+                w * dense_mean(PROJ0, [depolarized(g, ct.gate_error_rate(lam, 0.4)) for g in word], PROJ0)
                 for lam, w in zip(drift.support, drift.weights)
             )
             assert ct.run_circuit(drift, word).mean == pytest.approx(want_drift, abs=1e-12)

@@ -218,7 +218,12 @@ def _loop_damping(lam, g, delta, par):
         previous, fp = fp, dxnorm - delta
         if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
             break
-        correction = (fp / delta) / (w @ (w / shifted) / dxnorm**2)
+        with np.errstate(over="ignore"):
+            curvature = w @ (w / shifted) / dxnorm**2
+        if not np.isfinite(curvature):  # the sum overflowed: take it from the unit step, as lmpar does
+            unit = w / dxnorm
+            curvature = unit @ (unit / shifted)
+        correction = (fp / delta) / curvature
         if fp > 0.0:
             parl = max(parl, par)
         elif fp < 0.0:

@@ -1,6 +1,7 @@
 """Levenberg-Marquardt: closed-form answers, termination rules, counts, and the batch against one start alone."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from scipy.optimize import least_squares
 
 import corrtomo as ct
 import corrtomo.mle as mle
-from conftest import loop_lm
+from conftest import _loop_damping, loop_lm
 from corrtomo.linear_inversion import collect_trial_data
-from corrtomo.lm import levenberg_marquardt
+from corrtomo.lm import _damping, levenberg_marquardt
 from corrtomo.mle import OptimizerConfig, records_from_tomography
 
 
@@ -33,6 +34,16 @@ def rosenbrock_jacobian(x):
 def tanh_problem(seed=4):
     a, b = linear_problem(seed)
     return (lambda x: np.tanh(a @ x) - 0.5 * np.tanh(b)), (lambda x: (1.0 - np.tanh(a @ x) ** 2)[:, None] * a)
+
+
+def cliff(x):
+    """45 - tanh(x_0), with x_1 unused.  From (1, 10) one Gauss-Newton step lands at x_0 = 106, where
+    the Jacobian is 1e-92 of the first one: the scaled normal matrix has eigenvalues 1.7e-183 and 0."""
+    return np.array([45.0 - np.tanh(x[0]), 0.0])
+
+
+def cliff_jacobian(x):
+    return np.array([[-1.0 / np.cosh(x[0]) ** 2, 0.0], [0.0, 0.0]])
 
 
 def stacked(one):
@@ -199,3 +210,34 @@ def tanh_alone(i, jac_scale):
 @pytest.fixture(scope="module")
 def d7_records(suite_records, device_m2, trial_d7):
     return {"m5": suite_records, "m2": records_from_tomography(collect_trial_data(device_m2, trial_d7))}
+
+
+class TestDampingOverflow:
+    """Where the Jacobian has collapsed, the damping iteration's sum ``w @ (w / (lam + par))`` overflows."""
+
+    # the scaled normal matrix's eigenvalues, the scaled gradient and the step bound after the cliff's first step
+    LAM = np.array([1.7106829559930521e-183, 0.0])
+    G = np.array([-1.819857742463006e-90, 0.0])
+    DELTA = 22.11920292202212
+
+    def test_damping_is_finite_without_a_warning(self):
+        shifted = self.LAM + self.LAM[0]  # the first damping tried is |g| / |g / lam| = lam[0]
+        with np.errstate(over="ignore"):
+            w = self.G / shifted
+            assert np.isinf(w @ (w / shifted))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            par, w = _damping(self.LAM, self.G, self.DELTA, 0.0)
+        assert np.isfinite(par) and np.all(np.isfinite(w))
+        assert abs(np.linalg.norm(w) - self.DELTA) <= 0.1 * self.DELTA
+        want_par, want_w = _loop_damping(self.LAM, self.G, self.DELTA, 0.0)
+        assert par == want_par and w.tobytes() == want_w.tobytes()
+
+    def test_batch_matches_the_loop_bit_for_bit_on_the_cliff(self):
+        x0 = np.array([1.0, 10.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = levenberg_marquardt(stacked(cliff), stacked(cliff_jacobian), x0[None], 1e-10, 200)[0]
+            want = loop_lm(cliff, cliff_jacobian, x0, 1e-10, 200)
+        assert_same_bits(got, want)
+        assert got.x[0] > 100.0 and got.nfev == 3

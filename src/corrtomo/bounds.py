@@ -86,19 +86,13 @@ class Projection:
         return self.basis.shape[1]
 
 
-def projection_from_vectors(vectors: np.ndarray, rank: int | None = None) -> Projection:
-    """Orthogonal projection onto the span of the given column vectors.
-
-    ``rank`` keeps only the leading singular directions (defaults to the
-    numerical rank at relative tolerance 1e-12).
-    """
+def projection_from_vectors(vectors: np.ndarray) -> Projection:
+    """Orthogonal projection onto the span of the given column vectors, at numerical rank (relative tolerance 1e-12)."""
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     if v.ndim != 2:
         raise ValueError("expected a matrix of column vectors")
     u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if rank is None:
-        rank = int(np.count_nonzero(s > 1e-12 * (s[0] if s.size else 1.0)))
-    basis = u[:, :rank]
+    basis = u[:, : np.count_nonzero(s > 1e-12 * (s[0] if s.size else 1.0))]
     return Projection(basis=basis, matrix=basis @ basis.T)
 
 
@@ -144,16 +138,12 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return _bloch(np.arccos(1.0 - 2.0 * i / n), np.pi * (1.0 + np.sqrt(5.0)) * i)
 
 
-def _pure_state_norms(mat: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Output trace norms of pure inputs concentrated at one environment value.
-
-    ``dirs[lam, i]`` is the Bloch vector of the i-th input at environment
-    value ``lam``, shape (m, k, 3); the result has shape (m, k).
-    """
-    m = mat.shape[0] // 4
-    cols = mat.reshape(4 * m, m, 4).transpose(1, 0, 2)  # (lam, row, component)
-    out = (cols[:, :, :1] + cols[:, :, 1:] @ dirs.transpose(0, 2, 1)).reshape(m, m, 4, -1)
-    return np.sum(np.maximum(np.abs(out[:, :, 0]), np.sqrt(np.sum(out[:, :, 1:] ** 2, axis=2))), axis=1)
+def _pure_state_norms(cols: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Output trace norms, (..., k), of pure inputs concentrated at one environment value:
+    ``cols`` (..., 4m, 4) are the operation's columns there, ``dirs`` (..., k, 3) the inputs' Bloch vectors."""
+    out = cols[..., :1] + cols[..., 1:] @ dirs.swapaxes(-1, -2)
+    out = out.reshape(*out.shape[:-2], -1, 4, out.shape[-1])
+    return np.sum(np.maximum(np.abs(out[..., 0, :]), np.sqrt(np.sum(out[..., 1:, :] ** 2, axis=-2))), axis=-2)
 
 
 # Compass stencil on (theta, phi): the four axis steps and the four diagonals.
@@ -161,6 +151,35 @@ _COMPASS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1),
 N_GRID = 2048  # sphere points per environment value
 REFINE_FIRST_STEP = 0.05  # radians; the 2048-point grid spacing is about 0.08
 REFINE_LAST_STEP = 1e-11
+
+
+def _trace_norms(mats: np.ndarray) -> np.ndarray:
+    """Trace-induced norms of a (K, 4m, 4m) stack, searched together as in ``operation_norm``.
+    Each start runs on its own, so a norm has the bits of its matrix's search alone."""
+    k, m = len(mats), mats.shape[-1] // 4
+    if mats.shape[1:] != (4 * m, 4 * m):
+        raise ValueError(f"operation must act on stacked qubit blocks, got shape {mats.shape[1:]}")
+    cols = mats.reshape(k, 4 * m, m, 4).transpose(0, 2, 1, 3)  # (matrix, lam, row, component)
+    dirs = _fibonacci_sphere(N_GRID)
+    grid = _pure_state_norms(cols, np.broadcast_to(dirs, (k, m, N_GRID, 3)))
+    top = np.argsort(grid, axis=2)[..., -4:]
+    best = np.take_along_axis(grid, top, axis=2).ravel()
+    start = dirs[top.ravel()]
+    cols = cols.reshape(k * m, 4 * m, 4)[np.arange(k * m).repeat(4)]  # the column block of each start
+    theta = np.arccos(np.clip(start[:, 2], -1.0, 1.0))
+    phi = np.arctan2(start[:, 1], start[:, 0])
+    step = np.full(best.size, REFINE_FIRST_STEP)
+    while (live := np.flatnonzero(step >= REFINE_LAST_STEP)).size:
+        t = theta[live, None] + step[live, None] * _COMPASS[:, 0]
+        p = phi[live, None] + step[live, None] * _COMPASS[:, 1]
+        vals = _pure_state_norms(cols[live], _bloch(t, p))
+        rows, j = np.arange(live.size), vals.argmax(axis=1)
+        up = vals[rows, j] > best[live]
+        theta[live] = np.where(up, t[rows, j], theta[live])
+        phi[live] = np.where(up, p[rows, j], phi[live])
+        best[live] = np.where(up, vals[rows, j], best[live])
+        step[live] = np.where(up, step[live], 0.5 * step[live])
+    return best.reshape(k, -1).max(axis=1)
 
 
 def operation_norm(matrix: np.ndarray, norm_kind: str = "trace") -> float:
@@ -171,38 +190,16 @@ def operation_norm(matrix: np.ndarray, norm_kind: str = "trace") -> float:
     concentrated at one environment value).  The four best points of a
     deterministic sphere grid per environment value are refined together by
     a compass search on their Bloch angles: one batched product per
-    iteration evaluates every start's eight neighbours; a start moves to an
-    improving neighbour or halves its step, until all steps are below
-    ``REFINE_LAST_STEP``.  Accurate to ~1e-9 relative.
+    iteration evaluates every running start's eight neighbours; a start
+    moves to an improving neighbour or halves its step, and stops once its
+    step is below ``REFINE_LAST_STEP``.  Accurate to ~1e-9 relative.
     """
     mat = np.asarray(matrix, dtype=float)
     if norm_kind == "frobenius":
         return float(np.linalg.norm(mat, 2))
     if norm_kind != "trace":
         raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
-    m = mat.shape[0] // 4
-    if mat.shape != (4 * m, 4 * m):
-        raise ValueError(f"operation must act on stacked qubit blocks, got shape {mat.shape}")
-    dirs = _fibonacci_sphere(N_GRID)
-    grid = _pure_state_norms(mat, np.broadcast_to(dirs, (m, N_GRID, 3)))
-    top = np.argsort(grid, axis=1)[:, -4:]
-    best = np.take_along_axis(grid, top, axis=1).ravel()
-    start = dirs[top.ravel()]
-    theta = np.arccos(np.clip(start[:, 2], -1.0, 1.0))
-    phi = np.arctan2(start[:, 1], start[:, 0])
-    step = np.full(best.size, REFINE_FIRST_STEP)
-    rows = np.arange(best.size)
-    while step.max() >= REFINE_LAST_STEP:
-        t = theta[:, None] + step[:, None] * _COMPASS[:, 0]
-        p = phi[:, None] + step[:, None] * _COMPASS[:, 1]
-        vals = _pure_state_norms(mat, _bloch(t, p).reshape(m, -1, 3)).reshape(t.shape)
-        k = vals.argmax(axis=1)
-        up = vals[rows, k] > best
-        theta = np.where(up, t[rows, k], theta)
-        phi = np.where(up, p[rows, k], phi)
-        best = np.where(up, vals[rows, k], best)
-        step = np.where(up, step, 0.5 * step)
-    return float(best.max())
+    return float(_trace_norms(mat[None])[0])
 
 
 def invariance_defect(projection: Projection, transfer_matrix: np.ndarray, norm_kind: str = "trace") -> float:
@@ -319,8 +316,9 @@ def empirical_bound_check(
     checked against ``sequence_bound``.  Any violation is reported with the
     offending sequence.
 
-    The sequences are drawn one by one from ``seed`` and folded together,
-    ``FOLD_CHUNK`` at a time.
+    ``seed`` draws all lengths, then a row of ``max_len`` gates per sequence cut to its length, so
+    a seed's sequences depend on ``n_sequences`` and ``max_len``.  They are folded ``FOLD_CHUNK`` at a
+    time; the gates' and defects' norms come from one search.
     """
     if n_sequences < 0 or max_len < 1:
         raise ValueError(f"need n_sequences >= 0 and max_len >= 1, got {n_sequences} and {max_len}")
@@ -328,21 +326,20 @@ def empirical_bound_check(
     proj = projection_from_vectors(m_in)
     labels = tuple(model.gate_labels)
     blocks = np.stack([model.gate_block(l) for l in labels])
-    eps = max(invariance_defect(proj, b, norm_kind) for b in blocks)
-    n_o = max(operation_norm(b, norm_kind) for b in blocks)
+    p = proj.matrix
+    mats = np.concatenate([p @ blocks @ p - blocks @ p, blocks])  # the invariance defects, then the gates
+    norms = _trace_norms(mats) if norm_kind == "trace" else np.array([operation_norm(mat, norm_kind) for mat in mats])
+    eps, n_o = (float(part.max()) for part in np.split(norms, 2))
     n_q = max(dual_norm(row, norm_kind) for row in m_out)
     n_rho = max(ket_norm(col, norm_kind) for col in m_in.T)
     gen = np.random.default_rng(seed)
-    # indices into steps = (*blocks, P), padded with len(labels) + 1
-    gate_idx = np.full((n_sequences, max_len), len(labels) + 1, dtype=np.intp)
-    lengths = np.empty(n_sequences, dtype=np.intp)
-    for s in range(n_sequences):
-        lengths[s] = gen.integers(1, max_len + 1)
-        gate_idx[s, : lengths[s]] = gen.integers(0, len(labels), size=lengths[s])
-    seqs = [tuple(labels[i] for i in row[:n]) for row, n in zip(gate_idx, lengths)]
+    lengths = gen.integers(1, max_len + 1, size=n_sequences)
+    # indices into steps = (*blocks, P), padded past each length with len(labels) + 1
+    gate_idx = gen.integers(0, len(labels), size=(n_sequences, max_len))
+    gate_idx[np.arange(max_len) >= lengths[:, None]] = len(labels) + 1
+    seqs = [tuple(map(labels.__getitem__, row[:n])) for row, n in zip(gate_idx.tolist(), lengths.tolist())]
     bound_by_len = np.array([sequence_bound(n_q, n_rho, n_o, eps, n) for n in range(max_len + 1)])
     rhs = bound_by_len[lengths]
-    p = proj.matrix
     steps = np.concatenate([blocks, p[None]])
     then_p = np.where(gate_idx < len(labels), len(labels), gate_idx)  # the compressed chain applies P after each gate
     compressed_idx = np.stack([gate_idx, then_p], axis=2).reshape(n_sequences, 2 * max_len)

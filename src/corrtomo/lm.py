@@ -51,6 +51,13 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
+def _curvature(w: np.ndarray, dxnorm: float, shifted: np.ndarray) -> float:
+    """``w @ (w / shifted) / dxnorm**2``, taken from the unit step where that sum overflows, as ``lmpar``
+    does.  Its callers turn overflow warnings off."""
+    curvature = w @ (w / shifted) / dxnorm**2
+    return curvature if math.isfinite(curvature) else (w / dxnorm) @ (w / dxnorm / shifted)
+
+
 def _damping(lam: np.ndarray, g: np.ndarray, delta: float, par: float) -> tuple[float, np.ndarray]:
     """Damping ``par`` whose step has length within 10% of ``delta`` (MINPACK ``lmpar``).
 
@@ -68,30 +75,26 @@ def _damping(lam: np.ndarray, g: np.ndarray, delta: float, par: float) -> tuple[
     fp = dxnorm - delta
     if fp <= 0.1 * delta:
         return 0.0, w
-    parl = (fp / delta) / (w @ (w / lam) / dxnorm**2) if full_rank.all() else 0.0
-    gnorm = _norm(g)
-    paru = gnorm / delta or DWARF / min(delta, 0.1)
-    par = min(max(par, parl), paru) or gnorm / dxnorm
-    for iteration in range(1, 11):
-        if par == 0.0:
-            par = max(DWARF, 0.001 * paru)
-        shifted = lam + par
-        w = g / shifted
-        dxnorm = _norm(w)
-        previous, fp = fp, dxnorm - delta
-        if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
-            break
-        with np.errstate(over="ignore"):
-            curvature = w @ (w / shifted) / dxnorm**2
-        if not np.isfinite(curvature):  # the sum overflowed: take it from the unit step, as lmpar does
-            unit = w / dxnorm
-            curvature = unit @ (unit / shifted)
-        correction = (fp / delta) / curvature
-        if fp > 0.0:
-            parl = max(parl, par)
-        elif fp < 0.0:
-            paru = min(paru, par)
-        par = max(parl, par + correction)
+    with np.errstate(over="ignore"):  # _curvature replaces a sum that overflows
+        parl = (fp / delta) / _curvature(w, dxnorm, lam) if full_rank.all() else 0.0
+        gnorm = _norm(g)
+        paru = gnorm / delta or DWARF / min(delta, 0.1)
+        par = min(max(par, parl), paru) or gnorm / dxnorm
+        for iteration in range(1, 11):
+            if par == 0.0:
+                par = max(DWARF, 0.001 * paru)
+            shifted = lam + par
+            w = g / shifted
+            dxnorm = _norm(w)
+            previous, fp = fp, dxnorm - delta
+            if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
+                break
+            correction = (fp / delta) / _curvature(w, dxnorm, shifted)
+            if fp > 0.0:
+                parl = max(parl, par)
+            elif fp < 0.0:
+                paru = min(paru, par)
+            par = max(parl, par + correction)
     return par, w
 
 

@@ -150,8 +150,9 @@ def nelder_mead_operation_norm(matrix, n_grid: int = 2048) -> float:
 
 
 def loop_bound_check(model, fiducials, n_sequences, max_len, seed=0, norm_kind="trace") -> BoundCheckReport:
-    """Independent oracle for ``empirical_bound_check``: draw each sequence and
-    fold its full and compressed chains one gate at a time."""
+    """Independent oracle for ``empirical_bound_check``: draw all lengths, then a
+    full row of gates per sequence, and fold each sequence's full and
+    compressed chains alone, one gate at a time."""
     m_out, m_in = fiducial_frames(model, fiducials)
     proj = projection_from_vectors(m_in)
     labels = tuple(model.gate_labels)
@@ -160,13 +161,15 @@ def loop_bound_check(model, fiducials, n_sequences, max_len, seed=0, norm_kind="
     n_q = max(dual_norm(row, norm_kind) for row in m_out)
     n_rho = max(ket_norm(col, norm_kind) for col in m_in.T)
     gen = np.random.default_rng(seed)
+    lengths = gen.integers(1, max_len + 1, size=n_sequences)
+    draws = gen.integers(0, len(labels), size=(n_sequences, max_len))
     lhs = np.empty(n_sequences)
     rhs = np.empty(n_sequences)
     seqs = []
     p = proj.matrix
     for s in range(n_sequences):
-        n = int(gen.integers(1, max_len + 1))
-        seq = tuple(labels[i] for i in gen.integers(0, len(labels), size=n))
+        n = int(lengths[s])
+        seq = tuple(labels[i] for i in draws[s, :n])
         seqs.append(seq)
         full = m_in.copy()
         compressed = p @ m_in
@@ -197,6 +200,16 @@ def _norm(v) -> float:
     return math.sqrt(v @ v)
 
 
+def _loop_curvature(w, dxnorm, shifted):
+    """``w @ (w / shifted) / dxnorm**2``, from the unit step where the sum overflows."""
+    with np.errstate(over="ignore"):
+        curvature = w @ (w / shifted) / dxnorm**2
+    if not np.isfinite(curvature):
+        unit = w / dxnorm
+        curvature = unit @ (unit / shifted)
+    return curvature
+
+
 def _loop_damping(lam, g, delta, par):
     """One start's ``lmpar``: the scalar form of ``corrtomo.lm._damping``."""
     full_rank = lam > lam[0] * EPS
@@ -205,7 +218,7 @@ def _loop_damping(lam, g, delta, par):
     fp = dxnorm - delta
     if fp <= 0.1 * delta:
         return 0.0, w
-    parl = (fp / delta) / (w @ (w / lam) / dxnorm**2) if full_rank.all() else 0.0
+    parl = (fp / delta) / _loop_curvature(w, dxnorm, lam) if full_rank.all() else 0.0
     gnorm = _norm(g)
     paru = gnorm / delta or DWARF / min(delta, 0.1)
     par = min(max(par, parl), paru) or gnorm / dxnorm
@@ -218,12 +231,7 @@ def _loop_damping(lam, g, delta, par):
         previous, fp = fp, dxnorm - delta
         if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
             break
-        with np.errstate(over="ignore"):
-            curvature = w @ (w / shifted) / dxnorm**2
-        if not np.isfinite(curvature):  # the sum overflowed: take it from the unit step, as lmpar does
-            unit = w / dxnorm
-            curvature = unit @ (unit / shifted)
-        correction = (fp / delta) / curvature
+        correction = (fp / delta) / _loop_curvature(w, dxnorm, shifted)
         if fp > 0.0:
             parl = max(parl, par)
         elif fp < 0.0:

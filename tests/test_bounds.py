@@ -9,6 +9,7 @@ import corrtomo as ct
 from corrtomo.bounds import (
     FOLD_CHUNK,
     Projection,
+    _trace_norms,
     dual_norm,
     gram_gauge_defect,
     invariance_defect,
@@ -80,6 +81,42 @@ class TestTraceNormSearch:
                 gate = model.gate_block(label)
                 assert_matches_nelder_mead(gate)
                 assert_matches_nelder_mead(p @ gate @ p - gate @ p)
+
+
+CONTEXT = ct.ContextModel(("H", "S"), {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}})
+
+
+def defects_and_gates(model, d):
+    """The stack a bound check searches: its invariance defects for a d-dim subspace, then its gates."""
+    _, m_in = fiducial_frames(model, select_fiducials(model, sequences_up_to(3), d))
+    p = projection_from_vectors(m_in).matrix
+    gates = np.stack([model.gate_block(label) for label in model.gate_labels])
+    defects = p @ gates @ p - gates @ p
+    for defect, gate in zip(defects, gates):
+        assert defect.tobytes() == (p @ gate @ p - gate @ p).tobytes()
+    return np.concatenate([defects, gates])
+
+
+class TestStackedSearch:
+    """Every matrix's trace norm has the same bits whether it is searched alone or in a stack."""
+
+    @pytest.mark.parametrize("d", [7, 3])
+    def test_stack_matches_each_matrix_alone(self, device_m2, device_m5, d):
+        for model in (device_m2, device_m5, CONTEXT):
+            mats = defects_and_gates(model, d)
+            alone = np.array([_trace_norms(mat[None])[0] for mat in mats])
+            assert _trace_norms(mats).tobytes() == alone.tobytes()
+            assert _trace_norms(mats[::-1]).tobytes() == alone[::-1].tobytes()
+            assert np.array([operation_norm(mat) for mat in mats]).tobytes() == alone.tobytes()
+
+    def test_stack_of_two_models_matches_each_alone(self, device_m2):
+        mats = np.concatenate([defects_and_gates(device_m2, 7), defects_and_gates(CONTEXT, 3), 2.0 * np.eye(8)[None]])
+        alone = np.array([operation_norm(mat) for mat in mats])
+        assert _trace_norms(mats).tobytes() == alone.tobytes()
+
+    def test_rejects_non_block_shapes(self):
+        with pytest.raises(ValueError, match="stacked qubit blocks"):
+            operation_norm(np.eye(6))
 
 
 class TestInvarianceDefect:
@@ -186,9 +223,31 @@ class TestEmpiricalCheck:
         got = ct.empirical_bound_check(device_m5, fids, n_sequences=n_sequences, max_len=max_len, seed=seed)
         want = loop_bound_check(device_m5, fids, n_sequences, max_len, seed)
         assert got.sequences == want.sequences
+        assert (got.epsilon, got.n_o, got.n_q, got.n_rho) == (want.epsilon, want.n_o, want.n_q, want.n_rho)
         assert np.max(np.abs(got.lhs - want.lhs), initial=0.0) <= 1e-15
         assert np.array_equal(got.rhs, want.rhs)
         assert got.violations == want.violations
+
+    @pytest.mark.parametrize("norm_kind", ["trace", "frobenius"])
+    def test_context_model_matches_per_sequence_loop(self, norm_kind):
+        fids = select_fiducials(CONTEXT, sequences_up_to(3), 3)
+        got = ct.empirical_bound_check(CONTEXT, fids, n_sequences=60, max_len=12, seed=4, norm_kind=norm_kind)
+        want = loop_bound_check(CONTEXT, fids, 60, 12, 4, norm_kind)
+        assert got.sequences == want.sequences
+        assert (got.epsilon, got.n_o, got.n_q, got.n_rho) == (want.epsilon, want.n_o, want.n_q, want.n_rho)
+        assert np.max(np.abs(got.lhs - want.lhs)) <= 1e-15
+        assert np.array_equal(got.rhs, want.rhs)
+
+    def test_draw_is_pinned(self, device_m2):
+        # all lengths in one call, then a full row of max_len gates per sequence
+        fids = select_fiducials(device_m2, sequences_up_to(3), 7)
+        report = ct.empirical_bound_check(device_m2, fids, n_sequences=4, max_len=6, seed=5)
+        assert report.sequences == [
+            ("H", "S", "S", "H", "S"),
+            ("H", "H", "S", "H", "H"),
+            ("H",),
+            ("S", "H", "H", "H", "H"),
+        ]
 
     def test_adversarial_subspace_matches_per_sequence_loop(self, device_m5):
         fids = FiducialSet(

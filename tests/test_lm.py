@@ -241,3 +241,30 @@ class TestDampingOverflow:
             want = loop_lm(cliff, cliff_jacobian, x0, 1e-10, 200)
         assert_same_bits(got, want)
         assert got.x[0] > 100.0 and got.nfev == 3
+
+    def test_first_lower_bound_is_finite_without_a_warning(self):
+        # full rank, so the first lower bound parl is formed from w @ (w / lam), which overflows
+        lam, g = np.array([1e-200]), np.array([1e-90])
+        with np.errstate(over="ignore"):
+            w = g / lam
+            assert np.isinf(w @ (w / lam))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            par, w = _damping(lam, g, 1.0, 0.0)
+        assert par > 0.0 and abs(np.linalg.norm(w) - 1.0) <= 0.1
+        want_par, want_w = _loop_damping(lam, g, 1.0, 0.0)
+        assert par == want_par and w.tobytes() == want_w.tobytes()
+
+    def test_one_variable_cliff_matches_the_loop_without_a_warning(self):
+        def one(x):
+            return cliff(x)[:1]
+
+        def one_jacobian(x):
+            return cliff_jacobian(x)[:1, :1]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = levenberg_marquardt(stacked(one), stacked(one_jacobian), np.array([[1.0]]), 1e-10, 200)[0]
+            want = loop_lm(one, one_jacobian, np.array([1.0]), 1e-10, 200)
+        assert_same_bits(got, want)
+        assert got.x[0] > 100.0

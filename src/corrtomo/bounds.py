@@ -350,7 +350,7 @@ def empirical_bound_check(
         compressed = fold_gates(steps, compressed_idx[rows], p @ m_in)
         lhs[rows] = np.max(np.abs(m_out @ (full - compressed)), axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs <= 1e-12, 0.0, np.inf))
+        ratios = np.where(lhs <= 1e-12, 0.0, np.where(rhs > 0.0, lhs / rhs, np.inf))  # 0 within the slack: roundoff
     violations = np.flatnonzero(lhs > rhs * (1.0 + 1e-9) + 1e-12).tolist()
     return BoundCheckReport(
         lhs=lhs,

@@ -25,10 +25,11 @@ first-gate rate to remove the label permutation symmetry.
 Because depolarizing noise commutes with the ideal gates, a circuit's
 predicted mean only depends on its ideal output and its per-gate counts.
 The ideal H and S permute the signed Bloch axes, so both come from one
-integer fold over all records; ``fit`` and ``negative_log_likelihood`` then
-evaluate the likelihood for all records at once in the closed form that
-:func:`corrtomo.device.exact_means` uses for frozen models, from the same
-features (it is checked against the generic block evaluation in the tests).
+integer fold over all records.  ``fit`` and ``negative_log_likelihood`` then
+evaluate the likelihood with one residual per distinct gate-count vector, in
+the closed form that :func:`corrtomo.device.exact_means` uses for frozen
+models: outputs on the equator (z = 0) predict 1/2 whatever the parameters,
+and z = +1 and z = -1 differ only in the sign of the decay.
 
 Records travel as a columnar :class:`RecordSet` (a padded gate-index matrix,
 means, variances, shots) that :func:`records_from_tomography` builds from
@@ -47,10 +48,8 @@ from .device import (
     RATE_CLAMP,
     MeasurementRecord,
     _damping,
-    _fast_predictions,
     _gate_matrix,
     _ideal_features,
-    _log_damping,
 )
 from .lm import levenberg_marquardt
 from .noise import LowFreqModel, frozen_model
@@ -132,63 +131,56 @@ def _record_features(
 
 
 class _SufficientStatistics:
-    """Grouped form of the weighted least-squares objective.
+    """The weighted least-squares objective with one residual per gate-count vector.
 
-    Records sharing (gate counts, ideal outcome) predict the same mean, so
-    the objective collapses exactly to ``sum_g A_g Cbar_g^2 - 2 B_g Cbar_g
-    + D_g`` with three scalars per group, independent of the group sizes or
-    the per-record variances.  The objective is ``spread`` plus the squared
-    norm of ``residuals``; ``jacobian`` is the derivative of ``residuals``.
+    A record with ideal outcome z = 0 predicts 1/2 whatever the parameters; one
+    with z = +-1 has residual ``z (s - y) / 2``, with ``s = sum_l p_l D_l`` the
+    damping sum of its gate counts and ``y = z (2 C - 1)``.  So the objective is
+    exactly ``spread + sum_n A_n (s_n - t_n)^2``, where ``A_n`` is a quarter of the
+    summed inverse variances of the z != 0 records with counts ``n`` and ``t_n``
+    their weighted mean of ``y``; ``residuals`` are ``sqrt(A_n) (s_n - t_n)``.
     """
 
-    def __init__(
-        self,
-        records: RecordSet,
-        gate_labels: tuple[str, ...],
-        sigma_floor: float,
-    ) -> None:
+    def __init__(self, records: RecordSet, gate_labels: tuple[str, ...], sigma_floor: float) -> None:
         z_ideal, counts, means, variances = _record_features(records, gate_labels, sigma_floor)
-        # one integer key per record, ordered like its (counts, outcome) row
-        digits = (*counts.T, z_ideal.astype(np.intp) + 1)
-        keys = np.ravel_multi_index(digits, (*(counts.max(axis=0) + 1), 3))
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         inv_var = 1.0 / variances
-        n_groups = first.size
+        flat = z_ideal == 0.0
+        flat_spread = np.sum((means[flat] - 0.5) ** 2 * inv_var[flat])
+        counts, inv_var, y = counts[~flat], inv_var[~flat], (z_ideal * (2.0 * means - 1.0))[~flat]
+        # one integer key per record, ordered like its count vector
+        keys = np.ravel_multi_index(counts.T, counts.max(axis=0, initial=0) + 1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         self.counts = counts[first].astype(float)
         self.minus_counts_t = -np.ascontiguousarray(self.counts.T)
-        self.z_ideal = z_ideal[first]
-        self.a = np.bincount(inverse, weights=inv_var, minlength=n_groups)
+        weight = np.bincount(inverse, weights=inv_var, minlength=first.size)
+        self.target = np.bincount(inverse, weights=y * inv_var, minlength=first.size) / weight
+        self.a = 0.25 * weight
         self.sqrt_a = np.sqrt(self.a)
-        b = np.bincount(inverse, weights=means * inv_var, minlength=n_groups)
-        self.mu = b / self.a
-        # within-group scatter, accumulated around the group means so the
-        # objective is an explicit sum of nonnegative terms
-        self.spread = float(np.sum((means - self.mu[inverse]) ** 2 * inv_var))
-        self.n_records = len(records)
+        # the z = 0 records and the within-group scatter, an explicit sum of nonnegative terms
+        self.spread = float(flat_spread + 0.25 * np.sum((y - self.target[inverse]) ** 2 * inv_var))
 
     def objective(self, p: np.ndarray, rates: np.ndarray) -> float:
-        pred = _fast_predictions(p, _log_damping(rates), self.z_ideal, self.counts)
-        return float(self.a @ (pred - self.mu) ** 2 + self.spread)
+        return float(self.a @ (_damping(rates, self.counts) @ p - self.target) ** 2 + self.spread)
 
     def residuals(self, x: np.ndarray, m: int) -> np.ndarray:
-        """``sqrt(A_g) (Cbar_g - mu_g)`` at every row of unconstrained parameters ``x``: (k, groups)."""
+        """``sqrt(A_n) (s_n - t_n)`` at every row of unconstrained parameters ``x``: (k, groups)."""
         p, rates = _unpack(x, m, self.counts.shape[1])
-        mean = (_damping(rates, self.counts) @ p[:, :, None])[:, :, 0]  # the closed form's sum, per row
-        return self.sqrt_a * (0.5 * (1.0 + self.z_ideal * mean) - self.mu)
+        s = (_damping(rates, self.counts) @ p[:, :, None])[:, :, 0]  # the damping sum, per row
+        return self.sqrt_a * (s - self.target)
 
     def jacobian(self, x: np.ndarray, m: int) -> np.ndarray:
         """Closed-form derivative of ``residuals`` through softmax and logistic: (k, groups, params).
 
-        With D_l the damping at environment value l and z the ideal outcome,
-        d Cbar / d u_k = z p_{k+1} (D_{k+1} - D.p) / 2 and
-        d Cbar / d v_{G,l} = -z p_l D_l n_G eps_{G,l} / 2
+        With D_l the damping at environment value l,
+        d s / d u_k = p_{k+1} (D_{k+1} - D.p) and
+        d s / d v_{G,l} = -p_l D_l n_G eps_{G,l}
         (zero where the rate is clamped).  The products run with the group
         axis innermost; one copy then lays the rows out group by group, the
         order in which the optimizer's sums have always run.
         """
-        n_gates, n_groups = self.counts.shape[1], len(self.mu)
+        n_groups, n_gates = self.counts.shape
         p, rates = _unpack(x, m, n_gates)
-        scaled = (0.5 * self.sqrt_a * self.z_ideal)[:, None] * _damping(rates, self.counts)  # (k, groups, m)
+        scaled = self.sqrt_a[:, None] * _damping(rates, self.counts)  # (k, groups, m)
         weighted = (scaled @ p[:, :, None])[:, :, 0]
         scaled = scaled.transpose(0, 2, 1).copy()  # (k, m, groups)
         out = np.empty((len(x), x.shape[1], n_groups))

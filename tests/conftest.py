@@ -180,7 +180,7 @@ def loop_bound_check(model, fiducials, n_sequences, max_len, seed=0, norm_kind="
         lhs[s] = float(np.max(np.abs(m_out @ (full - compressed))))
         rhs[s] = sequence_bound(n_q, n_rho, n_o, eps, n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(rhs > 0.0, lhs / rhs, np.where(lhs <= 1e-12, 0.0, np.inf))
+        ratios = np.where(lhs <= 1e-12, 0.0, np.where(rhs > 0.0, lhs / rhs, np.inf))
     violations = [i for i in range(n_sequences) if lhs[i] > rhs[i] * (1.0 + 1e-9) + 1e-12]
     return BoundCheckReport(lhs=lhs, rhs=rhs, ratios=ratios, epsilon=eps, n_q=n_q, n_rho=n_rho, n_o=n_o,
                             norm_kind=norm_kind, violations=violations, sequences=seqs)

@@ -547,6 +547,16 @@ class TestOtherExperiments:
         assert report["semigroup_max_deviation"] <= 1e-12
         assert all(not rep["violations"] for rep in report["subspaces"].values())
 
+    def test_bound_ratios_within_the_slack_read_zero(self, tmp_path):
+        # a one-point model leaves the 4-dimensional subspace invariant up to roundoff; there lhs and
+        # rhs are both about 1e-15, and their quotient once read 1.25
+        cfg = {"experiment": "bounds", "model": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 1}, "seed": 10}
+        assert run(cfg, out_dir=tmp_path / "bounds") == EXIT_OK
+        invariant = json.loads((tmp_path / "bounds" / "bounds_report.json").read_text())["subspaces"]["4"]
+        assert invariant["epsilon"] < 1e-14 and max(invariant["lhs"]) <= 1e-12
+        assert invariant["max_ratio"] == 0.0
+        assert set(invariant["ratio_percentiles"].values()) == {0.0}
+
 
 class TestReproducibleFits:
     """Seeded fits write byte-identical result files when run twice in one process."""

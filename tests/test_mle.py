@@ -1,13 +1,14 @@
 """Maximum-likelihood reconstruction: predictions, likelihood, fitting."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 import corrtomo as ct
 import corrtomo.mle as mle
-from corrtomo.device import MeasurementRecord, _fast_predictions, _gate_matrix, _log_damping
+from corrtomo.device import MeasurementRecord, _damping, _gate_matrix
 from corrtomo.mle import (
     OptimizerConfig,
     RecordSet,
@@ -177,7 +178,7 @@ class TestKernels:
             ],
             axis=2,
         )
-        assert jac.shape == numeric.shape == (3, len(stats.mu), 3 * l_size - 1)
+        assert jac.shape == numeric.shape == (3, len(stats.a), 3 * l_size - 1)
         for got, want in zip(jac, numeric):
             assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(got))
 
@@ -187,14 +188,41 @@ class TestKernels:
         residuals, jac = stats.residuals(x, l_size), stats.jacobian(x, l_size)
         p, rates = mle._unpack(x, l_size, 2)
         for i in range(len(x)):
-            log_damping = _log_damping(rates[i])
-            closed = stats.sqrt_a * (_fast_predictions(p[i], log_damping, stats.z_ideal, stats.counts) - stats.mu)
+            closed = stats.sqrt_a * (_damping(rates[i], stats.counts) @ p[i] - stats.target)
             np.testing.assert_allclose(residuals[i], closed, rtol=0.0, atol=1e-12 * np.max(np.abs(stats.sqrt_a)))
             objective = stats.spread + residuals[i] @ residuals[i]
             assert stats.objective(p[i], rates[i]) == pytest.approx(objective, rel=1e-9)
             # a row's bits do not depend on the rows evaluated with it
             assert stats.residuals(x[i : i + 1], l_size)[0].tobytes() == residuals[i].tobytes()
             assert np.array_equal(stats.jacobian(x[i : i + 1], l_size)[0], jac[i])
+
+    def test_records_with_no_ideal_outcome_leave_no_groups(self):
+        # H, S H and H S all end on the equator (z = 0), so every prediction is 1/2
+        circuits = [("H",), ("S", "H"), ("H", "S")]
+        records = [MeasurementRecord(c, mean, 0.0, None) for c, mean in zip(circuits, (0.51, 0.5, 0.5))]
+        stats = mle._SufficientStatistics(RecordSet.from_records(records), ("H", "S"), 1e-3)
+        assert stats.counts.shape == (0, 2) and stats.a.size == 0
+        x = np.zeros((2, 5))
+        assert stats.residuals(x, 2).shape == (2, 0) and stats.jacobian(x, 2).shape == (2, 0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l_size in (1, 2, 3):
+                result = ct.fit(records, l_size, seed=0)
+                assert result.nll == 100.00000000000018 and result.converged
+        assert negative_log_likelihood(two_point_model(), records) == 100.00000000000018
+
+    def test_count_vector_seen_only_at_zero_outcome_is_no_group(self):
+        # (H,) has counts (1, 0) and z = 0; (S,) and (H, H) return to z = 1
+        records = [
+            MeasurementRecord(c, mean, 0.0, None)
+            for c, mean in [(("H",), 0.52), (("S",), 0.97), (("H", "H"), 0.96), (("H", "H"), 0.94)]
+        ]
+        stats = mle._SufficientStatistics(RecordSet.from_records(records), ("H", "S"), 1e-3)
+        assert stats.counts.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+        assert stats.a.tolist() == [0.25e6, 0.5e6]
+        np.testing.assert_allclose(stats.target, [0.94, 0.9], rtol=1e-15)
+        # (0.52 - 1/2)^2 and the two (H, H) records' scatter about their mean, over the floor's variance
+        assert stats.spread == pytest.approx((0.02**2 + 2 * 0.01**2) / 1e-6, rel=1e-12)
 
 
 class TestFit:
@@ -378,18 +406,34 @@ class TestRecordSet:
             assert a.tobytes() == b.tobytes()
 
     def test_groups_match_unique_rows(self, d7_records):
+        # the groups are the distinct count vectors among records with z = +-1
         columnar, _ = d7_records
         z_ideal, counts, means, variances = mle._record_features(columnar, ("H", "S"), 1e-3)
-        rows, inverse = np.unique(np.column_stack([counts, z_ideal]), axis=0, return_inverse=True)
-        inv_var = 1.0 / variances
-        a = np.bincount(inverse, weights=inv_var)
-        mu = np.bincount(inverse, weights=means * inv_var) / a
+        moving = z_ideal != 0.0
+        rows, inverse = np.unique(counts[moving], axis=0, return_inverse=True)
+        inv_var = 1.0 / variances[moving]
+        y = z_ideal[moving] * (2.0 * means[moving] - 1.0)
         stats = mle._SufficientStatistics(columnar, ("H", "S"), 1e-3)
-        assert np.array_equal(stats.counts, rows[:, :-1])
-        assert np.array_equal(stats.z_ideal, rows[:, -1])
-        assert np.array_equal(stats.a, a)
-        assert np.array_equal(stats.mu, mu)
-        assert stats.spread == np.sum((means - mu[inverse]) ** 2 * inv_var)
+        assert np.array_equal(stats.counts, rows)
+        assert 0 < len(rows) < len(np.unique(np.column_stack([counts, z_ideal]), axis=0))
+        weight = np.bincount(inverse, weights=inv_var)
+        assert np.array_equal(stats.a, 0.25 * weight)
+        assert np.array_equal(stats.target, np.bincount(inverse, weights=y * inv_var) / weight)
+
+    def test_objective_matches_the_per_record_sum(self, d7_records):
+        columnar, _ = d7_records
+        z_ideal, counts, means, variances = mle._record_features(columnar, ("H", "S"), 1e-3)
+        stats = mle._SufficientStatistics(columnar, ("H", "S"), 1e-3)
+        gen = np.random.default_rng(27)
+        for l_size in (1, 2, 3):
+            p = gen.dirichlet(np.ones(l_size))
+            rates = np.exp(gen.normal(-4.6, 1.0, (2, l_size)))
+            predictions = 0.5 * (1.0 + z_ideal * (np.exp(counts @ np.log1p(-rates)) @ p))
+            want = np.sum((predictions - means) ** 2 / variances)
+            assert stats.objective(p, rates) == pytest.approx(want, rel=1e-12)
+            x = np.concatenate([np.log(p[1:] / p[0]), np.log(rates / (1.0 - rates)).ravel()])[None, :]
+            residuals = stats.residuals(x, l_size)[0]
+            assert stats.spread + residuals @ residuals == pytest.approx(want, rel=1e-12)
 
     def test_fit_matches_the_record_list(self, d7_records):
         columnar, oracle = d7_records

@@ -52,7 +52,6 @@ from .tomography import (
     predict,
 )
 from .linear_inversion import (
-    TrialSpec,
     TruncationResult,
     trial_sequences,
     collect_trial_data,

@@ -7,27 +7,30 @@ the probability of reading ``|0>`` at the end.  State preparation and
 measurement are error free.
 
 Exact mode returns the weighted average over the environment; sampled mode
-draws a binomial with a seeded generator.  Models whose environment variable
-is frozen within a circuit carry per-point depolarizing rates, and
-depolarizing noise commutes with H and S, so a circuit's mean is the closed
-form ``(1 + z sum_lam w_lam prod_G (1 - eps_G(lam))^n_G) / 2``, with ``z``
-the Bloch z value of the ideal output and ``n_G`` the gate counts; the
-likelihood fit of :mod:`corrtomo.mle` evaluates the same form from the same
-features.  A context model's register holds the last gate, so its mean is
-``(1 + z sum_r w_r exp(L[g_1, r] + sum n_(chi lam) L[chi, lam])) / 2`` with
-``L = log(1 - eps)``, ``g_1`` the first gate and ``n_(chi lam)`` the times
-gate ``chi`` follows gate ``lam``.  Models with stochastic transitions fold
-the block matrices.
+draws a binomial with a seeded generator.  Depolarizing noise commutes with
+H and S, so when the environment is frozen within a circuit (low-frequency
+drift) or holds the last gate (context noise), a circuit's mean has one
+closed form, ``(1 + z sum_r w_r exp(sum_j F_j T[j, r])) / 2``.  Here ``z``
+is the Bloch z value of the ideal output, ``w`` the environment weights,
+``F_j`` the count of feature ``j`` among the circuit's gates and ``T`` holds
+``log(1 - eps)`` by feature and environment value.  A frozen model's
+feature is the gate's label.  A context model's is ``chi n + lam`` for gate
+``chi`` after gate ``lam`` (its rate in any register value) and ``n^2 + g``
+for the first gate ``g`` (its rate in each register value).  The likelihood
+fit of :mod:`corrtomo.mle` uses the frozen features.  Models with stochastic
+transitions fold the block matrices.
 
 :func:`exact_means` evaluates many circuits at once over a padded gate-index
-matrix, by a closed form or one :func:`fold_gates` call, the fold that every
-batched sequence evaluation in the package uses.  :func:`run_circuit` folds
-one circuit gate by gate through the closed forms' signed-axis table, and
-takes models with transitions to :func:`exact_means`; the survival curve
-calls it per circuit, as the benchmark's tracer counts it.  What does not
-depend on the circuit is computed once per model and kept on it: the gate
-blocks, and for a closed form the signed-axis table of each gate and the
-``log(1 - eps)`` stack of its rates.
+matrix, by the closed form or one :func:`fold_gates` call, the fold that
+every batched sequence evaluation in the package uses.  :func:`run_circuit`
+walks one circuit gate by gate through the signed-axis table into the same
+closed-form evaluator, and takes models with transitions to
+:func:`exact_means`; the survival curve calls it per circuit, as the
+benchmark's tracer counts it.  The evaluator takes each circuit as its own
+one-row product, never a matrix product over the batch, so a circuit's mean
+has the same bits alone or in any batch.  What does not depend on the
+circuit is computed once per model and kept on it: the gate blocks, and for
+the closed form the signed-axis table of each gate and the table ``T``.
 
 The survival experiment draws uniformly random gate sequences and keeps only
 those whose ideal action returns ``|0>`` up to a global phase, so the ideal
@@ -41,10 +44,9 @@ circuits and the generator's final state do not depend on the batch size.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -132,10 +134,20 @@ def fold_gates(mats: np.ndarray, gates: np.ndarray, start: np.ndarray, right: bo
     return value.reshape(len(gates), start.size) if vector else value
 
 
-def _ideal_features(gates: np.ndarray, labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Noiseless output's Bloch z (exactly -1, 0 or 1) and per-label gate counts of every row."""
+def _ideal_features(gates: np.ndarray, labels: tuple[str, ...], context: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Noiseless output's Bloch z (exactly -1, 0 or 1) and the closed form's feature counts of every row.
+
+    The features are the labels, or with ``context`` the pairs ``chi n + lam`` and then the first gates
+    ``n^2 + g``, over rows whose pads all stand at the end.
+    """
     z_ideal = _AXES[_fold_signed_axes(_signed_axis_table(labels), gates), 2]
-    counts = np.stack([np.count_nonzero(gates == j, axis=1) for j in range(len(labels))], axis=1)
+    n = len(labels)
+    index = gates.astype(np.int16)  # holds n^2 + n for the up to 127 labels of an int8 gate matrix
+    if context:
+        index[:, 1:] = n * index[:, 1:] + gates[:, :-1]
+        index[:, :1] += n * n
+        index[gates == n] = n * n + n
+    counts = np.stack([np.count_nonzero(index == j, axis=1) for j in range(n * n + n if context else n)], axis=1)
     return z_ideal, counts
 
 
@@ -143,15 +155,9 @@ def exact_means(model, circuits: Sequence[Sequence[str]]) -> np.ndarray:
     """Exact readout probability of every circuit on the model."""
     labels = tuple(model.gate_labels)
     gates = _gate_matrix(circuits, labels)
-    if model.identity_transitions:
-        z_ideal, counts = _ideal_features(gates, labels)
-        means = _fast_predictions(model.weights, _closed_form_tables(model)[1], z_ideal, counts)
-    elif isinstance(model, ContextModel):
-        z_ideal = _AXES[_fold_signed_axes(_signed_axis_table(labels), gates), 2]
-        first = gates[:, 0] if gates.shape[1] else np.full(len(gates), len(labels))
-        pairs = [np.count_nonzero((gates[:, 1:] == chi) & (gates[:, :-1] == lam), axis=1)
-                 for chi, lam in np.ndindex(len(labels), len(labels))]
-        means = _context_predictions(model.weights, _closed_form_tables(model)[1], z_ideal, first, pairs)
+    if model.identity_transitions or isinstance(model, ContextModel):
+        z_ideal, counts = _ideal_features(gates, labels, context=not model.identity_transitions)
+        means = _closed_form_means(model.weights, _closed_form_tables(model)[1], z_ideal, counts)
     else:
         blocks = np.stack([model.gate_block(g) for g in labels])
         means = (model.dual_vec() @ fold_gates(blocks, gates, model.rho_vec()[:, None]))[:, 0]
@@ -173,30 +179,24 @@ def _damping(rates: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.exp(counts @ _log_damping(rates))
 
 
-def _fast_predictions(p: np.ndarray, log_damping: np.ndarray, z_ideal: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Vectorized means: 0.5 (1 + z_ideal * sum_lam p_lam prod_G (1-eps)^n_G), from the rates' ``_log_damping``."""
-    return 0.5 * (1.0 + z_ideal * (np.exp(counts @ log_damping) @ p))
+def _closed_form_means(weights: np.ndarray, table: np.ndarray, z_ideal, counts) -> np.ndarray:
+    """``(1 + z sum_r w_r exp(sum_j F_j T[j, r])) / 2`` for feature counts ``F``, one row or a stack of them.
 
-
-def _context_predictions(p: np.ndarray, log_damping: np.ndarray, z_ideal, first, pairs) -> np.ndarray:
-    """Context means from ``log_damping``: ``L`` by gate and register, over a zero row (no first gate).
-
-    ``first`` holds each circuit's row, ``pairs`` the counts of gate ``chi`` after ``lam`` in ``L.ravel()`` order.
-    Sums go term by term in that order, so a circuit's bits do not depend on the batch, as a matrix product's do.
+    Every row is its own one-row product, whose bits do not depend on the rows beside it, as a matrix product's do.
     """
-    pair_log = sum(n * value for n, value in zip(pairs, log_damping[:-1].ravel().tolist()))
-    damped = np.exp(log_damping[first].T + pair_log)
-    return 0.5 * (1.0 + z_ideal * sum(w * d for w, d in zip(p.tolist(), damped)))
+    damped = np.exp(np.asarray(counts, dtype=float)[..., None, :] @ table)
+    return 0.5 * (1.0 + z_ideal * (damped @ weights)[..., 0])
 
 
 def _closed_form_tables(model) -> tuple[dict[str, list[int]], np.ndarray]:
-    """A model's signed-axis table rows by label and its rates' ``_log_damping`` (context: over a zero row)."""
+    """A model's signed-axis table rows by label and its closed form's table ``T`` of ``_log_damping`` by feature."""
     cache = model._block_cache
     if _TABLES_KEY not in cache:
         labels = tuple(model.gate_labels)
-        table = dict(zip(labels, _signed_axis_table(labels).tolist()))
-        rates = [model.rates[g] for g in labels] + ([] if model.identity_transitions else [np.zeros(model.m)])
-        cache[_TABLES_KEY] = table, _log_damping(np.stack(rates))
+        table = _log_damping(np.stack([model.rates[g] for g in labels]))
+        if not model.identity_transitions:  # the pairs in any register value, then the first gates
+            table = np.vstack([np.repeat(table.reshape(-1, 1), model.m, axis=1), table])
+        cache[_TABLES_KEY] = dict(zip(labels, _signed_axis_table(labels).tolist())), table
     return cache[_TABLES_KEY]
 
 
@@ -215,21 +215,26 @@ def run_circuit(
     with ptilde = (k + 1) / (shots + 2).
     """
     circuit = tuple(circuit)
-    if model.identity_transitions or isinstance(model, ContextModel):  # the closed forms, from the signed-axis fold
-        table, log_damping = _closed_form_tables(model)
+    frozen = model.identity_transitions
+    if frozen or isinstance(model, ContextModel):  # the closed form, from the signed-axis walk
+        rows, table = _closed_form_tables(model)
         state = _PLUS_Z
-        for label in circuit:
-            if label not in table:
-                raise KeyError(f"unknown gate label {label!r}")
-            state = table[label][state]
-        if model.identity_transitions:
-            counts = np.array([circuit.count(g) for g in table], dtype=float)
-            mean = float(_fast_predictions(model.weights, log_damping, _AXES[state, 2], counts))
+        try:
+            for label in circuit:
+                state = rows[label][state]
+        except KeyError as err:
+            raise KeyError(f"unknown gate label {err.args[0]!r}") from None
+        if frozen:
+            counts = [circuit.count(g) for g in rows]
         else:
-            first = list(table).index(circuit[0]) if circuit else len(table)
-            pairs = Counter(zip(circuit[1:], circuit))
-            counts = [pairs[chi, lam] for chi, lam in product(table, table)]
-            mean = float(_context_predictions(model.weights, log_damping, _AXES[state, 2], first, counts))
+            n = len(rows)
+            index = list(map(dict(zip(rows, range(n))).__getitem__, circuit))
+            counts = [0] * (n * n + n)
+            for chi, lam in zip(index[1:], index):
+                counts[n * chi + lam] += 1
+            if index:
+                counts[n * n + index[0]] = 1
+        mean = float(_closed_form_means(model.weights, table, _AXES[state, 2], counts))
     else:
         mean = float(exact_means(model, [circuit])[0])
     if not -MEAN_SLACK <= mean <= 1.0 + MEAN_SLACK:

@@ -51,8 +51,15 @@ from .device import (
     survival_curve,
 )
 from .io import save_json, save_matrix_csv, save_rows_csv
-from .linear_inversion import gauge_fit_to_ideal, lim_reconstruct, svd_truncate, trial_sequences
-from .mle import OptimizerConfig, fit, records_from_tomography
+from .linear_inversion import (
+    collect_trial_data,
+    gauge_fit_to_ideal,
+    ideal_seven_ptms,
+    lim_reconstruct,
+    svd_truncate,
+    trial_sequences,
+)
+from .mle import fit, records_from_tomography
 from .noise import (
     DEFAULT_GATE_LABELS,
     ContextModel,
@@ -74,7 +81,6 @@ from .tomography import (
     select_fiducials,
     verify_factorization,
 )
-from .linear_inversion import collect_trial_data, ideal_seven_ptms
 
 __all__ = ["run", "compare", "build_model", "ConfigError"]
 
@@ -318,8 +324,8 @@ def _exact_lot_experiment(model, cfg: dict, params: dict) -> dict:
 def _lim_experiment(model, cfg: dict, params: dict) -> dict:
     trial = trial_sequences(params["preset"], seed=cfg["seed"])
     d = params["d"]
-    if d > trial.d_trial:
-        raise ConfigError(f"params: d must be at most the {trial.d_trial} trial sequences, got {d}")
+    if d > trial.d:
+        raise ConfigError(f"params: d must be at most the {trial.d} trial sequences, got {d}")
     data = collect_trial_data(model, trial, shots=cfg["shots"], seed=cfg["seed"])
     trunc = svd_truncate(data.gram, data.gate_mats, d)
     spectrum = [{"index": i, "singular_value": float(s)} for i, s in enumerate(trunc.singular_values)]
@@ -344,8 +350,8 @@ def _mle_experiment(model, cfg: dict, params: dict) -> dict:
     trial = trial_sequences(params["preset"], seed=cfg["seed"])
     data = collect_trial_data(model, trial, shots=cfg["shots"], seed=cfg["seed"])
     records = records_from_tomography(data)
-    opt = OptimizerConfig(sigma_floor=params["sigma_floor"], n_starts=params["n_starts"])
-    result = fit(records, params["l_size"], optimizer_config=opt, seed=cfg["seed"])
+    result = fit(records, params["l_size"], n_starts=params["n_starts"], sigma_floor=params["sigma_floor"],
+                 seed=cfg["seed"])
     residuals = _predictions(result.error_model, records.gates[:200], records.labels) - records.means[:200]
     return {
         "fit_report.json": {**result.to_json(), "residual_head": residuals.tolist()},

@@ -36,7 +36,6 @@ from .ptm import ideal_qubit_ptms
 from .tomography import ErrorModel, FiducialSet, TomographyData, collect_data
 
 __all__ = [
-    "TrialSpec",
     "TruncationResult",
     "GaugeFitResult",
     "trial_sequences",
@@ -50,35 +49,9 @@ __all__ = [
 
 DEFAULT_SELECTION_SEED = 20260808
 
-GateSeq = tuple[str, ...]
 
-
-@dataclass(frozen=True)
-class TrialSpec:
-    """Trial sequences probing the device beyond the target model dimension."""
-
-    sequences: tuple[GateSeq, ...]
-
-    def __post_init__(self) -> None:
-        seqs = tuple(tuple(s) for s in self.sequences)
-        if not seqs or seqs[0] != ():
-            raise ValueError("the first trial sequence must be empty")
-        object.__setattr__(self, "sequences", seqs)
-
-    @property
-    def d_trial(self) -> int:
-        return len(self.sequences)
-
-    def fiducials(self) -> FiducialSet:
-        """Trial fiducials: states from the sequences, observables from their reverses."""
-        return FiducialSet(
-            prep_sequences=self.sequences,
-            meas_sequences=tuple(tuple(reversed(s)) for s in self.sequences),
-        )
-
-
-def trial_sequences(preset: str, seed: int | None = DEFAULT_SELECTION_SEED) -> TrialSpec:
-    """Standard trial sets over the gates H and S; ``TrialSpec(...)`` builds any other.
+def trial_sequences(preset: str, seed: int | None = DEFAULT_SELECTION_SEED) -> FiducialSet:
+    """Standard trial sets over the gates H and S: states from the sequences, observables from their reverses.
 
     * ``"d4"``: the four sequences (), (H), (H,S), (H,S,H) that already span
       a bare qubit.
@@ -87,7 +60,7 @@ def trial_sequences(preset: str, seed: int | None = DEFAULT_SELECTION_SEED) -> T
       environment directions show up in the spectrum.
     """
     if preset == "d4":
-        seqs: list[GateSeq] = [(), ("H",), ("H", "S"), ("H", "S", "H")]
+        seqs: list[tuple[str, ...]] = [(), ("H",), ("H", "S"), ("H", "S", "H")]
     elif preset == "d7":
         seqs = [s for n in range(6) for s in product(DEFAULT_GATE_LABELS, repeat=n)]
         gen = np.random.default_rng(seed)
@@ -102,17 +75,17 @@ def trial_sequences(preset: str, seed: int | None = DEFAULT_SELECTION_SEED) -> T
                 seqs.append(tuple(digits))
     else:
         raise ValueError(f"unknown preset {preset!r}; expected d4 or d7")
-    return TrialSpec(sequences=tuple(seqs))
+    return FiducialSet(prep_sequences=tuple(seqs), meas_sequences=tuple(s[::-1] for s in seqs))
 
 
 def collect_trial_data(
     model,
-    trial: TrialSpec,
+    trial: FiducialSet,
     shots: int | None = None,
     seed: int | None = None,
 ) -> TomographyData:
     """Measure the trial Gram matrix and per-gate trial matrices."""
-    return collect_data(model, trial.fiducials(), shots=shots, seed=seed)
+    return collect_data(model, trial, shots=shots, seed=seed)
 
 
 @dataclass
@@ -258,8 +231,8 @@ def ideal_seven_ptms() -> dict[str, np.ndarray]:
     return induced_error_model(frozen_model([0.5, 0.5], dict.fromkeys(DEFAULT_GATE_LABELS, (0.0, 0.0)))).gates
 
 
-def _reference_trial_duals(trial: TrialSpec, d: int, gate_labels: Sequence[str]) -> np.ndarray:
-    """Rows of effective reference observables for each trial sequence (d^t x d).
+def _reference_trial_duals(trial: FiducialSet, d: int, gate_labels: Sequence[str]) -> np.ndarray:
+    """Rows of effective reference observables for each trial measurement (d^t x d).
 
     For d = 4 the reference is the ideal qubit gate set.  For d = 7 it is a
     near-ideal two-point model whose two depolarizing scales make the rows
@@ -274,12 +247,12 @@ def _reference_trial_duals(trial: TrialSpec, d: int, gate_labels: Sequence[str])
     else:
         raise ValueError(f"no reference frame for d = {d}; the gauge fit needs d = 4 or d = 7")
     labels = tuple(gate_labels)
-    # q0 @ ptms[g_first] @ ... @ ptms[g_last]: the reversed rows, folded from the right
-    gates = _gate_matrix(trial.sequences, labels)[:, ::-1]
+    # q0 @ ptms[g_last] @ ... @ ptms[g_first] of every measurement sequence, folded from the right
+    gates = _gate_matrix(trial.meas_sequences, labels)
     return fold_gates(np.stack([ptms[g] for g in labels]), gates, q0, right=True)
 
 
-def gauge_fit_to_ideal(truncation: TruncationResult, trial: TrialSpec, max_nfev: int = 20000) -> GaugeFitResult:
+def gauge_fit_to_ideal(truncation: TruncationResult, trial: FiducialSet, max_nfev: int = 20000) -> GaugeFitResult:
     """Choose the output gauge minimising the distance to the ideal gates.
 
     Minimises ``sum_G || M^-1 A_G M - ideal(G) ||_F^2`` over the d^2 entries of

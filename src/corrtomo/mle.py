@@ -27,9 +27,9 @@ predicted mean only depends on its ideal output and its per-gate counts.
 The ideal H and S permute the signed Bloch axes, so both come from one
 integer fold over all records.  ``fit`` and ``negative_log_likelihood`` then
 evaluate the likelihood with one residual per distinct gate-count vector, in
-the closed form that :func:`corrtomo.device.exact_means` uses for frozen
-models: outputs on the equator (z = 0) predict 1/2 whatever the parameters,
-and z = +1 and z = -1 differ only in the sign of the decay.
+the closed form of :mod:`corrtomo.device` with its frozen features, the
+per-gate counts: outputs on the equator (z = 0) predict 1/2 whatever the
+parameters, and z = +1 and z = -1 differ only in the sign of the decay.
 
 Records travel as a columnar :class:`RecordSet` (a padded gate-index matrix,
 means, variances, shots) that :func:`records_from_tomography` builds from
@@ -57,7 +57,6 @@ from .ptm import reduced_frame
 from .tomography import ErrorModel
 
 __all__ = [
-    "OptimizerConfig",
     "FitResult",
     "negative_log_likelihood",
     "fit",
@@ -213,12 +212,6 @@ def negative_log_likelihood(
     return stats.objective(model.weights, np.stack([model.rates[g] for g in model.gate_labels]))
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    n_starts: int = 16
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR
-
-
 @dataclass
 class FitResult:
     param_model: LowFreqModel  # frozen, its support the labels 1..m
@@ -258,7 +251,8 @@ def _unpack(x: np.ndarray, m: int, n_gates: int) -> tuple[np.ndarray, np.ndarray
 def fit(
     records: RecordSet | Sequence[MeasurementRecord],
     l_size: int,
-    optimizer_config: OptimizerConfig | None = None,
+    n_starts: int = 16,
+    sigma_floor: float = DEFAULT_SIGMA_FLOOR,
     seed: int = 0,
 ) -> FitResult:
     """Fit weights and per-gate rates to measured circuit means.
@@ -279,26 +273,25 @@ def fit(
     directions to matter (lengths of order tens for weak noise); otherwise
     the weights are poorly identified.
     """
-    cfg = optimizer_config or OptimizerConfig()
     if l_size < 1:
         raise ValueError(f"l_size must be >= 1, got {l_size}")
-    if cfg.n_starts < 1:
-        raise ValueError(f"n_starts must be >= 1, got {cfg.n_starts}")
-    if cfg.sigma_floor <= 0.0:
-        raise ValueError(f"sigma_floor must be positive, got {cfg.sigma_floor}")
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
+    if sigma_floor <= 0.0:
+        raise ValueError(f"sigma_floor must be positive, got {sigma_floor}")
     if not records:
         raise ValueError("need at least one record")
     if not isinstance(records, RecordSet):
         records = RecordSet.from_records(records)
     gate_labels = records.used_labels() or ("H", "S")
-    stats = _SufficientStatistics(records, gate_labels, cfg.sigma_floor)
+    stats = _SufficientStatistics(records, gate_labels, sigma_floor)
     m = l_size
     n_gates = len(gate_labels)
 
     gen = np.random.default_rng(seed)
     base_rate_logit = _logit(START_RATE)
     starts = [np.concatenate([np.zeros(m - 1), np.full(n_gates * m, base_rate_logit)])]
-    for _ in range(cfg.n_starts - 1):
+    for _ in range(n_starts - 1):
         w = gen.normal(0.0, 1.0, size=m - 1)
         v = gen.normal(base_rate_logit, 2.0, size=n_gates * m)
         starts.append(np.concatenate([w, v]))
@@ -322,7 +315,7 @@ def fit(
             "winner": winner,
             "n_evaluations": sum(r.n_evaluations for r in results),
             "n_records": len(records),
-            "sigma_floor": cfg.sigma_floor,
+            "sigma_floor": sigma_floor,
             "seed": seed,
         },
     )

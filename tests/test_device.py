@@ -167,10 +167,8 @@ EXACT_MEANS_MODELS = {
     "constant": lambda: ct.constant_depolarizing_model(0.03),
     "second_order": lambda: ct.second_order_model(1.0, 0.1, gate_gammas={"H": 0.3, "S": 1.0}),
     "context": lambda: build_model(CONTEXT),
+    "dense": lambda: ct.dense_low_freq_model(1.0, 1.0, n_points=301),
 }
-
-
-PINNED_MODELS = {**EXACT_MEANS_MODELS, "dense": lambda: ct.dense_low_freq_model(1.0, 1.0, n_points=301)}
 
 
 class TestExactMeans:
@@ -188,6 +186,15 @@ class TestExactMeans:
         else:
             assert got.tolist() == [block_loop_mean(model, c) for c in circuits]
         assert [ct.run_circuit(model, c).mean for c in circuits] == got.tolist()
+
+    @pytest.mark.parametrize("kind", ["low_freq", "constant", "dense", "dense-eta1", "context"])
+    def test_same_bits_alone_or_in_a_batch(self, kind):
+        # the survival circuits of lengths 0-100, one at a time as survival_curve runs them, and in either order
+        model = {**EXACT_MEANS_MODELS, **FROZEN_MODELS}[kind]()
+        circuits = [c for n in range(0, 101, 10) for c in ct.random_identity_sequences(n, 200, seed=n)]
+        got = exact_means(model, circuits).tolist()
+        assert [ct.run_circuit(model, c).mean for c in circuits] == got
+        assert exact_means(model, circuits[::-1]).tolist() == got[::-1]
 
     def test_unknown_label(self, device_m5):
         with pytest.raises(KeyError, match="unknown gate label 'T'"):
@@ -448,22 +455,24 @@ class TestSurvivalCurve:
     )
     def test_pinned_sampled_rows(self, kind, want):
         # recorded before the survival means were batched: the shot stream must not drift
-        rows = ct.survival_curve(PINNED_MODELS[kind](), [0, 7, 30], circuits_per_point=25, shots=1000, seed=11)
+        rows = ct.survival_curve(EXACT_MEANS_MODELS[kind](), [0, 7, 30], circuits_per_point=25, shots=1000, seed=11)
         assert [(r["n_gates"], r["mean"], r["stderr"]) for r in rows] == want
 
     def test_pinned_exact_dense_rows(self):
         # re-recorded when gauss_legendre stopped using the three-term recurrence: the N=7 mean moved from
         # 0.6290994448735807 to 0.6290994448735805 (its 50-digit value is 0.62909944487358056...) and its
         # stderr from 1.1e-17 to 0.0; the closed form's bits must not drift
-        rows = ct.survival_curve(PINNED_MODELS["dense"](), [0, 7, 30], circuits_per_point=25, seed=11)
+        rows = ct.survival_curve(EXACT_MEANS_MODELS["dense"](), [0, 7, 30], circuits_per_point=25, seed=11)
         want = [(0, 1.0, 0.0), (7, 0.6290994448735805, 0.0), (30, 0.5640184401018562, 0.0)]
         assert [(r["n_gates"], r["mean"], r["stderr"]) for r in rows] == want
 
     def test_pinned_exact_context_rows(self):
-        # recorded when context means moved from the block fold to the closed form
-        rows = ct.survival_curve(PINNED_MODELS["context"](), [0, 7, 30], circuits_per_point=25, seed=11)
+        # re-recorded when frozen and context means moved to one evaluator, whose sum over a circuit's
+        # features rounds in another order: the N=30 stderr moved from 0.004968605143912605 to
+        # 0.00496860514391261; the means kept their bits
+        rows = ct.survival_curve(EXACT_MEANS_MODELS["context"](), [0, 7, 30], circuits_per_point=25, seed=11)
         want = [(0, 1.0, 0.0), (7, 0.9450362188060112, 0.004235085939441202),
-                (30, 0.7917840419645829, 0.004968605143912605)]
+                (30, 0.7917840419645829, 0.00496860514391261)]
         assert [(r["n_gates"], r["mean"], r["stderr"]) for r in rows] == want
 
     def test_empty_grid_rejected(self, device_m5):

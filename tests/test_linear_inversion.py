@@ -8,7 +8,6 @@ import pytest
 import corrtomo as ct
 import corrtomo.linear_inversion as li
 from corrtomo.linear_inversion import (
-    TrialSpec,
     collect_trial_data,
     gauge_fit_to_ideal,
     lim_reconstruct,
@@ -19,21 +18,22 @@ from corrtomo.linear_inversion import (
 from corrtomo.device import _gate_matrix, fold_gates
 from corrtomo.noise import depolarized_gates
 from corrtomo.ptm import reduced_frame
-from corrtomo.tomography import predict
+from corrtomo.tomography import FiducialSet, predict
 from conftest import block_diag, sequences_up_to
 
 
 class TestTrialSequences:
     def test_d4_is_the_standard_quartet(self):
         spec = trial_sequences("d4")
-        assert spec.sequences == ((), ("H",), ("H", "S"), ("H", "S", "H"))
-        assert spec.d_trial == 4
+        assert spec.prep_sequences == ((), ("H",), ("H", "S"), ("H", "S", "H"))
+        assert spec.meas_sequences == ((), ("H",), ("S", "H"), ("H", "S", "H"))
+        assert spec.d == 4
 
     def test_d7_counts(self):
         spec = trial_sequences("d7")
-        assert spec.d_trial == 123
+        assert spec.d == 123
         hist = {}
-        for s in spec.sequences:
+        for s in spec.prep_sequences:
             hist[len(s)] = hist.get(len(s), 0) + 1
         assert hist[0] == 1
         for n in range(1, 6):
@@ -51,20 +51,20 @@ class TestTrialSequences:
     def test_d7_set_is_unchanged(self, seed, digest):
         # every sequence up to length 5, the last gate varying fastest, then the seeded picks
         spec = trial_sequences("d7", seed=seed)
-        assert list(spec.sequences[:63]) == sequences_up_to(5)
-        text = ",".join("".join(s) for s in spec.sequences)
+        assert list(spec.prep_sequences[:63]) == sequences_up_to(5)
+        text = ",".join("".join(s) for s in spec.prep_sequences)
         assert hashlib.sha256(text.encode()).hexdigest() == digest  # recorded from the recursive enumeration
 
     def test_d7_deterministic_and_seed_dependent(self):
         a = trial_sequences("d7", seed=1)
         b = trial_sequences("d7", seed=1)
         c = trial_sequences("d7", seed=2)
-        assert a.sequences == b.sequences
-        assert a.sequences != c.sequences
+        assert a == b
+        assert a.prep_sequences != c.prep_sequences
 
     def test_first_sequence_must_be_empty(self):
         with pytest.raises(ValueError, match="empty"):
-            TrialSpec(sequences=(("H",),))
+            FiducialSet(prep_sequences=(("H",),), meas_sequences=(("H",),))
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
@@ -150,9 +150,8 @@ class TestLimReconstruct:
         gen = np.random.default_rng(0)
         ks = gen.integers(0, 123, size=40)
         is_ = gen.integers(0, 123, size=40)
-        fids = trial.fiducials()
         for k, i in zip(ks, is_):
-            circuit = fids.prep_sequences[i] + fids.meas_sequences[k]
+            circuit = trial.prep_sequences[i] + trial.meas_sequences[k]
             assert predict(model, circuit) == pytest.approx(data.gram[k, i], abs=1e-8)
 
     def test_truncation_quality_is_monotone(self, device_m5, truncation_d7, truncation_d4):
@@ -217,7 +216,7 @@ class TestGaugeFit:
         labels = ("H", "S")
         ptms = [frame.T @ block_diag(depolarized_gates(g, li.REFERENCE_RATES)) @ frame for g in labels]
         q0 = np.array([0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.5]) @ frame
-        want = fold_gates(np.stack(ptms), _gate_matrix(trial_d7.sequences, labels)[:, ::-1], q0, right=True)
+        want = fold_gates(np.stack(ptms), _gate_matrix(trial_d7.prep_sequences, labels)[:, ::-1], q0, right=True)
         assert li._reference_trial_duals(trial_d7, 7, labels).tobytes() == want.tobytes()
 
     def test_jacobian_matches_central_differences(self, d7_at_seed, lm_calls):

@@ -14,7 +14,7 @@ import corrtomo.mle as mle
 from conftest import _loop_damping, loop_lm
 from corrtomo.linear_inversion import collect_trial_data
 from corrtomo.lm import _damping, levenberg_marquardt
-from corrtomo.mle import OptimizerConfig, records_from_tomography
+from corrtomo.mle import records_from_tomography
 
 
 def linear_problem(seed, rows=30, cols=6):
@@ -179,7 +179,7 @@ class TestAgainstOneStartAlone:
             return calls[-1][-1]
 
         monkeypatch.setattr(mle, "levenberg_marquardt", spy)
-        ct.fit(d7_records[device], l_size, OptimizerConfig(n_starts=4), seed=0)
+        ct.fit(d7_records[device], l_size, n_starts=4, seed=0)
         ((fun, jac, starts, tol, max_nfev, results),) = calls
         for x0, got in zip(starts, results):
             want = loop_lm(lambda x: fun(x[None])[0], lambda x: jac(x[None])[0], x0, tol, max_nfev)

@@ -10,7 +10,6 @@ import corrtomo as ct
 import corrtomo.mle as mle
 from corrtomo.device import MeasurementRecord, _damping, _gate_matrix
 from corrtomo.mle import (
-    OptimizerConfig,
     RecordSet,
     induced_error_model,
     negative_log_likelihood,
@@ -240,7 +239,7 @@ class TestFit:
         assert eps_h[0] < eps_h[1]
 
     def test_single_point_fit_is_strictly_worse(self, suite_records, suite_fit_l2):
-        res1 = ct.fit(suite_records, 1, seed=0, optimizer_config=OptimizerConfig(n_starts=6))
+        res1 = ct.fit(suite_records, 1, seed=0, n_starts=6)
         assert res1.nll > suite_fit_l2.nll * 10
 
     def test_training_residuals_small_for_exact_data(self, suite_records, suite_fit_l2):
@@ -297,16 +296,16 @@ class TestFit:
     @pytest.mark.parametrize(
         "l_size,config",
         [
-            (0, OptimizerConfig()),
-            (2, OptimizerConfig(n_starts=0)),
-            (2, OptimizerConfig(sigma_floor=0.0)),
-            (2, OptimizerConfig(sigma_floor=-1e-3)),
+            (0, {}),
+            (2, {"n_starts": 0}),
+            (2, {"sigma_floor": 0.0}),
+            (2, {"sigma_floor": -1e-3}),
         ],
     )
     def test_invalid_settings_rejected(self, l_size, config):
         records = exact_records(two_point_model(), random_circuits(20, 10, seed=17))
         with pytest.raises(ValueError):
-            ct.fit(records, l_size, optimizer_config=config)
+            ct.fit(records, l_size, **config)
 
     def test_converged_is_the_winning_start_status(self, monkeypatch):
         real = mle.levenberg_marquardt
@@ -323,7 +322,7 @@ class TestFit:
 
         monkeypatch.setattr(mle, "levenberg_marquardt", only_a_losing_start_succeeds)
         records = exact_records(two_point_model(), random_circuits(100, 15, seed=18))
-        result = ct.fit(records, 2, seed=0, optimizer_config=OptimizerConfig(n_starts=3))
+        result = ct.fit(records, 2, seed=0, n_starts=3)
         assert len(calls) == 1 and calls[0].shape == (3, 5)
         assert result.diagnostics["winner"] != 1
         assert result.converged is False

@@ -25,12 +25,13 @@ matrix, by the closed form or one :func:`fold_gates` call, the fold that
 every batched sequence evaluation in the package uses.  :func:`run_circuit`
 walks one circuit gate by gate through the signed-axis table into the same
 closed-form evaluator, and takes models with transitions to
-:func:`exact_means`; the survival curve calls it per circuit, as the
-benchmark's tracer counts it.  The evaluator takes each circuit as its own
-one-row product, never a matrix product over the batch, so a circuit's mean
-has the same bits alone or in any batch.  What does not depend on the
-circuit is computed once per model and kept on it: the gate blocks, and for
-the closed form the signed-axis table of each gate and the table ``T``.
+:func:`exact_means`; the survival curve takes each exact mean from it, as
+the benchmark's tracer counts it, and draws a length's shots in one call.
+The evaluator takes each circuit as its own one-row product, never a matrix
+product over the batch, so a circuit's mean has the same bits alone or in
+any batch.  What does not depend on the circuit is computed once per model
+and kept on it: the gate blocks, and for the closed form the signed-axis
+table of each gate and the table ``T``.
 
 The survival experiment draws uniformly random gate sequences and keeps only
 those whose ideal action returns ``|0>`` up to a global phase, so the ideal
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -243,15 +244,9 @@ def run_circuit(
         return MeasurementRecord(circuit=circuit, mean=mean, variance=0.0, shots=None)
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    k = int(gen.binomial(shots, min(max(mean, 0.0), 1.0)))
+    k = int(np.random.default_rng(rng).binomial(shots, min(max(mean, 0.0), 1.0)))  # a Generator passes unaltered
     smoothed = (k + 1.0) / (shots + 2.0)
-    return MeasurementRecord(
-        circuit=circuit,
-        mean=k / shots,
-        variance=smoothed * (1.0 - smoothed) / shots,
-        shots=shots,
-    )
+    return MeasurementRecord(circuit=circuit, mean=k / shots, variance=smoothed * (1.0 - smoothed) / shots, shots=shots)
 
 
 #: The six signed Bloch axes; state ``s`` of the integer fold is ``_AXES[s]``.
@@ -355,7 +350,7 @@ def random_identity_sequences(
             gen.bit_generator.state = saved
             draws = gen.integers(0, len(labels), size=(batch, n_gates))
         tried += batch
-        accepted.extend(tuple(map(labels.__getitem__, row)) for row in draws[hits].tolist())
+        accepted.extend(map(tuple, np.array(labels, dtype=object)[draws[hits]].tolist()))
     return accepted
 
 
@@ -370,13 +365,16 @@ def survival_curve(
 
     Returns one row per entry of ``n_gates_list`` with keys ``n_gates``,
     ``mean``, ``stderr``, ``circuits``, ``shots``, ``seed``.  Circuits are
-    drawn from per-length seeds spawned off ``seed``; each circuit's shots
-    use their own generator spawned off the same per-length seed.
+    drawn from per-length seeds spawned off ``seed``.  With ``shots``, circuit
+    ``i``'s count is the ``i``-th value of one binomial draw per length, from a
+    generator seeded by a second seed spawned off the same per-length seed.
     """
     if len(n_gates_list) == 0:
         raise ValueError("n_gates_list must be nonempty")
     if circuits_per_point <= 0:
         raise ValueError("circuits_per_point must be positive")
+    if shots is not None and shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
     root = np.random.SeedSequence(seed)
     per_point = root.spawn(len(n_gates_list))
     rows: list[dict] = []
@@ -385,8 +383,9 @@ def survival_curve(
         circuits = random_identity_sequences(
             int(n_gates), circuits_per_point, seed=np.random.default_rng(draw_seed)
         )
-        shot_rngs = repeat(None) if shots is None else map(np.random.default_rng, shot_seed.spawn(len(circuits)))
-        arr = np.array([run_circuit(model, c, shots=shots, rng=g).mean for c, g in zip(circuits, shot_rngs)])
+        arr = np.array([run_circuit(model, c).mean for c in circuits])
+        if shots is not None:
+            arr = np.random.default_rng(shot_seed).binomial(shots, np.clip(arr, 0.0, 1.0)) / shots
         rows.append(
             {
                 "n_gates": int(n_gates),

@@ -344,6 +344,32 @@ class TestIdentitySequences:
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     @pytest.mark.parametrize(
+        "n_gates, count, labels, batch_gates",
+        [(10, 200, ("H", "S"), None), (1, 40, RARE_S, None), (10, 25, ("H", "S"), 30), (50, 300, ("S", "H"), None)],
+        ids=["HS", "rare-S", "memory-capped", "SH-long"],
+    )
+    def test_label_tuples_match_per_row_map(self, monkeypatch, n_gates, count, labels, batch_gates):
+        # the accepted rows of every folded batch, converted one row at a time by the former per-row map
+        folds = []
+
+        def recording_fold(table, gates):
+            states = _fold_signed_axes(table, gates)
+            folds.append((gates.copy(), states))
+            return states
+
+        monkeypatch.setattr("corrtomo.device._fold_signed_axes", recording_fold)
+        if batch_gates is not None:
+            monkeypatch.setattr("corrtomo.device._MAX_BATCH_GATES", batch_gates)
+        gen, ref_gen = np.random.default_rng(n_gates), np.random.default_rng(n_gates)
+        got = ct.random_identity_sequences(n_gates, count, seed=gen, gate_labels=labels)
+        rows = itertools.chain.from_iterable(gates[states == _PLUS_Z].tolist() for gates, states in folds)
+        want = [tuple(map(labels.__getitem__, row)) for row in itertools.islice(rows, count)]
+        assert got == want
+        assert all(a is b for c, w in zip(got, want) for a, b in zip(c, w))
+        sequential_identity_sequences(n_gates, count, ref_gen, gate_labels=labels)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize(
         "n_gates, count, labels, max_tries",
         [(1, 5, ("H",), 20), (1, 10, RARE_S, 12), (6, 30, ("H", "S"), 2)],
         ids=["starved", "partly-filled-two-batches", "partly-filled-one-batch"],
@@ -447,16 +473,43 @@ class TestSurvivalCurve:
     @pytest.mark.parametrize(
         "kind,want",
         [
-            ("context", [(0, 1.0, 0.0), (7, 0.9462800000000001, 0.004053196269612411),
-                         (30, 0.7927199999999999, 0.005634276055241404)]),
-            ("low_freq", [(0, 1.0, 0.0), (7, 0.97088, 0.0011652181483882474), (30, 0.89744, 0.001878013134494362)]),
-            ("dense", [(0, 1.0, 0.0), (7, 0.63124, 0.003414810878120976), (30, 0.56372, 0.0037002342268204176)]),
+            ("context", [(0, 1.0, 0.0), (7, 0.94624, 0.004281074631444769),
+                         (30, 0.7950000000000002, 0.005891802214376626)]),
+            ("low_freq", [(0, 1.0, 0.0), (7, 0.9727599999999998, 0.001118451310220224),
+                          (30, 0.8958800000000002, 0.0015003555134256248)]),
+            ("dense", [(0, 1.0, 0.0), (7, 0.6287999999999999, 0.003003886371574889),
+                       (30, 0.5623600000000001, 0.0034471630848181946)]),
         ],
     )
     def test_pinned_sampled_rows(self, kind, want):
-        # recorded before the survival means were batched: the shot stream must not drift
+        # re-recorded when a length's shots moved from one spawned generator per circuit to one binomial
+        # draw from one generator per length; the stream moved on purpose, from (mean, stderr) at N=7 and
+        # N=30 of context (0.9462800000000001, 0.004053196269612411), (0.7927199999999999,
+        # 0.005634276055241404); low_freq (0.97088, 0.0011652181483882474), (0.89744, 0.001878013134494362);
+        # dense (0.63124, 0.003414810878120976), (0.56372, 0.0037002342268204176). It must not drift again.
         rows = ct.survival_curve(EXACT_MEANS_MODELS[kind](), [0, 7, 30], circuits_per_point=25, shots=1000, seed=11)
         assert [(r["n_gates"], r["mean"], r["stderr"]) for r in rows] == want
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_MEANS_MODELS))
+    def test_sampled_rows_match_run_circuit_loop(self, kind):
+        # circuit i's count is the i-th draw of its length's shot generator, as run_circuit in a loop draws it
+        model, lengths, seed = EXACT_MEANS_MODELS[kind](), [0, 1, 7, 30, 100], 12
+        rows = ct.survival_curve(model, lengths, circuits_per_point=40, shots=1000, seed=seed)
+        for n, seq, row in zip(lengths, np.random.SeedSequence(seed).spawn(len(lengths)), rows):
+            draw_seed, shot_seed = seq.spawn(2)
+            circuits = ct.random_identity_sequences(n, 40, seed=np.random.default_rng(draw_seed))
+            gen = np.random.default_rng(shot_seed)
+            arr = np.array([ct.run_circuit(model, c, shots=1000, rng=gen).mean for c in circuits])
+            assert (row["mean"], row["stderr"]) == (float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size)))
+
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_rejects_nonpositive_shots(self, device_m5, monkeypatch, shots):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew circuits before checking shots")
+
+        monkeypatch.setattr("corrtomo.device.random_identity_sequences", no_draws)
+        with pytest.raises(ValueError, match=f"shots must be positive, got {shots}"):
+            ct.survival_curve(device_m5, [0, 7], circuits_per_point=5, shots=shots)
 
     def test_pinned_exact_dense_rows(self):
         # re-recorded when gauss_legendre stopped using the three-term recurrence: the N=7 mean moved from

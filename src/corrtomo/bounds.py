@@ -295,9 +295,6 @@ class BoundCheckReport:
         }
 
 
-FOLD_CHUNK = 256  # sequences that empirical_bound_check folds together
-
-
 def empirical_bound_check(
     model,
     fiducials: FiducialSet,
@@ -317,8 +314,8 @@ def empirical_bound_check(
     offending sequence.
 
     ``seed`` draws all lengths, then a row of ``max_len`` gates per sequence cut to its length, so
-    a seed's sequences depend on ``n_sequences`` and ``max_len``.  They are folded ``FOLD_CHUNK`` at a
-    time; the gates' and defects' norms come from one search.
+    a seed's sequences depend on ``n_sequences`` and ``max_len``.  They are folded in one call, and the
+    gates' and defects' norms come from one search.
     """
     if n_sequences < 0 or max_len < 1:
         raise ValueError(f"need n_sequences >= 0 and max_len >= 1, got {n_sequences} and {max_len}")
@@ -340,15 +337,12 @@ def empirical_bound_check(
     seqs = [tuple(map(labels.__getitem__, row[:n])) for row, n in zip(gate_idx.tolist(), lengths.tolist())]
     bound_by_len = np.array([sequence_bound(n_q, n_rho, n_o, eps, n) for n in range(max_len + 1)])
     rhs = bound_by_len[lengths]
-    steps = np.concatenate([blocks, p[None]])
+    steps = [*blocks, p]
     then_p = np.where(gate_idx < len(labels), len(labels), gate_idx)  # the compressed chain applies P after each gate
     compressed_idx = np.stack([gate_idx, then_p], axis=2).reshape(n_sequences, 2 * max_len)
-    lhs = np.empty(n_sequences)
-    for first in range(0, n_sequences, FOLD_CHUNK):
-        rows = slice(first, first + FOLD_CHUNK)
-        full = fold_gates(steps, gate_idx[rows], m_in)
-        compressed = fold_gates(steps, compressed_idx[rows], p @ m_in)
-        lhs[rows] = np.max(np.abs(m_out @ (full - compressed)), axis=(1, 2))
+    full = fold_gates(steps, gate_idx, m_in)
+    compressed = fold_gates(steps, compressed_idx, p @ m_in)
+    lhs = np.max(np.abs(m_out @ (full - compressed)), axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(lhs <= 1e-12, 0.0, np.where(rhs > 0.0, lhs / rhs, np.inf))  # 0 within the slack: roundoff
     violations = np.flatnonzero(lhs > rhs * (1.0 + 1e-9) + 1e-12).tolist()

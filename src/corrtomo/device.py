@@ -22,16 +22,17 @@ transitions fold the block matrices.
 
 :func:`exact_means` evaluates many circuits at once over a padded gate-index
 matrix, by the closed form or one :func:`fold_gates` call, the fold that
-every batched sequence evaluation in the package uses.  :func:`run_circuit`
-walks one circuit gate by gate through the signed-axis table into the same
-closed-form evaluator, and takes models with transitions to
-:func:`exact_means`; the survival curve takes each exact mean from it, as
-the benchmark's tracer counts it, and draws a length's shots in one call.
-The evaluator takes each circuit as its own one-row product, never a matrix
-product over the batch, so a circuit's mean has the same bits alone or in
-any batch.  What does not depend on the circuit is computed once per model
-and kept on it: the gate blocks, and for the closed form the signed-axis
-table of each gate and the table ``T``.
+every batched sequence evaluation in the package uses: at each gate
+position, one product per label over the rows that hold it, never a copy of
+a gate per row.  :func:`run_circuit` walks one circuit gate by gate through
+the signed-axis table into the same closed-form evaluator, and takes models
+with transitions to :func:`exact_means`; the survival curve takes each exact
+mean from it, as the benchmark's tracer counts it, and draws a length's
+shots in one call.  The evaluator takes each circuit as its own one-row
+product, never a matrix product over the batch, so a circuit's mean has the
+same bits alone or in any batch.  What does not depend on the circuit is
+computed once per model and kept on it: the gate blocks, and for the closed
+form the signed-axis table of each gate and the table ``T``.
 
 The survival experiment draws uniformly random gate sequences and keeps only
 those whose ideal action returns ``|0>`` up to a global phase, so the ideal
@@ -114,24 +115,25 @@ def _gate_matrix(sequences: Sequence[Sequence[str]], labels: tuple[str, ...]) ->
     return gates
 
 
-def fold_gates(mats: np.ndarray, gates: np.ndarray, start: np.ndarray, right: bool = False) -> np.ndarray:
+def fold_gates(mats: Sequence[np.ndarray], gates: np.ndarray, start: np.ndarray, right: bool = False) -> np.ndarray:
     """``P_r @ start``, or from the right ``start @ P_r``, for every row ``r`` of a gate-index matrix.
 
-    ``P_r = mats[g_last] ... mats[g_first]`` over the row's entries into the
-    ``(n_labels, n, n)`` stack; the pad ``n_labels`` may stand anywhere and
-    leaves the value bit for bit.  ``start`` is a vector or a matrix shared by
-    all rows, or one matrix per row; the result holds one value per row.
+    ``P_r = mats[g_last] ... mats[g_first]`` over the row's entries into ``mats``, any sequence of one
+    ``n x n`` matrix per label.  At each position, each label's matrix multiplies the rows that hold it,
+    with no copy per row; the pad ``len(mats)`` matches no label, may stand anywhere and leaves the value
+    bit for bit.  ``start`` is a vector or a matrix shared by all rows, or one matrix per row; the result
+    holds one value per row.
     """
     start = np.asarray(start, dtype=float)
     vector = start.ndim == 1
     if vector:
         start = start[None, :] if right else start[:, None]
     value = np.broadcast_to(start, (len(gates), *start.shape[-2:])).copy()
-    padded = (gates >= len(mats)).any(axis=0).tolist()
-    for j in reversed(range(len(padded))) if right else range(len(padded)):
-        rows = np.flatnonzero(gates[:, j] < len(mats)) if padded[j] else slice(None)
-        step = mats[gates[rows, j]]
-        value[rows] = value[rows] @ step if right else step @ value[rows]
+    for j in reversed(range(gates.shape[1])) if right else range(gates.shape[1]):
+        column = gates[:, j]
+        for label, mat in enumerate(mats):
+            rows = np.flatnonzero(column == label)
+            value[rows] = value[rows] @ mat if right else mat @ value[rows]
     return value.reshape(len(gates), start.size) if vector else value
 
 
@@ -160,7 +162,7 @@ def exact_means(model, circuits: Sequence[Sequence[str]]) -> np.ndarray:
         z_ideal, counts = _ideal_features(gates, labels, context=not model.identity_transitions)
         means = _closed_form_means(model.weights, _closed_form_tables(model)[1], z_ideal, counts)
     else:
-        blocks = np.stack([model.gate_block(g) for g in labels])
+        blocks = [model.gate_block(g) for g in labels]
         means = (model.dual_vec() @ fold_gates(blocks, gates, model.rho_vec()[:, None]))[:, 0]
     if not np.all((-MEAN_SLACK <= means) & (means <= 1.0 + MEAN_SLACK)):
         raise ValueError(f"model produced means {means.min():.17g} .. {means.max():.17g}, not all in [0, 1]")

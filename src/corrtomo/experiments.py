@@ -54,7 +54,6 @@ from .io import save_json, save_matrix_csv, save_rows_csv
 from .linear_inversion import (
     collect_trial_data,
     gauge_fit_to_ideal,
-    ideal_seven_ptms,
     lim_reconstruct,
     svd_truncate,
     trial_sequences,
@@ -70,7 +69,6 @@ from .noise import (
     second_order_model,
     transition_decay,
 )
-from .ptm import ideal_qubit_ptms
 from .tomography import (
     ErrorModel,
     ProtocolFailure,
@@ -333,10 +331,9 @@ def _lim_experiment(model, cfg: dict, params: dict) -> dict:
     if params["gauge_fit"] and d in (4, 7):
         fit_res = gauge_fit_to_ideal(trunc, trial=trial)
         error_model = fit_res.error_model
-        ideal = ideal_qubit_ptms() if d == 4 else ideal_seven_ptms()
         for label in sorted(error_model.gates):
             out[f"ptm_{label}.csv"] = error_model.gates[label]
-            out[f"ptm_diff_{label}.csv"] = error_model.gates[label] - ideal[label]
+            out[f"ptm_diff_{label}.csv"] = error_model.gates[label] - fit_res.target[label]
         out["gauge_fit.json"] = {"objective": fit_res.objective, "n_evaluations": fit_res.n_evaluations,
                                  "converged": fit_res.converged}
     else:

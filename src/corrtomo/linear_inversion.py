@@ -133,12 +133,9 @@ def svd_truncate(g_trial: np.ndarray, gate_mats_trial: Mapping[str, np.ndarray],
         raise ValueError(f"kept dimension d = {d} must be in 1 .. {d_trial}")
     u_np, s, vh = np.linalg.svd(g_trial)
     # deterministic sign convention
-    for j in range(d_trial):
-        col = u_np[:, j]
-        pivot = np.argmax(np.abs(col))
-        if col[pivot] < 0.0:
-            u_np[:, j] = -col
-            vh[j, :] = -vh[j, :]
+    flip = u_np[np.argmax(np.abs(u_np), axis=0), np.arange(d_trial)] < 0.0
+    u_np[:, flip] = -u_np[:, flip]
+    vh[flip] = -vh[flip]
     if s[0] > 0.0 and d > np.count_nonzero(s > RANK_RTOL * s[0]):
         warnings.warn(
             f"kept dimension d = {d} exceeds the numerical rank "
@@ -217,6 +214,7 @@ class GaugeFitResult:
     error_model: ErrorModel
     n_evaluations: int
     converged: bool
+    target: dict[str, np.ndarray]  # the ideal gate matrices fitted to, by label
 
 
 #: Depolarizing rates of the synthetic reference model used to seed the d = 7
@@ -249,7 +247,7 @@ def _reference_trial_duals(trial: FiducialSet, d: int, gate_labels: Sequence[str
     labels = tuple(gate_labels)
     # q0 @ ptms[g_last] @ ... @ ptms[g_first] of every measurement sequence, folded from the right
     gates = _gate_matrix(trial.meas_sequences, labels)
-    return fold_gates(np.stack([ptms[g] for g in labels]), gates, q0, right=True)
+    return fold_gates([ptms[g] for g in labels], gates, q0, right=True)
 
 
 def gauge_fit_to_ideal(truncation: TruncationResult, trial: FiducialSet, max_nfev: int = 20000) -> GaugeFitResult:
@@ -258,9 +256,10 @@ def gauge_fit_to_ideal(truncation: TruncationResult, trial: FiducialSet, max_nfe
     Minimises ``sum_G || M^-1 A_G M - ideal(G) ||_F^2`` over the d^2 entries of
     ``M = M_out_hat``, where ``A_G = O~(G) g^-1`` and ``M_in_hat = M^-1 g``.
     The ideal gates are ``ideal_qubit_ptms()`` at d = 4 and
-    ``ideal_seven_ptms()`` at d = 7; no other d has a reference frame.  The
-    starting point maps the truncated data frame onto the ideal frame (built
-    from ``trial``), so noiseless data sits at a zero-objective fixed point.
+    ``ideal_seven_ptms()`` at d = 7, returned as ``target``; no other d has a
+    reference frame.  The starting point maps the truncated data frame onto
+    the ideal frame (built from ``trial``), so noiseless data sits at a
+    zero-objective fixed point.
 
     The fit is Levenberg-Marquardt (:func:`corrtomo.lm.levenberg_marquardt`)
     with constant variable scaling (scaling by the Jacobian columns stalls on
@@ -281,9 +280,10 @@ def gauge_fit_to_ideal(truncation: TruncationResult, trial: FiducialSet, max_nfe
     labels = sorted(truncation.gate_mats_trunc.keys())
     m_start = (truncation.u @ _reference_trial_duals(trial, d, labels))[:d, :]
     ideal_ptms = ideal_qubit_ptms() if d == 4 else ideal_seven_ptms()
+    target = {label: ideal_ptms[label] for label in labels}
     g_inv = np.diag(1.0 / np.diag(truncation.g_trunc))
     a_mats = np.stack([truncation.gate_mats_trunc[label] @ g_inv for label in labels])
-    ideal = np.stack([ideal_ptms[label] for label in labels])
+    ideal = np.stack(list(target.values()))
 
     def residual(x: np.ndarray) -> np.ndarray:
         m = x.reshape(len(x), 1, d, d)
@@ -324,4 +324,5 @@ def gauge_fit_to_ideal(truncation: TruncationResult, trial: FiducialSet, max_nfe
         error_model=model,
         n_evaluations=result.n_evaluations,
         converged=result.converged,
+        target=target,
     )

@@ -156,7 +156,7 @@ def fiducial_frames(model, fiducials: FiducialSet) -> tuple[np.ndarray, np.ndarr
     (rows) and the dim x d matrix of prepared states (columns).
     """
     labels = tuple(model.gate_labels)
-    blocks = np.stack([model.gate_block(g) for g in labels])
+    blocks = [model.gate_block(g) for g in labels]
     m_in = fold_gates(blocks, _gate_matrix(fiducials.prep_sequences, labels), model.rho_vec()).T.copy()
     m_out = fold_gates(blocks, _gate_matrix(fiducials.meas_sequences, labels), model.dual_vec(), right=True)
     return m_out, m_in
@@ -263,7 +263,7 @@ def verify_factorization(
     labels = tuple(data.gate_mats)
     # a trailing pad column gives every row a first entry; an empty sequence's is the pad, started at g
     gates = np.pad(_gate_matrix([tuple(s) for s in sequences], labels), ((0, 0), (0, 1)), constant_values=len(labels))
-    lhs = m_out @ fold_gates(np.stack([model.gate_block(g) for g in labels]), gates, m_in)
+    lhs = m_out @ fold_gates([model.gate_block(g) for g in labels], gates, m_in)
     tilde = np.stack([data.gate_mats[g] for g in labels])
     first = np.concatenate([tilde, data.gram[None]])[gates[:, 0]]
     rhs = fold_gates(tilde @ g_inv, gates[:, 1:], first)
@@ -326,5 +326,5 @@ def predict(error_model: ErrorModel, circuit: Sequence[str]) -> float:
 
 def _predictions(error_model: ErrorModel, gates: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
     """Outcomes the error model assigns to every row of a gate-index matrix over ``labels``."""
-    mats = np.reshape([error_model.gates[g] for g in labels], (len(labels), error_model.d, error_model.d))
+    mats = [error_model.gates[g] for g in labels]
     return (error_model.dual @ fold_gates(mats, gates, error_model.state[:, None]))[:, 0]

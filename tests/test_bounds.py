@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import corrtomo as ct
 from corrtomo.bounds import (
-    FOLD_CHUNK,
     Projection,
     _trace_norms,
     dual_norm,
@@ -216,7 +215,7 @@ class TestEmpiricalCheck:
 
     @pytest.mark.parametrize(
         "seed,n_sequences,max_len",
-        [(0, 200, 20), (1, 0, 20), (2, 1, 20), (0, 50, 1), (1, FOLD_CHUNK + 37, 20)],
+        [(0, 200, 20), (1, 0, 20), (2, 1, 20), (0, 50, 1), (1, 293, 20)],
     )
     def test_matches_per_sequence_loop(self, device_m5, seed, n_sequences, max_len):
         fids = select_fiducials(device_m5, sequences_up_to(3), 7)

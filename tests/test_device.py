@@ -124,14 +124,16 @@ class TestFrozenClosedForm:
 
 @st.composite
 def fold_cases(draw):
-    """Gate stacks of 1-3 gates of size 1-8, a gate-index matrix with pads anywhere, a start and a side."""
+    """Gate stacks of 1-3 gates of size 1-8, as an array or a list, a gate-index matrix over some of
+    them with pads anywhere, a start and a side."""
     n_labels, n, k, width, c = (draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (1, 8), (0, 5), (0, 6), (1, 3)))
     entries = st.floats(-2.0, 2.0, allow_nan=False)  # includes -0.0, which a pad must keep
     mats = draw(arrays(float, (n_labels, n, n), elements=entries))
-    gates = draw(arrays(np.int8, (k, width), elements=st.integers(0, n_labels)))  # n_labels is the pad
+    held = draw(st.lists(st.integers(0, n_labels), min_size=1, unique=True))  # n_labels is the pad
+    gates = draw(arrays(np.int8, (k, width), elements=st.sampled_from(held)))
     right = draw(st.booleans())
     shape = draw(st.sampled_from([(n,), (c, n) if right else (n, c), (k, c, n) if right else (k, n, c)]))
-    return mats, gates, draw(arrays(float, shape, elements=entries)), right
+    return draw(st.sampled_from([mats, list(mats)])), gates, draw(arrays(float, shape, elements=entries)), right
 
 
 class TestFoldGates:

@@ -620,6 +620,28 @@ def test_running_every_experiment_never_imports_scipy():
     assert result == {"codes": [EXIT_OK] * 6, "scipy": []}
 
 
+DENSE_EXACT_LOT = """
+import json, resource, tempfile
+from pathlib import Path
+import corrtomo.experiments as ex
+cfg = {"experiment": "exact-lot", "model": {"kind": "dense", "sigma": 1.0, "eta": 1.0, "n_points": 301},
+       "seed": 9, "params": {"d": 7}}
+code = ex.run(cfg, out_dir=Path(tempfile.mkdtemp()) / "out")
+print(json.dumps({"code": code, "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+def test_dense_exact_lot_fits_in_memory():
+    # folding one gate copy per sequence and step once took 2.27 GB on this 1,204-dim model
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", DENSE_EXACT_LOT], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == EXIT_OK
+    assert result["max_rss_kb"] < 400 * 1024
+
+
 class TestCompare:
     def make_reports(self, tmp_path):
         lim_cfg = {

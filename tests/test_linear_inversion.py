@@ -277,12 +277,14 @@ class TestGaugeFit:
         fit = gauge_fit_to_ideal(trunc, trial=trial)
         assert fit.objective <= 1e-10
         ideal = ct.ideal_qubit_ptms()
+        assert sorted(fit.target) == ["H", "S"] and all(np.array_equal(fit.target[g], ideal[g]) for g in fit.target)
         assert np.allclose(fit.error_model.gates["H"], ideal["H"], atol=1e-8)
         assert np.allclose(fit.error_model.gates["S"], ideal["S"], atol=1e-8)
 
     def test_correlated_device_stays_near_ideal(self, truncation_d7, trial_d7):
         fit = gauge_fit_to_ideal(truncation_d7, trial=trial_d7)
         ideal = ct.ideal_seven_ptms()
+        assert sorted(fit.target) == ["H", "S"] and all(np.array_equal(fit.target[g], ideal[g]) for g in fit.target)
         for label in ("H", "S"):
             assert np.max(np.abs(fit.error_model.gates[label] - ideal[label])) <= 0.05
 

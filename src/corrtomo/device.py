@@ -30,9 +30,12 @@ with transitions to :func:`exact_means`; the survival curve takes each exact
 mean from it, as the benchmark's tracer counts it, and draws a length's
 shots in one call.  The evaluator takes each circuit as its own one-row
 product, never a matrix product over the batch, so a circuit's mean has the
-same bits alone or in any batch.  What does not depend on the circuit is
-computed once per model and kept on it: the gate blocks, and for the closed
-form the signed-axis table of each gate and the table ``T``.
+same bits alone or in any batch; it takes ``exp`` only of exponents not
+below ``UNDERFLOW`` and leaves the others exactly 0, as ``exp`` rounds them.
+What does not depend on the circuit is computed once per model and kept on
+it: the gate blocks, and for the closed form the signed-axis table of each
+gate, the table ``T`` and :func:`run_circuit`'s memo of means by (signed-axis
+state, feature counts), so a repeated key costs a lookup, not an evaluation.
 
 The survival experiment draws uniformly random gate sequences and keeps only
 those whose ideal action returns ``|0>`` up to a global phase, so the ideal
@@ -70,6 +73,8 @@ __all__ = [
 
 MEAN_SLACK = 1e-9
 RATE_CLAMP = 1e-12
+#: Exponents below this have an ``exp`` that rounds to exactly 0: it is below ln(2^-1075) ~ -745.13.
+UNDERFLOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -186,20 +191,22 @@ def _closed_form_means(weights: np.ndarray, table: np.ndarray, z_ideal, counts) 
     """``(1 + z sum_r w_r exp(sum_j F_j T[j, r])) / 2`` for feature counts ``F``, one row or a stack of them.
 
     Every row is its own one-row product, whose bits do not depend on the rows beside it, as a matrix product's do.
+    ``exp`` skips exponents below ``UNDERFLOW``, leaving the exact 0 it would give them; a NaN is not below it.
     """
-    damped = np.exp(np.asarray(counts, dtype=float)[..., None, :] @ table)
+    exponents = np.asarray(counts, dtype=float)[..., None, :] @ table
+    damped = np.exp(exponents, out=np.zeros_like(exponents), where=~(exponents < UNDERFLOW))
     return 0.5 * (1.0 + z_ideal * (damped @ weights)[..., 0])
 
 
-def _closed_form_tables(model) -> tuple[dict[str, list[int]], np.ndarray]:
-    """A model's signed-axis table rows by label and its closed form's table ``T`` of ``_log_damping`` by feature."""
+def _closed_form_tables(model) -> tuple[dict[str, list[int]], np.ndarray, dict[tuple, float]]:
+    """A model's signed-axis table rows by label, closed-form table ``T`` by feature and :func:`run_circuit`'s memo."""
     cache = model._block_cache
     if _TABLES_KEY not in cache:
         labels = tuple(model.gate_labels)
         table = _log_damping(np.stack([model.rates[g] for g in labels]))
         if not model.identity_transitions:  # the pairs in any register value, then the first gates
             table = np.vstack([np.repeat(table.reshape(-1, 1), model.m, axis=1), table])
-        cache[_TABLES_KEY] = dict(zip(labels, _signed_axis_table(labels).tolist())), table
+        cache[_TABLES_KEY] = dict(zip(labels, _signed_axis_table(labels).tolist())), table, {}
     return cache[_TABLES_KEY]
 
 
@@ -220,7 +227,7 @@ def run_circuit(
     circuit = tuple(circuit)
     frozen = model.identity_transitions
     if frozen or isinstance(model, ContextModel):  # the closed form, from the signed-axis walk
-        rows, table = _closed_form_tables(model)
+        rows, table, memo = _closed_form_tables(model)
         state = _PLUS_Z
         try:
             for label in circuit:
@@ -237,7 +244,10 @@ def run_circuit(
                 counts[n * chi + lam] += 1
             if index:
                 counts[n * n + index[0]] = 1
-        mean = float(_closed_form_means(model.weights, table, _AXES[state, 2], counts))
+        key = state, tuple(counts)
+        if key not in memo:
+            memo[key] = float(_closed_form_means(model.weights, table, _AXES[state, 2], counts))
+        mean = memo[key]
     else:
         mean = float(exact_means(model, [circuit])[0])
     if not -MEAN_SLACK <= mean <= 1.0 + MEAN_SLACK:

@@ -15,9 +15,13 @@ from corrtomo.device import (
     _AXES,
     _PLUS_Z,
     RATE_CLAMP,
+    UNDERFLOW,
     MeasurementRecord,
     RejectionSamplingError,
+    _closed_form_tables,
     _fold_signed_axes,
+    _gate_matrix,
+    _ideal_features,
     _signed_axis_table,
     exact_means,
     fold_gates,
@@ -39,6 +43,19 @@ def sequential_identity_sequences(n_gates, count, gen, gate_labels=("H", "S"), m
         if abs(ideal_output_state(gates)[0]) >= 1.0 - 1e-9:
             accepted.append(gates)
     return accepted, tried
+
+
+def assert_memo_holds(model, circuits, means):
+    """run_circuit's memo on the model holds one mean per distinct (signed-axis state, feature counts) key of
+    the circuits, and some key recurs in another gate order."""
+    labels = tuple(model.gate_labels)
+    gates = _gate_matrix(circuits, labels)
+    states = _fold_signed_axes(_signed_axis_table(labels), gates).tolist()
+    counts = _ideal_features(gates, labels, context=not model.identity_transitions)[1].tolist()
+    keys = [(s, tuple(c)) for s, c in zip(states, counts)]
+    assert _closed_form_tables(model)[2] == dict(zip(keys, means))
+    first = {}
+    assert any(first.setdefault(k, c) != c for k, c in zip(keys, circuits))
 
 
 #: gate labels whose length-1 acceptance is 1/16, so that batches run short
@@ -117,6 +134,31 @@ class TestFrozenClosedForm:
         for gates in circuits:
             assert ct.run_circuit(model, gates).mean == pytest.approx(frozen_fold_mean(model, gates), abs=1e-13)
 
+    def test_exponents_that_underflow_give_the_bits_of_plain_exp(self):
+        model = ct.dense_low_freq_model(1.0, 1.0)
+        assert model.m == 2001
+        circuits = [c for n in range(0, 1001, 50) for c in ct.random_identity_sequences(n, 2, seed=n)]
+        labels = tuple(model.gate_labels)
+        table = np.log1p(-np.clip(np.stack([model.rates[g] for g in labels]), 0.0, 1.0 - RATE_CLAMP))
+        exponents = np.array([[c.count(g) for g in labels] for c in circuits], dtype=float)[:, None, :] @ table
+        damped = np.exp(exponents)
+        # normal results, results too small for a normal double, and results that round to 0
+        assert np.any(damped >= np.finfo(float).tiny)
+        assert np.any((0.0 < damped) & (damped < np.finfo(float).tiny))
+        assert np.any((damped == 0.0) & (exponents < UNDERFLOW))
+        assert np.any((damped == 0.0) & (exponents >= UNDERFLOW))
+        want = (0.5 * (1.0 + (damped @ model.weights)[:, 0])).tolist()
+        assert exact_means(model, circuits).tolist() == want
+        assert [ct.run_circuit(model, c).mean for c in circuits] == want
+
+    def test_nan_rate_is_not_masked_to_zero(self):
+        model = ct.build_low_freq_model(1.0, 0.02, 5)
+        model.rates["H"][2] = np.nan  # build_low_freq_model checks its rates; the closed form reads them when first run
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            ct.run_circuit(model, ("H", "H"))
+        with pytest.raises(ValueError, match=r"not all in \[0, 1\]"):
+            exact_means(model, [("H", "H")])
+
     def test_dense_eta1_clamps_saturated_rates(self):
         dense = ct.dense_low_freq_model(1.0, 1.0)
         assert sum(int(np.sum(rates == 1.0)) for rates in dense.rates.values()) == 2 * 1320
@@ -194,9 +236,12 @@ class TestExactMeans:
         # the survival circuits of lengths 0-100, one at a time as survival_curve runs them, and in either order
         model = {**EXACT_MEANS_MODELS, **FROZEN_MODELS}[kind]()
         circuits = [c for n in range(0, 101, 10) for c in ct.random_identity_sequences(n, 200, seed=n)]
+        # reversed identity circuits: a frozen model's key again, in another gate order
+        circuits += [c[::-1] for c in circuits[::20]]
         got = exact_means(model, circuits).tolist()
         assert [ct.run_circuit(model, c).mean for c in circuits] == got
         assert exact_means(model, circuits[::-1]).tolist() == got[::-1]
+        assert_memo_holds(model, circuits, got)
 
     def test_unknown_label(self, device_m5):
         with pytest.raises(KeyError, match="unknown gate label 'T'"):
@@ -214,12 +259,19 @@ class TestExactMeans:
 
         a, b = make(1.0), make(0.5)
         circuits = [c for n in (1, 3, 20) for c in ct.random_identity_sequences(n, 3, seed=n)]
+        # SHHSS and its reverse share a context key; HSSH and SSHH share counts but end in other states
+        circuits += [tuple("SHHSS"), tuple("HSSH"), tuple("SSHH")]
+        circuits += [c[::-1] for c in circuits]
         # references from fresh models, whose tables no run_circuit call has built
         want = [exact_means(make(scale), circuits).tolist() for scale in (1.0, 0.5)]
         assert all(x != y for x, y in zip(*want))
         for i, gates in enumerate(circuits):
             assert [ct.run_circuit(model, gates).mean for model in (a, b)] == [want[0][i], want[1][i]]
         assert [exact_means(model, circuits).tolist() for model in (a, b)] == want
+        # each model's memo holds its own means only
+        assert _closed_form_tables(a)[2] is not _closed_form_tables(b)[2]
+        for model, means in zip((a, b), want):
+            assert_memo_holds(model, circuits, means)
 
 
 class TestContextClosedForm:

@@ -67,7 +67,6 @@ from .noise import (
     constant_depolarizing_model,
     dense_low_freq_model,
     second_order_model,
-    transition_decay,
 )
 from .tomography import (
     ErrorModel,
@@ -363,7 +362,6 @@ def _bounds_experiment(model, cfg: dict, params: dict) -> dict:
     dims = params["subspace_dims"] or [min(3 * model.m + 1, 7), 3]
     pool = _fiducial_pool(params["pool_max_len"])
     _check_dims("subspace_dims", dims, model, pool)
-    gammas = params["gamma_grid"]
     reports = {}
     for d in dims:
         fids = select_fiducials(model, pool, d)
@@ -374,12 +372,7 @@ def _bounds_experiment(model, cfg: dict, params: dict) -> dict:
         reports[str(d)] = {**rep.to_json(), "gram_gauge_defect": gram_gauge_defect(model, fids)}
         if not rep.passed:
             raise ProtocolFailure(f"bound violated for subspace dimension {d}")
-    semigroup = max(
-        float(np.max(np.abs(transition_decay(a) @ transition_decay(b) - transition_decay(a + b))))
-        for a in gammas
-        for b in gammas
-    )
-    return {"bounds_report.json": {"subspaces": reports, "semigroup_max_deviation": semigroup}}
+    return {"bounds_report.json": {"subspaces": reports}}
 
 
 _EVAL = {
@@ -405,8 +398,7 @@ EXPERIMENTS = {
         # null: [min(3m + 1, 7), 3] for an m-point model
         "subspace_dims": Param(list[int], default=None, least=1), "n_sequences": Param(int, default=1000, least=0),
         "max_len": Param(int, default=20, least=1), **_POOL,
-        "norm_kind": Param(str, default="trace", choices=NORM_KINDS),
-        "gamma_grid": Param(list[float], default=[0.0, 0.1, 0.5, 1.0, 2.0], least=0.0)}),
+        "norm_kind": Param(str, default="trace", choices=NORM_KINDS)}),
 }
 
 CONFIG = {

@@ -16,22 +16,6 @@ __all__ = [
 ]
 
 
-def _plain(obj):
-    # Scalars first, before the slow Mapping test; bool is an int.  NumPy's
-    # float64 is a float, which json writes with float.__repr__, as its item.
-    if obj is None or isinstance(obj, (str, int, float)):
-        return obj
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, Mapping):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
 def save_matrix_csv(path: str | Path, matrix: np.ndarray) -> Path:
     """One matrix per file, under a header row of column names c0, c1, ..."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -45,8 +29,12 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray) -> Path:
 
 
 def save_json(path: str | Path, obj) -> Path:
+    """Sorted, indented JSON; json hands each NumPy array or scalar it cannot encode to ``tolist``.
+
+    NumPy's float64 is a float, which json writes with float.__repr__ itself.
+    """
     path = Path(path)
-    path.write_text(json.dumps(_plain(obj), indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=1, sort_keys=True, default=lambda value: value.tolist()) + "\n")
     return path
 
 

@@ -181,7 +181,6 @@ def lim_reconstruct(truncation: TruncationResult, m_hat_in: np.ndarray | None = 
     if np.any(s_kept <= 0.0):
         raise np.linalg.LinAlgError("truncated Gram matrix is singular; reduce d")
     m_in_inv = np.linalg.inv(m_hat_in)
-    m_hat_out = truncation.g_trunc @ m_in_inv
     m_out_inv = m_hat_in @ np.diag(1.0 / s_kept)
     state_a = m_hat_in @ truncation.v[0, :d]
     state_b = m_out_inv @ (truncation.u @ truncation.g_col0)[:d]

@@ -55,7 +55,6 @@ __all__ = [
 
 EPS = np.finfo(float).eps
 WEIGHT_TOL = 1e-12
-TRACE_PRESERVATION_TOL = 1e-12
 
 DEFAULT_GATE_LABELS = ("H", "S")
 
@@ -200,9 +199,12 @@ class _BlockModel:
     ``gate_labels``, ``sys_ptms`` (label -> (m, 4, 4) stack of per-point
     system transfer matrices) and ``transitions`` (label -> (m, m) column
     stochastic matrix, or None for identity) and ``rates`` (label -> (m,)
-    depolarizing rates).  :mod:`corrtomo.device` takes the means of frozen
-    models (all transitions None) and of context models in closed form from
-    ``rates`` and folds the blocks of models with stochastic transitions.
+    depolarizing rates).  ``sys_ptms`` come from :func:`depolarized_gates`,
+    so they preserve the trace by construction; ``_validate_blocks`` checks
+    the weights, the stack shapes and the transitions.  :mod:`corrtomo.device`
+    takes the means of frozen models (all transitions None) and of context
+    models in closed form from ``rates`` and folds the blocks of models with
+    stochastic transitions.
     ``_block_cache`` starts empty; :meth:`gate_block` keeps the blocks there
     by label and :mod:`corrtomo.device` its closed-form tables.
     """
@@ -259,9 +261,6 @@ class _BlockModel:
             sys = self.sys_ptms[label]
             if sys.shape != (self.m, 4, 4):
                 raise ValueError(f"gate {label!r}: expected {(self.m, 4, 4)} stack, got {sys.shape}")
-            dev = np.max(np.abs(sys[:, 0, :] - np.tile([1.0, 0.0, 0.0, 0.0], (self.m, 1))))
-            if dev > TRACE_PRESERVATION_TOL:
-                raise ValueError(f"gate {label!r} is not trace preserving (first-row deviation {dev:.3e})")
             trans = self.transitions.get(label)
             if trans is not None:
                 trans = np.asarray(trans, dtype=float)
@@ -306,22 +305,17 @@ class LowFreqModel(_BlockModel):
 
 
 def _drift_model(
-    support: np.ndarray, weights: np.ndarray, eta: float, gate_labels: Sequence[str], transitions: Mapping | None = None
+    support: np.ndarray, weights: np.ndarray, eta: float, transitions: Mapping | None = None
 ) -> LowFreqModel:
-    """Model whose gates all depolarize at ``gate_error_rate(lam, eta)`` at support point lam.
+    """Model whose gates H and S depolarize at ``gate_error_rate(lam, eta)`` at support point lam.
 
     Transitions default to None (a frozen variable) for every gate.
     """
-    rates = {label: gate_error_rate(support, eta) for label in gate_labels}
-    return LowFreqModel(support, weights, rates, dict.fromkeys(gate_labels) if transitions is None else transitions)
+    rates = {label: gate_error_rate(support, eta) for label in DEFAULT_GATE_LABELS}
+    return LowFreqModel(support, weights, rates, dict.fromkeys(rates) if transitions is None else transitions)
 
 
-def build_low_freq_model(
-    sigma: float,
-    eta: float,
-    m: int,
-    gate_labels: Sequence[str] = DEFAULT_GATE_LABELS,
-) -> LowFreqModel:
+def build_low_freq_model(sigma: float, eta: float, m: int) -> LowFreqModel:
     """Moment-matched m-point model of Gaussian low-frequency depolarizing noise.
 
     The discretization is carried out on the variable ``x = exp(-lambda^2)``,
@@ -335,7 +329,7 @@ def build_low_freq_model(
     moments = [gaussian_x_moments(sigma, k) for k in range(1, 2 * m)]
     x_nodes, weights = discretize_from_moments(moments, m)
     x_nodes = np.clip(x_nodes, 1e-300, 1.0)
-    return _drift_model(np.sqrt(-np.log(x_nodes)), weights, eta, gate_labels)
+    return _drift_model(np.sqrt(-np.log(x_nodes)), weights, eta)
 
 
 def frozen_model(weights: Sequence[float] | np.ndarray, rates: Mapping[str, Sequence[float]]) -> LowFreqModel:
@@ -418,13 +412,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.concatenate([weights, weights[::-1][n % 2 :]])
 
 
-def dense_low_freq_model(
-    sigma: float,
-    eta: float,
-    n_points: int = 2001,
-    cutoff: float = 12.0,
-    gate_labels: Sequence[str] = DEFAULT_GATE_LABELS,
-) -> LowFreqModel:
+def dense_low_freq_model(sigma: float, eta: float, n_points: int = 2001, cutoff: float = 12.0) -> LowFreqModel:
     """High-resolution quadrature reference for the continuous noise model.
 
     Gauss-Legendre nodes on [-cutoff * sigma, cutoff * sigma] weighted by the
@@ -440,23 +428,15 @@ def dense_low_freq_model(
     lambdas = t * half_width
     density = np.exp(-(lambdas**2) / (2.0 * sigma * sigma)) / np.sqrt(2.0 * np.pi * sigma * sigma)
     weights = gw * half_width * density
-    return _drift_model(lambdas, weights / weights.sum(), eta, gate_labels)
+    return _drift_model(lambdas, weights / weights.sum(), eta)
 
 
-def constant_depolarizing_model(
-    epsilon: float,
-    gate_labels: Sequence[str] = DEFAULT_GATE_LABELS,
-) -> LowFreqModel:
-    """One-point model: every gate carries the same depolarizing rate."""
-    return frozen_model([1.0], dict.fromkeys(gate_labels, [epsilon]))
+def constant_depolarizing_model(epsilon: float) -> LowFreqModel:
+    """One-point model: gates H and S carry the same depolarizing rate."""
+    return frozen_model([1.0], dict.fromkeys(DEFAULT_GATE_LABELS, [epsilon]))
 
 
-def second_order_model(
-    sigma: float,
-    eta: float = 0.0,
-    gate_gammas: Mapping[str, float] | None = None,
-    gate_labels: Sequence[str] = DEFAULT_GATE_LABELS,
-) -> LowFreqModel:
+def second_order_model(sigma: float, eta: float = 0.0, gate_gammas: Mapping[str, float] | None = None) -> LowFreqModel:
     """Two-point model matching the mean and two-time covariance of the drift.
 
     Support {-sigma, +sigma} with equal weights reproduces a centred variable
@@ -468,14 +448,14 @@ def second_order_model(
         raise ValueError(f"sigma must be positive, got {sigma}")
     if not (gate_gammas is None or isinstance(gate_gammas, Mapping)):
         raise TypeError(f"gate_gammas must map gate labels to decay exponents, got {type(gate_gammas).__name__}")
-    unknown = sorted(set(gate_gammas or {}) - set(gate_labels))
+    unknown = sorted(set(gate_gammas or {}) - set(DEFAULT_GATE_LABELS))
     if unknown:
-        raise ValueError(f"gate_gammas names labels outside the gate set {list(gate_labels)}: {unknown}")
+        raise ValueError(f"gate_gammas names labels outside the gate set {list(DEFAULT_GATE_LABELS)}: {unknown}")
     transitions: dict[str, np.ndarray | None] = {}
-    for label in gate_labels:
+    for label in DEFAULT_GATE_LABELS:
         gamma = 0.0 if gate_gammas is None else float(gate_gammas.get(label, 0.0))
         transitions[label] = None if gamma == 0.0 else transition_decay(gamma)
-    return _drift_model(np.array([-sigma, sigma]), np.array([0.5, 0.5]), eta, gate_labels, transitions)
+    return _drift_model(np.array([-sigma, sigma]), np.array([0.5, 0.5]), eta, transitions)
 
 
 @dataclass(frozen=True)

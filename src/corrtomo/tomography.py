@@ -291,9 +291,9 @@ def gauge_reconstruct(data: TomographyData, m_hat_in: np.ndarray | None = None) 
     if m_hat_in.shape != (d, d):
         raise ValueError(f"gauge matrix must be {d} x {d}, got {m_hat_in.shape}")
     m_in_inv, cond_in = _inv_with_cond(m_hat_in, "gauge matrix")
-    _, cond_g = _inv_with_cond(data.gram, "Gram matrix")
+    gram_inv, cond_g = _inv_with_cond(data.gram, "Gram matrix")
     m_hat_out = data.gram @ m_in_inv
-    m_out_inv = m_hat_in @ np.linalg.inv(data.gram)
+    m_out_inv = m_hat_in @ gram_inv
     gates = {label: m_out_inv @ tilde @ m_in_inv for label, tilde in data.gate_mats.items()}
     return ErrorModel(
         state=m_hat_in[:, 0],

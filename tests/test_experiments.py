@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,6 +43,10 @@ SURVIVAL_CFG = {
         "eval_n_gates": [0, 5],
         "eval_circuits_per_point": 3,
     },
+}
+
+CONTEXT_MODEL = {
+    "kind": "context", "labels": ["H", "S"], "rates": {"H": {"H": 0.01, "S": 0.02}, "S": {"H": 0.03, "S": 0.0}},
 }
 
 EXACT_LOT_CFG = {
@@ -109,8 +114,7 @@ class TestConfigValidation:
             {"experiment": "bounds", "params": {"subspace_dims": [0]}},
             {"experiment": "bounds", "params": {"subspace_dims": [9]}},
             {"experiment": "bounds", "params": {"subspace_dims": [3], "pool_max_len": -1}},
-            {"experiment": "bounds", "params": {"subspace_dims": [3], "gamma_grid": [0.5, -1]}},
-            {"experiment": "bounds", "params": {"subspace_dims": [3], "gamma_grid": []}},
+            {"model": {**CONTEXT_MODEL, "initial": [1.5, -0.5]}},
             {"experiment": "exact-lot", "params": {"d": 7, "check_max_len": 0}},
             {"experiment": "exact-lot", "params": {"d": 7, "n_check_sequences": -1}},
             {"experiment": "exact-lot", "params": {"d": 0}},
@@ -120,7 +124,7 @@ class TestConfigValidation:
             {"experiment": "bounds", "params": {"subspace_dims": []}},
             {"model": {"kind": "context", "labels": [], "rates": {}}},
             {"experiment": "mle", "params": {"preset": "d4", "l_size": 1, "sigma_floor": float("nan")}},
-            {"experiment": "bounds", "params": {"subspace_dims": [3], "gamma_grid": [float("nan")]}},
+            {"model": {**CONTEXT_MODEL, "initial": [float("nan"), 1.0]}},
         ],
         ids=[
             "shots-zero", "negative-n_gates", "empty-n_gates", "negative-eval_n_gates", "no-circuits",
@@ -128,11 +132,11 @@ class TestConfigValidation:
             "dense-sigma-zero", "dense-cutoff-zero", "missing-context-rate",
             "lim-d-too-large", "bounds-max_len-zero", "bounds-negative-n_sequences",
             "bounds-dim-zero", "bounds-dim-above-model", "bounds-negative-pool_max_len",
-            "bounds-negative-gamma", "bounds-empty-gamma_grid",
+            "context-negative-initial",
             "exact-lot-check_max_len-zero", "exact-lot-negative-n_check_sequences",
             "exact-lot-d-zero", "exact-lot-d-above-model", "negative-eval_circuits_per_point",
             "empty-eval_n_gates", "bounds-empty-subspace_dims", "context-no-labels",
-            "mle-sigma_floor-nan", "bounds-nan-gamma",
+            "mle-sigma_floor-nan", "context-nan-initial",
         ],
     )
     def test_out_of_range_values_exit_2_without_traceback(self, tmp_path, capsys, bad):
@@ -264,6 +268,13 @@ class TestConfigValidation:
     def test_params_unknown_key(self, tmp_path):
         cfg = dict(SURVIVAL_CFG, params=dict(SURVIVAL_CFG["params"], extra=1))
         assert run(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
+
+    def test_bounds_has_no_gamma_grid(self, tmp_path, capsys):
+        cfg = {"experiment": "bounds", "model": SURVIVAL_CFG["model"], "params": {"gamma_grid": [0.5, -1]}}
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=out) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown keys in params: ['gamma_grid']\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "cfg",
@@ -544,7 +555,7 @@ class TestOtherExperiments:
         out = tmp_path / "bounds"
         assert run(cfg, out_dir=out) == EXIT_OK
         report = json.loads((out / "bounds_report.json").read_text())
-        assert report["semigroup_max_deviation"] <= 1e-12
+        assert set(report) == {"subspaces"}
         assert all(not rep["violations"] for rep in report["subspaces"].values())
 
     def test_bound_ratios_within_the_slack_read_zero(self, tmp_path):
@@ -870,3 +881,4 @@ class TestConfigTables:
                             *((f"`{k}`", t) for k, (_, t) in MODELS.items()), ("config", CONFIG)]:
             row = next(line for line in lines if line.startswith(f"| {name} |"))
             assert [key for key in table if f"`{key}`" not in row] == [], name
+            assert [key for key in re.findall(r"`(\w+)` \(", row) if key not in table] == [], name

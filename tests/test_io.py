@@ -24,10 +24,13 @@ def test_matrix_csv_roundtrip(tmp_path):
 
 
 def test_save_json_handles_numpy_types(tmp_path):
-    payload = {"arr": np.arange(3), "val": np.float64(0.5), "nested": [np.int64(2)]}
+    payload = {
+        "arr": np.arange(3), "val": np.float64(0.5), "nested": [np.int64(2)], "flag": np.bool_(True),
+        "pair": (np.array([0.25, 1.0]), np.float32(0.5)),
+    }
     path = save_json(tmp_path / "x.json", payload)
     loaded = json.loads(path.read_text())
-    assert loaded == {"arr": [0, 1, 2], "val": 0.5, "nested": [2]}
+    assert loaded == {"arr": [0, 1, 2], "val": 0.5, "nested": [2], "flag": True, "pair": [[0.25, 1.0], 0.5]}
 
 
 def test_error_model_json_roundtrip(device_m2):

@@ -314,7 +314,8 @@ def empirical_bound_check(
     offending sequence.
 
     ``seed`` draws all lengths, then a row of ``max_len`` gates per sequence cut to its length, so
-    a seed's sequences depend on ``n_sequences`` and ``max_len``.  They are folded in one call, and the
+    a seed's sequences depend on ``n_sequences`` and ``max_len``.  One fold of the gates ``O`` gives the
+    full chains and one of the compressed gates ``P O`` from ``P M_in`` the compressed ones, and the
     gates' and defects' norms come from one search.
     """
     if n_sequences < 0 or max_len < 1:
@@ -331,17 +332,13 @@ def empirical_bound_check(
     n_rho = max(ket_norm(col, norm_kind) for col in m_in.T)
     gen = np.random.default_rng(seed)
     lengths = gen.integers(1, max_len + 1, size=n_sequences)
-    # indices into steps = (*blocks, P), padded past each length with len(labels) + 1
     gate_idx = gen.integers(0, len(labels), size=(n_sequences, max_len))
-    gate_idx[np.arange(max_len) >= lengths[:, None]] = len(labels) + 1
+    gate_idx[np.arange(max_len) >= lengths[:, None]] = len(labels)  # padded past each length
     seqs = [tuple(map(labels.__getitem__, row[:n])) for row, n in zip(gate_idx.tolist(), lengths.tolist())]
     bound_by_len = np.array([sequence_bound(n_q, n_rho, n_o, eps, n) for n in range(max_len + 1)])
     rhs = bound_by_len[lengths]
-    steps = [*blocks, p]
-    then_p = np.where(gate_idx < len(labels), len(labels), gate_idx)  # the compressed chain applies P after each gate
-    compressed_idx = np.stack([gate_idx, then_p], axis=2).reshape(n_sequences, 2 * max_len)
-    full = fold_gates(steps, gate_idx, m_in)
-    compressed = fold_gates(steps, compressed_idx, p @ m_in)
+    full = fold_gates(blocks, gate_idx, m_in)
+    compressed = fold_gates(p @ blocks, gate_idx, p @ m_in)  # P O(chi_N) ... P O(chi_1) P M_in
     lhs = np.max(np.abs(m_out @ (full - compressed)), axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(lhs <= 1e-12, 0.0, np.where(rhs > 0.0, lhs / rhs, np.inf))  # 0 within the slack: roundoff

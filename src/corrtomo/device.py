@@ -22,16 +22,17 @@ transitions fold the block matrices.
 
 :func:`exact_means` evaluates many circuits at once over a padded gate-index
 matrix, by the closed form or one :func:`fold_gates` call, the fold that
-every batched sequence evaluation in the package uses: at each gate
-position, one product per label over the rows that hold it, never a copy of
-a gate per row.  :func:`run_circuit` walks one circuit gate by gate through
-the signed-axis table into the same closed-form evaluator, and takes models
-with transitions to :func:`exact_means`; the survival curve takes each exact
-mean from it, as the benchmark's tracer counts it, and draws a length's
-shots in one call.  The evaluator takes each circuit as its own one-row
-product, never a matrix product over the batch, so a circuit's mean has the
-same bits alone or in any batch; it takes ``exp`` only of exponents not
-below ``UNDERFLOW`` and leaves the others exactly 0, as ``exp`` rounds them.
+every batched sequence evaluation in the package uses, always from the
+left: at each gate position, one product per label over the rows that hold
+it, never a copy of a gate per row.  :func:`run_circuit` walks one circuit
+gate by gate through the signed-axis table into the same closed-form
+evaluator, and takes models with transitions to :func:`exact_means`; the
+survival curve takes each exact mean from it, as the benchmark's tracer
+counts it, and draws a length's shots in one call.  The evaluator takes
+each circuit as its own one-row product, never a matrix product over the
+batch, so a circuit's mean has the same bits alone or in any batch; it
+takes ``exp`` only of exponents not below ``UNDERFLOW`` and leaves the
+others exactly 0, as ``exp`` rounds them.
 What does not depend on the circuit is computed once per model and kept on
 it: the gate blocks, and for the closed form the signed-axis table of each
 gate, the table ``T`` and :func:`run_circuit`'s memo of means by (signed-axis
@@ -120,26 +121,21 @@ def _gate_matrix(sequences: Sequence[Sequence[str]], labels: tuple[str, ...]) ->
     return gates
 
 
-def fold_gates(mats: Sequence[np.ndarray], gates: np.ndarray, start: np.ndarray, right: bool = False) -> np.ndarray:
-    """``P_r @ start``, or from the right ``start @ P_r``, for every row ``r`` of a gate-index matrix.
+def fold_gates(mats: Sequence[np.ndarray], gates: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """``mats[g_last] ... mats[g_first] @ start`` for every row ``g`` of a gate-index matrix.
 
-    ``P_r = mats[g_last] ... mats[g_first]`` over the row's entries into ``mats``, any sequence of one
-    ``n x n`` matrix per label.  At each position, each label's matrix multiplies the rows that hold it,
-    with no copy per row; the pad ``len(mats)`` matches no label, may stand anywhere and leaves the value
-    bit for bit.  ``start`` is a vector or a matrix shared by all rows, or one matrix per row; the result
-    holds one value per row.
+    ``mats`` is any sequence of one ``n x n`` matrix per label.  At each position, each label's matrix
+    multiplies the rows that hold it, with no copy per row; the pad ``len(mats)`` matches no label, may
+    stand anywhere and leaves the value bit for bit.  ``start`` is one ``n x c`` matrix shared by all
+    rows, or a stack of one per row; the result stacks one ``n x c`` matrix per row.  A row-vector fold
+    ``q @ B_last ... B_first`` is this fold of the transposes ``B.T`` (views) over the reversed rows.
     """
-    start = np.asarray(start, dtype=float)
-    vector = start.ndim == 1
-    if vector:
-        start = start[None, :] if right else start[:, None]
-    value = np.broadcast_to(start, (len(gates), *start.shape[-2:])).copy()
-    for j in reversed(range(gates.shape[1])) if right else range(gates.shape[1]):
-        column = gates[:, j]
+    value = np.broadcast_to(np.asarray(start, dtype=float), (len(gates), *np.shape(start)[-2:])).copy()
+    for column in gates.T:
         for label, mat in enumerate(mats):
             rows = np.flatnonzero(column == label)
-            value[rows] = value[rows] @ mat if right else mat @ value[rows]
-    return value.reshape(len(gates), start.size) if vector else value
+            value[rows] = mat @ value[rows]
+    return value
 
 
 def _ideal_features(gates: np.ndarray, labels: tuple[str, ...], context: bool = False) -> tuple[np.ndarray, np.ndarray]:

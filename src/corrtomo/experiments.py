@@ -436,6 +436,8 @@ def run(
     try:
         cfg = _load_config(config)
         cfg = _checked(cfg if seed is None else {**cfg, "seed": seed}, CONFIG, "config")
+        if (cfg["shots"] or 0) >= 2**63:  # a binomial draw takes an int64 count
+            raise ConfigError(f"shots must be < 2**63, got {cfg['shots']}")
         body, table = EXPERIMENTS[cfg["experiment"]]
         params = _checked(cfg["params"], table, "params")
         _model_section(cfg["model"])  # checked here, before build_model runs

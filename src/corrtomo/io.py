@@ -19,13 +19,8 @@ __all__ = [
 def save_matrix_csv(path: str | Path, matrix: np.ndarray) -> Path:
     """One matrix per file, under a header row of column names c0, c1, ..."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"c{j}" for j in range(matrix.shape[1])])
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
-    return path
+    names = [f"c{j}" for j in range(matrix.shape[1])]
+    return save_rows_csv(path, [dict(zip(names, row)) for row in matrix.tolist()], names)
 
 
 def save_json(path: str | Path, obj) -> Path:

@@ -244,9 +244,9 @@ def _reference_trial_duals(trial: FiducialSet, d: int, gate_labels: Sequence[str
     else:
         raise ValueError(f"no reference frame for d = {d}; the gauge fit needs d = 4 or d = 7")
     labels = tuple(gate_labels)
-    # q0 @ ptms[g_last] @ ... @ ptms[g_first] of every measurement sequence, folded from the right
-    gates = _gate_matrix(trial.meas_sequences, labels)
-    return fold_gates([ptms[g] for g in labels], gates, q0, right=True)
+    # q0 @ ptms[g_last] @ ... @ ptms[g_first] of every measurement sequence: the transposes over the reversed rows
+    gates = _gate_matrix(trial.meas_sequences, labels)[:, ::-1]
+    return fold_gates([ptms[g].T for g in labels], gates, q0[:, None])[..., 0]
 
 
 def gauge_fit_to_ideal(truncation: TruncationResult, trial: FiducialSet, max_nfev: int = 20000) -> GaugeFitResult:

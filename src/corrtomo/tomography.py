@@ -157,9 +157,11 @@ def fiducial_frames(model, fiducials: FiducialSet) -> tuple[np.ndarray, np.ndarr
     """
     labels = tuple(model.gate_labels)
     blocks = [model.gate_block(g) for g in labels]
-    m_in = fold_gates(blocks, _gate_matrix(fiducials.prep_sequences, labels), model.rho_vec()).T.copy()
-    m_out = fold_gates(blocks, _gate_matrix(fiducials.meas_sequences, labels), model.dual_vec(), right=True)
-    return m_out, m_in
+    m_in = fold_gates(blocks, _gate_matrix(fiducials.prep_sequences, labels), model.rho_vec()[:, None])
+    # q @ B_last ... B_first of every measurement sequence: the transposes folded over the reversed rows
+    meas = _gate_matrix(fiducials.meas_sequences, labels)[:, ::-1]
+    m_out = fold_gates([b.T for b in blocks], meas, model.dual_vec()[:, None])
+    return m_out[..., 0], m_in[..., 0].T.copy()
 
 
 def pivot_columns(columns: np.ndarray, k: int) -> list[int]:

@@ -70,7 +70,7 @@ def model_predict(model, circuit) -> float:
     return float(total)
 
 
-def loop_fold(mats, gates, start, right=False) -> np.ndarray:
+def loop_fold(mats, gates, start) -> np.ndarray:
     """Independent oracle for ``fold_gates``: fold each row's sequence on its own, gate by gate.
 
     A 3-d ``start`` holds one start per row.
@@ -78,11 +78,23 @@ def loop_fold(mats, gates, start, right=False) -> np.ndarray:
     out = []
     for r, row in enumerate(gates):
         value = np.array(start[r] if np.ndim(start) == 3 else start, dtype=float)
-        seq = [mats[j] for j in row if j < len(mats)]
-        for mat in reversed(seq) if right else seq:
-            value = value @ mat if right else mat @ value
+        for j in row:
+            if j < len(mats):
+                value = mats[j] @ value
         out.append(value)
-    return np.array(out).reshape(len(gates), *np.shape(start)[-2 if np.ndim(start) == 3 else 0 :])
+    return np.array(out).reshape(len(gates), *np.shape(start)[-2:])
+
+
+def loop_row_fold(q, mats, sequences) -> np.ndarray:
+    """Independent oracle for a row-vector fold: ``q @ mats[g_last] ... mats[g_first]`` of every
+    sequence, one sequence and one gate at a time."""
+    rows = []
+    for seq in sequences:
+        value = np.asarray(q, dtype=float)
+        for label in reversed(seq):
+            value = value @ mats[label]
+        rows.append(value)
+    return np.array(rows)
 
 
 def ideal_output_state(gates) -> np.ndarray:

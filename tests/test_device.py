@@ -166,32 +166,31 @@ class TestFrozenClosedForm:
 
 @st.composite
 def fold_cases(draw):
-    """Gate stacks of 1-3 gates of size 1-8, as an array or a list, a gate-index matrix over some of
-    them with pads anywhere, a start and a side."""
+    """Gate stacks of 1-3 gates of size 1-8, as an array, a list or a list of transposed views, a
+    gate-index matrix over some of them with pads anywhere, and a start shared by all rows or one per row."""
     n_labels, n, k, width, c = (draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (1, 8), (0, 5), (0, 6), (1, 3)))
     entries = st.floats(-2.0, 2.0, allow_nan=False)  # includes -0.0, which a pad must keep
     mats = draw(arrays(float, (n_labels, n, n), elements=entries))
     held = draw(st.lists(st.integers(0, n_labels), min_size=1, unique=True))  # n_labels is the pad
     gates = draw(arrays(np.int8, (k, width), elements=st.sampled_from(held)))
-    right = draw(st.booleans())
-    shape = draw(st.sampled_from([(n,), (c, n) if right else (n, c), (k, c, n) if right else (k, n, c)]))
-    return draw(st.sampled_from([mats, list(mats)])), gates, draw(arrays(float, shape, elements=entries)), right
+    start = draw(arrays(float, draw(st.sampled_from([(n, c), (k, n, c)])), elements=entries))
+    return draw(st.sampled_from([mats, list(mats), [mat.T for mat in mats]])), gates, start
 
 
 class TestFoldGates:
     @given(fold_cases())
     @settings(max_examples=60, deadline=None)
     def test_matches_per_sequence_loop_bit_for_bit(self, case):
-        mats, gates, start, right = case
-        got = fold_gates(mats, gates, start, right=right)
-        want = loop_fold(mats, gates, start, right=right)
+        mats, gates, start = case
+        got = fold_gates(mats, gates, start)
+        want = loop_fold(mats, gates, start)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
     def test_pads_keep_negative_zero(self):
         mats = np.eye(2)[None]
-        got = fold_gates(mats, np.array([[1, 0, 1], [1, 1, 1]]), np.array([-0.0, 1.0]))
-        assert np.signbit(got[:, 0]).tolist() == [False, True]
+        got = fold_gates(mats, np.array([[1, 0, 1], [1, 1, 1]]), np.array([[-0.0], [1.0]]))
+        assert np.signbit(got[:, 0, 0]).tolist() == [False, True]
 
 
 CONTEXT = {

@@ -125,6 +125,7 @@ class TestConfigValidation:
             {"model": {"kind": "context", "labels": [], "rates": {}}},
             {"experiment": "mle", "params": {"preset": "d4", "l_size": 1, "sigma_floor": float("nan")}},
             {"model": {**CONTEXT_MODEL, "initial": [float("nan"), 1.0]}},
+            {"shots": 2**63},
         ],
         ids=[
             "shots-zero", "negative-n_gates", "empty-n_gates", "negative-eval_n_gates", "no-circuits",
@@ -136,7 +137,7 @@ class TestConfigValidation:
             "exact-lot-check_max_len-zero", "exact-lot-negative-n_check_sequences",
             "exact-lot-d-zero", "exact-lot-d-above-model", "negative-eval_circuits_per_point",
             "empty-eval_n_gates", "bounds-empty-subspace_dims", "context-no-labels",
-            "mle-sigma_floor-nan", "context-nan-initial",
+            "mle-sigma_floor-nan", "context-nan-initial", "shots-2-to-the-63",
         ],
     )
     def test_out_of_range_values_exit_2_without_traceback(self, tmp_path, capsys, bad):
@@ -268,6 +269,15 @@ class TestConfigValidation:
     def test_params_unknown_key(self, tmp_path):
         cfg = dict(SURVIVAL_CFG, params=dict(SURVIVAL_CFG["params"], extra=1))
         assert run(cfg, out_dir=tmp_path / "x") == EXIT_CONFIG
+
+    def test_shots_beyond_int64_name_shots(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run({**SURVIVAL_CFG, "shots": 2**63}, out_dir=out) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: shots must be < 2**63, got {2**63}\n"
+        assert not out.exists()
+
+    def test_largest_shots_and_a_seed_beyond_int64_run(self, tmp_path):
+        assert run({**SURVIVAL_CFG, "shots": 2**63 - 1, "seed": 2**64 + 5}, out_dir=tmp_path / "out") == EXIT_OK
 
     def test_bounds_has_no_gamma_grid(self, tmp_path, capsys):
         cfg = {"experiment": "bounds", "model": SURVIVAL_CFG["model"], "params": {"gamma_grid": [0.5, -1]}}

@@ -16,10 +16,11 @@ from corrtomo.linear_inversion import (
     trial_sequences,
 )
 from corrtomo.device import _gate_matrix, fold_gates
-from corrtomo.noise import depolarized_gates
+from corrtomo.mle import induced_error_model
+from corrtomo.noise import depolarized_gates, frozen_model
 from corrtomo.ptm import reduced_frame
 from corrtomo.tomography import FiducialSet, predict
-from conftest import block_diag, sequences_up_to
+from conftest import block_diag, loop_row_fold, sequences_up_to
 
 
 class TestTrialSequences:
@@ -216,8 +217,20 @@ class TestGaugeFit:
         labels = ("H", "S")
         ptms = [frame.T @ block_diag(depolarized_gates(g, li.REFERENCE_RATES)) @ frame for g in labels]
         q0 = np.array([0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.5]) @ frame
-        want = fold_gates(np.stack(ptms), _gate_matrix(trial_d7.prep_sequences, labels)[:, ::-1], q0, right=True)
+        # q0 @ ptms[g_first] ... ptms[g_last] of every preparation sequence, as the transposes' fold
+        want = fold_gates([p.T for p in ptms], _gate_matrix(trial_d7.prep_sequences, labels), q0[:, None])[..., 0]
         assert li._reference_trial_duals(trial_d7, 7, labels).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("preset,d", [("d4", 4), ("d7", 4), ("d7", 7)])
+    def test_reference_duals_match_per_sequence_row_fold_bit_for_bit(self, preset, d):
+        trial = trial_sequences(preset)
+        if d == 4:
+            ptms, q0 = ct.ideal_qubit_ptms(), np.array([0.5, 0.0, 0.0, 0.5])
+        else:
+            reference = induced_error_model(frozen_model([0.5, 0.5], dict.fromkeys(("H", "S"), li.REFERENCE_RATES)))
+            ptms, q0 = reference.gates, reference.dual
+        want = loop_row_fold(q0, ptms, trial.meas_sequences)
+        assert li._reference_trial_duals(trial, d, ("H", "S")).tobytes() == want.tobytes()
 
     def test_jacobian_matches_central_differences(self, d7_at_seed, lm_calls):
         trunc, trial = d7_at_seed(0)

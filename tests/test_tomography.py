@@ -15,7 +15,8 @@ from corrtomo.tomography import (
     predict,
     select_fiducials,
 )
-from conftest import sequences_up_to
+from conftest import loop_row_fold, sequences_up_to
+from corrtomo.experiments import build_model
 
 D4_FIDUCIALS = FiducialSet(
     prep_sequences=((), ("H",), ("H", "S"), ("H", "S", "H")),
@@ -89,6 +90,26 @@ class TestFactorization:
         data = ct.collect_data(device_m2, fids)
         with pytest.raises(ProtocolFailure, match="singular"):
             ct.verify_factorization(data, device_m2, [("H",)])
+
+
+FRAME_MODELS = {
+    "frozen": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 5},
+    "context": {"kind": "context", "labels": ["H", "S"], "rates": {"H": {"H": 0.002, "S": 0.04},
+                                                                   "S": {"H": 0.03, "S": 0.001}}},
+    "second_order": {"kind": "second_order", "sigma": 1.0, "eta": 0.1, "gate_gammas": {"H": 0.3, "S": 1.0}},
+    "dense101": {"kind": "dense", "sigma": 1.0, "eta": 1.0, "n_points": 101},
+}
+
+
+class TestFiducialFrames:
+    @pytest.mark.parametrize("kind", sorted(FRAME_MODELS))
+    def test_m_out_matches_per_sequence_row_fold_bit_for_bit(self, kind, trial_d7):
+        model = build_model(FRAME_MODELS[kind])
+        blocks = {g: model.gate_block(g) for g in model.gate_labels}
+        m_out, _ = fiducial_frames(model, trial_d7)
+        want = loop_row_fold(model.dual_vec(), blocks, trial_d7.meas_sequences)
+        assert m_out.shape == want.shape
+        assert m_out.tobytes() == want.tobytes()
 
 
 class TestGaugeReconstruct:

@@ -98,11 +98,11 @@ class Param(NamedTuple):
 
     ``kind`` is ``int``, ``float``, ``bool``, ``str``, ``dict`` (an object
     checked elsewhere), ``list[...]`` or ``dict[str, ...]``.  An integer takes
-    a JSON integer only; a float takes any JSON number and is passed on as a
-    ``float``; a list must be nonempty.  ``least`` (inclusive) and ``above``
-    (exclusive) bound every number of the value, and NaN meets neither;
-    ``choices`` lists the allowed strings.  A key whose default is None also
-    takes null.
+    a JSON integer only, below 2**63 unless ``int64`` is false; a float takes
+    any JSON number and is passed on as a ``float``; a list must be nonempty.
+    ``least`` (inclusive) and ``above`` (exclusive) bound every number of the
+    value, and NaN meets neither; ``choices`` lists the allowed strings.  A
+    key whose default is None also takes null.
     """
 
     kind: object
@@ -110,6 +110,7 @@ class Param(NamedTuple):
     least: float | None = None
     above: float | None = None
     choices: tuple = ()
+    int64: bool = True  # NumPy's sizes and counts are int64
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
@@ -133,6 +134,8 @@ def _value(value, kind, p: Param, name: str):
         raise ConfigError(f"{name} must be >= {p.least}, got {value!r}")
     if p.above is not None and not value > p.above:
         raise ConfigError(f"{name} must be > {p.above}, got {value!r}")
+    if origin is int and p.int64 and value >= 2**63:
+        raise ConfigError(f"{name} must be < 2**63, got {value!r}")
     return value
 
 
@@ -404,7 +407,7 @@ EXPERIMENTS = {
 CONFIG = {
     "experiment": Param(str, choices=tuple(EXPERIMENTS)),
     "model": Param(dict),  # checked against the table of its kind
-    "seed": Param(int, default=0, least=0),
+    "seed": Param(int, default=0, least=0, int64=False),  # a generator seed takes any nonnegative integer
     "shots": Param(int, default=None, least=1),  # null: exact means
     "output_dir": Param(str, default=None),
     "params": Param(dict, default={}),  # checked against the experiment's table
@@ -436,8 +439,6 @@ def run(
     try:
         cfg = _load_config(config)
         cfg = _checked(cfg if seed is None else {**cfg, "seed": seed}, CONFIG, "config")
-        if (cfg["shots"] or 0) >= 2**63:  # a binomial draw takes an int64 count
-            raise ConfigError(f"shots must be < 2**63, got {cfg['shots']}")
         body, table = EXPERIMENTS[cfg["experiment"]]
         params = _checked(cfg["params"], table, "params")
         _model_section(cfg["model"])  # checked here, before build_model runs

@@ -24,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -284,27 +284,24 @@ def gauge_fit_to_ideal(truncation: TruncationResult, trial: FiducialSet, max_nfe
     a_mats = np.stack([truncation.gate_mats_trunc[label] @ g_inv for label in labels])
     ideal = np.stack(list(target.values()))
 
-    def residual(x: np.ndarray) -> np.ndarray:
+    def model(x: np.ndarray) -> tuple[np.ndarray, Callable]:
         m = x.reshape(len(x), 1, d, d)
         out = np.full((len(x), len(labels) * d * d), 1e6)
         fine = np.linalg.cond(m[:, 0]) <= 1e12  # also catches inf and nan
         out[fine] = (np.linalg.solve(m[fine], a_mats @ m[fine]) - ideal).reshape(-1, out.shape[1])
-        return out
+        return out, lambda rows: jacobian(m[rows])
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        m = x.reshape(len(x), 1, d, d)
+    def jacobian(m: np.ndarray) -> np.ndarray:
         m_inv = np.linalg.inv(m)
         m_inv_a = m_inv @ a_mats
         # the two Kronecker products per gate, broadcast to (start, gate, i, j, p, q)
         left = m_inv_a[:, :, :, None, :, None] * np.eye(d)[:, None, :]
         right = m_inv[:, :, :, None, :, None] * (m_inv_a @ m).swapaxes(2, 3)[:, :, None, :, None, :]
-        return (left - right).reshape(len(x), -1, d * d)
+        return (left - right).reshape(len(m), -1, d * d)
 
-    (result,) = levenberg_marquardt(residual, jacobian, m_start.reshape(1, -1), 1e-14, max_nfev, jac_scale=False)
+    (result,) = levenberg_marquardt(model, m_start.reshape(1, -1), 1e-14, max_nfev, jac_scale=False)
     if result.converged and result.nfev < max_nfev:
-        (again,) = levenberg_marquardt(
-            residual, jacobian, result.x[None], 1e-14, max_nfev - result.nfev, jac_scale=False
-        )
+        (again,) = levenberg_marquardt(model, result.x[None], 1e-14, max_nfev - result.nfev, jac_scale=False)
         result = replace(again, nfev=result.nfev + again.nfev, njev=result.njev + again.njev)
     m_hat_out = result.x.reshape(d, d)
     m_hat_out *= np.linalg.norm(m_start) / np.linalg.norm(m_hat_out)

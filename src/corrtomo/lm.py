@@ -7,14 +7,14 @@ solved in the eigenbasis of the scaled normal matrix, which gives the step
 and the derivative of its length in closed form for every damping value.
 
 The starts run independently, in one batch.  Every pass moves each running
-start by one trial step: one call evaluates the residuals of all of them,
-and one the Jacobians of those that moved.  Each start keeps its own
-variable scale, step bound, damping, budget and stopping tests, and leaves
-the batch when it stops.  Its sums are stacked ``matmul`` and ``eigh``
-calls, which work one start at a time, and its trust-region updates are
-scalar arithmetic of its own, so a start's iterates are bit for bit those
-it has when run alone.  Plain NumPy, so the same inputs always give the
-same iterates.
+start by one trial step with one model call, whose intermediates give the
+Jacobians of the starts that moved.  Each start keeps its own variable
+scale, step bound, damping, budget and stopping tests, and leaves the batch
+when it stops.  Its sums and norms are stacked ``matmul`` and ``eigh``
+calls, which work one start at a time, and its damping and trust-region
+updates are scalar arithmetic of its own, so a start's iterates are bit for
+bit those it has when run alone.  Plain NumPy, so the same inputs always
+give the same iterates.
 """
 
 from __future__ import annotations
@@ -47,8 +47,13 @@ class LMResult:
         return self.nfev + self.njev
 
 
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(v @ v)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a_i @ b_i`` of every pair of rows: one stacked product, each row the 1-D product's BLAS dot."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dots(v, v))
 
 
 def _curvature(w: np.ndarray, dxnorm: float, shifted: np.ndarray) -> float:
@@ -58,26 +63,31 @@ def _curvature(w: np.ndarray, dxnorm: float, shifted: np.ndarray) -> float:
     return curvature if math.isfinite(curvature) else (w / dxnorm) @ (w / dxnorm / shifted)
 
 
-def _damping(lam: np.ndarray, g: np.ndarray, delta: float, par: float) -> tuple[float, np.ndarray]:
+def _gauss_newton(lam: np.ndarray, g: np.ndarray) -> list[tuple]:
+    """:func:`_damping`'s entry for every row of ``lam`` and ``g``: the rows, the Gauss-Newton step ``g / lam``
+    without the directions whose eigenvalues are lost in rounding, its length, ``|g|`` and whether none was lost."""
+    full_rank = lam > lam[:, :1] * EPS
+    w = np.divide(g, lam, out=np.zeros_like(g), where=full_rank)
+    return list(zip(lam, g, w, _norms(w).tolist(), _norms(g).tolist(), full_rank.all(axis=1).tolist()))
+
+
+def _damping(entry: tuple, delta: float, par: float) -> tuple[float, np.ndarray]:
     """Damping ``par`` whose step has length within 10% of ``delta`` (MINPACK ``lmpar``).
 
-    ``lam`` are the eigenvalues of the scaled normal matrix, descending, and
-    ``g`` the scaled gradient in its eigenbasis.  Returns ``par`` and the
-    step's coordinates ``w = g / (lam + par)`` in that basis.  The
-    Gauss-Newton step (``par = 0``, with the directions whose eigenvalues
-    are lost in rounding dropped) is taken when it is short enough.
-    Otherwise Moré's Newton iteration on the reciprocal step length runs
-    inside safeguarding bounds, for at most ten steps.
+    ``entry`` is a start's row of :func:`_gauss_newton`: ``lam`` are the
+    eigenvalues of its scaled normal matrix, descending, and ``g`` its scaled
+    gradient in their eigenbasis.  Returns ``par`` and the step's coordinates
+    ``w = g / (lam + par)`` in that basis.  The Gauss-Newton step
+    (``par = 0``) is taken when it is short enough.  Otherwise Moré's Newton
+    iteration on the reciprocal step length runs inside safeguarding bounds,
+    for at most ten steps.
     """
-    full_rank = lam > lam[0] * EPS
-    w = np.divide(g, lam, out=np.zeros_like(g), where=full_rank)
-    dxnorm = _norm(w)
+    lam, g, w, dxnorm, gnorm, full_rank = entry
     fp = dxnorm - delta
     if fp <= 0.1 * delta:
         return 0.0, w
     with np.errstate(over="ignore"):  # _curvature replaces a sum that overflows
-        parl = (fp / delta) / _curvature(w, dxnorm, lam) if full_rank.all() else 0.0
-        gnorm = _norm(g)
+        parl = (fp / delta) / _curvature(w, dxnorm, lam) if full_rank else 0.0
         paru = gnorm / delta or DWARF / min(delta, 0.1)
         par = min(max(par, parl), paru) or gnorm / dxnorm
         for iteration in range(1, 11):
@@ -85,7 +95,7 @@ def _damping(lam: np.ndarray, g: np.ndarray, delta: float, par: float) -> tuple[
                 par = max(DWARF, 0.001 * paru)
             shifted = lam + par
             w = g / shifted
-            dxnorm = _norm(w)
+            dxnorm = math.sqrt(w @ w)
             previous, fp = fp, dxnorm - delta
             if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
                 break
@@ -99,32 +109,33 @@ def _damping(lam: np.ndarray, g: np.ndarray, delta: float, par: float) -> tuple[
 
 
 class _Start:
-    """The scalar state of one running start: counts, norms, step bound and damping."""
+    """The scalar state of one running start: counts, norms, step bound, damping and :func:`_damping`'s entry."""
 
-    __slots__ = ("index", "fnorm", "nfev", "njev", "xnorm", "delta", "par", "first", "converged")
+    __slots__ = ("index", "fnorm", "nfev", "njev", "xnorm", "delta", "par", "entry", "first", "converged", "done")
 
     def __init__(self, index: int, fnorm: float) -> None:
         self.index, self.fnorm = index, fnorm
         self.nfev, self.njev = 1, 0
         self.xnorm = self.delta = self.par = 0.0
+        self.entry = None  # from its last Jacobian
         self.first = True  # no step accepted yet
-        self.converged = False
+        self.converged = self.done = False
 
-    def trial(self, lam: np.ndarray, w: np.ndarray, scaled: np.ndarray, f_trial: np.ndarray, tol: float) -> bool:
+    def trial(self, pnorm: float, fnorm1: float, lam_w2: float, xnorm: float, tol: float, max_nfev: int) -> bool:
         """Update the step bound and damping from a trial step; True if the step is accepted.
 
-        ``w`` is the step in the eigenbasis of the scaled normal matrix, whose
-        eigenvalues are ``lam``; ``scaled`` is the scaled trial point and
-        ``f_trial`` its residuals.  Sets ``converged`` when a tolerance test
-        ends the fit.
+        ``pnorm`` is the length of the step ``w`` in the eigenbasis of the scaled
+        normal matrix, ``lam_w2`` its eigenvalues' sum weighted by ``w**2``, and
+        ``fnorm1`` and ``xnorm`` the lengths of the trial residuals and scaled
+        point.  Sets ``converged`` when a tolerance test ends the fit, ``done``
+        when the fit ends.
         """
         self.nfev += 1
-        pnorm, fnorm1 = _norm(w), _norm(f_trial)
         if self.first:
             self.delta = min(self.delta, pnorm)
         fnorm = self.fnorm
         actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
-        linear = lam @ (w * w) / fnorm**2
+        linear = lam_w2 / fnorm**2
         damped = self.par * (pnorm / fnorm) ** 2
         prered = linear + 2.0 * damped
         dirder = -(linear + damped)
@@ -140,87 +151,88 @@ class _Start:
             self.par *= 0.5
         accepted = ratio >= 1e-4
         if accepted:
-            self.fnorm, self.xnorm, self.first = fnorm1, _norm(scaled), False
+            self.fnorm, self.xnorm, self.first = fnorm1, xnorm, False
         self.converged = bool((abs(actred) <= tol and prered <= tol and ratio <= 2.0) or self.delta <= tol * self.xnorm)
+        self.done = self.converged or self.nfev >= max_nfev
         return accepted
 
 
 def levenberg_marquardt(
-    fun: Callable[[np.ndarray], np.ndarray],
-    jac: Callable[[np.ndarray], np.ndarray],
+    model: Callable[[np.ndarray], tuple[np.ndarray, Callable]],
     x0: np.ndarray,
     tol: float,
     max_nfev: int,
     jac_scale: bool = True,
 ) -> list[LMResult]:
-    """Minimise ``||fun(x)||^2`` from every start, a row of the (S, n) ``x0``.
+    """Minimise ``||f(x)||^2`` from every start, a row of the (S, n) ``x0``.
 
-    ``fun`` maps a (k, n) stack of points to their (k, r) residuals and
-    ``jac`` to their (k, r, n) Jacobians; both see only the running starts.
-    ``jac_scale`` scales each variable by the largest norm its Jacobian
-    column has reached (MINPACK's mode 1); otherwise all scales are one.  A
-    start ends converged when the relative reduction, actual and predicted,
-    is at most ``tol``, when its step bound falls to ``tol`` times its
-    scaled ``x``, or when its scaled gradient's largest cosine with its
-    residuals is at most ``tol`` (``tol`` should be at least machine
-    epsilon).  It ends unconverged when it has spent ``max_nfev`` residual
-    evaluations.  Returns one result per start, in the order of ``x0``: the
-    last accepted point, with ``nfev`` counting the start's residual
-    evaluations, its start included, and ``njev`` its Jacobian ones.
+    ``model`` maps a (k, n) stack of the running starts' points to their
+    (k, r) residuals ``f`` and ``jacobian_at(rows)``, the Jacobians at those
+    rows (an index array or a slice) of the same stack; it is asked for them
+    only at accepted points.  ``jac_scale`` scales each variable by the
+    largest norm its Jacobian column has reached (MINPACK's mode 1);
+    otherwise all scales are one.  A start ends converged when the relative
+    reduction, actual and predicted, is at most ``tol``, when its step bound
+    falls to ``tol`` times its scaled ``x``, or when its scaled gradient's
+    largest cosine with its residuals is at most ``tol`` (``tol`` should be
+    at least machine epsilon).  It ends unconverged when it has spent
+    ``max_nfev`` residual evaluations.  Returns one result per start, in the
+    order of ``x0``: the last accepted point, with ``nfev`` counting the
+    start's residual evaluations, its start included, and ``njev`` its
+    Jacobian ones.
     """
     x = np.array(x0, dtype=float)
-    f = fun(x)
-    starts = [_Start(i, _norm(row)) for i, row in enumerate(f)]
+    f, jacobian_at = model(x)
+    starts = [_Start(i, fnorm) for i, fnorm in enumerate(_norms(f).tolist())]
     results: list[LMResult | None] = [None] * len(starts)
-    moved = np.ones(len(starts), dtype=bool)  # at a new point, whose Jacobian is still to come
-    done = ~moved
-    diag = lam = vecs = g = None
+    moved = list(range(len(starts)))  # rows of the last model call at new points, whose Jacobians are still to come
+    diag = lam = vecs = None
     while True:
-        rows = np.flatnonzero(moved)
-        if rows.size:
-            j = jac(x[rows])
+        if moved:
+            rows = slice(None) if len(moved) == len(starts) else np.array(moved)
+            j = jacobian_at(rows)
             jt = j.swapaxes(1, 2)
             normal = jt @ j
             jtf = (jt @ f[rows, :, None])[:, :, 0]
-            col_norms = np.sqrt(np.diagonal(normal, axis1=1, axis2=2))
+            col_norms = np.sqrt(normal.diagonal(axis1=1, axis2=2))
             if diag is None:  # the first Jacobians, of every start: scales and step bounds
                 diag = np.where(col_norms > 0.0, col_norms, 1.0) if jac_scale else np.ones_like(x)
-                for start, scaled in zip(starts, diag * x):
-                    start.xnorm = _norm(scaled)
-                    start.delta = STEP_FACTOR * start.xnorm or STEP_FACTOR
-                lam, vecs, g = np.empty_like(x), np.empty(normal.shape), np.empty_like(x)
-            gradient = np.abs(jtf) / np.where(col_norms > 0.0, col_norms, np.inf)
-            for row, largest in zip(rows.tolist(), gradient.max(axis=1, initial=0.0).tolist()):
+                for start, xnorm in zip(starts, _norms(diag * x).tolist()):
+                    start.xnorm, start.delta = xnorm, STEP_FACTOR * xnorm or STEP_FACTOR
+                lam, vecs = np.empty_like(x), np.empty(normal.shape)
+            scale = diag[rows]
+            if jac_scale:
+                diag[rows] = scale = np.maximum(scale, col_norms)
+            lam_rows, vecs_rows = np.linalg.eigh(normal / (scale[:, :, None] * scale[:, None, :]))
+            lam_rows = np.maximum(lam_rows[:, ::-1], 0.0)
+            lam[rows], vecs[rows] = lam_rows, vecs_rows
+            g = ((jtf / scale)[:, None, :] @ vecs_rows[:, :, ::-1])[:, 0]
+            largest = (np.abs(jtf) / np.where(col_norms > 0.0, col_norms, np.inf)).max(axis=1, initial=0.0).tolist()
+            for row, entry, largest_row in zip(moved, _gauss_newton(lam_rows, g), largest):
                 start = starts[row]
                 start.njev += 1
-                done[row] = start.converged = bool(start.fnorm == 0.0 or largest <= tol * start.fnorm)
-            if done.any():
-                go = ~done[rows]
-                rows, normal, jtf, col_norms = rows[go], normal[go], jtf[go], col_norms[go]
-            if jac_scale:
-                diag[rows] = np.maximum(diag[rows], col_norms)
-            scale = diag[rows]
-            lam_rows, vecs_rows = np.linalg.eigh(normal / (scale[:, :, None] * scale[:, None, :]))
-            lam[rows], vecs[rows] = np.maximum(lam_rows[:, ::-1], 0.0), vecs_rows
-            g[rows] = ((jtf / scale)[:, None, :] @ vecs_rows[:, :, ::-1])[:, 0]
-        if done.any():
-            for row in np.flatnonzero(done).tolist():
-                start = starts[row]
-                results[start.index] = LMResult(x[row].copy(), f[row].copy(), start.nfev, start.njev, start.converged)
-            keep = ~done
-            if not keep.any():
+                start.entry = entry
+                start.done = start.converged = start.fnorm == 0.0 or largest_row <= tol * start.fnorm
+        if any(start.done for start in starts):
+            for start, x_row, f_row in zip(starts, x, f):
+                if start.done:
+                    results[start.index] = LMResult(x_row.copy(), f_row.copy(), start.nfev, start.njev, start.converged)
+            keep = [row for row, start in enumerate(starts) if not start.done]
+            if not keep:
                 return results
-            starts = [start for start, kept in zip(starts, keep.tolist()) if kept]
-            x, f, diag, lam, vecs, g = x[keep], f[keep], diag[keep], lam[keep], vecs[keep], g[keep]
+            starts = [starts[row] for row in keep]
+            x, f, diag, lam, vecs = x[keep], f[keep], diag[keep], lam[keep], vecs[keep]
         # one trial step of every running start
-        w = np.empty_like(x)
-        for row, start in enumerate(starts):
-            start.par, w[row] = _damping(lam[row], g[row], start.delta, start.par)
+        steps = []
+        for start in starts:
+            start.par, step = _damping(start.entry, start.delta, start.par)
+            steps.append(step)
+        w = np.array(steps)
         trial = x - (vecs[:, :, ::-1] @ w[:, :, None])[:, :, 0] / diag
-        f_trial = fun(trial)
-        scaled = diag * trial
-        moved = np.array([start.trial(lam[i], w[i], scaled[i], f_trial[i], tol) for i, start in enumerate(starts)])
-        np.copyto(x, trial, where=moved[:, None])
-        np.copyto(f, f_trial, where=moved[:, None])
-        done = np.array([start.converged or start.nfev >= max_nfev for start in starts])
-        moved &= ~done
+        f_trial, jacobian_at = model(trial)
+        scalars = zip(_norms(w).tolist(), _norms(f_trial).tolist(), _dots(lam, w * w), _norms(diag * trial).tolist())
+        accepted = [row for row, (start, s) in enumerate(zip(starts, scalars)) if start.trial(*s, tol, max_nfev)]
+        moved = [row for row in accepted if not starts[row].done]
+        if accepted:
+            rows = slice(None) if len(accepted) == len(starts) else np.array(accepted)
+            x[rows], f[rows] = trial[rows], f_trial[rows]

@@ -15,8 +15,8 @@ variance floor.  The objective is a weighted sum of squares, so the
 optimizer is a deterministic multi-start Levenberg-Marquardt on the residual
 vector, with the analytic Jacobian, over an unconstrained parametrization
 (weights through softmax, rates through a logistic map).  The starts run
-independently, in one batch through :mod:`corrtomo.lm`: the residuals and
-Jacobians of all running starts are evaluated in one call each, and every
+independently, in one batch through :mod:`corrtomo.lm`, with one model call
+per pass whose Jacobians reuse its weights, rates and dampings; every
 start's iterates are bit for bit those it has when run alone.  The winning
 start is chosen by (objective, start index), so results are reproducible
 and independent of evaluation order.  Fits are canonicalized by ascending
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -137,11 +137,18 @@ class _SufficientStatistics:
     damping sum of its gate counts and ``y = z (2 C - 1)``.  So the objective is
     exactly ``spread + sum_n A_n (s_n - t_n)^2``, where ``A_n`` is a quarter of the
     summed inverse variances of the z != 0 records with counts ``n`` and ``t_n``
-    their weighted mean of ``y``; ``residuals`` are ``sqrt(A_n) (s_n - t_n)``.
+    their weighted mean of ``y``.  ``records`` may be a list; ``gate_labels`` None takes their own.
     """
 
-    def __init__(self, records: RecordSet, gate_labels: tuple[str, ...], sigma_floor: float) -> None:
-        z_ideal, counts, means, variances = _record_features(records, gate_labels, sigma_floor)
+    def __init__(self, records, gate_labels: tuple[str, ...] | None, sigma_floor: float) -> None:
+        if not records:
+            raise ValueError("need at least one record")
+        if sigma_floor <= 0.0:
+            raise ValueError(f"sigma_floor must be positive (records may carry zero variance), got {sigma_floor}")
+        if not isinstance(records, RecordSet):
+            records = RecordSet.from_records(records)
+        self.gate_labels = records.used_labels() or ("H", "S") if gate_labels is None else gate_labels
+        z_ideal, counts, means, variances = _record_features(records, self.gate_labels, sigma_floor)
         inv_var = 1.0 / variances
         flat = z_ideal == 0.0
         flat_spread = np.sum((means[flat] - 0.5) ** 2 * inv_var[flat])
@@ -161,14 +168,10 @@ class _SufficientStatistics:
     def objective(self, p: np.ndarray, rates: np.ndarray) -> float:
         return float(self.a @ (_damping(rates, self.counts) @ p - self.target) ** 2 + self.spread)
 
-    def residuals(self, x: np.ndarray, m: int) -> np.ndarray:
-        """``sqrt(A_n) (s_n - t_n)`` at every row of unconstrained parameters ``x``: (k, groups)."""
-        p, rates = _unpack(x, m, self.counts.shape[1])
-        s = (_damping(rates, self.counts) @ p[:, :, None])[:, :, 0]  # the damping sum, per row
-        return self.sqrt_a * (s - self.target)
-
-    def jacobian(self, x: np.ndarray, m: int) -> np.ndarray:
-        """Closed-form derivative of ``residuals`` through softmax and logistic: (k, groups, params).
+    def evaluate(self, x: np.ndarray, m: int) -> tuple[np.ndarray, Callable]:
+        """``sqrt(A_n) (s_n - t_n)`` at every row of unconstrained parameters ``x``, (k, groups), and
+        ``jacobian_at(rows)``: their closed-form derivatives through softmax and logistic at those rows,
+        (rows, groups, params), from the weights, rates and dampings of this call.
 
         With D_l the damping at environment value l,
         d s / d u_k = p_{k+1} (D_{k+1} - D.p) and
@@ -179,16 +182,23 @@ class _SufficientStatistics:
         """
         n_groups, n_gates = self.counts.shape
         p, rates = _unpack(x, m, n_gates)
-        scaled = self.sqrt_a[:, None] * _damping(rates, self.counts)  # (k, groups, m)
-        weighted = (scaled @ p[:, :, None])[:, :, 0]
-        scaled = scaled.transpose(0, 2, 1).copy()  # (k, m, groups)
-        out = np.empty((len(x), x.shape[1], n_groups))
-        out[:, : m - 1] = p[:, 1:, None] * (scaled[:, 1:] - weighted[:, None])
-        slope = np.where(rates < 1.0 - RATE_CLAMP, rates, 0.0) * p[:, None, :]  # (k, gates, m)
-        d_rates = out[:, m - 1 :].reshape(len(x), n_gates, m, n_groups)
-        np.multiply(scaled[:, None], slope[:, :, :, None], out=d_rates)
-        d_rates *= self.minus_counts_t[:, None, :]
-        return np.ascontiguousarray(out.swapaxes(1, 2))
+        damping = _damping(rates, self.counts)  # (k, groups, m)
+        s = (damping @ p[:, :, None])[:, :, 0]  # the damping sum, per row
+
+        def jacobian_at(rows) -> np.ndarray:
+            p_rows, rates_rows = p[rows], rates[rows]
+            scaled = self.sqrt_a[:, None] * damping[rows]  # (k, groups, m)
+            weighted = (scaled @ p_rows[:, :, None])[:, :, 0]
+            scaled = scaled.transpose(0, 2, 1).copy()  # (k, m, groups)
+            out = np.empty((len(p_rows), x.shape[1], n_groups))
+            out[:, : m - 1] = p_rows[:, 1:, None] * (scaled[:, 1:] - weighted[:, None])
+            slope = np.where(rates_rows < 1.0 - RATE_CLAMP, rates_rows, 0.0) * p_rows[:, None, :]  # (k, gates, m)
+            d_rates = out[:, m - 1 :].reshape(len(p_rows), n_gates, m, n_groups)
+            np.multiply(scaled[:, None], slope[:, :, :, None], out=d_rates)
+            d_rates *= self.minus_counts_t[:, None, :]
+            return np.ascontiguousarray(out.swapaxes(1, 2))
+
+        return self.sqrt_a * (s - self.target), jacobian_at
 
 
 def negative_log_likelihood(
@@ -202,12 +212,6 @@ def negative_log_likelihood(
     larger of their variance estimate and the floor.
     """
     _require_frozen(model)
-    if not records:
-        raise ValueError("need at least one record")
-    if sigma_floor <= 0.0:
-        raise ValueError("sigma_floor must be positive (records may carry zero variance)")
-    if not isinstance(records, RecordSet):
-        records = RecordSet.from_records(records)
     stats = _SufficientStatistics(records, model.gate_labels, sigma_floor)
     return stats.objective(model.weights, np.stack([model.rates[g] for g in model.gate_labels]))
 
@@ -232,11 +236,6 @@ class FitResult:
                 k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in self.diagnostics.items()
             },
         }
-
-
-def _logit(p: float) -> float:
-    p = min(max(p, 1e-12), 1.0 - 1e-12)
-    return float(np.log(p / (1.0 - p)))
 
 
 def _unpack(x: np.ndarray, m: int, n_gates: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,34 +276,25 @@ def fit(
         raise ValueError(f"l_size must be >= 1, got {l_size}")
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
-    if sigma_floor <= 0.0:
-        raise ValueError(f"sigma_floor must be positive, got {sigma_floor}")
-    if not records:
-        raise ValueError("need at least one record")
-    if not isinstance(records, RecordSet):
-        records = RecordSet.from_records(records)
-    gate_labels = records.used_labels() or ("H", "S")
-    stats = _SufficientStatistics(records, gate_labels, sigma_floor)
+    stats = _SufficientStatistics(records, None, sigma_floor)
     m = l_size
-    n_gates = len(gate_labels)
+    n_gates = len(stats.gate_labels)
 
     gen = np.random.default_rng(seed)
-    base_rate_logit = _logit(START_RATE)
+    base_rate_logit = float(np.log(START_RATE / (1.0 - START_RATE)))
     starts = [np.concatenate([np.zeros(m - 1), np.full(n_gates * m, base_rate_logit)])]
     for _ in range(n_starts - 1):
         w = gen.normal(0.0, 1.0, size=m - 1)
         v = gen.normal(base_rate_logit, 2.0, size=n_gates * m)
         starts.append(np.concatenate([w, v]))
 
-    results = levenberg_marquardt(
-        lambda x: stats.residuals(x, m), lambda x: stats.jacobian(x, m), np.stack(starts), 1e-15, 100 * starts[0].size
-    )
+    results = levenberg_marquardt(lambda x: stats.evaluate(x, m), np.stack(starts), 1e-15, 100 * starts[0].size)
     p_all, rates_all = _unpack(np.stack([r.x for r in results]), m, n_gates)
     objectives = [stats.objective(p, rates) for p, rates in zip(p_all, rates_all)]
     winner = min(range(len(results)), key=lambda i: (objectives[i], i))
 
     order = np.argsort(rates_all[winner, 0], kind="stable")  # canonical: ascending rate of the first gate label
-    param_model = frozen_model(p_all[winner, order], dict(zip(gate_labels, rates_all[winner][:, order])))
+    param_model = frozen_model(p_all[winner, order], dict(zip(stats.gate_labels, rates_all[winner][:, order])))
     return FitResult(
         param_model=param_model,
         error_model=induced_error_model(param_model),

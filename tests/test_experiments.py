@@ -276,6 +276,23 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"config error: shots must be < 2**63, got {2**63}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key,value,bad",
+        [
+            ("params: circuits_per_point", 2**63, {"params": dict(SURVIVAL_CFG["params"], circuits_per_point=2**63)}),
+            ("params: n_gates[1]", 2**63, {"params": dict(SURVIVAL_CFG["params"], n_gates=[0, 2**63])}),
+            ("params: n_sequences", 2**63, {"experiment": "bounds", "params": {"n_sequences": 2**63}}),
+            ("params: max_len", 2**64, {"experiment": "bounds", "params": {"max_len": 2**64}}),
+            ("model: m", 2**63, {"model": dict(SURVIVAL_CFG["model"], m=2**63)}),
+        ],
+    )
+    def test_integers_beyond_int64_name_their_key(self, tmp_path, capsys, key, value, bad):
+        # rejected with the other checks, before a model or an array is built
+        out = tmp_path / "out"
+        assert run({**SURVIVAL_CFG, **bad}, out_dir=out) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key} must be < 2**63, got {value}\n"
+        assert not out.exists()
+
     def test_largest_shots_and_a_seed_beyond_int64_run(self, tmp_path):
         assert run({**SURVIVAL_CFG, "shots": 2**63 - 1, "seed": 2**64 + 5}, out_dir=tmp_path / "out") == EXIT_OK
 

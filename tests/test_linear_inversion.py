@@ -200,10 +200,10 @@ def lm_calls(monkeypatch):
     calls = []
     real = li.levenberg_marquardt
 
-    def spy(fun, jac, x0, *args, **kwargs):
-        results = real(fun, jac, x0, *args, **kwargs)
+    def spy(model, x0, *args, **kwargs):
+        results = real(model, x0, *args, **kwargs)
         (x_start,), (result,) = x0, results
-        calls.append((lambda x: fun(x[None])[0], lambda x: jac(x[None])[0], np.array(x_start), result))
+        calls.append((lambda x: model(x[None])[0][0], lambda x: model(x[None])[1]([0])[0], np.array(x_start), result))
         return results
 
     monkeypatch.setattr(li, "levenberg_marquardt", spy)

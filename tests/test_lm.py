@@ -1,6 +1,7 @@
 """Levenberg-Marquardt: closed-form answers, termination rules, counts, and the batch against one start alone."""
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ import corrtomo as ct
 import corrtomo.mle as mle
 from conftest import _loop_damping, loop_lm
 from corrtomo.linear_inversion import collect_trial_data
-from corrtomo.lm import _damping, levenberg_marquardt
+from corrtomo.lm import _damping, _dots, _gauss_newton, _norms, levenberg_marquardt
 from corrtomo.mle import records_from_tomography
 
 
@@ -51,9 +52,14 @@ def stacked(one):
     return lambda xs: np.stack([one(x) for x in xs])
 
 
+def model_of(fun, jac):
+    """The batch model of a residual and a Jacobian of one point: residuals of a stack, Jacobians at its rows."""
+    return lambda xs: (stacked(fun)(xs), lambda rows: stacked(jac)(xs[rows]))
+
+
 def solve(fun, jac, x0, *args):
     """One start through the batched LM."""
-    (result,) = levenberg_marquardt(stacked(fun), stacked(jac), np.asarray(x0, dtype=float)[None], *args)
+    (result,) = levenberg_marquardt(model_of(fun, jac), np.asarray(x0, dtype=float)[None], *args)
     return result
 
 
@@ -106,28 +112,48 @@ class TestTermination:
     def test_counts_every_evaluation(self):
         rows = {"fun": 0, "jac": 0}
 
-        def fun(xs):
+        def model(xs):
             rows["fun"] += len(xs)
-            return stacked(rosenbrock)(xs)
 
-        def jac(xs):
-            rows["jac"] += len(xs)
-            return stacked(rosenbrock_jacobian)(xs)
+            def jacobian_at(picked):
+                rows["jac"] += len(xs[picked])
+                return stacked(rosenbrock_jacobian)(xs[picked])
 
-        results = levenberg_marquardt(fun, jac, np.array([[-1.2, 1.0], [1.0, 1.0], [3.0, -2.0]]), 1e-15, 200)
+            return stacked(rosenbrock)(xs), jacobian_at
+
+        results = levenberg_marquardt(model, np.array([[-1.2, 1.0], [1.0, 1.0], [3.0, -2.0]]), 1e-15, 200)
         assert rows == {"fun": sum(r.nfev for r in results), "jac": sum(r.njev for r in results)}
 
-    def test_functions_see_only_the_running_starts(self):
+    def test_model_sees_only_the_running_starts(self):
         seen = []
 
-        def fun(xs):
+        def model(xs):
             seen.append(len(xs))
-            return stacked(rosenbrock)(xs)
+            return model_of(rosenbrock, rosenbrock_jacobian)(xs)
 
         starts = np.array([[1.0, 1.0], [-1.2, 1.0]])
-        results = levenberg_marquardt(fun, stacked(rosenbrock_jacobian), starts, 1e-15, 200)
+        results = levenberg_marquardt(model, starts, 1e-15, 200)
         # the zero-residual start leaves after its first Jacobian
         assert seen == [2] + [1] * (results[1].nfev - 1)
+
+    def test_jacobians_come_from_the_last_model_call(self):
+        calls = []
+
+        def model(xs):
+            asked = []
+            calls.append(asked)
+
+            def jacobian_at(rows):
+                assert asked is calls[-1]  # no model call since the one that made this function
+                asked.append(len(xs[rows]))
+                return stacked(rosenbrock_jacobian)(xs[rows])
+
+            return stacked(rosenbrock)(xs), jacobian_at
+
+        results = levenberg_marquardt(model, np.array([[-1.2, 1.0], [3.0, -2.0], [0.5, 0.5]]), 1e-15, 200)
+        # at most one Jacobian call per model call, the first at every start
+        assert all(len(asked) <= 1 for asked in calls) and calls[0] == [3]
+        assert sum(map(sum, calls)) == sum(r.njev for r in results)
 
     def test_repeats_bit_for_bit(self):
         f, j = tanh_problem()
@@ -162,7 +188,7 @@ class TestAgainstOneStartAlone:
         stops = []
         for _, fun, jac, starts, tol, budget in oracle_cases():
             x0 = np.array(starts, dtype=float)
-            results = levenberg_marquardt(stacked(fun), stacked(jac), x0, tol, budget, jac_scale)
+            results = levenberg_marquardt(model_of(fun, jac), x0, tol, budget, jac_scale)
             for start, got in zip(starts, results):
                 assert_same_bits(got, loop_lm(fun, jac, start, tol, budget, jac_scale, stops=stops))
         # every termination test is covered
@@ -174,22 +200,22 @@ class TestAgainstOneStartAlone:
         calls = []
         real = mle.levenberg_marquardt
 
-        def spy(fun, jac, x0, tol, max_nfev):
-            calls.append((fun, jac, x0, tol, max_nfev, real(fun, jac, x0, tol, max_nfev)))
+        def spy(model, x0, tol, max_nfev):
+            calls.append((model, x0, tol, max_nfev, real(model, x0, tol, max_nfev)))
             return calls[-1][-1]
 
         monkeypatch.setattr(mle, "levenberg_marquardt", spy)
         ct.fit(d7_records[device], l_size, n_starts=4, seed=0)
-        ((fun, jac, starts, tol, max_nfev, results),) = calls
+        ((model, starts, tol, max_nfev, results),) = calls
         for x0, got in zip(starts, results):
-            want = loop_lm(lambda x: fun(x[None])[0], lambda x: jac(x[None])[0], x0, tol, max_nfev)
+            want = loop_lm(lambda x: model(x[None])[0][0], lambda x: model(x[None])[1]([0])[0], x0, tol, max_nfev)
             assert_same_bits(got, want)
 
     @settings(max_examples=8, deadline=None)
     @given(order=st.permutations(range(5)), size=st.integers(1, 5), jac_scale=st.booleans())
     def test_any_subset_and_order_of_starts_gives_each_start_its_own_bits(self, order, size, jac_scale):
         picked = order[:size]
-        results = levenberg_marquardt(*tanh_batch(), TANH_STARTS[picked], 1e-15, 600, jac_scale)
+        results = levenberg_marquardt(tanh_model(), TANH_STARTS[picked], 1e-15, 600, jac_scale)
         for i, got in zip(picked, results):
             assert_same_bits(got, tanh_alone(i, jac_scale))
 
@@ -197,19 +223,24 @@ class TestAgainstOneStartAlone:
 TANH_STARTS = np.vstack([np.full(6, 0.01), np.zeros(6), np.random.default_rng(6).normal(0.0, 0.02, (3, 6))])
 
 
-def tanh_batch():
-    f, j = tanh_problem()
-    return stacked(f), stacked(j)
+def tanh_model():
+    return model_of(*tanh_problem())
 
 
 @functools.cache
 def tanh_alone(i, jac_scale):
-    return levenberg_marquardt(*tanh_batch(), TANH_STARTS[i : i + 1], 1e-15, 600, jac_scale)[0]
+    return levenberg_marquardt(tanh_model(), TANH_STARTS[i : i + 1], 1e-15, 600, jac_scale)[0]
 
 
 @pytest.fixture(scope="module")
 def d7_records(suite_records, device_m2, trial_d7):
     return {"m5": suite_records, "m2": records_from_tomography(collect_trial_data(device_m2, trial_d7))}
+
+
+def damping_entry(lam, g):
+    """One start's entry of ``_damping``, as the LM forms it for a stack of starts."""
+    (entry,) = _gauss_newton(lam[None], g[None])
+    return entry
 
 
 class TestDampingOverflow:
@@ -227,7 +258,7 @@ class TestDampingOverflow:
             assert np.isinf(w @ (w / shifted))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            par, w = _damping(self.LAM, self.G, self.DELTA, 0.0)
+            par, w = _damping(damping_entry(self.LAM, self.G), self.DELTA, 0.0)
         assert np.isfinite(par) and np.all(np.isfinite(w))
         assert abs(np.linalg.norm(w) - self.DELTA) <= 0.1 * self.DELTA
         want_par, want_w = _loop_damping(self.LAM, self.G, self.DELTA, 0.0)
@@ -237,7 +268,7 @@ class TestDampingOverflow:
         x0 = np.array([1.0, 10.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = levenberg_marquardt(stacked(cliff), stacked(cliff_jacobian), x0[None], 1e-10, 200)[0]
+            got = levenberg_marquardt(model_of(cliff, cliff_jacobian), x0[None], 1e-10, 200)[0]
             want = loop_lm(cliff, cliff_jacobian, x0, 1e-10, 200)
         assert_same_bits(got, want)
         assert got.x[0] > 100.0 and got.nfev == 3
@@ -250,7 +281,7 @@ class TestDampingOverflow:
             assert np.isinf(w @ (w / lam))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            par, w = _damping(lam, g, 1.0, 0.0)
+            par, w = _damping(damping_entry(lam, g), 1.0, 0.0)
         assert par > 0.0 and abs(np.linalg.norm(w) - 1.0) <= 0.1
         want_par, want_w = _loop_damping(lam, g, 1.0, 0.0)
         assert par == want_par and w.tobytes() == want_w.tobytes()
@@ -264,7 +295,35 @@ class TestDampingOverflow:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = levenberg_marquardt(stacked(one), stacked(one_jacobian), np.array([[1.0]]), 1e-10, 200)[0]
+            got = levenberg_marquardt(model_of(one, one_jacobian), np.array([[1.0]]), 1e-10, 200)[0]
             want = loop_lm(one, one_jacobian, np.array([1.0]), 1e-10, 200)
         assert_same_bits(got, want)
         assert got.x[0] > 100.0
+
+
+class TestStackedProducts:
+    """The per-start scalars come from stacked products whose rows are bit for bit the 1-D products."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 16), n=st.integers(1, 500))
+    def test_rows_are_the_one_row_products(self, seed, k, n):
+        gen = np.random.default_rng(seed)
+        a, b = (gen.normal(size=(k, n)) * 10.0 ** gen.uniform(-8.0, 8.0, (k, n)) for _ in range(2))
+        norms, dots = _norms(a), _dots(a, b)
+        for i in range(k):
+            assert norms[i] == math.sqrt(a[i] @ a[i])
+            assert dots[i] == a[i] @ b[i]
+
+    def test_damping_entries_are_the_one_start_formulas(self):
+        gen = np.random.default_rng(7)
+        lam = np.sort(gen.uniform(1.0, 10.0, (6, 5)), axis=1)[:, ::-1] * 10.0 ** gen.uniform(-20.0, 5.0, (6, 1))
+        lam[1, 3:] = lam[2, 4] = 0.0  # directions lost in rounding
+        lam[3, 4] = lam[3, 0] * 1e-17
+        g = gen.normal(size=(6, 5))
+        for (lam_i, g_i, w, dxnorm, gnorm, full_rank), lam_want, g_want in zip(_gauss_newton(lam, g), lam, g):
+            assert lam_i.tobytes() == lam_want.tobytes() and g_i.tobytes() == g_want.tobytes()
+            kept = lam_i > lam_i[0] * np.finfo(float).eps
+            want = np.divide(g_i, lam_i, out=np.zeros_like(g_i), where=kept)
+            assert w.tobytes() == want.tobytes() and dxnorm == math.sqrt(want @ want)
+            assert gnorm == math.sqrt(g_i @ g_i) and full_rank == kept.all()
+        assert [entry[5] for entry in _gauss_newton(lam, g)] == [True, False, False, False, True, True]

@@ -169,10 +169,10 @@ class TestKernels:
     def test_jacobian_matches_central_differences(self, l_size):
         stats, x = self.kernel_case(l_size, 3, 16)
         step = 1e-6
-        jac = stats.jacobian(x, l_size)
+        jac = stats.evaluate(x, l_size)[1](slice(None))
         numeric = np.stack(
             [
-                (stats.residuals(x + step * e, l_size) - stats.residuals(x - step * e, l_size)) / (2 * step)
+                (stats.evaluate(x + step * e, l_size)[0] - stats.evaluate(x - step * e, l_size)[0]) / (2 * step)
                 for e in np.eye(x.shape[1])
             ],
             axis=2,
@@ -184,7 +184,8 @@ class TestKernels:
     @pytest.mark.parametrize("l_size", [1, 2, 3])
     def test_rows_match_the_single_row_closed_form(self, l_size):
         stats, x = self.kernel_case(l_size, 4, 26)
-        residuals, jac = stats.residuals(x, l_size), stats.jacobian(x, l_size)
+        residuals, jacobian_at = stats.evaluate(x, l_size)
+        jac = jacobian_at(slice(None))
         p, rates = mle._unpack(x, l_size, 2)
         for i in range(len(x)):
             closed = stats.sqrt_a * (_damping(rates[i], stats.counts) @ p[i] - stats.target)
@@ -192,8 +193,19 @@ class TestKernels:
             objective = stats.spread + residuals[i] @ residuals[i]
             assert stats.objective(p[i], rates[i]) == pytest.approx(objective, rel=1e-9)
             # a row's bits do not depend on the rows evaluated with it
-            assert stats.residuals(x[i : i + 1], l_size)[0].tobytes() == residuals[i].tobytes()
-            assert np.array_equal(stats.jacobian(x[i : i + 1], l_size)[0], jac[i])
+            alone, alone_jacobian_at = stats.evaluate(x[i : i + 1], l_size)
+            assert alone[0].tobytes() == residuals[i].tobytes()
+            assert alone_jacobian_at([0])[0].tobytes() == jac[i].tobytes()
+
+    @pytest.mark.parametrize("l_size", [1, 2, 3])
+    def test_jacobian_at_rows_is_the_jacobian_of_those_rows_alone(self, l_size):
+        stats, x = self.kernel_case(l_size, 6, 36)
+        _, jacobian_at = stats.evaluate(x, l_size)
+        for rows in ([0], [5], [1, 4], [0, 2, 3, 5], list(range(6))):
+            got = jacobian_at(rows)
+            want = stats.evaluate(x[rows], l_size)[1](slice(None))
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        assert jacobian_at(slice(None)).tobytes() == jacobian_at(list(range(6))).tobytes()
 
     def test_records_with_no_ideal_outcome_leave_no_groups(self):
         # H, S H and H S all end on the equator (z = 0), so every prediction is 1/2
@@ -202,7 +214,8 @@ class TestKernels:
         stats = mle._SufficientStatistics(RecordSet.from_records(records), ("H", "S"), 1e-3)
         assert stats.counts.shape == (0, 2) and stats.a.size == 0
         x = np.zeros((2, 5))
-        assert stats.residuals(x, 2).shape == (2, 0) and stats.jacobian(x, 2).shape == (2, 0, 5)
+        residuals, jacobian_at = stats.evaluate(x, 2)
+        assert residuals.shape == (2, 0) and jacobian_at(slice(None)).shape == (2, 0, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for l_size in (1, 2, 3):
@@ -311,13 +324,13 @@ class TestFit:
         real = mle.levenberg_marquardt
         calls = []
 
-        def only_a_losing_start_succeeds(fun, jac, x0, *args, **kwargs):
+        def only_a_losing_start_succeeds(model, x0, *args, **kwargs):
             calls.append(x0)
             return [  # start 1, left at its random start, claims success and loses
                 dataclasses.replace(result, x=np.array(x0[1]), converged=True)
                 if i == 1
                 else dataclasses.replace(result, converged=False)
-                for i, result in enumerate(real(fun, jac, x0, *args, **kwargs))
+                for i, result in enumerate(real(model, x0, *args, **kwargs))
             ]
 
         monkeypatch.setattr(mle, "levenberg_marquardt", only_a_losing_start_succeeds)
@@ -326,6 +339,30 @@ class TestFit:
         assert len(calls) == 1 and calls[0].shape == (3, 5)
         assert result.diagnostics["winner"] != 1
         assert result.converged is False
+
+    # (n_evaluations, winner, start_objectives) of the l_size 2, seed 0 fit to d7 data on the 5-point device,
+    # recorded from the fit before its LM took one model call per pass: any change in the fit's bits shows here
+    RECORDED = {
+        None: (2039, 10, "0x1.ad4f03f6e1f1cp-11 0x1.ad4f03f6ef4bbp-11 0x1.bc158ce6ded76p+14 0x1.ad4f03f6f5bfdp-11 "
+               "0x1.ad4f03f72a592p-11 0x1.ad4f03f6dd719p-11 0x1.ad4f03f6f9323p-11 0x1.ad4f03f73bd80p-11 "
+               "0x1.850c5478cbf90p+12 0x1.77625bcff9773p+21 0x1.ad4f03f6d182ep-11 0x1.ad4f03f6e4db9p-11 "
+               "0x1.ad4f03f716bd8p-11 0x1.ad4f03f7079fap-11 0x1.77625bcff95c0p+21 0x1.ad4f03f710789p-11"),
+        1000: (1410, 10, "0x1.6342aa1e2399ap+15 0x1.61e032329069dp+15 0x1.6342aa1e22ca0p+15 0x1.61e2aef381017p+15 "
+               "0x1.61e0322f035d5p+15 0x1.61e032385d304p+15 0x1.61e032314fa7cp+15 0x1.61e0323125356p+15 "
+               "0x1.626cdd83affc8p+15 0x1.783f5d07f0004p+16 0x1.61e0322f02d53p+15 0x1.61e03231bd19dp+15 "
+               "0x1.6342aa1e23929p+15 0x1.61e0323316e14p+15 0x1.783f5d07e8c8fp+16 0x1.61e032346c94ap+15"),
+    }
+
+    @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
+    def test_fit_keeps_its_recorded_bits(self, device_m5, trial_d7, shots):
+        from corrtomo.linear_inversion import collect_trial_data
+
+        records = records_from_tomography(collect_trial_data(device_m5, trial_d7, shots=shots, seed=0))
+        diagnostics = ct.fit(records, 2, seed=0).diagnostics
+        n_evaluations, winner, objectives = self.RECORDED[shots]
+        assert (diagnostics["n_evaluations"], diagnostics["winner"]) == (n_evaluations, winner)
+        want = np.array([float.fromhex(v) for v in objectives.split()])
+        assert diagnostics["start_objectives"].tobytes() == want.tobytes()
 
     def test_three_point_fit_of_five_point_device(self, suite_records):
         # model mismatch on the d7 seed-0 records; 7.2e-8 is what the
@@ -431,7 +468,7 @@ class TestRecordSet:
             want = np.sum((predictions - means) ** 2 / variances)
             assert stats.objective(p, rates) == pytest.approx(want, rel=1e-12)
             x = np.concatenate([np.log(p[1:] / p[0]), np.log(rates / (1.0 - rates)).ravel()])[None, :]
-            residuals = stats.residuals(x, l_size)[0]
+            residuals = stats.evaluate(x, l_size)[0][0]
             assert stats.spread + residuals @ residuals == pytest.approx(want, rel=1e-12)
 
     def test_fit_matches_the_record_list(self, d7_records):

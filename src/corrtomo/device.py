@@ -151,7 +151,9 @@ def _ideal_features(gates: np.ndarray, labels: tuple[str, ...], context: bool = 
         index[:, 1:] = n * index[:, 1:] + gates[:, :-1]
         index[:, :1] += n * n
         index[gates == n] = n * n + n
-    counts = np.stack([np.count_nonzero(index == j, axis=1) for j in range(n * n + n if context else n)], axis=1)
+    counts = np.zeros((len(gates), n * n + n if context else n), dtype=np.intp)  # no labels: no columns
+    for j, column in enumerate(counts.T):
+        column[:] = np.count_nonzero(index == j, axis=1)
     return z_ideal, counts
 
 
@@ -285,17 +287,18 @@ def _signed_axis_table(gate_labels: tuple[str, ...]) -> np.ndarray:
     return table
 
 
-def _fold_signed_axes(table: np.ndarray, gates: np.ndarray) -> np.ndarray:
-    """Final signed-axis state of every row of a gate-index matrix, started at +z.
+def _fold_signed_axes(table: np.ndarray, gates: np.ndarray, start=_PLUS_Z) -> np.ndarray:
+    """Final signed-axis state of every row of a gate-index matrix, started at ``start`` (+z).
 
-    One ``take`` per gate position from the flat table at ``6 * gate + state``,
+    ``start`` is one state, or a column ``(s, 1)`` of them that gives every row's image of each,
+    ``(s, rows)``.  One ``take`` per gate position from the flat table at ``6 * gate + state``,
     over a transposed copy of the matrix in the smallest type that holds them.
     """
     dtype = np.min_scalar_type(table.size - 1)
     flat = table.ravel().astype(dtype)
     offsets = gates.T.astype(dtype, order="C")
     offsets *= table.shape[1]
-    state = np.full(gates.shape[0], _PLUS_Z, dtype=dtype)
+    state = np.full(np.shape(start)[:-1] + gates.shape[:1], start, dtype=dtype)
     for column in offsets:
         state = flat.take(column + state)
     return state

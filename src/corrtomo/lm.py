@@ -19,6 +19,7 @@ give the same iterates.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -71,6 +72,11 @@ def _gauss_newton(lam: np.ndarray, g: np.ndarray) -> list[tuple]:
     return list(zip(lam, g, w, _norms(w).tolist(), _norms(g).tolist(), full_rank.all(axis=1).tolist()))
 
 
+def _gauss_newton_fits(entry: tuple, delta: float) -> bool:
+    """Whether the Gauss-Newton step of a :func:`_gauss_newton` entry is short enough for ``delta``."""
+    return entry[3] - delta <= 0.1 * delta
+
+
 def _damping(entry: tuple, delta: float, par: float) -> tuple[float, np.ndarray]:
     """Damping ``par`` whose step has length within 10% of ``delta`` (MINPACK ``lmpar``).
 
@@ -78,33 +84,33 @@ def _damping(entry: tuple, delta: float, par: float) -> tuple[float, np.ndarray]
     eigenvalues of its scaled normal matrix, descending, and ``g`` its scaled
     gradient in their eigenbasis.  Returns ``par`` and the step's coordinates
     ``w = g / (lam + par)`` in that basis.  The Gauss-Newton step
-    (``par = 0``) is taken when it is short enough.  Otherwise Moré's Newton
-    iteration on the reciprocal step length runs inside safeguarding bounds,
-    for at most ten steps.
+    (``par = 0``) is taken when it fits (:func:`_gauss_newton_fits`).
+    Otherwise Moré's Newton iteration on the reciprocal step length runs
+    inside safeguarding bounds, for at most ten steps; its callers turn
+    overflow warnings off, as :func:`_curvature` replaces a sum that overflows.
     """
     lam, g, w, dxnorm, gnorm, full_rank = entry
-    fp = dxnorm - delta
-    if fp <= 0.1 * delta:
+    if _gauss_newton_fits(entry, delta):
         return 0.0, w
-    with np.errstate(over="ignore"):  # _curvature replaces a sum that overflows
-        parl = (fp / delta) / _curvature(w, dxnorm, lam) if full_rank else 0.0
-        paru = gnorm / delta or DWARF / min(delta, 0.1)
-        par = min(max(par, parl), paru) or gnorm / dxnorm
-        for iteration in range(1, 11):
-            if par == 0.0:
-                par = max(DWARF, 0.001 * paru)
-            shifted = lam + par
-            w = g / shifted
-            dxnorm = math.sqrt(w @ w)
-            previous, fp = fp, dxnorm - delta
-            if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
-                break
-            correction = (fp / delta) / _curvature(w, dxnorm, shifted)
-            if fp > 0.0:
-                parl = max(parl, par)
-            elif fp < 0.0:
-                paru = min(paru, par)
-            par = max(parl, par + correction)
+    fp = dxnorm - delta
+    parl = (fp / delta) / _curvature(w, dxnorm, lam) if full_rank else 0.0
+    paru = gnorm / delta or DWARF / min(delta, 0.1)
+    par = min(max(par, parl), paru) or gnorm / dxnorm
+    for iteration in range(1, 11):
+        if par == 0.0:
+            par = max(DWARF, 0.001 * paru)
+        shifted = lam + par
+        w = g / shifted
+        dxnorm = math.sqrt(w @ w)
+        previous, fp = fp, dxnorm - delta
+        if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
+            break
+        correction = (fp / delta) / _curvature(w, dxnorm, shifted)
+        if fp > 0.0:
+            parl = max(parl, par)
+        elif fp < 0.0:
+            paru = min(paru, par)
+        par = max(parl, par + correction)
     return par, w
 
 
@@ -222,11 +228,13 @@ def levenberg_marquardt(
                 return results
             starts = [starts[row] for row in keep]
             x, f, diag, lam, vecs = x[keep], f[keep], diag[keep], lam[keep], vecs[keep]
-        # one trial step of every running start
+        # one trial step of every running start, with overflow warnings off where a damping iterates
         steps = []
-        for start in starts:
-            start.par, step = _damping(start.entry, start.delta, start.par)
-            steps.append(step)
+        iterates = not all(_gauss_newton_fits(start.entry, start.delta) for start in starts)
+        with np.errstate(over="ignore") if iterates else contextlib.nullcontext():
+            for start in starts:
+                start.par, step = _damping(start.entry, start.delta, start.par)
+                steps.append(step)
         w = np.array(steps)
         trial = x - (vecs[:, :, ::-1] @ w[:, :, None])[:, :, 0] / diag
         f_trial, jacobian_at = model(trial)

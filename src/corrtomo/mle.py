@@ -24,16 +24,20 @@ first-gate rate to remove the label permutation symmetry.
 
 Because depolarizing noise commutes with the ideal gates, a circuit's
 predicted mean only depends on its ideal output and its per-gate counts.
-The ideal H and S permute the signed Bloch axes, so both come from one
-integer fold over all records.  ``fit`` and ``negative_log_likelihood`` then
+The ideal H and S permute the signed Bloch axes, so both are exact integer
+facts of a record, held on its :class:`RecordSet`.  For tomography records
+they are composed from the circuits' factors, preparation fiducial, gate and
+measurement fiducial; a list of records takes them from one integer fold of
+its gate matrix.  ``fit`` and ``negative_log_likelihood`` then
 evaluate the likelihood with one residual per distinct gate-count vector, in
 the closed form of :mod:`corrtomo.device` with its frozen features, the
 per-gate counts: outputs on the equator (z = 0) predict 1/2 whatever the
 parameters, and z = +1 and z = -1 differ only in the sign of the decay.
 
 Records travel as a columnar :class:`RecordSet` (a padded gate-index matrix,
-means, variances, shots) that :func:`records_from_tomography` builds from
-the tomography matrices; a plain list of records is converted once on entry.
+the ideal outputs and gate counts, means, variances, shots) that
+:func:`records_from_tomography` builds from the tomography matrices; a plain
+list of records is converted once on entry.
 """
 
 from __future__ import annotations
@@ -45,11 +49,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .device import (
+    _AXES,
     RATE_CLAMP,
     MeasurementRecord,
     _damping,
+    _fold_signed_axes,
     _gate_matrix,
     _ideal_features,
+    _signed_axis_table,
 )
 from .lm import levenberg_marquardt
 from .noise import LowFreqModel, frozen_model
@@ -75,16 +82,26 @@ class RecordSet:
 
     ``gates[r]`` holds record ``r``'s gates as indices into ``labels``, padded
     anywhere in the row with ``len(labels)``, the identity row of the
-    signed-axis table.  ``shots[r] == 0`` marks an exact record.
+    signed-axis table.  Its features are ``z_ideal[r]``, the Bloch z of the
+    noiseless output (exactly -1, 0 or 1), and ``counts[r, j]``, the integer
+    count of ``labels[j]`` among its gates.  ``shots[r] == 0`` marks an exact
+    record.
     """
 
     labels: tuple[str, ...]
     gates: np.ndarray
+    z_ideal: np.ndarray
+    counts: np.ndarray
     means: np.ndarray
     variances: np.ndarray
     shots: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.z_ideal.shape != self.means.shape or self.counts.shape != (len(self.means), len(self.labels)):
+            raise ValueError(
+                f"features of shapes {self.z_ideal.shape} and {self.counts.shape} do not match "
+                f"{len(self.means)} records over {len(self.labels)} labels"
+            )
         exact = self.shots == 0
         if np.any(self.variances[exact] != 0.0) or np.any(self.variances[~exact] <= 0.0):
             raise ValueError("exact records must have zero variance and sampled records a positive one")
@@ -96,14 +113,15 @@ class RecordSet:
         means = np.array([rec.mean for rec in records], dtype=float)
         variances = np.array([rec.variance for rec in records], dtype=float)
         shots = np.array([rec.shots or 0 for rec in records], dtype=np.int64)
-        return cls(labels, _gate_matrix([rec.circuit for rec in records], labels), means, variances, shots)
+        gates = _gate_matrix([rec.circuit for rec in records], labels)
+        return cls(labels, gates, *_ideal_features(gates, labels), means, variances, shots)
 
     def __len__(self) -> int:
         return len(self.means)
 
     def used_labels(self) -> tuple[str, ...]:
         """Sorted labels that occur in at least one record."""
-        return tuple(sorted(label for j, label in enumerate(self.labels) if (self.gates == j).any()))
+        return tuple(sorted(label for label, used in zip(self.labels, self.counts.any(axis=0)) if used))
 
 
 def _record_features(
@@ -115,18 +133,18 @@ def _record_features(
 
     The ideal outcome is 2 C_ideal - 1, the Bloch z component of the
     noiseless circuit output, exactly -1, 0 or 1.  Both it and the integer
-    gate counts come from the gate-index matrix, re-indexed onto
-    ``gate_labels`` when the records use other labels.
+    gate counts are the records' own features; the counts are their columns
+    for ``gate_labels``, zero for a label the records do not hold.
     """
-    gates = records.gates
+    counts = records.counts
     if records.labels != gate_labels:
         outside = sorted(set(records.used_labels()) - set(gate_labels))
         if outside:
             raise KeyError(f"record uses gate {outside[0]!r} outside the fitted gate set {gate_labels}")
-        lookup = [gate_labels.index(g) if g in gate_labels else len(gate_labels) for g in records.labels]
-        gates = np.array([*lookup, len(gate_labels)], dtype=np.int8)[gates]
-    z_ideal, counts = _ideal_features(gates, gate_labels)
-    return z_ideal, counts, records.means, np.maximum(records.variances, sigma_floor**2)
+        column = {label: j for j, label in enumerate(records.labels)}
+        counts = np.column_stack([counts, np.zeros(len(records), counts.dtype)])
+        counts = counts[:, [column.get(g, -1) for g in gate_labels]]  # -1: the zero column
+    return records.z_ideal, counts, records.means, np.maximum(records.variances, sigma_floor**2)
 
 
 class _SufficientStatistics:
@@ -320,6 +338,12 @@ def records_from_tomography(data) -> RecordSet:
     :class:`RecordSet` is ordered by k, then i, then the Gram entry before
     the gates in ``gate_mats`` order.  Exact data yield exact records,
     sampled data carry the binomial variance estimate.
+
+    The features come from the three factors, never from folding the
+    records' gate matrix: a record's counts are the sum of its fiducials' and
+    its gate's, and its ideal output is its preparation's signed axis, moved
+    by the gate's row of the signed-axis table, then by its measurement
+    fiducial's map of the six axes, one fold of the measurement rows.
     """
     shots = data.shots
     labels = tuple(sorted(data.gate_mats))
@@ -332,12 +356,26 @@ def records_from_tomography(data) -> RecordSet:
     gates[..., :width] = prep[:, None, :]
     gates[..., width] = middle
     gates[..., width + 1 :] = meas[:, None, None, :]
+    n = len(labels)
+    counts = _ideal_features(meas, labels)[1][:, None] + _ideal_features(prep, labels)[1]  # (k, i, labels)
+    counts = counts[:, :, None] + np.eye(n + 1, n, dtype=counts.dtype)[middle]  # (k, i, g, labels); the pad counts 0
+    table = _signed_axis_table(labels)
+    states = table[middle][:, _fold_signed_axes(table, prep)].T  # (i, g): after prep_i, then the pad or gate g
+    z_ideal = _AXES[_fold_signed_axes(table, meas, np.arange(len(_AXES))[:, None]).T[:, states], 2]  # (k, i, g)
     means = np.stack([data.gram, *data.gate_mats.values()], axis=2).ravel()
     variances = np.zeros_like(means)
     if shots is not None:
         smoothed = (means * shots + 1.0) / (shots + 2.0)
         variances = smoothed * (1.0 - smoothed) / shots
-    return RecordSet(labels, gates.reshape(means.size, -1), means, variances, np.full(means.size, shots or 0))
+    return RecordSet(
+        labels,
+        gates.reshape(means.size, -1),
+        z_ideal.ravel(),
+        counts.reshape(means.size, n),
+        means,
+        variances,
+        np.full(means.size, shots or 0),
+    )
 
 
 def _require_frozen(model) -> None:

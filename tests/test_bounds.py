@@ -1,12 +1,20 @@
 """Error bounds: norms, invariance defects, empirical checks, dimension counts."""
 
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corrtomo as ct
 from corrtomo.bounds import (
+    BoundCheckReport,
     Projection,
     _trace_norms,
     dual_norm,
@@ -184,6 +192,17 @@ class TestBoundFormulas:
             ct.sequence_bound(1, 1, 1, -0.1, 5)
 
 
+NO_NUMPY_MA = """
+import json, sys, tempfile
+from pathlib import Path
+import corrtomo.experiments as ex
+cfg = {"experiment": "bounds", "model": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 2},
+       "params": {"subspace_dims": [3], "n_sequences": 4, "max_len": 4, "pool_max_len": 2}}
+code = ex.run(cfg, out_dir=Path(tempfile.mkdtemp()) / "out")
+print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
 class TestEmpiricalCheck:
     def test_exactly_invariant_case(self, device_m2):
         fids = select_fiducials(device_m2, sequences_up_to(6), 7)
@@ -212,6 +231,29 @@ class TestEmpiricalCheck:
         report = ct.empirical_bound_check(device_m2, fids, n_sequences=20, max_len=8, seed=3)
         blob = report.to_json()
         assert set(blob) >= {"norm_kind", "epsilon", "max_ratio", "violations", "ratio_percentiles"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 1e300), st.just(0.0), st.just(np.inf)), max_size=300))
+    @example([])
+    @example([0.7])
+    @example([np.inf])
+    @example([0.5, np.inf])
+    def test_ratio_percentiles_are_numpys_bit_for_bit(self, ratios):
+        ratios = np.array(ratios, dtype=float)
+        blob = BoundCheckReport(ratios, ratios, ratios, 0.0, 1.0, 1.0, 1.0, "trace").to_json()["ratio_percentiles"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an inf neighbour: inf - inf
+            want = [np.percentile(ratios, q) if ratios.size else 0.0 for q in (50, 90, 99, 100)]
+        assert list(blob) == ["50", "90", "99", "100"]
+        assert np.array(list(blob.values())).tobytes() == np.array(want).tobytes()
+
+    def test_bounds_run_never_imports_numpy_ma(self):
+        # np.percentile imports it, through np.unique, at about 20 ms a process
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", NO_NUMPY_MA], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0, "numpy.ma": False}
 
     @pytest.mark.parametrize(
         "seed,n_sequences,max_len",

@@ -2,7 +2,11 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,7 +260,7 @@ class TestDampingOverflow:
         with np.errstate(over="ignore"):
             w = self.G / shifted
             assert np.isinf(w @ (w / shifted))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="ignore"):  # as the LM pass calls it
             warnings.simplefilter("error")
             par, w = _damping(damping_entry(self.LAM, self.G), self.DELTA, 0.0)
         assert np.isfinite(par) and np.all(np.isfinite(w))
@@ -279,7 +283,7 @@ class TestDampingOverflow:
         with np.errstate(over="ignore"):
             w = g / lam
             assert np.isinf(w @ (w / lam))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="ignore"):  # as the LM pass calls it
             warnings.simplefilter("error")
             par, w = _damping(damping_entry(lam, g), 1.0, 0.0)
         assert par > 0.0 and abs(np.linalg.norm(w) - 1.0) <= 0.1
@@ -299,6 +303,25 @@ class TestDampingOverflow:
             want = loop_lm(one, one_jacobian, np.array([1.0]), 1e-10, 200)
         assert_same_bits(got, want)
         assert got.x[0] > 100.0
+
+
+    # the likelihood fit whose damping sum overflows: round 3 of the mle workload at seed 13002
+    OVERFLOWING_FIT = """
+from corrtomo.experiments import build_model
+from corrtomo.linear_inversion import collect_trial_data, trial_sequences
+from corrtomo.mle import fit, records_from_tomography
+device = build_model({"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 5})
+data = collect_trial_data(device, trial_sequences("d7", seed=1370274892), seed=1370274892)
+print(fit(records_from_tomography(data), 2, seed=1370274892).diagnostics["n_evaluations"])
+"""
+
+    def test_fit_whose_damping_overflows_runs_under_warnings_as_errors(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        command = [sys.executable, "-W", "error::RuntimeWarning", "-c", self.OVERFLOWING_FIT]
+        proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "" and int(proc.stdout) > 0
 
 
 class TestStackedProducts:

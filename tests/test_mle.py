@@ -8,7 +8,8 @@ import pytest
 
 import corrtomo as ct
 import corrtomo.mle as mle
-from corrtomo.device import MeasurementRecord, _damping, _gate_matrix
+from corrtomo.device import MeasurementRecord, _damping, _gate_matrix, _ideal_features
+from corrtomo.experiments import build_model
 from corrtomo.mle import (
     RecordSet,
     induced_error_model,
@@ -372,7 +373,29 @@ class TestFit:
         assert len(result.diagnostics["start_objectives"]) == 16
 
 
+CONTEXT = {
+    "kind": "context",
+    "labels": ["H", "S"],
+    "rates": {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}},
+    "initial": [0.5, 0.5],
+}
+
+
 class TestRecordsFromTomography:
+    @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
+    @pytest.mark.parametrize("preset", ["d4", "d7"])
+    @pytest.mark.parametrize("device", ["low_freq-5", "low_freq-2", "context"])
+    def test_features_are_the_fold_of_the_gate_matrix(self, device, preset, shots):
+        from corrtomo.linear_inversion import collect_trial_data, trial_sequences
+
+        spec = CONTEXT if device == "context" else {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": int(device[-1])}
+        data = collect_trial_data(build_model(spec), trial_sequences(preset, seed=1), shots=shots, seed=2)
+        records = records_from_tomography(data)
+        z_ideal, counts = _ideal_features(records.gates, records.labels)
+        assert records.z_ideal.dtype == z_ideal.dtype and records.z_ideal.tobytes() == z_ideal.tobytes()
+        assert records.counts.dtype == counts.dtype and records.counts.tobytes() == counts.tobytes()
+        assert set(np.unique(z_ideal)) == {-1.0, 0.0, 1.0}
+
     def test_counts_and_anchors(self, device_m2):
         from corrtomo.linear_inversion import collect_trial_data, trial_sequences
 
@@ -475,6 +498,18 @@ class TestRecordSet:
         columnar, oracle = d7_records
         assert ct.fit(columnar, 2, seed=0).to_json() == ct.fit(oracle, 2, seed=0).to_json()
 
+    @pytest.mark.parametrize("gate_labels", [("H", "S"), ("S", "H")], ids=["same", "reordered"])
+    def test_other_gate_labels_match_the_fold_over_reindexed_gates(self, d7_records, gate_labels):
+        columnar, _ = d7_records
+        only_h = RecordSet.from_records(exact_records(two_point_model(), [("H",), ("H", "H", "H"), (), ("H",) * 5]))
+        assert only_h.labels == ("H",)
+        for records in (columnar, only_h):
+            lookup = np.array([*map(gate_labels.index, records.labels), len(gate_labels)], dtype=np.int8)
+            z_ideal, counts = _ideal_features(lookup[records.gates], gate_labels)
+            got = mle._record_features(records, gate_labels, 1e-3)
+            assert got[0].tobytes() == z_ideal.tobytes()
+            assert got[1].dtype == counts.dtype and got[1].tobytes() == counts.tobytes()
+
     def test_other_gate_labels_are_remapped(self, suite_records):
         hs = mle._record_features(suite_records, ("H", "S"), 1e-3)
         sh = mle._record_features(suite_records, ("S", "H"), 1e-3)
@@ -484,6 +519,23 @@ class TestRecordSet:
         z_ideal, counts, _, _ = mle._record_features(only_h, ("H", "S"), 1e-3)
         assert counts.tolist() == [[1, 0], [3, 0], [0, 0]]
         assert z_ideal.tolist() == [0.0, 0.0, 1.0]
+
+    def test_used_labels_are_the_labels_the_gate_matrix_holds(self, suite_records):
+        def scan(records):  # the gate-matrix scan used_labels replaced
+            return tuple(sorted(label for j, label in enumerate(records.labels) if (records.gates == j).any()))
+
+        only_h = exact_records(two_point_model(), [("H",), ("H", "H", "H"), ()])
+        never_s = RecordSet.from_records(only_h)
+        unused = dataclasses.replace(  # S in the labels, not in the records
+            never_s,
+            labels=("H", "S"),
+            gates=np.where(never_s.gates == 1, 2, never_s.gates),
+            counts=np.column_stack([never_s.counts, [0, 0, 0]]),
+        )
+        for records in (suite_records, never_s, unused, RecordSet.from_records(only_h[2:])):
+            assert records.used_labels() == scan(records)
+        assert unused.used_labels() == ("H",) and never_s.used_labels() == ("H",)
+        assert RecordSet.from_records(only_h[2:]).used_labels() == ()
 
     def test_label_outside_the_gate_set_rejected(self, suite_records):
         pm = frozen_model([1.0], {"H": [0.01]})
@@ -498,7 +550,19 @@ class TestRecordSet:
 
     def test_variance_contract_checked_for_every_record(self):
         gates = np.zeros((2, 1), dtype=np.int8)
+        features = _ideal_features(gates, ("H",))
         with pytest.raises(ValueError, match="exact"):
-            RecordSet(("H",), gates, np.array([0.5, 0.5]), np.array([0.0, 1e-4]), np.array([0, 0]))
+            RecordSet(("H",), gates, *features, np.array([0.5, 0.5]), np.array([0.0, 1e-4]), np.array([0, 0]))
         with pytest.raises(ValueError, match="sampled"):
-            RecordSet(("H",), gates, np.array([0.5, 0.5]), np.array([1e-4, 0.0]), np.array([100, 100]))
+            RecordSet(("H",), gates, *features, np.array([0.5, 0.5]), np.array([1e-4, 0.0]), np.array([100, 100]))
+
+    @pytest.mark.parametrize(
+        "z_ideal, counts",
+        [(np.zeros(3), np.zeros((2, 1), dtype=int)), (np.zeros(2), np.zeros((3, 1), dtype=int)),
+         (np.zeros(2), np.zeros((2, 2), dtype=int)), (np.zeros((2, 1)), np.zeros((2, 1), dtype=int))],
+        ids=["z-length", "counts-length", "counts-width", "z-column"],
+    )
+    def test_features_of_another_shape_rejected(self, z_ideal, counts):
+        gates = np.zeros((2, 1), dtype=np.int8)
+        with pytest.raises(ValueError, match="features of shapes"):
+            RecordSet(("H",), gates, z_ideal, counts, np.array([0.5, 0.5]), np.zeros(2), np.array([0, 0]))

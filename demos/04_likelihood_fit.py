@@ -24,7 +24,7 @@ from corrtomo.tomography import predict
 device = ct.build_low_freq_model(sigma=1.0, eta=0.02, m=5)
 data = collect_trial_data(device, trial_sequences("d7"))
 records = records_from_tomography(data)
-longest = np.count_nonzero(records.gates < len(records.labels), axis=1).max()  # pads are len(labels)
+longest = records.counts.sum(axis=1).max()
 print(f"fitting {len(records)} circuit means (lengths up to {longest})")
 
 fit2 = ct.fit(records, l_size=2, seed=0)

@@ -44,7 +44,8 @@ from . import __version__
 from .bounds import NORM_KINDS, empirical_bound_check, gram_gauge_defect
 from .device import (
     RejectionSamplingError,
-    _gate_matrix,
+    _closed_form_means,
+    _closed_form_tables,
     exact_means,
     random_identity_sequences,
     run_circuit,
@@ -268,9 +269,8 @@ def _eval_circuits(params: dict, seed: int) -> list[tuple[str, ...]]:
 def _prediction_rows(model, error_model: ErrorModel, params: dict, seed: int) -> tuple[list[dict], list[str]]:
     """``predictions.csv``: the model's and the error model's means on the evaluation circuits."""
     circuits = _eval_circuits(params, seed)
-    labels = tuple(error_model.gates)
     actual = exact_means(model, circuits).tolist()
-    predicted = _predictions(error_model, _gate_matrix(circuits, labels), labels).tolist()
+    predicted = _predictions(error_model, circuits).tolist()
     rows = [
         {"n_gates": len(c), "gates": "".join(c), "actual": a, "predicted": p, "abs_error": abs(p - a)}
         for c, a, p in zip(circuits, actual, predicted)
@@ -351,7 +351,11 @@ def _mle_experiment(model, cfg: dict, params: dict) -> dict:
     records = records_from_tomography(data)
     result = fit(records, params["l_size"], n_starts=params["n_starts"], sigma_floor=params["sigma_floor"],
                  seed=cfg["seed"])
-    residuals = _predictions(result.error_model, records.gates[:200], records.labels) - records.means[:200]
+    # the fitted model's closed form on the first records' own features: exact_means of their circuits, bit for bit
+    fitted = result.param_model
+    residuals = _closed_form_means(
+        fitted.weights, _closed_form_tables(fitted)[1], records.z_ideal[:200], records.counts[:200]
+    ) - records.means[:200]
     return {
         "fit_report.json": {**result.to_json(), "residual_head": residuals.tolist()},
         "error_model.json": result.error_model.to_json(),
@@ -521,9 +525,7 @@ def compare(
         circuits = circuits["circuits"]
     sequences = [tuple(entry["gates"]) for entry in circuits]
     truths = [float(entry["mean"]) for entry in circuits]
-    pred_a, pred_b = (
-        _predictions(m, _gate_matrix(sequences, tuple(m.gates)), tuple(m.gates)).tolist() for m in (model_a, model_b)
-    )
+    pred_a, pred_b = (_predictions(m, sequences).tolist() for m in (model_a, model_b))
     rows = [
         {
             "n_gates": len(gates),

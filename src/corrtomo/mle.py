@@ -34,10 +34,10 @@ the closed form of :mod:`corrtomo.device` with its frozen features, the
 per-gate counts: outputs on the equator (z = 0) predict 1/2 whatever the
 parameters, and z = +1 and z = -1 differ only in the sign of the decay.
 
-Records travel as a columnar :class:`RecordSet` (a padded gate-index matrix,
-the ideal outputs and gate counts, means, variances, shots) that
-:func:`records_from_tomography` builds from the tomography matrices; a plain
-list of records is converted once on entry.
+Records travel as a columnar :class:`RecordSet` (the ideal outputs and gate
+counts, means, variances, shots) that :func:`records_from_tomography` builds
+from the tomography matrices; a plain list of records is converted once on
+entry.
 """
 
 from __future__ import annotations
@@ -80,16 +80,12 @@ START_RATE = 0.01  # typical rate magnitude used to seed starts
 class RecordSet:
     """Measurement records held as columns.
 
-    ``gates[r]`` holds record ``r``'s gates as indices into ``labels``, padded
-    anywhere in the row with ``len(labels)``, the identity row of the
-    signed-axis table.  Its features are ``z_ideal[r]``, the Bloch z of the
-    noiseless output (exactly -1, 0 or 1), and ``counts[r, j]``, the integer
-    count of ``labels[j]`` among its gates.  ``shots[r] == 0`` marks an exact
-    record.
+    Record ``r``'s features are ``z_ideal[r]``, the Bloch z of its noiseless
+    output (exactly -1, 0 or 1), and ``counts[r, j]``, the integer count of
+    ``labels[j]`` among its gates.  ``shots[r] == 0`` marks an exact record.
     """
 
     labels: tuple[str, ...]
-    gates: np.ndarray
     z_ideal: np.ndarray
     counts: np.ndarray
     means: np.ndarray
@@ -97,10 +93,12 @@ class RecordSet:
     shots: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.z_ideal.shape != self.means.shape or self.counts.shape != (len(self.means), len(self.labels)):
+        n = len(self.means)
+        columns = self.z_ideal, self.variances, self.shots
+        if any(c.shape != self.means.shape for c in columns) or self.counts.shape != (n, len(self.labels)):
             raise ValueError(
-                f"features of shapes {self.z_ideal.shape} and {self.counts.shape} do not match "
-                f"{len(self.means)} records over {len(self.labels)} labels"
+                f"features of shapes {self.z_ideal.shape} and {self.counts.shape}, variances {self.variances.shape} "
+                f"and shots {self.shots.shape} do not match {n} records over {len(self.labels)} labels"
             )
         exact = self.shots == 0
         if np.any(self.variances[exact] != 0.0) or np.any(self.variances[~exact] <= 0.0):
@@ -114,7 +112,7 @@ class RecordSet:
         variances = np.array([rec.variance for rec in records], dtype=float)
         shots = np.array([rec.shots or 0 for rec in records], dtype=np.int64)
         gates = _gate_matrix([rec.circuit for rec in records], labels)
-        return cls(labels, gates, *_ideal_features(gates, labels), means, variances, shots)
+        return cls(labels, *_ideal_features(gates, labels), means, variances, shots)
 
     def __len__(self) -> int:
         return len(self.means)
@@ -339,23 +337,17 @@ def records_from_tomography(data) -> RecordSet:
     the gates in ``gate_mats`` order.  Exact data yield exact records,
     sampled data carry the binomial variance estimate.
 
-    The features come from the three factors, never from folding the
-    records' gate matrix: a record's counts are the sum of its fiducials' and
-    its gate's, and its ideal output is its preparation's signed axis, moved
-    by the gate's row of the signed-axis table, then by its measurement
-    fiducial's map of the six axes, one fold of the measurement rows.
+    The features come from the three factors, never from a record's whole
+    circuit: a record's counts are the sum of its fiducials' and its gate's,
+    and its ideal output is its preparation's signed axis, moved by the gate's
+    row of the signed-axis table, then by its measurement fiducial's map of
+    the six axes, one fold of the measurement rows.
     """
     shots = data.shots
     labels = tuple(sorted(data.gate_mats))
     fids = data.fiducials
     prep, meas = _gate_matrix(fids.prep_sequences, labels), _gate_matrix(fids.meas_sequences, labels)
-    middle = np.array([len(labels), *map(labels.index, data.gate_mats)], dtype=np.int8)
-    width = prep.shape[1]
-    # row (k, i, g) is prep_i, then the Gram's pad or gate g, then meas_k
-    gates = np.empty((len(meas), len(prep), len(middle), width + 1 + meas.shape[1]), dtype=np.int8)
-    gates[..., :width] = prep[:, None, :]
-    gates[..., width] = middle
-    gates[..., width + 1 :] = meas[:, None, None, :]
+    middle = np.array([len(labels), *map(labels.index, data.gate_mats)], dtype=np.int8)  # the Gram's pad, the gates
     n = len(labels)
     counts = _ideal_features(meas, labels)[1][:, None] + _ideal_features(prep, labels)[1]  # (k, i, labels)
     counts = counts[:, :, None] + np.eye(n + 1, n, dtype=counts.dtype)[middle]  # (k, i, g, labels); the pad counts 0
@@ -368,13 +360,7 @@ def records_from_tomography(data) -> RecordSet:
         smoothed = (means * shots + 1.0) / (shots + 2.0)
         variances = smoothed * (1.0 - smoothed) / shots
     return RecordSet(
-        labels,
-        gates.reshape(means.size, -1),
-        z_ideal.ravel(),
-        counts.reshape(means.size, n),
-        means,
-        variances,
-        np.full(means.size, shots or 0),
+        labels, z_ideal.ravel(), counts.reshape(means.size, n), means, variances, np.full(means.size, shots or 0)
     )
 
 

@@ -322,11 +322,11 @@ def gauge_transform(error_model: ErrorModel, similarity: np.ndarray) -> ErrorMod
 
 def predict(error_model: ErrorModel, circuit: Sequence[str]) -> float:
     """Outcome the error model assigns to a circuit."""
+    return float(_predictions(error_model, [circuit])[0])
+
+
+def _predictions(error_model: ErrorModel, circuits: Sequence[Sequence[str]]) -> np.ndarray:
+    """Outcomes the error model assigns to every circuit, in one fold of their gate matrix."""
     labels = tuple(error_model.gates)
-    return float(_predictions(error_model, _gate_matrix([circuit], labels), labels)[0])
-
-
-def _predictions(error_model: ErrorModel, gates: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
-    """Outcomes the error model assigns to every row of a gate-index matrix over ``labels``."""
     mats = [error_model.gates[g] for g in labels]
-    return (error_model.dual @ fold_gates(mats, gates, error_model.state[:, None]))[:, 0]
+    return (error_model.dual @ fold_gates(mats, _gate_matrix(circuits, labels), error_model.state[:, None]))[:, 0]

@@ -1,6 +1,7 @@
 """Maximum-likelihood reconstruction: predictions, likelihood, fitting."""
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import corrtomo as ct
 import corrtomo.mle as mle
 from corrtomo.device import MeasurementRecord, _damping, _gate_matrix, _ideal_features
-from corrtomo.experiments import build_model
+from corrtomo.experiments import EXIT_OK, build_model, run
 from corrtomo.mle import (
     RecordSet,
     induced_error_model,
@@ -256,10 +257,11 @@ class TestFit:
         res1 = ct.fit(suite_records, 1, seed=0, n_starts=6)
         assert res1.nll > suite_fit_l2.nll * 10
 
-    def test_training_residuals_small_for_exact_data(self, suite_records, suite_fit_l2):
+    def test_training_residuals_small_for_exact_data(self, trial_data_m5, suite_records, suite_fit_l2):
         gen = np.random.default_rng(8)
         rows = gen.integers(0, len(suite_records), size=150)
-        predicted = _predictions(suite_fit_l2.error_model, suite_records.gates[rows], suite_records.labels)
+        circuits = [rec.circuit for rec in reference_records(trial_data_m5)]
+        predicted = _predictions(suite_fit_l2.error_model, [circuits[r] for r in rows])
         resid = predicted - suite_records.means[rows]
         assert np.sqrt(np.mean(np.square(resid))) <= 1e-3
 
@@ -278,8 +280,7 @@ class TestFit:
         assert model.identity_transitions and model.gate_labels == ("H", "S")
         assert model.support.tolist() == [1.0, 2.0]
         circuits = [(), ("H",), ("S",)] + random_circuits(200, 40, seed=19)
-        labels = ("H", "S")
-        error_model_means = _predictions(suite_fit_l2.error_model, _gate_matrix(circuits, labels), labels)
+        error_model_means = _predictions(suite_fit_l2.error_model, circuits)
         means = ct.exact_means(model, circuits)
         np.testing.assert_allclose(means, error_model_means, rtol=0, atol=1e-12)
         np.testing.assert_allclose(means, [model_predict(model, c) for c in circuits], rtol=0, atol=1e-12)
@@ -391,7 +392,8 @@ class TestRecordsFromTomography:
         spec = CONTEXT if device == "context" else {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": int(device[-1])}
         data = collect_trial_data(build_model(spec), trial_sequences(preset, seed=1), shots=shots, seed=2)
         records = records_from_tomography(data)
-        z_ideal, counts = _ideal_features(records.gates, records.labels)
+        gates = _gate_matrix([rec.circuit for rec in reference_records(data)], records.labels)
+        z_ideal, counts = _ideal_features(gates, records.labels)
         assert records.z_ideal.dtype == z_ideal.dtype and records.z_ideal.tobytes() == z_ideal.tobytes()
         assert records.counts.dtype == counts.dtype and records.counts.tobytes() == counts.tobytes()
         assert set(np.unique(z_ideal)) == {-1.0, 0.0, 1.0}
@@ -403,7 +405,7 @@ class TestRecordsFromTomography:
         data = collect_trial_data(device_m2, trial)
         records = records_from_tomography(data)
         assert len(records) == 16 * (1 + 2)
-        assert np.all(records.gates[0] == len(records.labels))  # the empty circuit
+        assert records.z_ideal[0] == 1.0 and np.all(records.counts[0] == 0)  # the empty circuit
         assert records.means[0] == pytest.approx(data.gram[0, 0], abs=1e-15)
         assert np.all(records.variances == 0.0) and np.all(records.shots == 0)
 
@@ -439,6 +441,23 @@ def d7_records(request, device_m5, trial_d7):
     return records_from_tomography(data), reference_records(data)
 
 
+@pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
+def test_residual_head_is_the_fitted_models_exact_means(tmp_path, shots):
+    # fit_report.json's residual_head, against the fitted model's exact means on the first 200 circuits
+    from corrtomo.linear_inversion import collect_trial_data, trial_sequences
+
+    spec = {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 5}
+    cfg = {"experiment": "mle", "model": spec, "seed": 3, "shots": shots,
+           "params": {"l_size": 2, "preset": "d7", "eval_n_gates": [0], "eval_circuits_per_point": 1}}
+    assert run(cfg, out_dir=tmp_path / "out") == EXIT_OK
+    head = np.array(json.loads((tmp_path / "out" / "fit_report.json").read_text())["residual_head"])
+    data = collect_trial_data(build_model(spec), trial_sequences("d7", seed=3), shots=shots, seed=3)
+    oracle = reference_records(data)[:200]
+    fitted = ct.fit(records_from_tomography(data), 2, seed=3).param_model
+    want = ct.exact_means(fitted, [rec.circuit for rec in oracle]) - np.array([rec.mean for rec in oracle])
+    assert head.dtype == want.dtype and head.tobytes() == want.tobytes()
+
+
 class TestRecordSet:
     def test_records_match_the_per_entry_loop(self, d7_records):
         columnar, oracle = d7_records
@@ -446,15 +465,9 @@ class TestRecordSet:
         assert isinstance(columnar, RecordSet)
         assert len(columnar) == len(want) == 45387
         assert columnar.labels == want.labels
-        for name in ("means", "variances", "shots"):
+        for name in ("z_ideal", "counts", "means", "variances", "shots"):
             got, ref = getattr(columnar, name), getattr(want, name)
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
-        # records_from_tomography pads between preparation, middle gate and measurement; from_records at the end
-        pad = len(columnar.labels)
-        packed = np.take_along_axis(columnar.gates, np.argsort(columnar.gates == pad, axis=1, kind="stable"), axis=1)
-        width = want.gates.shape[1]
-        assert np.all(packed[:, width:] == pad)
-        assert np.array_equal(packed[:, :width], want.gates)
 
     def test_features_are_byte_identical_to_the_record_list(self, d7_records):
         columnar, oracle = d7_records
@@ -500,12 +513,13 @@ class TestRecordSet:
 
     @pytest.mark.parametrize("gate_labels", [("H", "S"), ("S", "H")], ids=["same", "reordered"])
     def test_other_gate_labels_match_the_fold_over_reindexed_gates(self, d7_records, gate_labels):
-        columnar, _ = d7_records
-        only_h = RecordSet.from_records(exact_records(two_point_model(), [("H",), ("H", "H", "H"), (), ("H",) * 5]))
+        columnar, oracle = d7_records
+        h_circuits = [("H",), ("H", "H", "H"), (), ("H",) * 5]
+        only_h = RecordSet.from_records(exact_records(two_point_model(), h_circuits))
         assert only_h.labels == ("H",)
-        for records in (columnar, only_h):
+        for records, circuits in ((columnar, [rec.circuit for rec in oracle]), (only_h, h_circuits)):
             lookup = np.array([*map(gate_labels.index, records.labels), len(gate_labels)], dtype=np.int8)
-            z_ideal, counts = _ideal_features(lookup[records.gates], gate_labels)
+            z_ideal, counts = _ideal_features(lookup[_gate_matrix(circuits, records.labels)], gate_labels)
             got = mle._record_features(records, gate_labels, 1e-3)
             assert got[0].tobytes() == z_ideal.tobytes()
             assert got[1].dtype == counts.dtype and got[1].tobytes() == counts.tobytes()
@@ -520,20 +534,21 @@ class TestRecordSet:
         assert counts.tolist() == [[1, 0], [3, 0], [0, 0]]
         assert z_ideal.tolist() == [0.0, 0.0, 1.0]
 
-    def test_used_labels_are_the_labels_the_gate_matrix_holds(self, suite_records):
-        def scan(records):  # the gate-matrix scan used_labels replaced
-            return tuple(sorted(label for j, label in enumerate(records.labels) if (records.gates == j).any()))
+    def test_used_labels_are_the_labels_the_gate_matrix_holds(self, trial_data_m5, suite_records):
+        def scan(records, circuits):  # the gate-matrix scan used_labels replaced
+            gates = _gate_matrix(circuits, records.labels)
+            return tuple(sorted(label for j, label in enumerate(records.labels) if (gates == j).any()))
 
         only_h = exact_records(two_point_model(), [("H",), ("H", "H", "H"), ()])
         never_s = RecordSet.from_records(only_h)
         unused = dataclasses.replace(  # S in the labels, not in the records
-            never_s,
-            labels=("H", "S"),
-            gates=np.where(never_s.gates == 1, 2, never_s.gates),
-            counts=np.column_stack([never_s.counts, [0, 0, 0]]),
+            never_s, labels=("H", "S"), counts=np.column_stack([never_s.counts, [0, 0, 0]])
         )
-        for records in (suite_records, never_s, unused, RecordSet.from_records(only_h[2:])):
-            assert records.used_labels() == scan(records)
+        suite_circuits = [rec.circuit for rec in reference_records(trial_data_m5)]
+        h_circuits = [rec.circuit for rec in only_h]
+        cases = [(suite_records, suite_circuits), (never_s, h_circuits), (unused, h_circuits)]
+        for records, circuits in cases + [(RecordSet.from_records(only_h[2:]), h_circuits[2:])]:
+            assert records.used_labels() == scan(records, circuits)
         assert unused.used_labels() == ("H",) and never_s.used_labels() == ("H",)
         assert RecordSet.from_records(only_h[2:]).used_labels() == ()
 
@@ -552,17 +567,20 @@ class TestRecordSet:
         gates = np.zeros((2, 1), dtype=np.int8)
         features = _ideal_features(gates, ("H",))
         with pytest.raises(ValueError, match="exact"):
-            RecordSet(("H",), gates, *features, np.array([0.5, 0.5]), np.array([0.0, 1e-4]), np.array([0, 0]))
+            RecordSet(("H",), *features, np.array([0.5, 0.5]), np.array([0.0, 1e-4]), np.array([0, 0]))
         with pytest.raises(ValueError, match="sampled"):
-            RecordSet(("H",), gates, *features, np.array([0.5, 0.5]), np.array([1e-4, 0.0]), np.array([100, 100]))
+            RecordSet(("H",), *features, np.array([0.5, 0.5]), np.array([1e-4, 0.0]), np.array([100, 100]))
 
     @pytest.mark.parametrize(
-        "z_ideal, counts",
-        [(np.zeros(3), np.zeros((2, 1), dtype=int)), (np.zeros(2), np.zeros((3, 1), dtype=int)),
-         (np.zeros(2), np.zeros((2, 2), dtype=int)), (np.zeros((2, 1)), np.zeros((2, 1), dtype=int))],
-        ids=["z-length", "counts-length", "counts-width", "z-column"],
+        "z_ideal, counts, variances, shots",
+        [(np.zeros(3), np.zeros((2, 1), dtype=int), np.zeros(2), np.array([0, 0])),
+         (np.zeros(2), np.zeros((3, 1), dtype=int), np.zeros(2), np.array([0, 0])),
+         (np.zeros(2), np.zeros((2, 2), dtype=int), np.zeros(2), np.array([0, 0])),
+         (np.zeros((2, 1)), np.zeros((2, 1), dtype=int), np.zeros(2), np.array([0, 0])),
+         (np.zeros(2), np.zeros((2, 1), dtype=int), np.zeros(3), np.array([0, 0])),
+         (np.zeros(2), np.zeros((2, 1), dtype=int), np.zeros(2), np.array(0))],
+        ids=["z-length", "counts-length", "counts-width", "z-column", "variances-length", "shots-scalar"],
     )
-    def test_features_of_another_shape_rejected(self, z_ideal, counts):
-        gates = np.zeros((2, 1), dtype=np.int8)
+    def test_features_of_another_shape_rejected(self, z_ideal, counts, variances, shots):
         with pytest.raises(ValueError, match="features of shapes"):
-            RecordSet(("H",), gates, z_ideal, counts, np.array([0.5, 0.5]), np.zeros(2), np.array([0, 0]))
+            RecordSet(("H",), z_ideal, counts, np.array([0.5, 0.5]), variances, shots)

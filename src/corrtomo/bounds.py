@@ -36,7 +36,7 @@ points for ``n`` variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, floor
+from math import comb, floor, isfinite
 
 import numpy as np
 
@@ -285,12 +285,19 @@ class BoundCheckReport:
             "n_q": self.n_q,
             "n_rho": self.n_rho,
             "n_o": self.n_o,
-            "max_ratio": self.max_ratio,
+            "max_ratio": _finite_or_none(self.max_ratio),
             "violations": self.violations,
             "lhs": self.lhs.tolist(),
             "rhs": self.rhs.tolist(),
-            "ratio_percentiles": {str(q): _percentile(ordered, q) if ordered else 0.0 for q in (50, 90, 99, 100)},
+            "ratio_percentiles": {
+                str(q): _finite_or_none(_percentile(ordered, q)) if ordered else 0.0 for q in (50, 90, 99, 100)
+            },
         }
+
+
+def _finite_or_none(value: float) -> float | None:
+    """``value``, or None (JSON ``null``) where it is NaN or infinite, which strict JSON cannot hold."""
+    return value if isfinite(value) else None
 
 
 def _percentile(ordered: list[float], q: float) -> float:

@@ -337,7 +337,7 @@ def _lim_experiment(model, cfg: dict, params: dict) -> dict:
             out[f"ptm_{label}.csv"] = error_model.gates[label]
             out[f"ptm_diff_{label}.csv"] = error_model.gates[label] - fit_res.target[label]
         out["gauge_fit.json"] = {"objective": fit_res.objective, "n_evaluations": fit_res.n_evaluations,
-                                 "converged": fit_res.converged}
+                                 "converged": fit_res.converged, "rank_floor": fit_res.rank_floor}
     else:
         error_model = lim_reconstruct(trunc)
     out["error_model.json"] = error_model.to_json()

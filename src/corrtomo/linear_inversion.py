@@ -22,7 +22,7 @@ comparable entry by entry.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
@@ -212,8 +212,9 @@ class GaugeFitResult:
     objective: float
     error_model: ErrorModel
     n_evaluations: int
-    converged: bool
+    converged: bool  # the fit met its tolerance, and the rank floor lies below it
     target: dict[str, np.ndarray]  # the ideal gate matrices fitted to, by label
+    rank_floor: float  # no gauge brings the objective below this (Eckart-Young)
 
 
 #: Depolarizing rates of the synthetic reference model used to seed the d = 7
@@ -249,6 +250,9 @@ def _reference_trial_duals(trial: FiducialSet, d: int, gate_labels: Sequence[str
     return fold_gates([ptms[g].T for g in labels], gates, q0[:, None])[..., 0]
 
 
+GAUGE_TOL = 1e-14  # the gauge fit's tolerance
+
+
 def gauge_fit_to_ideal(truncation: TruncationResult, trial: FiducialSet, max_nfev: int = 20000) -> GaugeFitResult:
     """Choose the output gauge minimising the distance to the ideal gates.
 
@@ -260,20 +264,21 @@ def gauge_fit_to_ideal(truncation: TruncationResult, trial: FiducialSet, max_nfe
     the ideal frame (built from ``trial``), so noiseless data sits at a
     zero-objective fixed point.
 
-    The fit is Levenberg-Marquardt (:func:`corrtomo.lm.levenberg_marquardt`)
-    with constant variable scaling (scaling by the Jacobian columns stalls on
-    some trial sets) and the closed-form Jacobian
+    The fit is one Levenberg-Marquardt run
+    (:func:`corrtomo.lm.levenberg_marquardt`) with the closed-form Jacobian
     ``kron(M^-1 A_G, I) - kron(M^-1, R_G^T)``, ``R_G = M^-1 A_G M``, per gate.
-    The objective is nearly flat along the ideal gates' commutant, and the step
-    bound can shrink to the rounding floor before a long step along that
-    valley is tried, so a converged fit gets a second pass from its end point
-    with a fresh bound.  ``M -> cM`` leaves the objective unchanged, so the
-    result is rescaled to the Frobenius norm of the start; the state and dual
-    then do not depend on where along that direction the optimizer stopped.
-    ``n_evaluations`` counts residual plus Jacobian evaluations of both
-    passes, ``max_nfev`` the residual ones alone, shared by the passes.
-    Deterministic; at the budget, the last accepted point is returned with
-    ``converged=False``.
+    ``M -> cM`` leaves the objective unchanged, so the result is rescaled to
+    the Frobenius norm of the start; the state and dual then do not depend on
+    where along that direction the optimizer stopped.  ``n_evaluations`` counts
+    residual plus Jacobian evaluations, ``max_nfev`` the residual ones alone.
+
+    ``M^-1 A_G M`` has the rank of ``A_G``, so by Eckart-Young no gauge brings
+    the objective below ``rank_floor``, the sum over the gates of the squared
+    singular values of ``ideal(G)`` past the numerical rank of ``A_G`` (with
+    ``RANK_RTOL``).  When that floor is above the fit's tolerance, the fit
+    still runs, but it reports ``converged=False`` and warns with the ranks.
+    Deterministic; a fit that stops unconverged returns its last accepted
+    point.
     """
     d = truncation.d
     labels = sorted(truncation.gate_mats_trunc.keys())
@@ -299,26 +304,32 @@ def gauge_fit_to_ideal(truncation: TruncationResult, trial: FiducialSet, max_nfe
         right = m_inv[:, :, :, None, :, None] * (m_inv_a @ m).swapaxes(2, 3)[:, :, None, :, None, :]
         return (left - right).reshape(len(m), -1, d * d)
 
-    (result,) = levenberg_marquardt(model, m_start.reshape(1, -1), 1e-14, max_nfev, jac_scale=False)
-    if result.converged and result.nfev < max_nfev:
-        (again,) = levenberg_marquardt(model, result.x[None], 1e-14, max_nfev - result.nfev, jac_scale=False)
-        result = replace(again, nfev=result.nfev + again.nfev, njev=result.njev + again.njev)
+    (result,) = levenberg_marquardt(model, m_start.reshape(1, -1), GAUGE_TOL, max_nfev)
+    singular_values = np.linalg.svd(a_mats, compute_uv=False)  # (gates, d), descending
+    ranks = np.count_nonzero(singular_values > RANK_RTOL * singular_values[:, :1], axis=1)
+    floor = float(sum(np.sum(s[r:] ** 2) for s, r in zip(np.linalg.svd(ideal, compute_uv=False), ranks)))
     m_hat_out = result.x.reshape(d, d)
     m_hat_out *= np.linalg.norm(m_start) / np.linalg.norm(m_hat_out)
     m_hat_in = np.linalg.solve(m_hat_out, truncation.g_trunc)
     model = lim_reconstruct(truncation, m_hat_in=m_hat_in)
     objective = float(result.residuals @ result.residuals)
-    if not result.converged:
+    if floor > GAUGE_TOL:
         warnings.warn(
-            f"gauge optimization stopped at its evaluation budget (objective {objective:.3e})",
+            f"gauge optimization cannot reach its target: data gates of ranks {ranks.tolist()} against a rank-{d} "
+            f"target leave a floor of {floor:.3e} under the objective {objective:.3e}",
             RuntimeWarning,
             stacklevel=2,
+        )
+    elif not result.converged:
+        warnings.warn(
+            f"gauge optimization stopped before converging (objective {objective:.3e})", RuntimeWarning, stacklevel=2
         )
     return GaugeFitResult(
         m_hat_out=m_hat_out,
         objective=objective,
         error_model=model,
         n_evaluations=result.n_evaluations,
-        converged=result.converged,
+        converged=result.converged and floor <= GAUGE_TOL,
         target=target,
+        rank_floor=floor,
     )

@@ -14,7 +14,8 @@ over the weights and rates, with exact-mean records assigned a configurable
 variance floor.  The objective is a weighted sum of squares, so the
 optimizer is a deterministic multi-start Levenberg-Marquardt on the residual
 vector, with the analytic Jacobian, over an unconstrained parametrization
-(weights through softmax, rates through a logistic map).  The starts run
+(weights through softmax, rates through a logistic map).  Start 0 is the
+moment-matched discretization of the records' decay.  The starts run
 independently, in one batch through :mod:`corrtomo.lm`, with one model call
 per pass whose Jacobians reuse its weights, rates and dampings; every
 start's iterates are bit for bit those it has when run alone.  The winning
@@ -59,7 +60,7 @@ from .device import (
     _signed_axis_table,
 )
 from .lm import levenberg_marquardt
-from .noise import LowFreqModel, frozen_model
+from .noise import LowFreqModel, MomentSequenceError, discretize_from_moments, frozen_model
 from .ptm import reduced_frame
 from .tomography import ErrorModel
 
@@ -263,6 +264,47 @@ def _unpack(x: np.ndarray, m: int, n_gates: int) -> tuple[np.ndarray, np.ndarray
     return p, rates
 
 
+def _moment_rule(stats: _SufficientStatistics, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rates and weights of the n points whose decay matches the records' at 0, k, ..., (2n - 1) k gates.
+
+    ``y(N) = sum_l p_l r_l^N`` for a common rate ``1 - r_l`` of every gate, so the
+    a-weighted mean targets ``y(jk) / y(0)`` of the groups with ``jk`` gates in all
+    are the moments of weights ``p_l`` at nodes ``r_l^k`` (Golub-Welsch), with
+    ``k`` the largest stride at which ``(2n - 1) k`` gates occur.  None when a
+    total is missing, or no measure on (0, 1] with positive weights has them.
+    """
+    total = stats.counts.sum(axis=1).astype(np.int64)
+    stride = int(total.max(initial=0)) // (2 * n - 1)
+    at = stride * np.arange(2 * n)
+    weight = np.bincount(total, weights=stats.a, minlength=at[-1] + 1)[at]
+    if stride == 0 or not np.all(weight > 0.0):
+        return None
+    y = np.bincount(total, weights=stats.a * stats.target, minlength=at[-1] + 1)[at] / weight
+    if not y[0] > 0.0:
+        return None
+    try:
+        nodes, weights = discretize_from_moments(y[1:] / y[0], n)
+    except MomentSequenceError:
+        return None
+    if not (np.all((nodes > 0.0) & (nodes <= 1.0)) and np.all(weights > 0.0)):
+        return None
+    return np.clip(1.0 - nodes ** (1.0 / stride), RATE_CLAMP, 1.0 - RATE_CLAMP), weights
+
+
+def _moment_start(stats: _SufficientStatistics, m: int) -> np.ndarray | None:
+    """The first usable n-point rule, n = m, m - 1, ..., 1, as m points: its heaviest split in m - n + 1 parts."""
+    for n in range(m, 0, -1):
+        if (rule := _moment_rule(stats, n)) is not None:
+            rates, weights = rule
+            parts = [int(np.argmax(weights)), *range(n, m)]
+            rates = np.append(rates, np.full(m - n, rates[parts[0]]))
+            weights = np.append(weights, np.zeros(m - n))
+            weights[parts] = weights[parts[0]] / len(parts)
+            logits = np.tile(np.log(rates / (1.0 - rates)), stats.counts.shape[1])
+            return np.concatenate([np.log(weights[1:] / weights[0]), logits])
+    return None
+
+
 def fit(
     records: RecordSet | Sequence[MeasurementRecord],
     l_size: int,
@@ -274,9 +316,11 @@ def fit(
 
     Deterministic multi-start Levenberg-Marquardt on the weighted residuals,
     with the analytic Jacobian of the closed-form predictions.  The first
-    start uses equal weights and a common small rate; the remaining starts
-    are drawn from the seeded generator.  Starts run independently, all in
-    one batch of :func:`corrtomo.lm.levenberg_marquardt`; the winner is the
+    start matches the moments of the records' decay (:func:`_moment_start`),
+    or, where no rule fits them, takes equal weights and a common small
+    rate; the remaining starts are drawn from the seeded generator.  Starts
+    run independently, all in one batch of
+    :func:`corrtomo.lm.levenberg_marquardt`; the winner is the
     lowest objective with ties broken by start index, and
     ``converged`` is the winning start's own termination status.  The fitted
     model is canonicalized by ascending first-gate rate and exported both as
@@ -298,7 +342,9 @@ def fit(
 
     gen = np.random.default_rng(seed)
     base_rate_logit = float(np.log(START_RATE / (1.0 - START_RATE)))
-    starts = [np.concatenate([np.zeros(m - 1), np.full(n_gates * m, base_rate_logit)])]
+    starts = [_moment_start(stats, m)]
+    if starts[0] is None:
+        starts[0] = np.concatenate([np.zeros(m - 1), np.full(n_gates * m, base_rate_logit)])
     for _ in range(n_starts - 1):
         w = gen.normal(0.0, 1.0, size=m - 1)
         v = gen.normal(base_rate_logit, 2.0, size=n_gates * m)

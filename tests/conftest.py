@@ -19,7 +19,7 @@ from corrtomo.bounds import (
     sequence_bound,
 )
 from corrtomo.linear_inversion import collect_trial_data, svd_truncate, trial_sequences
-from corrtomo.lm import DWARF, EPS, STEP_FACTOR, LMResult
+from corrtomo.lm import EPS, HUGE, MU_START, LMResult
 from corrtomo.mle import records_from_tomography
 from corrtomo.tomography import fiducial_frames
 
@@ -212,119 +212,61 @@ def _norm(v) -> float:
     return math.sqrt(v @ v)
 
 
-def _loop_curvature(w, dxnorm, shifted):
-    """``w @ (w / shifted) / dxnorm**2``, from the unit step where the sum overflows."""
-    with np.errstate(over="ignore"):
-        curvature = w @ (w / shifted) / dxnorm**2
-    if not np.isfinite(curvature):
-        unit = w / dxnorm
-        curvature = unit @ (unit / shifted)
-    return curvature
-
-
-def _loop_damping(lam, g, delta, par):
-    """One start's ``lmpar``: the scalar form of ``corrtomo.lm._damping``."""
-    full_rank = lam > lam[0] * EPS
-    w = np.divide(g, lam, out=np.zeros_like(g), where=full_rank)
-    dxnorm = _norm(w)
-    fp = dxnorm - delta
-    if fp <= 0.1 * delta:
-        return 0.0, w
-    parl = (fp / delta) / _loop_curvature(w, dxnorm, lam) if full_rank.all() else 0.0
-    gnorm = _norm(g)
-    paru = gnorm / delta or DWARF / min(delta, 0.1)
-    par = min(max(par, parl), paru) or gnorm / dxnorm
-    for iteration in range(1, 11):
-        if par == 0.0:
-            par = max(DWARF, 0.001 * paru)
-        shifted = lam + par
-        w = g / shifted
-        dxnorm = _norm(w)
-        previous, fp = fp, dxnorm - delta
-        if abs(fp) <= 0.1 * delta or (parl == 0.0 and previous < 0.0 and fp <= previous) or iteration == 10:
-            break
-        correction = (fp / delta) / _loop_curvature(w, dxnorm, shifted)
-        if fp > 0.0:
-            parl = max(parl, par)
-        elif fp < 0.0:
-            paru = min(paru, par)
-        par = max(parl, par + correction)
-    return par, w
-
-
-def loop_lm(fun, jac, x0, tol, max_nfev, jac_scale=True, stops=None) -> LMResult:
-    """Independent oracle for ``levenberg_marquardt``: one start, run alone in nested loops.
+def loop_lm(fun, jac, x0, tol, max_nfev, stops=None) -> LMResult:
+    """Independent oracle for ``levenberg_marquardt``: one start, run alone in nested loops, with scalar damping.
 
     ``fun`` and ``jac`` take and return one point's arrays.  When ``stops``
     is a list, the name of the test that ended the fit is appended to it.
     """
 
-    def stop(name, result):
+    def stop(name, converged):
         if stops is not None:
             stops.append(name)
-        return result
+        return LMResult(x, f, nfev, njev, converged)
 
     x = np.array(x0, dtype=float)
     f = fun(x)
-    fnorm = _norm(f)
+    fnorm2 = f @ f
     nfev, njev = 1, 0
-    diag = None
-    par = 0.0
-    first = True
-    while True:
+    mu, nu = MU_START, 2.0
+    while True:  # at a new point: its Jacobian, its gradient test, and steps from it until one is accepted
         j = jac(x)
         njev += 1
-        normal, jtf = j.T @ j, j.T @ f
-        col_norms = np.sqrt(np.diag(normal))
-        if diag is None:
-            diag = np.where(col_norms > 0.0, col_norms, 1.0) if jac_scale else np.ones(x.size)
-            xnorm = _norm(diag * x)
-            delta = STEP_FACTOR * xnorm or STEP_FACTOR
-        gradient = np.abs(jtf) / np.where(col_norms > 0.0, col_norms, np.inf)
-        if fnorm == 0.0:
-            return stop("zero residual", LMResult(x, f, nfev, njev, True))
-        if gradient.max(initial=0.0) <= tol * fnorm:
-            return stop("gradient", LMResult(x, f, nfev, njev, True))
-        if jac_scale:
-            diag = np.maximum(diag, col_norms)
-        lam, vecs = np.linalg.eigh(normal / np.outer(diag, diag))
-        lam, vecs = np.maximum(lam[::-1], 0.0), vecs[:, ::-1]
-        g = (jtf / diag) @ vecs
-        while True:  # shrink the step until it lowers the residuals enough
-            par, w = _loop_damping(lam, g, delta, par)
-            pnorm = _norm(w)
-            if first:
-                delta = min(delta, pnorm)
-            trial = x - (vecs @ w) / diag
+        normal = j.T @ j
+        d = np.maximum(np.diag(normal), EPS * np.diag(normal).max())
+        root = np.sqrt(np.where(d > 0.0, d, 1.0))
+        normal = normal / np.outer(root, root)
+        gradient = (j.T @ f) / root
+        if np.abs(gradient).max() <= tol * math.sqrt(fnorm2):
+            return stop("zero residual" if fnorm2 == 0.0 else "gradient", True)
+        while True:
+            system = normal.copy()
+            system[np.diag_indices(x.size)] += mu
+            try:
+                step = np.linalg.solve(system, -gradient)
+            except np.linalg.LinAlgError:
+                step = np.full(x.size, np.nan)
+            if not np.isfinite(step).all():
+                return stop("step not finite", False)
+            if _norm(step) <= tol * (_norm(root * x) + tol):
+                return stop("step", True)
+            if nfev >= max_nfev:
+                return stop("budget", False)
+            trial = x + step / root
             f_trial = fun(trial)
             nfev += 1
-            fnorm1 = _norm(f_trial)
-            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
-            linear = lam @ (w * w) / fnorm**2
-            damped = par * (pnorm / fnorm) ** 2
-            prered = linear + 2.0 * damped
-            dirder = -(linear + damped)
-            ratio = actred / prered if prered != 0.0 else 0.0
-            if ratio <= 0.25:
-                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
-                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
-                    temp = 0.1
-                delta = temp * min(delta, pnorm / 0.1)
-                par /= temp
-            elif par == 0.0 or ratio >= 0.75:
-                delta = pnorm / 0.5
-                par *= 0.5
-            accepted = ratio >= 1e-4
+            fnorm2_trial = f_trial @ f_trial
+            actual, predicted = fnorm2 - fnorm2_trial, step @ (mu * step - gradient)
+            accepted = actual > 0.0 and predicted > 0.0
             if accepted:
-                x, f, fnorm = trial, f_trial, fnorm1
-                xnorm = _norm(diag * x)
-                first = False
-            if abs(actred) <= tol and prered <= tol and ratio <= 2.0:
-                return stop("reduction", LMResult(x, f, nfev, njev, True))
-            if delta <= tol * xnorm:
-                return stop("step bound", LMResult(x, f, nfev, njev, True))
-            if nfev >= max_nfev:
-                return stop("budget", LMResult(x, f, nfev, njev, False))
+                t = 2.0 * (min(actual, predicted) / predicted) - 1.0
+                factor, nu_next = max(1.0 / 3.0, 1.0 - t * t * t), 2.0
+                x, f, fnorm2 = trial, f_trial, fnorm2_trial
+            else:
+                factor, nu_next = nu, 2.0 * nu
+            if mu > HUGE / max(factor, 1.0):
+                return stop("damping overflow", False)
+            mu, nu = max(mu * factor, EPS), nu_next
             if accepted:
                 break
 

@@ -245,7 +245,26 @@ class TestEmpiricalCheck:
             warnings.simplefilter("ignore")  # an inf neighbour: inf - inf
             want = [np.percentile(ratios, q) if ratios.size else 0.0 for q in (50, 90, 99, 100)]
         assert list(blob) == ["50", "90", "99", "100"]
-        assert np.array(list(blob.values())).tobytes() == np.array(want).tobytes()
+        # finite percentiles keep NumPy's bits; NaN and infinite ones are written as null
+        assert [v is None for v in blob.values()] == [not np.isfinite(w) for w in want]
+        finite = [(v, w) for v, w in zip(blob.values(), want) if v is not None]
+        assert np.array([v for v, _ in finite]).tobytes() == np.array([w for _, w in finite]).tobytes()
+
+    @pytest.mark.parametrize("ratios", [[1.0, np.inf], [np.inf], [0.5, np.inf, np.inf], [0.0, 0.25]])
+    def test_report_is_strict_json(self, ratios):
+        ratios = np.array(ratios)
+        sides = np.ones_like(ratios)  # finite sides: a ratio is infinite where its bound is 0
+        blob = BoundCheckReport(sides, sides, ratios, 0.0, 1.0, 1.0, 1.0, "trace").to_json()
+
+        def reject(constant):
+            raise ValueError(f"non-finite value {constant} in the report")
+
+        back = json.loads(json.dumps(blob), parse_constant=reject)
+        assert back["max_ratio"] == (None if np.isinf(ratios).any() else ratios.max())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = [np.percentile(ratios, q) for q in (50, 90, 99, 100)]
+        assert list(back["ratio_percentiles"].values()) == [w if np.isfinite(w) else None for w in want]
 
     def test_bounds_run_never_imports_numpy_ma(self):
         # np.percentile imports it, through np.unique, at about 20 ms a process

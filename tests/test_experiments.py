@@ -623,7 +623,8 @@ class TestReproducibleFits:
         cfg = {"experiment": "lim", "model": {"kind": "low_freq", "sigma": 1.0, "eta": 0.02, "m": 5}, "params": {"d": 7}}
         assert run(cfg, out_dir=tmp_path / "a") == EXIT_OK
         assert run(cfg, out_dir=tmp_path / "b") == EXIT_OK
-        assert json.loads((tmp_path / "a" / "gauge_fit.json").read_text())["converged"]
+        report = json.loads((tmp_path / "a" / "gauge_fit.json").read_text())
+        assert report["converged"] and report["rank_floor"] == 0.0
         self.assert_same_results(tmp_path / "a", tmp_path / "b")
 
 

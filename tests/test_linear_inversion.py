@@ -16,11 +16,19 @@ from corrtomo.linear_inversion import (
     trial_sequences,
 )
 from corrtomo.device import _gate_matrix, fold_gates
+from corrtomo.experiments import build_model
 from corrtomo.mle import induced_error_model
 from corrtomo.noise import depolarized_gates, frozen_model
 from corrtomo.ptm import reduced_frame
 from corrtomo.tomography import FiducialSet, predict
 from conftest import block_diag, loop_row_fold, sequences_up_to
+
+CONTEXT = {
+    "kind": "context",
+    "labels": ["H", "S"],
+    "rates": {"H": {"H": 0.002, "S": 0.04}, "S": {"H": 0.03, "S": 0.001}},
+    "initial": [0.5, 0.5],
+}
 
 
 class TestTrialSequences:
@@ -252,22 +260,33 @@ class TestGaugeFit:
         assert fit.n_evaluations == sum(result.nfev + result.njev for *_, result in lm_calls)
         assert fit.objective == pytest.approx(1.57516405e-3, rel=1e-8)
 
-    def test_second_pass_starts_where_the_first_ended(self, d7_at_seed, lm_calls):
-        trunc, trial = d7_at_seed(12)
-        fit = gauge_fit_to_ideal(trunc, trial=trial, max_nfev=400)
-        (*_, first), (_, _, x1, second) = lm_calls
-        assert np.array_equal(x1, first.x)
-        assert first.converged and fit.converged
-        assert first.nfev + second.nfev <= 400
-        # the first pass stops 1.5e-8 (relative) above the minimum of this trial set
-        assert fit.objective <= (1.0 - 1e-8) * (first.residuals @ first.residuals)
-
     @pytest.mark.parametrize("seed", [20, 23])
     def test_converges_within_400_evaluations(self, d7_at_seed, seed):
-        # these trial sets stall at 400 evaluations when LM scales by the Jacobian columns
+        # trial sets on which a trust-region LM scaled by its Jacobian columns stops at 400 evaluations
         trunc, trial = d7_at_seed(seed)
         fit = gauge_fit_to_ideal(trunc, trial=trial, max_nfev=400)
         assert fit.converged
+
+    def test_full_rank_data_gates_leave_no_rank_floor(self, d7_at_seed, lm_calls):
+        trunc, trial = d7_at_seed(0)
+        fit = gauge_fit_to_ideal(trunc, trial=trial)
+        assert fit.rank_floor == 0.0 and fit.converged and len(lm_calls) == 1
+
+    def test_rank_floor_of_context_data_gates(self):
+        # a context gate resets the register to itself, so each truncated d = 7 gate has rank 4
+        device = build_model(CONTEXT)
+        trial = trial_sequences("d7", seed=0)
+        data = collect_trial_data(device, trial, seed=0)
+        trunc = svd_truncate(data.gram, data.gate_mats, 7)
+        with pytest.warns(RuntimeWarning, match=r"cannot reach its target: data gates of ranks \[4, 4\]"):
+            fit = gauge_fit_to_ideal(trunc, trial=trial, max_nfev=60)
+        assert not fit.converged
+        # Eckart-Young: every singular value of the ideal gates is 1, and each gate drops 7 - 4 of them
+        assert fit.rank_floor == pytest.approx(5.999999999999998, abs=1e-12)
+        g_inv = np.diag(1.0 / np.diag(trunc.g_trunc))
+        ranks = [np.linalg.matrix_rank(trunc.gate_mats_trunc[g] @ g_inv, tol=1e-9) for g in ("H", "S")]
+        assert ranks == [4, 4]
+        assert fit.objective >= fit.rank_floor
 
     def test_result_keeps_the_norm_of_the_start(self, d7_at_seed, lm_calls):
         trunc, trial = d7_at_seed(1)

@@ -343,16 +343,16 @@ class TestFit:
         assert result.converged is False
 
     # (n_evaluations, winner, start_objectives) of the l_size 2, seed 0 fit to d7 data on the 5-point device,
-    # recorded from the fit before its LM took one model call per pass: any change in the fit's bits shows here
+    # recorded from the fit with the gain-ratio damping and the moment-matched start 0: any change in its bits shows here
     RECORDED = {
-        None: (2039, 10, "0x1.ad4f03f6e1f1cp-11 0x1.ad4f03f6ef4bbp-11 0x1.bc158ce6ded76p+14 0x1.ad4f03f6f5bfdp-11 "
-               "0x1.ad4f03f72a592p-11 0x1.ad4f03f6dd719p-11 0x1.ad4f03f6f9323p-11 0x1.ad4f03f73bd80p-11 "
-               "0x1.850c5478cbf90p+12 0x1.77625bcff9773p+21 0x1.ad4f03f6d182ep-11 0x1.ad4f03f6e4db9p-11 "
-               "0x1.ad4f03f716bd8p-11 0x1.ad4f03f7079fap-11 0x1.77625bcff95c0p+21 0x1.ad4f03f710789p-11"),
-        1000: (1410, 10, "0x1.6342aa1e2399ap+15 0x1.61e032329069dp+15 0x1.6342aa1e22ca0p+15 0x1.61e2aef381017p+15 "
-               "0x1.61e0322f035d5p+15 0x1.61e032385d304p+15 0x1.61e032314fa7cp+15 0x1.61e0323125356p+15 "
-               "0x1.626cdd83affc8p+15 0x1.783f5d07f0004p+16 0x1.61e0322f02d53p+15 0x1.61e03231bd19dp+15 "
-               "0x1.6342aa1e23929p+15 0x1.61e0323316e14p+15 0x1.783f5d07e8c8fp+16 0x1.61e032346c94ap+15"),
+        None: (1760, 7, "0x1.ad4f03f704742p-11 0x1.ad4f03f6f65f4p-11 0x1.13b52618287abp+12 0x1.c23f438f2d772p+2 "
+               "0x1.ad4f03f7020f6p-11 0x1.ad4f03f6e6ab2p-11 0x1.ad4f03f6ee270p-11 0x1.ad4f03f6de800p-11 "
+               "0x1.df7aa6e3e6dd0p+2 0x1.bc158ce6fcf8ep+14 0x1.34fb640175603p+21 0x1.c23f438f2db68p+2 "
+               "0x1.c23f438f2cf44p+2 0x1.df7aa6e3e6ff8p+2 0x1.bc158ce6fcf6fp+14 0x1.34fb640175602p+21"),
+        1000: (1455, 1, "0x1.6342aa1e2399ap+15 0x1.61e0322efe371p+15 0x1.626db6d96da1bp+15 0x1.61e2aef359338p+15 "
+               "0x1.61e0322efe371p+15 0x1.61e0322efe371p+15 0x1.61e0322efe371p+15 0x1.61e0322efe371p+15 "
+               "0x1.61e2aef359338p+15 0x1.6342aa1e2399bp+15 0x1.494b631116ed0p+16 0x1.61e0322efe371p+15 "
+               "0x1.52c796818ec82p+16 0x1.61e2aef359338p+15 0x1.6342aa1e2399bp+15 0x1.61e0322efe371p+15"),
     }
 
     @pytest.mark.parametrize("shots", [None, 1000], ids=["exact", "shots"])
@@ -372,6 +372,69 @@ class TestFit:
         result = ct.fit(suite_records, 3, seed=0)
         assert result.nll <= 7.2e-8
         assert len(result.diagnostics["start_objectives"]) == 16
+
+
+class TestMomentStart:
+    """Start 0 of the fit: the moment-matched rule of the records' decay (Golub-Welsch)."""
+
+    @staticmethod
+    def start_zero(monkeypatch, records, l_size):
+        """The fit, and its start 0 as weights and rates."""
+        starts = []
+        real = mle.levenberg_marquardt
+
+        def spy(model, x0, *args):
+            starts.append(x0[0].copy())
+            return real(model, x0, *args)
+
+        monkeypatch.setattr(mle, "levenberg_marquardt", spy)
+        result = ct.fit(records, l_size, seed=0)
+        (x0,) = starts
+        p, rates = mle._unpack(x0[None], l_size, 2)
+        return result, x0, p[0], rates[0]
+
+    def test_three_point_fit_of_five_point_device_converges(self, suite_records):
+        result = ct.fit(suite_records, 3, seed=0)
+        assert result.converged and result.nll <= 1e-11
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_l_point_device_recovers_its_weights_and_rates(self, monkeypatch, trial_d7, m):
+        device = ct.build_low_freq_model(1.0, 0.02, m)
+        records = records_from_tomography(ct.collect_data(device, trial_d7))
+        result, _, p0, rates0 = self.start_zero(monkeypatch, records, m)
+        assert result.converged
+        order = np.argsort(device.rates["H"], kind="stable")  # the fit's canonical order
+        np.testing.assert_allclose(result.param_model.weights, device.weights[order], rtol=1e-7, atol=0)
+        for g, fitted in zip(("H", "S"), rates0):
+            np.testing.assert_allclose(result.param_model.rates[g], device.rates[g][order], rtol=1e-7, atol=0)
+            # the start is the device already, its points in the order of the rule's ascending nodes
+            np.testing.assert_allclose(fitted, device.rates[g], rtol=1e-6, atol=0)
+        np.testing.assert_allclose(p0, device.weights, rtol=1e-6, atol=0)
+
+    def test_rule_past_the_device_splits_the_heaviest_point_of_a_smaller_one(self, monkeypatch, trial_d7):
+        # a 2-point device has no 3-point rule, so start 0 is its 2-point rule with the heavier point halved
+        device = ct.build_low_freq_model(1.0, 0.02, 2)
+        records = records_from_tomography(ct.collect_data(device, trial_d7))
+        stats = mle._SufficientStatistics(records, None, mle.DEFAULT_SIGMA_FLOOR)
+        assert mle._moment_rule(stats, 3) is None
+        rates, weights = mle._moment_rule(stats, 2)
+        heavy = int(np.argmax(weights))
+        result, _, p0, rates0 = self.start_zero(monkeypatch, records, 3)
+        np.testing.assert_array_equal(p0[2], p0[heavy])
+        np.testing.assert_allclose(p0[[1 - heavy, heavy]], weights[[1 - heavy]].tolist() + [weights[heavy] / 2])
+        assert np.all(rates0[:, 2] == rates0[:, heavy])
+        assert stats.objective(p0, rates0) <= 1e-18  # the device's own measure
+        assert result.converged and result.nll <= 1e-18
+
+    def test_records_without_the_empty_circuit_start_from_equal_weights(self, monkeypatch):
+        # no record has 0 gates, so no moment is known: start 0 is equal weights at a common rate
+        records = exact_records(two_point_model(), random_circuits(100, 15, seed=18))
+        stats = mle._SufficientStatistics(records, None, mle.DEFAULT_SIGMA_FLOOR)
+        assert all(mle._moment_rule(stats, n) is None for n in (1, 2))
+        result, x0, p0, rates0 = self.start_zero(monkeypatch, records, 2)
+        assert np.array_equal(p0, [0.5, 0.5])
+        np.testing.assert_allclose(rates0, mle.START_RATE, rtol=1e-15)
+        assert result.converged
 
 
 CONTEXT = {
